@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .block_encoding import BlockEncoding, encode_pauli_sum, product
-from .chebyshev import WindowPoly, kpm_reconstruct, window_parameters, window_poly
+from .chebyshev import MIN_ETA_REL, WindowPoly, kpm_reconstruct, window_parameters, window_poly
 from .errors import BadIntervalError, EmptySumError, OutOfRangeError, ValidationError
 from .estimation import EstimationResult, estimate_complex, estimate_observable
 from .pauli import PauliSum
-from .spectral import chebyshev_encoding, evolution_cost, evolution_encoding, apply_polynomial
+from .spectral import apply_polynomial, chebyshev_encoding, evolution_cost, evolution_encoding
 from .state_prep import PreparationUnitary, prepare_maximally_mixed, prepare_pure
 
 DOS = "dos"
@@ -110,6 +110,25 @@ class SketchResult:
     window_meta: WindowPoly | None = field(default=None, repr=False)
 
 
+def _window_share(req: SketchRequest) -> float:
+    """eps / eta_rel of an integral sketch: the window gets a third of the
+    budget, relative to rho_max and, for response, to |B| |C|."""
+    share = 3.0 * req.rho_max
+    if req.kind == RESPONSE:
+        share = share * req.b_observable.scale() * req.c_observable.scale()
+    return share
+
+
+def min_window_eps(req: SketchRequest) -> float:
+    """The smallest eps whose integral window passes the degree guard of
+    window_poly (eta_rel >= MIN_ETA_REL) without allow_large_degree."""
+    share = _window_share(req)
+    eps = MIN_ETA_REL * share
+    while eps / share < MIN_ETA_REL:
+        eps = math.nextafter(eps, math.inf)
+    return eps
+
+
 def _moment_seed(seed, stride: int, j: int):
     return None if seed is None else seed + stride * j
 
@@ -163,7 +182,7 @@ def dos_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = None)
         window = window_poly(
             a / alpha,
             b / alpha,
-            req.eps / (3.0 * req.rho_max),
+            req.eps / _window_share(req),
             allow_large_degree=req.allow_large_degree,
         )
         w_enc = apply_polynomial(h_enc, window.poly, delta=req.eps / 3.0)
@@ -172,8 +191,10 @@ def dos_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = None)
 
     values = []
     orders = list(range(req.num_moments + 1))
+    previous: tuple[BlockEncoding, ...] = ()
     for n in orders:
-        enc_n = chebyshev_encoding(h_enc, n)
+        enc_n = chebyshev_encoding(h_enc, n, previous)
+        previous = (enc_n, *previous[:1])
         values.append(
             estimate_observable(enc_n, state, req.eps, req.delta, mode, _moment_seed(seed, 1, n))
         )
@@ -199,7 +220,7 @@ def response_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = 
 
     if req.interval is not None:
         a, b = req.interval
-        eta_rel = req.eps / (3.0 * req.rho_max * b_enc.scale * c_enc.scale)
+        eta_rel = req.eps / _window_share(req)
         window = window_poly(
             a / alpha, b / alpha, eta_rel, allow_large_degree=req.allow_large_degree
         )
@@ -210,8 +231,11 @@ def response_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = 
 
     values = []
     orders = list(range(req.num_moments + 1))
+    previous: tuple[BlockEncoding, ...] = ()
     for n in orders:
-        z_enc = product([b_enc, chebyshev_encoding(h_enc, n), c_enc])
+        t_n = chebyshev_encoding(h_enc, n, previous)
+        previous = (t_n, *previous[:1])
+        z_enc = product([b_enc, t_n, c_enc])
         values.append(
             estimate_complex(z_enc, req.state, req.eps, req.delta, mode, _moment_seed(seed, 2, n))
         )

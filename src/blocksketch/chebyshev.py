@@ -23,6 +23,7 @@ from scipy.special import betainc
 from .errors import (
     BadIntervalError,
     CertificationError,
+    DegreeTooLargeError,
     GridOutOfRangeError,
     OutOfRangeError,
     RangeViolationError,
@@ -274,14 +275,14 @@ def window_poly(
     k = ceil(6 ln(4/eta_rel)), kappa = eta_rel/4.
 
     Raises:
-        OutOfRangeError: for eta_rel below 0.02 unless allow_large_degree
+        DegreeTooLargeError: for eta_rel below 0.02 unless allow_large_degree
             is set (the composed degree grows like (1/eta) ln(1/eta)).
         BadIntervalError: if the window plus margin does not fit in (-1, 1).
         CertificationError: if any grid check fails.
     """
     kappa, n, k, tau = window_parameters(eta_rel)
     if eta_rel < MIN_ETA_REL and not allow_large_degree:
-        raise OutOfRangeError(
+        raise DegreeTooLargeError(
             f"eta={eta_rel:.4g} gives degree ~{n * k}; pass allow_large_degree=True to proceed"
         )
     if tau > eta_rel / 4.0 + 1e-15:

@@ -31,10 +31,11 @@ from .algorithms import (
     correlate,
     dos_sketch,
     kpm_sketch,
+    min_window_eps,
     response_sketch,
 )
-from .chebyshev import WindowPoly, window_poly
-from .errors import BlockSketchError, ValidationError
+from .chebyshev import MIN_ETA_REL, WindowPoly, window_poly
+from .errors import BlockSketchError, DegreeTooLargeError, ValidationError
 from .oracle import oracle_correlation, oracle_moments, oracle_response
 from .pauli import PauliSum, parse_pauli_file, pauli_sum_matrix
 from .state_prep import parse_state_file, reduced_density
@@ -201,14 +202,30 @@ def _sketch_csv(req: SketchRequest, sketch, emit_oracle: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _degree_advice(req: SketchRequest) -> str:
+    """Error text for an integral sketch whose eps trips the window degree
+    guard: the smallest --eps that passes, or --allow-large-degree."""
+    eps = min_window_eps(req)
+    head = f"--eps {_fmt(req.eps)} needs a window polynomial above the degree limit; "
+    if eps >= 1.0:
+        return head + "no --eps below 1 passes it, so pass --allow-large-degree"
+    shown = f"{eps:.6g}"
+    if float(shown) < eps:
+        shown = repr(eps)
+    return head + f"pass --eps {shown} or larger, or --allow-large-degree"
+
+
 def _cmd_sketch(config: RunConfig) -> int:
     h = _load_hamiltonian(config)
     req = _build_sketch_request(config, h)
-    sketch = (
-        response_sketch(req, config.mode, config.seed)
-        if config.kind == RESPONSE
-        else dos_sketch(req, config.mode, config.seed)
-    )
+    try:
+        sketch = (
+            response_sketch(req, config.mode, config.seed)
+            if config.kind == RESPONSE
+            else dos_sketch(req, config.mode, config.seed)
+        )
+    except DegreeTooLargeError:
+        raise ValidationError(_degree_advice(req)) from None
     _write_output(_sketch_csv(req, sketch, config.emit_oracle), config.output)
     return 0
 
@@ -247,7 +264,13 @@ def _cmd_kpm(config: RunConfig) -> int:
 
 def _cmd_window(config: RunConfig) -> int:
     a_bar, b_bar = config.window_bounds
-    w = window_poly(a_bar, b_bar, config.eta, allow_large_degree=config.allow_large_degree)
+    try:
+        w = window_poly(a_bar, b_bar, config.eta, allow_large_degree=config.allow_large_degree)
+    except DegreeTooLargeError:
+        raise ValidationError(
+            f"--eta {_fmt(config.eta)} needs a window polynomial above the degree limit; "
+            f"pass --eta {MIN_ETA_REL} or larger, or --allow-large-degree"
+        ) from None
     summary = (
         f"a_bar={_fmt(a_bar)} b_bar={_fmt(b_bar)} eta={_fmt(config.eta)}\n"
         f"kappa={_fmt(w.kappa)} n={w.jackson_degree} k={w.amplifier_order} "

@@ -37,6 +37,10 @@ class OutOfRangeError(BlockSketchError, ValueError):
     pass
 
 
+class DegreeTooLargeError(OutOfRangeError):
+    """A window polynomial would exceed the degree guard."""
+
+
 class InvalidProjectorError(BlockSketchError):
     pass
 

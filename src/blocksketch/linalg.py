@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NormTooLargeError, NotHermitianError
+from .errors import DimensionMismatchError, NormTooLargeError, NotHermitianError, NotUnitaryError
 
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
+# Full unitarity validation is O(dim^3); circuit unitaries above this
+# dimension are checked for shape only.
+VALIDATE_DIM_LIMIT = 256
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -36,6 +39,22 @@ def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
         return False
     eye = np.eye(m.shape[0])
     return float(np.max(np.abs(m @ m.conj().T - eye))) <= tol
+
+
+def check_circuit_unitary(u: np.ndarray, full_dim: int) -> np.ndarray:
+    """Validate a circuit unitary and return it as a complex array.
+
+    Raises:
+        DimensionMismatchError: if u is not full_dim x full_dim.
+        NotUnitaryError: if full_dim is at most VALIDATE_DIM_LIMIT and u
+            is not unitary within UNITARY_TOL.
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (full_dim, full_dim):
+        raise DimensionMismatchError(f"unitary shape {u.shape} != ({full_dim}, {full_dim})")
+    if full_dim <= VALIDATE_DIM_LIMIT and not is_unitary(u, UNITARY_TOL):
+        raise NotUnitaryError(f"matrix is not unitary within {UNITARY_TOL:.0e}")
+    return u
 
 
 def spectral_norm(m: np.ndarray) -> float:

@@ -1,16 +1,24 @@
 """Block encodings of functions of a Hamiltonian.
 
+Like every encoding in `block_encoding`, these are block-first values: the
+D x D block and its ledgers are computed directly, and the full circuit
+unitary is built only when `.unitary` is read.
+
 Time evolution is realized by exact matrix exponentiation behind the
-standard cost formula; Chebyshev polynomials of an encoded Hermitian block
-are built genuinely by alternating the encoding with ancilla reflections;
-general bounded polynomials are applied spectrally and re-embedded through
-a unitary dilation under the standard interface (halved block, accuracy
-and cost ledgers from the degree).
+standard cost formula. Chebyshev polynomials T_n(A) of an encoded
+Hermitian block follow the three-term recurrence on the block; their
+circuit alternates the encoding with ancilla reflections (qubitization),
+whose top-left block is exactly T_n(A). General bounded polynomials are
+applied spectrally under the standard interface (halved block, accuracy
+and cost ledgers from the degree); their circuit re-embeds the halved
+block through a unitary dilation.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -23,6 +31,7 @@ from .errors import (
     NotHermitianError,
     OutOfRangeError,
     PolyNotBoundedError,
+    ValidationError,
 )
 from .linalg import embed_operator, is_hermitian, unitary_dilation
 from .pauli import PauliSum, pauli_sum_matrix
@@ -63,8 +72,7 @@ def evolution_encoding(h: PauliSum, t: float, eps: float) -> BlockEncoding:
     energies, vecs = np.linalg.eigh(pauli_sum_matrix(h))
     u = (vecs * np.exp(1j * energies * t)) @ vecs.conj().T
     cost = math.ceil(evolution_cost(len(h.terms), h.scale(), t, eps))
-    enc = encode_unitary(u, cost=cost)
-    return BlockEncoding(enc.unitary, 1, h.dim, scale=1.0, accuracy=eps, cost=cost)
+    return replace(encode_unitary(u, cost=cost), accuracy=eps)
 
 
 def _require_hermitian_block(b: BlockEncoding) -> np.ndarray:
@@ -74,34 +82,68 @@ def _require_hermitian_block(b: BlockEncoding) -> np.ndarray:
     return block
 
 
-def chebyshev_encoding(b: BlockEncoding, n: int) -> BlockEncoding:
-    """Exact encoding of T_n(A) by alternating reflections.
-
-    Interleaves the encoding unitary and its adjoint with the ancilla
-    reflection (2|0><0| - I) (x) I; the resulting block satisfies the
-    Chebyshev recurrence exactly. Requires an exact input encoding.
-    """
-    if n < 0:
-        raise OutOfRangeError("Chebyshev order must be nonnegative")
-    if b.accuracy != 0.0:
-        raise InexactInputError("alternating reflections require an exact encoding")
-    _require_hermitian_block(b)
-    if n * b.cost > _COST_LIMIT:
-        raise CostOverflowError(f"cost ledger {n} * {b.cost} exceeds 2^63 - 1")
-
+def _alternating_word(b: BlockEncoding, n: int) -> np.ndarray:
+    """U R U^dagger R U ... (n factors of U or U^dagger) with the ancilla
+    reflection R = (2|0><0| - I) (x) I; the identity for n = 0."""
     full = b.ancilla_dim * b.system_dim
     if n == 0:
-        return BlockEncoding(
-            np.eye(full, dtype=complex), b.ancilla_dim, b.system_dim, scale=1.0, cost=0
-        )
+        return np.eye(full, dtype=complex)
     reflect = -np.eye(full, dtype=complex)
     reflect[: b.system_dim, : b.system_dim] += 2.0 * np.eye(b.system_dim)
     u_adj = b.unitary.conj().T
     word = np.array(b.unitary)
     for j in range(2, n + 1):
         word = word @ reflect @ (u_adj if j % 2 == 0 else b.unitary)
+    return word
+
+
+def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
+    """Exact encoding of T_n(A) for the Hermitian block A of b.
+
+    The block follows the recurrence T_n = 2 A T_{n-1} - T_{n-2} from
+    T_0 = I and T_1 = A. `previous` may hold the encodings of T_{n-1} and
+    T_{n-2} (most recent first; just T_0 for n = 1) that earlier calls
+    returned for the same b; then T_n takes one recurrence step instead of
+    n - 1, so a loop over n = 0..N costs N block products in total.
+
+    The circuit interleaves the encoding unitary and its adjoint with the
+    ancilla reflection (2|0><0| - I) (x) I, whose top-left block is exactly
+    T_n(A) (Low-Chuang qubitization; Gilyen-Su-Low-Wiebe, Lemma 9).
+    Requires an exact input encoding; T_n is 1-scaled and costs n times
+    the input.
+    """
+    if n < 0:
+        raise OutOfRangeError("Chebyshev order must be nonnegative")
+    if b.accuracy != 0.0:
+        raise InexactInputError("alternating reflections require an exact encoding")
+    a = _require_hermitian_block(b)
+    if n * b.cost > _COST_LIMIT:
+        raise CostOverflowError(f"cost ledger {n} * {b.cost} exceeds 2^63 - 1")
+    previous = tuple(previous)
+    expected = [(b.ancilla_dim, b.system_dim, k * b.cost) for k in range(n - 1, max(n - 3, -1), -1)]
+    if previous and [(t.ancilla_dim, t.system_dim, t.cost) for t in previous] != expected:
+        raise ValidationError("previous must hold the T_{n-1}, T_{n-2} encodings of b")
+
+    if n == 0:
+        block = np.eye(b.system_dim, dtype=complex)
+    elif n == 1:
+        block = a
+    else:
+        if len(previous) == 2:
+            t_1, t_2 = previous[0].block, previous[1].block
+        else:
+            t_1, t_2 = a, np.eye(b.system_dim, dtype=complex)
+            for _ in range(2, n):
+                t_1, t_2 = 2.0 * (a @ t_1) - t_2, t_1
+        block = 2.0 * (a @ t_1) - t_2
     return BlockEncoding(
-        word, b.ancilla_dim, b.system_dim, scale=1.0, accuracy=0.0, cost=n * b.cost
+        block=block,
+        ancilla_dim=b.ancilla_dim,
+        system_dim=b.system_dim,
+        scale=1.0,
+        accuracy=0.0,
+        cost=n * b.cost,
+        circuit=partial(_alternating_word, b, n),
     )
 
 
@@ -109,11 +151,12 @@ def apply_polynomial(b: BlockEncoding, p: ChebyshevPoly, delta: float) -> BlockE
     """Encoding of p(A) for a polynomial bounded by 1 on [-1, 1].
 
     Realized spectrally: p is applied to the eigenvalues of the encoded
-    block and the halved result is re-embedded with a unitary dilation, so
-    the new block is p(A)/2 and the recovery scale is 2. The accuracy field
-    records delta and the cost ledger charges degree * input cost, matching
-    the interface of a singular-value-transformation circuit whose phase
-    factors are out of scope here.
+    block, so the new block is p(A)/2 and the recovery scale is 2; the
+    circuit re-embeds the halved block with a unitary dilation on one more
+    ancilla qubit. The accuracy field records delta and the cost ledger
+    charges degree * input cost, matching the interface of a
+    singular-value-transformation circuit whose phase factors are out of
+    scope here.
     """
     if delta < 0:
         raise OutOfRangeError(f"delta must be nonnegative, got {delta}")
@@ -131,15 +174,19 @@ def apply_polynomial(b: BlockEncoding, p: ChebyshevPoly, delta: float) -> BlockE
     eigvals, vecs = np.linalg.eigh((block + block.conj().T) / 2.0)
     transformed = chebval(np.clip(eigvals, -1.0, 1.0), p.coeffs)
     halved = (vecs * (transformed / 2.0)) @ vecs.conj().T
-    dilated = unitary_dilation(halved)
-
-    anc = 2 * b.ancilla_dim
-    full = embed_operator(dilated, [2, b.ancilla_dim, b.system_dim], [0, 2])
     return BlockEncoding(
-        full,
-        anc,
-        b.system_dim,
+        block=halved,
+        ancilla_dim=2 * b.ancilla_dim,
+        system_dim=b.system_dim,
         scale=2.0,
         accuracy=delta,
         cost=p.degree * b.cost,
+        circuit=partial(_dilation_circuit, halved, b.ancilla_dim),
     )
+
+
+def _dilation_circuit(halved: np.ndarray, ancilla_dim: int) -> np.ndarray:
+    """The unitary dilation of the halved block on a new qubit, acting as
+    the identity on the input ancilla register."""
+    dilated = unitary_dilation(halved)
+    return embed_operator(dilated, [2, ancilla_dim, halved.shape[0]], [0, 2])

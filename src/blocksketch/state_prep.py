@@ -2,9 +2,13 @@
 
 A preparation unitary acts on system (x) purifier (system most significant)
 and sends a designated zero state to a purification of the target density
-operator. Covers pure states, the maximally mixed state through an exact
-Grover amplification with a flag qubit, and thermal states computed
-spectrally with the standard cost formula preserved for the ledger.
+operator. Values are purification-first: a `PreparationUnitary` stores the
+purification vector, which is all `reduced_density` and the estimators
+read, and builds its circuit unitary only when `.unitary` is first read.
+Covers pure states (QR completion of the vector), the maximally mixed
+state (an exact Grover amplification with a flag qubit), and thermal
+states computed spectrally with the standard cost formula preserved for
+the ledger (QR completion of the purification).
 
 Also defines the on-disk state format consumed by the CLI:
 ``pure <amplitudes>`` | ``mixed`` | ``thermal <beta>`` | ``basis <index>``.
@@ -13,7 +17,9 @@ Also defines the on-disk state format consumed by the CLI:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 from scipy.special import logsumexp
@@ -21,61 +27,114 @@ from scipy.special import logsumexp
 from .errors import (
     DimensionMismatchError,
     NotNormalizedError,
-    NotUnitaryError,
     OutOfRangeError,
     ParseError,
 )
-from .linalg import is_unitary, unitary_completion
+from .linalg import check_circuit_unitary, unitary_completion
 from .pauli import PauliSum, pauli_sum_matrix
 
-_VALIDATE_DIM_LIMIT = 256
-
 THERMAL_COST_EPS = 1e-3
+NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PreparationUnitary:
-    """A unitary on system (x) purifier purifying a density operator."""
+    """A purification on system (x) purifier of a density operator, with
+    the unitary that prepares it from basis state zero_state_index.
 
-    unitary: np.ndarray
+    Construct either from an explicit unitary,
+    ``PreparationUnitary(u, system_dim, purifier_dim, cost=..., zero_state_index=...)``,
+    which is checked like a built circuit and whose zero-state column is
+    stored, or from ``purification=`` and ``circuit=``: the unit vector and
+    a zero-argument callable building the unitary, which `.unitary` calls,
+    validates and caches on first access.
+    """
+
+    purification: np.ndarray
     system_dim: int
     purifier_dim: int
     cost: int = 0
     zero_state_index: int = 0
+    circuit: Callable[[], np.ndarray] | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        u = np.asarray(self.unitary, dtype=complex)
-        object.__setattr__(self, "unitary", u)
-        full = self.system_dim * self.purifier_dim
-        if u.shape != (full, full):
-            raise DimensionMismatchError(
-                f"unitary shape {u.shape} != ({full}, {full}) for "
-                f"system {self.system_dim} x purifier {self.purifier_dim}"
-            )
-        if not 0 <= self.zero_state_index < full:
-            raise OutOfRangeError(f"zero state index {self.zero_state_index} out of range")
-        if full <= _VALIDATE_DIM_LIMIT and not is_unitary(u, 1e-10):
-            raise NotUnitaryError("matrix is not unitary within 1e-10")
+    def __init__(
+        self,
+        unitary=None,
+        system_dim: int | None = None,
+        purifier_dim: int | None = None,
+        cost: int = 0,
+        zero_state_index: int = 0,
+        *,
+        purification=None,
+        circuit: Callable[[], np.ndarray] | None = None,
+    ):
+        if system_dim is None or purifier_dim is None:
+            raise TypeError("system_dim and purifier_dim are required")
+        full = system_dim * purifier_dim
+        if not 0 <= zero_state_index < full:
+            raise OutOfRangeError(f"zero state index {zero_state_index} out of range")
+        if unitary is not None:
+            if purification is not None or circuit is not None:
+                raise TypeError("an explicit unitary takes no purification or circuit")
+            u = check_circuit_unitary(unitary, full)
+            purification = u[:, zero_state_index].copy()
+            circuit = lambda: u  # noqa: E731
+            self.__dict__["_unitary"] = u
+        elif purification is None or circuit is None:
+            raise TypeError("pass a unitary, or a purification with the circuit that builds it")
+        else:
+            purification = np.array(purification, dtype=complex).reshape(-1)
+            if purification.size != full:
+                raise DimensionMismatchError(
+                    f"purification of size {purification.size} for "
+                    f"system {system_dim} x purifier {purifier_dim}"
+                )
+            nrm = float(np.linalg.norm(purification))
+            if abs(nrm - 1.0) > NORM_TOL:
+                raise NotNormalizedError(f"purification norm {nrm:.12g} differs from 1")
+        purification.setflags(write=False)
+        # Frozen dataclass: fields are set through the instance dict.
+        self.__dict__.update(
+            purification=purification,
+            system_dim=system_dim,
+            purifier_dim=purifier_dim,
+            cost=cost,
+            zero_state_index=zero_state_index,
+            circuit=circuit,
+        )
+
+    @property
+    def unitary(self) -> np.ndarray:
+        """The full system (x) purifier unitary, built from the circuit on
+        first access and validated like an explicitly supplied one."""
+        u = self.__dict__.get("_unitary")
+        if u is None:
+            u = check_circuit_unitary(self.circuit(), self.system_dim * self.purifier_dim)
+            self.__dict__["_unitary"] = u
+        return u
 
     def purified_state(self) -> np.ndarray:
         """The purification vector: unitary applied to the zero state."""
-        return np.array(self.unitary[:, self.zero_state_index])
+        return np.array(self.purification)
 
 
 def reduced_density(p: PreparationUnitary) -> np.ndarray:
     """Partial trace of the purification over the purifier register."""
-    psi = p.purified_state().reshape(p.system_dim, p.purifier_dim)
+    psi = p.purification.reshape(p.system_dim, p.purifier_dim)
     return psi @ psi.conj().T
 
 
 def prepare_pure(v) -> PreparationUnitary:
-    """Trivial (purifier dimension 1) preparation of a normalized vector."""
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > 1e-10:
-        raise NotNormalizedError(f"state norm {nrm:.12g} differs from 1")
-    u = unitary_completion(v)
-    return PreparationUnitary(u, v.size, 1, cost=v.size)
+    """Trivial (purifier dimension 1) preparation of a normalized vector;
+    the circuit is a QR completion of the vector."""
+    v = np.array(v, dtype=complex).reshape(-1)
+    return PreparationUnitary(
+        system_dim=v.size,
+        purifier_dim=1,
+        cost=v.size,
+        purification=v,
+        circuit=partial(unitary_completion, v),
+    )
 
 
 def prepare_basis_state(index: int, dim: int) -> PreparationUnitary:
@@ -117,19 +176,9 @@ def _bell_unitary(n_qubits: int) -> np.ndarray:
     return u[perm]
 
 
-def prepare_maximally_mixed(system_dim: int) -> PreparationUnitary:
-    """Exact preparation of I/D through flag-qubit amplitude amplification.
-
-    The system register is the qubit embedding space of dimension
-    2^ceil(log2 D); the purifier is a mirror register of the same size plus
-    a flag qubit. The reduced density equals I/D on the leading D-dimensional
-    subspace exactly: the flag rotation angle is shrunk so that k Grover
-    steps land the overlap exactly on 1. For power-of-two D the flag branch
-    is degenerate (gamma = 1, k = 0).
-    """
-    if system_dim < 1:
-        raise OutOfRangeError("system dimension must be at least 1")
-    d = int(system_dim)
+def _grover_preparation(d: int) -> np.ndarray:
+    """The flag-qubit amplitude-amplification circuit of
+    prepare_maximally_mixed(d)."""
     n = max(0, (d - 1).bit_length())
     dim = 1 << n
     beta = math.sqrt(d / dim)
@@ -156,8 +205,36 @@ def prepare_maximally_mixed(system_dim: int) -> PreparationUnitary:
         prep = np.linalg.matrix_power(grover, k) @ u_start
     else:
         prep = u_start
+    return prep
 
-    return PreparationUnitary(prep, dim, dim * 2, cost=2 * n)
+
+def prepare_maximally_mixed(system_dim: int) -> PreparationUnitary:
+    """Exact preparation of I/D through flag-qubit amplitude amplification.
+
+    The system register is the qubit embedding space of dimension
+    2^ceil(log2 D); the purifier is a mirror register of the same size plus
+    a flag qubit. The purification is (1/sqrt D) sum_{i<D} |i>|i>|0>_flag,
+    so the reduced density equals I/D on the leading D-dimensional subspace
+    exactly. The circuit prepares it from |0> with a Bell-pair layer and a
+    flag rotation whose angle is shrunk so that k Grover steps land the
+    overlap exactly on 1; for power-of-two D the flag branch is degenerate
+    (gamma = 1, k = 0).
+    """
+    if system_dim < 1:
+        raise OutOfRangeError("system dimension must be at least 1")
+    d = int(system_dim)
+    n = max(0, (d - 1).bit_length())
+    dim = 1 << n
+    purification = np.zeros(dim * dim * 2, dtype=complex)
+    mirrored = np.arange(d)
+    purification[mirrored * (dim * 2) + mirrored * 2] = 1.0 / math.sqrt(d)
+    return PreparationUnitary(
+        system_dim=dim,
+        purifier_dim=dim * 2,
+        cost=2 * n,
+        purification=purification,
+        circuit=partial(_grover_preparation, d),
+    )
 
 
 def thermal_cost_estimate(
@@ -186,8 +263,9 @@ def prepare_thermal(h: PauliSum, beta_inv_temp: float) -> tuple[PreparationUnita
     """Spectral purification of exp(-beta H)/Z plus its cost estimate.
 
     The purification is sum_i sqrt(p_i) |psi_i>|i> with p_i the Gibbs
-    weights; the circuit-level construction is out of scope but its cost
-    formula is evaluated (Q = number of terms, alpha = coefficient one-norm,
+    weights, and its circuit is a QR completion of that vector; the
+    circuit-level construction is out of scope but its cost formula is
+    evaluated (Q = number of terms, alpha = coefficient one-norm,
     eps = 1e-3, unit constants) and rounded up into the cost ledger.
     """
     if beta_inv_temp < 0:
@@ -199,12 +277,18 @@ def prepare_thermal(h: PauliSum, beta_inv_temp: float) -> tuple[PreparationUnita
 
     dim = h.dim
     purification = (vecs * np.sqrt(weights)).reshape(-1)
-    u = unitary_completion(purification)
 
     log_z = float(logsumexp(logits))
     cost = thermal_cost_estimate(len(h.terms), h.scale(), beta_inv_temp, dim, log_z)
     cost_int = int(min(math.ceil(cost), 2**62)) if math.isfinite(cost) else 2**62
-    return PreparationUnitary(u, dim, dim, cost=cost_int), cost
+    prep = PreparationUnitary(
+        system_dim=dim,
+        purifier_dim=dim,
+        cost=cost_int,
+        purification=purification,
+        circuit=partial(unitary_completion, purification),
+    )
+    return prep, cost
 
 
 def parse_state_text(

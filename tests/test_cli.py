@@ -210,3 +210,25 @@ def test_help_lists_flags(capsys):
     for flag in ("--hamiltonian", "--moments", "--integral", "--eps", "--delta",
                  "--mode", "--seed", "--rho-max", "--oracle", "--output"):
         assert flag in text
+
+
+def test_default_eps_integral_names_the_passing_eps(workdir, capsys):
+    base = ["dos", "--hamiltonian", workdir / "hz.txt", "--integral", "-0.5", "0.5"]
+    assert _run(base) == 2
+    err = capsys.readouterr().err
+    assert "--allow-large-degree" in err and "allow_large_degree=True" not in err
+    assert "--eps 0.06 or larger" in err
+    assert _run(base + ["--eps", "0.06", "--output", workdir / "int.csv"]) == 0
+
+
+def test_response_integral_eps_advice_scales_with_observables(workdir, capsys):
+    (workdir / "b.txt").write_text("0.5 X\n0.5 Z\n")
+    (workdir / "c.txt").write_text("1.5 X\n")
+    rc = _run(
+        ["response", "--hamiltonian", workdir / "hz.txt", "--integral", "-0.5", "0.5",
+         "--eps", "0.03", "--rho-max", "0.5", "--observable-b", workdir / "b.txt", "--observable-c",
+         workdir / "c.txt", "--state", workdir / "ket0.txt"]
+    )
+    assert rc == 2
+    # 3 * 0.02 * rho_max * |B| |C| = 3 * 0.02 * 0.5 * 1.0 * 1.5
+    assert "--eps 0.045 or larger, or --allow-large-degree" in capsys.readouterr().err

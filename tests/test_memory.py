@@ -1,0 +1,67 @@
+"""Memory ceilings of CLI commands at the qubit limit.
+
+Every command at MAX_QUBITS works on D x D blocks, so its traced Python
+and NumPy allocations stay far below what one full circuit unitary of the
+pipeline would take (a 6-qubit shifted moment encoding is 8192 x 8192).
+"""
+
+import tracemalloc
+
+import pytest
+
+from blocksketch.cli import MAX_QUBITS, main
+
+PEAK_LIMIT_MB = 100.0
+
+
+def _tfim_chain(qubits: int) -> str:
+    lines = [f"1.0 {'I' * i}ZZ{'I' * (qubits - i - 2)}" for i in range(qubits - 1)]
+    lines += [f"0.7 {'I' * i}X{'I' * (qubits - i - 1)}" for i in range(qubits)]
+    return "\n".join(lines) + "\n"
+
+
+def _local(letter: str, site: int, qubits: int) -> str:
+    return "I" * site + letter + "I" * (qubits - site - 1)
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    n, m = MAX_QUBITS, 4
+    files = {
+        "h.txt": _tfim_chain(n),
+        "b.txt": f"1.0 {_local('Z', 0, n)}\n",
+        "c.txt": f"1.0 {_local('X', 0, n)}\n",
+        "basis.txt": "basis 0\n",
+        "h4.txt": _tfim_chain(m),
+        "mixed.txt": "mixed\n",
+    }
+    for k, letters in enumerate(("ZXYZ", "XZXY", "YYZX")):
+        files[f"o{k}.txt"] = "".join(
+            f"{0.1 * (j + 1)!r} {_local(letter, j, m)}\n" for j, letter in enumerate(letters)
+        )
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return tmp_path
+
+
+COMMANDS = {
+    "dos-moments": "dos --hamiltonian h.txt --moments 4",
+    "dos-integral": "dos --hamiltonian h.txt --integral -2 2 --eps 0.1",
+    "response-moments": "response --hamiltonian h.txt --moments 16 --observable-b b.txt "
+    "--observable-c c.txt --state basis.txt",
+    "correlate-4q": "correlate --hamiltonian h4.txt --observable o0.txt 0.5 "
+    "--observable o1.txt 1.0 --observable o2.txt -0.7 --state mixed.txt",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_peak_memory_at_qubit_limit(command, inputs):
+    argv = [str(inputs / tok) if tok.endswith(".txt") else tok for tok in COMMANDS[command].split()]
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--output", str(inputs / "out.txt")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak / 2**20 <= PEAK_LIMIT_MB

@@ -171,3 +171,26 @@ def test_apply_polynomial_validation():
     with pytest.raises(CostOverflowError):
         apply_polynomial(replace(b, cost=2**62), chebyshev_t(4), 1e-3)
     assert is_unitary(apply_polynomial(b, chebyshev_t(2), 0.0).unitary, 1e-10)
+
+
+def test_chebyshev_encoding_continues_from_previous_orders(rng):
+    a = random_hermitian_contraction(rng, 8)
+    enc = _contraction_encoding(a, cost=3)
+    previous = ()
+    for n in range(12):
+        step = chebyshev_encoding(enc, n, previous)
+        scratch = chebyshev_encoding(enc, n)
+        assert np.array_equal(step.block, scratch.block)
+        assert (step.cost, step.ancilla_dim) == (scratch.cost, scratch.ancilla_dim)
+        previous = (step, *previous[:1])
+
+    t3, t2 = chebyshev_encoding(enc, 3), chebyshev_encoding(enc, 2)
+    other = _contraction_encoding(a, cost=1)
+    from blocksketch.errors import ValidationError
+
+    with pytest.raises(ValidationError):
+        chebyshev_encoding(enc, 4, (t2, t3))
+    with pytest.raises(ValidationError):
+        chebyshev_encoding(other, 4, (t3, t2))
+    with pytest.raises(ValidationError):
+        chebyshev_encoding(enc, 4, (t3,))
