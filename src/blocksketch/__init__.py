@@ -9,9 +9,8 @@ from .algorithms import (
     SketchResult,
     complexity_report,
     correlate,
-    dos_sketch,
     kpm_sketch,
-    response_sketch,
+    spectral_sketch,
 )
 from .block_encoding import (
     BlockEncoding,

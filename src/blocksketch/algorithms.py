@@ -1,9 +1,13 @@
-"""The four estimation pipelines built on block encodings.
+"""The estimation pipelines built on block encodings.
 
-Heisenberg-picture correlation functions, density-of-states and local
-density-of-states sketches (interval integrals and Chebyshev moments),
-response-function sketches, the end-to-end kernel-polynomial pipeline, and
-complexity reports evaluating the cost formulas with unit constants.
+`correlate` estimates Heisenberg-picture n-time correlation functions.
+`spectral_sketch` is the one kernel-polynomial pipeline: it estimates
+Tr(rho B f(H/alpha) C) with f a certified interval window (integral mode)
+or the Chebyshev polynomials T_0..T_N (moments mode), which covers the
+density of states (B = C = I, rho = I/D), the local density of states
+(B = C = I, rho = |s><s|) and linear response. `kpm_sketch` adds the
+kernel-polynomial reconstruction, and `complexity_report` evaluates the
+cost formulas with unit constants.
 
 Moment jobs for different orders are independent; run them concurrently
 with distinct seeds and merge by index if needed.
@@ -153,28 +157,43 @@ def correlate(spec: CorrelationSpec, mode: str = "exact", seed: int | None = Non
     return estimate_complex(gamma_encoding, spec.state, spec.eps / 2.0, spec.delta, mode, seed)
 
 
-def _sketch_state(req: SketchRequest) -> PreparationUnitary:
-    if req.kind == DOS:
-        return prepare_maximally_mixed(req.hamiltonian.dim)
-    if req.kind == LDOS:
-        return prepare_pure(req.site_state)
-    return req.state
+def spectral_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = None) -> SketchResult:
+    """Sketch Tr(rho B f(H/alpha) C) for the request's kind.
 
+    The density of states is B = C = I with rho = I/D, the local density
+    of states B = C = I with rho = |s><s|; both are estimated as one
+    Hermitian observable and moment n is seeded with seed + n. The
+    response estimates B f(H/alpha) C against the supplied state part by
+    part (any ground-energy shift is the caller's) and seeds moment n with
+    seed + 2n.
 
-def dos_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = None) -> SketchResult:
-    """Sketch the (local) density of states.
-
-    Integral mode estimates Tr(rho w(H/alpha)) for the certified window
-    over the rescaled interval, splitting the error budget evenly across
-    window construction, polynomial application, and estimation. Moments
-    mode estimates Tr(rho T_n(H/alpha)) for n = 0..N, seeding moment n
-    with seed + n.
+    Integral mode takes f to be the certified window over the rescaled
+    interval, splitting the error budget evenly across window
+    construction, polynomial application, and estimation; the window
+    budget is relative to rho_max and, for response, to |B| |C|. Moments
+    mode takes f = T_n for n = 0..N.
     """
-    if req.kind not in (DOS, LDOS):
-        raise ValidationError(f"dos_sketch cannot handle kind {req.kind!r}")
     h_enc = encode_pauli_sum(req.hamiltonian)
     alpha = h_enc.scale
-    state = _sketch_state(req)
+    if req.kind == RESPONSE:
+        b_enc = encode_pauli_sum(req.b_observable)
+        c_enc = encode_pauli_sum(req.c_observable)
+        stride = 2
+
+        def estimate(f_enc: BlockEncoding, eps: float, f_seed):
+            xi_enc = product([b_enc, f_enc, c_enc])
+            return estimate_complex(xi_enc, req.state, eps, req.delta, mode, f_seed)
+
+    else:
+        if req.kind == DOS:
+            state = prepare_maximally_mixed(req.hamiltonian.dim)
+        else:
+            state = prepare_pure(req.site_state)
+        stride = 1
+
+        def estimate(f_enc: BlockEncoding, eps: float, f_seed):
+            return estimate_observable(f_enc, state, eps, req.delta, mode, f_seed)
+
     report = complexity_report(req)
 
     if req.interval is not None:
@@ -186,48 +205,7 @@ def dos_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = None)
             allow_large_degree=req.allow_large_degree,
         )
         w_enc = apply_polynomial(h_enc, window.poly, delta=req.eps / 3.0)
-        result = estimate_observable(w_enc, state, req.eps / 3.0, req.delta, mode, seed)
-        return SketchResult((result,), (window.degree,), report, window)
-
-    values = []
-    orders = list(range(req.num_moments + 1))
-    previous: tuple[BlockEncoding, ...] = ()
-    for n in orders:
-        enc_n = chebyshev_encoding(h_enc, n, previous)
-        previous = (enc_n, *previous[:1])
-        values.append(
-            estimate_observable(enc_n, state, req.eps, req.delta, mode, _moment_seed(seed, 1, n))
-        )
-    return SketchResult(tuple(values), tuple(orders), report, None)
-
-
-def response_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = None) -> SketchResult:
-    """Sketch the dynamical response <B f(H/alpha) C> against the supplied
-    state (any ground-energy shift is the caller's).
-
-    Integral mode builds B w(H/alpha) C with the window budget scaled by
-    the observable norms; moments mode builds B T_n(H/alpha) C. Real and
-    imaginary parts are estimated separately; moment n is seeded with
-    seed + 2n.
-    """
-    if req.kind != RESPONSE:
-        raise ValidationError(f"response_sketch cannot handle kind {req.kind!r}")
-    h_enc = encode_pauli_sum(req.hamiltonian)
-    alpha = h_enc.scale
-    b_enc = encode_pauli_sum(req.b_observable)
-    c_enc = encode_pauli_sum(req.c_observable)
-    report = complexity_report(req)
-
-    if req.interval is not None:
-        a, b = req.interval
-        eta_rel = req.eps / _window_share(req)
-        window = window_poly(
-            a / alpha, b / alpha, eta_rel, allow_large_degree=req.allow_large_degree
-        )
-        w_enc = apply_polynomial(h_enc, window.poly, delta=req.eps / 3.0)
-        xi_enc = product([b_enc, w_enc, c_enc])
-        result = estimate_complex(xi_enc, req.state, req.eps / 3.0, req.delta, mode, seed)
-        return SketchResult((result,), (window.degree,), report, window)
+        return SketchResult((estimate(w_enc, req.eps / 3.0, seed),), (window.degree,), report, window)
 
     values = []
     orders = list(range(req.num_moments + 1))
@@ -235,10 +213,7 @@ def response_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = 
     for n in orders:
         t_n = chebyshev_encoding(h_enc, n, previous)
         previous = (t_n, *previous[:1])
-        z_enc = product([b_enc, t_n, c_enc])
-        values.append(
-            estimate_complex(z_enc, req.state, req.eps, req.delta, mode, _moment_seed(seed, 2, n))
-        )
+        values.append(estimate(t_n, req.eps, _moment_seed(seed, stride, n)))
     return SketchResult(tuple(values), tuple(orders), report, None)
 
 
@@ -248,10 +223,7 @@ def kpm_sketch(
     """Moments plus kernel-polynomial reconstruction on the given grid."""
     if req.num_moments is None:
         raise ValidationError("kpm_sketch requires a moments-mode request")
-    if req.kind == RESPONSE:
-        sketch = response_sketch(req, mode, seed)
-    else:
-        sketch = dos_sketch(req, mode, seed)
+    sketch = spectral_sketch(req, mode, seed)
     moments = np.array([v.value.real for v in sketch.values])
     return sketch, kpm_reconstruct(moments, np.asarray(grid, dtype=float))
 
@@ -290,65 +262,45 @@ def _sketch_report(req: SketchRequest) -> dict:
     log_delta = math.log(1.0 / req.delta)
     out: dict = {"kind": req.kind, "alpha": alpha, "encoding_cost_Q": q}
 
+    # Each query count is weighted by beta_B beta_C and carries the state
+    # term S_B + S_C + R for response; dos and ldos have weight 1 and the
+    # state term log2(D) for the maximally mixed state or D for a site state.
     if req.kind == RESPONSE:
         s_b = len(req.b_observable.terms)
         s_c = len(req.c_observable.terms)
-        beta_gamma = req.b_observable.scale() * req.c_observable.scale()
+        weight = req.b_observable.scale() * req.c_observable.scale()
         r = req.state.cost
-        out.update({"S_B": s_b, "S_C": s_c, "state_cost": r, "beta_gamma": beta_gamma})
-        if req.interval is not None:
-            ratio = req.rho_max * beta_gamma / req.eps
-            d_formula = ratio * math.log(ratio)
-            kappa, n_jack, k_amp, tau = window_parameters(
-                req.eps / (3.0 * req.rho_max * beta_gamma)
-            )
-            out.update(
-                {
-                    "mode": "integral",
-                    "degree_formula": d_formula,
-                    "window": {"kappa": kappa, "n": n_jack, "k": k_amp, "tau": tau, "d": n_jack * k_amp},
-                    "total_queries": (q * d_formula + s_b + s_c + r)
-                    * beta_gamma
-                    / req.eps
-                    * log_delta,
-                }
-            )
-        else:
-            orders = list(range(req.num_moments + 1))
-            out.update(
-                {
-                    "mode": "moments",
-                    "orders": orders,
-                    "per_moment_queries": [
-                        (q * n + s_b + s_c + r) * beta_gamma / req.eps for n in orders
-                    ],
-                }
-            )
-        return out
+        prep_term = s_b + s_c + r
+        out.update({"S_B": s_b, "S_C": s_c, "state_cost": r, "beta_gamma": weight})
+    else:
+        weight = 1.0
+        prep_term = math.log2(h.dim) if req.kind == DOS else float(h.dim)
+        out["state_term"] = prep_term
 
-    # dos / ldos: the state-preparation term is log2(D) for the maximally
-    # mixed state and the preparation cost R for a supplied site state.
-    prep_term = math.log2(h.dim) if req.kind == DOS else float(h.dim)
-    out["state_term"] = prep_term
     if req.interval is not None:
-        ratio = req.rho_max / req.eps
+        ratio = req.rho_max * weight / req.eps
         d_formula = ratio * math.log(ratio)
-        kappa, n_jack, k_amp, tau = window_parameters(req.eps / (3.0 * req.rho_max))
+        kappa, n_jack, k_amp, tau = window_parameters(req.eps / (3.0 * req.rho_max * weight))
         out.update(
             {
                 "mode": "integral",
                 "degree_formula": d_formula,
                 "window": {"kappa": kappa, "n": n_jack, "k": k_amp, "tau": tau, "d": n_jack * k_amp},
-                "total_queries": (q * d_formula + prep_term) / req.eps * log_delta,
+                "total_queries": (q * d_formula + prep_term) * weight / req.eps * log_delta,
             }
         )
     else:
+        # The response per-moment ledger has no log(1/delta) factor, as
+        # pinned by tests/golden/cost_response_moments.json.
+        moment_log = 1.0 if req.kind == RESPONSE else log_delta
         orders = list(range(req.num_moments + 1))
         out.update(
             {
                 "mode": "moments",
                 "orders": orders,
-                "per_moment_queries": [(q * n + prep_term) / req.eps * log_delta for n in orders],
+                "per_moment_queries": [
+                    (q * n + prep_term) * weight / req.eps * moment_log for n in orders
+                ],
             }
         )
     return out

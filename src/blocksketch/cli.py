@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,46 +28,19 @@ from .algorithms import (
     SketchRequest,
     complexity_report,
     correlate,
-    dos_sketch,
     kpm_sketch,
     min_window_eps,
-    response_sketch,
+    spectral_sketch,
 )
-from .chebyshev import MIN_ETA_REL, WindowPoly, window_poly
+from .chebyshev import MIN_ETA_REL, window_poly
 from .errors import BlockSketchError, DegreeTooLargeError, ValidationError
-from .oracle import oracle_correlation, oracle_moments, oracle_response
-from .pauli import PauliSum, parse_pauli_file, pauli_sum_matrix
+from .oracle import oracle_correlation, oracle_sketch
+from .pauli import PauliSum, parse_pauli_file
 from .state_prep import parse_state_file, reduced_density
 
 MAX_QUBITS = 6
 MAX_MOMENTS = 4096
 SEED_ENV_VAR = "BLOCKSKETCH_SEED"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A validated, normalized CLI invocation."""
-
-    command: str
-    hamiltonian_path: str | None = None
-    observables: tuple = ()
-    state_path: str | None = None
-    b_path: str | None = None
-    c_path: str | None = None
-    kind: str = DOS
-    eps: float = 0.05
-    delta: float = 0.05
-    mode: str = "exact"
-    seed: int | None = None
-    rho_max: float = 1.0
-    num_moments: int | None = None
-    interval: tuple[float, float] | None = None
-    eta: float | None = None
-    window_bounds: tuple[float, float] | None = None
-    grid_points: int = 201
-    allow_large_degree: bool = False
-    emit_oracle: bool = False
-    output: str | None = None
 
 
 def _fmt(x) -> str:
@@ -93,10 +65,8 @@ def _write_output(text: str, path: str | None):
             fh.write(text)
 
 
-def _load_hamiltonian(config: RunConfig) -> PauliSum:
-    if config.hamiltonian_path is None:
-        raise ValidationError("a --hamiltonian file is required")
-    h = parse_pauli_file(config.hamiltonian_path)
+def _load_hamiltonian(args: argparse.Namespace) -> PauliSum:
+    h = parse_pauli_file(args.hamiltonian)
     if h.qubits > MAX_QUBITS:
         raise ValidationError(
             f"{h.qubits} qubits exceeds the {MAX_QUBITS}-qubit limit for dense simulation"
@@ -104,86 +74,53 @@ def _load_hamiltonian(config: RunConfig) -> PauliSum:
     return h
 
 
-def _validate_common(config: RunConfig):
-    if not 0.0 < config.eps < 1.0:
-        raise ValidationError(f"eps must be in (0, 1), got {config.eps}")
-    if not 0.0 < config.delta < 1.0:
-        raise ValidationError(f"delta must be in (0, 1), got {config.delta}")
-    if config.num_moments is not None and config.num_moments > MAX_MOMENTS:
-        raise ValidationError(f"moment count {config.num_moments} exceeds {MAX_MOMENTS}")
+def _validate_common(args: argparse.Namespace):
+    if not 0.0 < args.eps < 1.0:
+        raise ValidationError(f"eps must be in (0, 1), got {args.eps}")
+    if not 0.0 < args.delta < 1.0:
+        raise ValidationError(f"delta must be in (0, 1), got {args.delta}")
+    if args.moments is not None and args.moments > MAX_MOMENTS:
+        raise ValidationError(f"moment count {args.moments} exceeds {MAX_MOMENTS}")
 
 
-def _site_vector(config: RunConfig, h: PauliSum) -> np.ndarray:
-    prep = parse_state_file(config.state_path, h.dim, h)
-    if prep.purifier_dim != 1:
-        raise ValidationError("ldos requires a pure site state (pure or basis directive)")
-    return prep.purified_state()
-
-
-def _build_sketch_request(config: RunConfig, h: PauliSum) -> SketchRequest:
+def _build_sketch_request(args: argparse.Namespace, h: PauliSum) -> SketchRequest:
     kwargs: dict = {}
-    if config.kind == LDOS:
-        kwargs["site_state"] = _site_vector(config, h)
-    if config.kind == RESPONSE:
-        if config.b_path is None or config.c_path is None or config.state_path is None:
+    if args.kind == LDOS:
+        if args.state is None:
+            raise ValidationError("ldos requires a --state file")
+        prep = parse_state_file(args.state, h.dim, h)
+        if prep.purifier_dim != 1:
+            raise ValidationError("ldos requires a pure site state (pure or basis directive)")
+        kwargs["site_state"] = prep.purified_state()
+    if args.kind == RESPONSE:
+        if args.observable_b is None or args.observable_c is None or args.state is None:
             raise ValidationError("response requires --observable-b, --observable-c, --state")
-        b = parse_pauli_file(config.b_path)
-        c = parse_pauli_file(config.c_path)
-        kwargs["b_observable"] = b
-        kwargs["c_observable"] = c
-        kwargs["state"] = parse_state_file(config.state_path, h.dim, h)
+        kwargs["b_observable"] = parse_pauli_file(args.observable_b)
+        kwargs["c_observable"] = parse_pauli_file(args.observable_c)
+        kwargs["state"] = parse_state_file(args.state, h.dim, h)
     return SketchRequest(
         hamiltonian=h,
-        kind=config.kind,
-        eps=config.eps,
-        delta=config.delta,
-        rho_max=config.rho_max,
-        interval=config.interval,
-        num_moments=config.num_moments,
-        allow_large_degree=config.allow_large_degree,
+        kind=args.kind,
+        eps=args.eps,
+        delta=args.delta,
+        rho_max=args.rho_max,
+        interval=args.integral,
+        num_moments=args.moments,
+        allow_large_degree=args.allow_large_degree,
         **kwargs,
     )
 
 
-def _weight_operator(req: SketchRequest) -> np.ndarray:
-    if req.kind == DOS:
-        return np.eye(req.hamiltonian.dim) / req.hamiltonian.dim
-    site = np.asarray(req.site_state, dtype=complex)
-    return np.outer(site, site.conj())
-
-
-def _windowed_oracle(req: SketchRequest, window: WindowPoly) -> complex:
-    """Exact spectral value of the windowed estimand."""
-    h = req.hamiltonian
-    energies, vecs = np.linalg.eigh(pauli_sum_matrix(h))
-    weights = window.eval(energies / h.scale())
-    if req.kind == RESPONSE:
-        sandwich = (
-            pauli_sum_matrix(req.c_observable)
-            @ reduced_density(req.state)
-            @ pauli_sum_matrix(req.b_observable)
-        )
-        per_state = np.einsum("si,st,ti->i", vecs.conj(), sandwich, vecs)
-        return complex(np.sum(per_state * weights))
-    a_op = _weight_operator(req)
-    per_state = np.real(np.einsum("si,st,ti->i", vecs.conj(), a_op.astype(complex), vecs))
-    return complex(np.sum(per_state * weights))
-
-
-def _sketch_oracle_values(req: SketchRequest, sketch) -> list[complex]:
-    if req.interval is not None:
-        return [_windowed_oracle(req, sketch.window_meta)]
-    alpha = req.hamiltonian.scale()
-    if req.kind == RESPONSE:
-        rho = reduced_density(req.state)
-        return [
-            oracle_response(
-                req.hamiltonian, req.b_observable, req.c_observable, rho, moment=n, alpha=alpha
-            )
-            for n in sketch.chebyshev_orders
-        ]
-    moments = oracle_moments(req.hamiltonian, alpha, req.num_moments, _weight_operator(req))
-    return [complex(m) for m in moments]
+def _correlation_spec(args: argparse.Namespace, h: PauliSum) -> CorrelationSpec:
+    observables = []
+    for path, t in args.observable:
+        try:
+            time = float(t)
+        except ValueError:
+            raise ValidationError(f"--observable {path}: time {t!r} is not a number") from None
+        observables.append((parse_pauli_file(path), time))
+    state = parse_state_file(args.state, h.dim, h)
+    return CorrelationSpec(h, observables, state, args.eps, args.delta)
 
 
 def _sketch_csv(req: SketchRequest, sketch, emit_oracle: bool) -> str:
@@ -192,7 +129,7 @@ def _sketch_csv(req: SketchRequest, sketch, emit_oracle: bool) -> str:
     if emit_oracle:
         header += ",oracle_re,oracle_im" if complex_oracle else ",oracle"
     lines = [header]
-    oracle_vals = _sketch_oracle_values(req, sketch) if emit_oracle else None
+    oracle_vals = oracle_sketch(req, sketch) if emit_oracle else None
     for i, (order, res) in enumerate(zip(sketch.chebyshev_orders, sketch.values)):
         row = f"{order},{_fmt(res.value.real)},{_fmt(res.value.imag)},{res.grover_queries}"
         if emit_oracle:
@@ -215,95 +152,75 @@ def _degree_advice(req: SketchRequest) -> str:
     return head + f"pass --eps {shown} or larger, or --allow-large-degree"
 
 
-def _cmd_sketch(config: RunConfig) -> int:
-    h = _load_hamiltonian(config)
-    req = _build_sketch_request(config, h)
+def _cmd_sketch(args: argparse.Namespace) -> int:
+    req = _build_sketch_request(args, _load_hamiltonian(args))
     try:
-        sketch = (
-            response_sketch(req, config.mode, config.seed)
-            if config.kind == RESPONSE
-            else dos_sketch(req, config.mode, config.seed)
-        )
+        sketch = spectral_sketch(req, args.mode, args.seed)
     except DegreeTooLargeError:
         raise ValidationError(_degree_advice(req)) from None
-    _write_output(_sketch_csv(req, sketch, config.emit_oracle), config.output)
+    _write_output(_sketch_csv(req, sketch, args.oracle), args.output)
     return 0
 
 
-def _cmd_correlate(config: RunConfig) -> int:
-    h = _load_hamiltonian(config)
-    if not config.observables:
-        raise ValidationError("correlate requires at least one --observable PATH TIME")
-    observables = tuple(
-        (parse_pauli_file(path), float(t)) for path, t in config.observables
-    )
-    if config.state_path is None:
-        raise ValidationError("correlate requires a --state file")
-    state = parse_state_file(config.state_path, h.dim, h)
-    spec = CorrelationSpec(h, observables, state, config.eps, config.delta)
-    result = correlate(spec, config.mode, config.seed)
-    payload = result.to_json_dict()
-    if config.emit_oracle:
-        oracle = oracle_correlation(h, observables, reduced_density(state))
+def _cmd_correlate(args: argparse.Namespace) -> int:
+    spec = _correlation_spec(args, _load_hamiltonian(args))
+    payload = correlate(spec, args.mode, args.seed).to_json_dict()
+    if args.oracle:
+        oracle = oracle_correlation(spec.hamiltonian, spec.observables, reduced_density(spec.state))
         payload["oracle_re"] = oracle.real
         payload["oracle_im"] = oracle.imag
-    _write_output(json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n", config.output)
+    _write_output(json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n", args.output)
     return 0
 
 
-def _cmd_kpm(config: RunConfig) -> int:
-    h = _load_hamiltonian(config)
-    req = _build_sketch_request(config, h)
-    grid = np.linspace(-0.99, 0.99, config.grid_points)
-    _sketch, reconstruction = kpm_sketch(req, grid, config.mode, config.seed)
+def _cmd_kpm(args: argparse.Namespace) -> int:
+    if args.grid_points < 1:
+        raise ValidationError(f"--grid-points must be at least 1, got {args.grid_points}")
+    req = _build_sketch_request(args, _load_hamiltonian(args))
+    grid = np.linspace(-0.99, 0.99, args.grid_points)
+    _sketch, reconstruction = kpm_sketch(req, grid, args.mode, args.seed)
     lines = ["x,f_kpm"]
     lines += [f"{_fmt(x)},{_fmt(f)}" for x, f in zip(grid, reconstruction)]
-    _write_output("\n".join(lines) + "\n", config.output)
+    _write_output("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def _cmd_window(config: RunConfig) -> int:
-    a_bar, b_bar = config.window_bounds
+def _cmd_window(args: argparse.Namespace) -> int:
+    a_bar, b_bar, eta = args.a_bar, args.b_bar, args.eta
     try:
-        w = window_poly(a_bar, b_bar, config.eta, allow_large_degree=config.allow_large_degree)
+        w = window_poly(a_bar, b_bar, eta, allow_large_degree=args.allow_large_degree)
     except DegreeTooLargeError:
         raise ValidationError(
-            f"--eta {_fmt(config.eta)} needs a window polynomial above the degree limit; "
+            f"--eta {_fmt(eta)} needs a window polynomial above the degree limit; "
             f"pass --eta {MIN_ETA_REL} or larger, or --allow-large-degree"
         ) from None
     summary = (
-        f"a_bar={_fmt(a_bar)} b_bar={_fmt(b_bar)} eta={_fmt(config.eta)}\n"
+        f"a_bar={_fmt(a_bar)} b_bar={_fmt(b_bar)} eta={_fmt(eta)}\n"
         f"kappa={_fmt(w.kappa)} n={w.jackson_degree} k={w.amplifier_order} "
         f"d={w.degree} tau={_fmt(w.tau)}\n"
         f"grid_max_violation={_fmt(w.cert_max_violation)}\n"
     )
     sys.stdout.write(summary)
-    if config.output is not None:
+    if args.output is not None:
         lines = [
-            f"# a_bar={_fmt(a_bar)} b_bar={_fmt(b_bar)} eta={_fmt(config.eta)} "
+            f"# a_bar={_fmt(a_bar)} b_bar={_fmt(b_bar)} eta={_fmt(eta)} "
             f"n={w.jackson_degree} k={w.amplifier_order} tau={_fmt(w.tau)} d={w.degree}",
             "k,coeff",
         ]
         lines += [f"{i},{_fmt(c)}" for i, c in enumerate(w.poly.coeffs)]
-        _write_output("\n".join(lines) + "\n", config.output)
+        _write_output("\n".join(lines) + "\n", args.output)
     return 0
 
 
-def _cmd_cost(config: RunConfig) -> int:
-    h = _load_hamiltonian(config)
-    if config.kind == "correlation":
-        if not config.observables or config.state_path is None:
+def _cmd_cost(args: argparse.Namespace) -> int:
+    h = _load_hamiltonian(args)
+    if args.kind == "correlation":
+        if not args.observable or args.state is None:
             raise ValidationError("correlation cost requires --observable and --state")
-        observables = tuple(
-            (parse_pauli_file(path), float(t)) for path, t in config.observables
-        )
-        state = parse_state_file(config.state_path, h.dim, h)
-        report = complexity_report(
-            CorrelationSpec(h, observables, state, config.eps, config.delta)
-        )
+        report = complexity_report(_correlation_spec(args, h))
     else:
-        report = complexity_report(_build_sketch_request(config, h))
-    _write_output(json.dumps(_round12(report), indent=2, sort_keys=True) + "\n", config.output)
+        report = complexity_report(_build_sketch_request(args, h))
+    _write_output(json.dumps(_round12(report), indent=2, sort_keys=True) + "\n", args.output)
     return 0
 
 
@@ -340,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("correlate", help="n-time correlation function")
+    p.set_defaults(run=_cmd_correlate)
     _add_common(p)
     p.add_argument(
         "--observable",
@@ -354,12 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, help_text in ((DOS, "density of states"), (LDOS, "local density of states")):
         p = sub.add_parser(name, help=f"sketch the {help_text}")
+        p.set_defaults(run=_cmd_sketch)
         _add_common(p)
         _add_sketch_mode(p)
         if name == LDOS:
             p.add_argument("--state", required=True, help="pure/basis site-state file")
 
     p = sub.add_parser("response", help="dynamical response sketch")
+    p.set_defaults(run=_cmd_sketch)
     _add_common(p)
     _add_sketch_mode(p)
     p.add_argument("--observable-b", required=True)
@@ -367,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
 
     p = sub.add_parser("kpm", help="moments plus kernel-polynomial reconstruction")
+    p.set_defaults(run=_cmd_kpm)
     _add_common(p)
     p.add_argument("--kind", choices=[DOS, LDOS, RESPONSE], default=DOS)
     p.add_argument("--moments", type=int, required=True, metavar="N")
@@ -377,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observable-c", default=None)
 
     p = sub.add_parser("window-poly", help="build and certify a window polynomial")
+    p.set_defaults(run=_cmd_window)
     p.add_argument("--a", type=float, required=True, dest="a_bar")
     p.add_argument("--b", type=float, required=True, dest="b_bar")
     p.add_argument("--eta", type=float, required=True)
@@ -384,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("cost", help="complexity report (unit constants)")
+    p.set_defaults(run=_cmd_cost)
     _add_common(p, needs_mode=False)
     p.add_argument(
         "--kind",
@@ -409,74 +332,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_seed() -> int | None:
-    raw = os.environ.get(SEED_ENV_VAR)
-    return int(raw) if raw else None
+# Values of the arguments read by shared set-up code that some subcommands
+# do not define.
+_ABSENT = {"seed": None, "moments": None, "integral": None, "allow_large_degree": False}
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = _default_seed()
-    interval = getattr(args, "integral", None)
-    if command in (DOS, LDOS, RESPONSE):
-        kind = command
-    elif command in ("kpm", "cost"):
-        kind = args.kind
-    else:
-        kind = DOS
-    if command == "cost" and kind != "correlation":
-        kind, mode_name = kind.rsplit("-", 1)
-        if mode_name == "integral" and interval is None:
+def _normalize(args: argparse.Namespace) -> None:
+    """Derive the sketch kind, the $BLOCKSKETCH_SEED default and the
+    tuple-valued arguments of a parsed command line."""
+    if args.command in (DOS, LDOS, RESPONSE):
+        args.kind = args.command
+    elif args.command == "cost" and args.kind != "correlation":
+        args.kind, mode_name = args.kind.rsplit("-", 1)
+        if mode_name == "integral" and args.integral is None:
             raise ValidationError("cost --kind *-integral requires --integral A B")
-        if mode_name == "moments" and getattr(args, "moments", None) is None:
+        if mode_name == "moments" and args.moments is None:
             raise ValidationError("cost --kind *-moments requires --moments N")
-    return RunConfig(
-        command=command,
-        hamiltonian_path=getattr(args, "hamiltonian", None),
-        observables=tuple(tuple(o) for o in (getattr(args, "observable", None) or ())),
-        state_path=getattr(args, "state", None),
-        b_path=getattr(args, "observable_b", None),
-        c_path=getattr(args, "observable_c", None),
-        kind=kind,
-        eps=getattr(args, "eps", 0.05),
-        delta=getattr(args, "delta", 0.05),
-        mode=getattr(args, "mode", "exact"),
-        seed=seed,
-        rho_max=getattr(args, "rho_max", 1.0),
-        num_moments=getattr(args, "moments", None),
-        interval=tuple(interval) if interval is not None else None,
-        eta=getattr(args, "eta", None),
-        window_bounds=(args.a_bar, args.b_bar) if command == "window-poly" else None,
-        grid_points=getattr(args, "grid_points", 201),
-        allow_large_degree=getattr(args, "allow_large_degree", False),
-        emit_oracle=getattr(args, "oracle", False),
-        output=getattr(args, "output", None),
-    )
-
-
-def run(config: RunConfig) -> int:
-    """Dispatch a validated config; returns the process exit code."""
-    if config.command not in ("window-poly",):
-        _validate_common(config)
-    if config.command == "correlate":
-        return _cmd_correlate(config)
-    if config.command in (DOS, LDOS, RESPONSE):
-        return _cmd_sketch(config)
-    if config.command == "kpm":
-        return _cmd_kpm(config)
-    if config.command == "window-poly":
-        return _cmd_window(config)
-    if config.command == "cost":
-        return _cmd_cost(config)
-    raise ValidationError(f"unknown command {config.command!r}")
+    if args.seed is None:
+        raw = os.environ.get(SEED_ENV_VAR)
+        args.seed = int(raw) if raw else None
+    if args.integral is not None:
+        args.integral = tuple(args.integral)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv, argparse.Namespace(**_ABSENT))
     try:
-        return run(config_from_args(args))
+        _normalize(args)
+        if args.command != "window-poly":
+            _validate_common(args)
+        return args.run(args)
     except BlockSketchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

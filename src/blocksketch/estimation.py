@@ -96,7 +96,7 @@ class AmplitudeProblem:
         object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "projector", proj)
         nrm = float(np.linalg.norm(psi))
-        if abs(nrm - 1.0) > 1e-9:
+        if not abs(nrm - 1.0) <= 1e-9:
             raise NotNormalizedError(f"state norm {nrm:.12g} differs from 1")
         if proj.shape != (psi.size, psi.size):
             raise DimensionMismatchError(
@@ -209,6 +209,19 @@ def _simulate_amplitude(amplitude: float, eps: float, delta: float, rng) -> tupl
     return math.sin((lo + hi) / 2.0), queries
 
 
+def _estimate(
+    amplitude: float, eps: float, delta: float, mode: str, rng_seed: int | None
+) -> tuple[float, int]:
+    """(estimate, Grover queries) of an amplitude: the amplitude itself at
+    the worst-case budget in exact mode, the simulated iterative scheme in
+    sampled mode."""
+    if mode == EXACT:
+        return amplitude, query_budget(eps, delta)
+    if mode == SAMPLED:
+        return _simulate_amplitude(amplitude, eps, delta, np.random.default_rng(rng_seed))
+    raise OutOfRangeError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+
+
 def estimate_amplitude(
     p: AmplitudeProblem,
     eps: float,
@@ -223,15 +236,8 @@ def estimate_amplitude(
     deterministic for a given seed.
     """
     _validate_eps_delta(eps, delta)
-    amplitude = p.true_amplitude()
-    if mode == EXACT:
-        return EstimationResult(
-            complex(amplitude), eps, 1.0 - delta, query_budget(eps, delta), EXACT, rng_seed
-        )
-    if mode != SAMPLED:
-        raise OutOfRangeError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    value, queries = _simulate_amplitude(amplitude, eps, delta, np.random.default_rng(rng_seed))
-    return EstimationResult(complex(value), eps, 1.0 - delta, queries, SAMPLED, rng_seed)
+    value, queries = _estimate(p.true_amplitude(), eps, delta, mode, rng_seed)
+    return EstimationResult(complex(value), eps, 1.0 - delta, queries, mode, rng_seed)
 
 
 def _shifted_encoding(a: BlockEncoding) -> BlockEncoding:
@@ -270,15 +276,7 @@ def estimate_observable(
     overlap = float(np.clip(np.real(np.trace(density @ encoded_block(shifted))), 0.0, 1.0))
 
     amp_eps = min(eps / (2.0 * a.scale), 0.5)
-    if mode == EXACT:
-        xi0, queries = overlap, query_budget(amp_eps, delta)
-    elif mode == SAMPLED:
-        xi0, queries = _simulate_amplitude(
-            overlap, amp_eps, delta, np.random.default_rng(rng_seed)
-        )
-    else:
-        raise OutOfRangeError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-
+    xi0, queries = _estimate(overlap, amp_eps, delta, mode, rng_seed)
     value = (2.0 * xi0 - 1.0) * a.scale
     return EstimationResult(complex(value), eps, 1.0 - delta, queries, mode, rng_seed)
 

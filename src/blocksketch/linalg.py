@@ -169,7 +169,7 @@ def unitary_completion(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex).reshape(-1)
     n = v.size
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(nrm - 1.0) <= 1e-9:
         raise ValueError(f"first column must be a unit vector, norm is {nrm:.12g}")
     q, _ = np.linalg.qr(np.column_stack([v, np.eye(n, dtype=complex)]))
     phase = complex(np.vdot(q[:, 0], v))

@@ -11,9 +11,18 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 
+from .algorithms import DOS, RESPONSE, SketchRequest, SketchResult
 from .errors import BadIntervalError, ScaleTooSmallError
 from .linalg import spectral_norm
 from .pauli import PauliSum, pauli_sum_matrix
+from .state_prep import reduced_density
+
+
+def eigen_expectations(h: PauliSum, op) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues E_i of H (ascending) and the expectations <psi_i| op |psi_i>
+    in the matching eigenvectors."""
+    energies, vecs = np.linalg.eigh(pauli_sum_matrix(h))
+    return energies, np.einsum("si,st,ti->i", vecs.conj(), np.asarray(op, dtype=complex), vecs)
 
 
 def _expm_hermitian(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
@@ -50,16 +59,13 @@ def oracle_dos_integral(h: PauliSum, a: float, b: float, weights=None) -> float:
 
 def oracle_moments(h: PauliSum, alpha: float, max_order: int, weight_operator) -> np.ndarray:
     """Chebyshev moments sum_i T_n(E_i / alpha) <psi_i| A |psi_i>, n = 0..N."""
-    energies, vecs = np.linalg.eigh(pauli_sum_matrix(h))
+    energies, a_diag = eigen_expectations(h, weight_operator)
     if spectral_norm(pauli_sum_matrix(h)) > alpha * (1.0 + 1e-9):
         raise ScaleTooSmallError(
             f"spectral norm exceeds alpha={alpha}; rescale before taking moments"
         )
-    a_diag = np.real(
-        np.einsum("si,st,ti->i", vecs.conj(), np.asarray(weight_operator, dtype=complex), vecs)
-    )
     vander = chebvander(np.clip(energies / alpha, -1.0, 1.0), max_order)
-    return vander.T @ a_diag
+    return vander.T @ np.real(a_diag)
 
 
 def oracle_response(
@@ -79,11 +85,10 @@ def oracle_response(
     """
     if (interval is None) == (moment is None):
         raise ValueError("pass exactly one of interval or moment")
-    energies, vecs = np.linalg.eigh(pauli_sum_matrix(h))
     sandwich = (
         pauli_sum_matrix(c_obs) @ np.asarray(rho, dtype=complex) @ pauli_sum_matrix(b_obs)
     )
-    per_state = np.einsum("si,st,ti->i", vecs.conj(), sandwich, vecs)
+    energies, per_state = eigen_expectations(h, sandwich)
     if interval is not None:
         a, b = interval
         if not a < b:
@@ -98,3 +103,37 @@ def oracle_response(
     coeffs[moment] = 1.0
     weights = np.polynomial.chebyshev.chebval(np.clip(energies / alpha, -1.0, 1.0), coeffs)
     return complex(np.sum(per_state * weights))
+
+
+def _sketch_weight_operator(req: SketchRequest) -> np.ndarray:
+    """C rho B: the operator whose eigenstate expectations weight f(E_i/alpha)
+    in the sketched Tr(rho B f(H/alpha) C)."""
+    if req.kind == DOS:
+        return np.eye(req.hamiltonian.dim) / req.hamiltonian.dim
+    if req.kind == RESPONSE:
+        return (
+            pauli_sum_matrix(req.c_observable)
+            @ reduced_density(req.state)
+            @ pauli_sum_matrix(req.b_observable)
+        )
+    site = np.asarray(req.site_state, dtype=complex)
+    return np.outer(site, site.conj())
+
+
+def oracle_sketch(req: SketchRequest, sketch: SketchResult) -> list[complex]:
+    """Exact values of the quantities a sketch estimates.
+
+    For an integral sketch this is the windowed estimand
+    sum_i w(E_i/alpha) <psi_i| C rho B |psi_i> with the sketch's own
+    window; for a moments sketch, the sharp Chebyshev moments
+    sum_i T_n(E_i/alpha) <psi_i| C rho B |psi_i>, n = 0..N.
+    """
+    h = req.hamiltonian
+    energies, weights = eigen_expectations(h, _sketch_weight_operator(req))
+    if req.kind != RESPONSE:
+        weights = np.real(weights)
+    x = energies / h.scale()
+    if req.interval is not None:
+        return [complex(np.sum(weights * sketch.window_meta.eval(x)))]
+    vander = chebvander(np.clip(x, -1.0, 1.0), req.num_moments)
+    return [complex(v) for v in vander.T @ weights]

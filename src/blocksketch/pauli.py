@@ -138,6 +138,8 @@ def parse_pauli_text(text: str, source: str = "<string>") -> PauliSum:
             coeff = float(coeff_text)
         except ValueError:
             raise ParseError(f"{source}:{lineno}: bad coefficient {coeff_text!r}") from None
+        if not math.isfinite(coeff):
+            raise ParseError(f"{source}:{lineno}: coefficient {coeff_text!r} is not finite")
         bad = set(word) - _ALPHABET
         if bad:
             raise ParseError(
@@ -153,8 +155,24 @@ def parse_pauli_text(text: str, source: str = "<string>") -> PauliSum:
         return PauliSum.from_terms(pairs)
     except EmptySumError:
         raise ParseError(f"{source}: all terms cancel to zero") from None
+    except ValueError as exc:  # merged coefficients of one word overflowed
+        raise ParseError(f"{source}: {exc}") from None
+
+
+def read_input(path) -> str:
+    """The text of an input file.
+
+    Raises:
+        ParseError: naming the path, if the file cannot be read as UTF-8.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
 
 
 def parse_pauli_file(path) -> PauliSum:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_pauli_text(fh.read(), source=str(path))
+    return parse_pauli_text(read_input(path), source=str(path))

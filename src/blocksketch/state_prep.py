@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
 )
 from .linalg import check_circuit_unitary, unitary_completion
-from .pauli import PauliSum, pauli_sum_matrix
+from .pauli import PauliSum, pauli_sum_matrix, read_input
 
 THERMAL_COST_EPS = 1e-3
 NORM_TOL = 1e-10
@@ -90,7 +90,7 @@ class PreparationUnitary:
                     f"system {system_dim} x purifier {purifier_dim}"
                 )
             nrm = float(np.linalg.norm(purification))
-            if abs(nrm - 1.0) > NORM_TOL:
+            if not abs(nrm - 1.0) <= NORM_TOL:
                 raise NotNormalizedError(f"purification norm {nrm:.12g} differs from 1")
         purification.setflags(write=False)
         # Frozen dataclass: fields are set through the instance dict.
@@ -268,10 +268,15 @@ def prepare_thermal(h: PauliSum, beta_inv_temp: float) -> tuple[PreparationUnita
     evaluated (Q = number of terms, alpha = coefficient one-norm,
     eps = 1e-3, unit constants) and rounded up into the cost ledger.
     """
-    if beta_inv_temp < 0:
-        raise OutOfRangeError(f"inverse temperature must be nonnegative, got {beta_inv_temp}")
+    if not 0.0 <= beta_inv_temp < math.inf:
+        raise OutOfRangeError(
+            f"inverse temperature must be finite and nonnegative, got {beta_inv_temp}"
+        )
     energies, vecs = np.linalg.eigh(pauli_sum_matrix(h))
-    logits = -beta_inv_temp * energies
+    with np.errstate(over="ignore"):
+        logits = -beta_inv_temp * energies
+    if not np.all(np.isfinite(logits)):
+        raise OutOfRangeError(f"beta * H overflows at inverse temperature {beta_inv_temp}")
     weights = np.exp(logits - logits.max())
     weights /= weights.sum()
 
@@ -319,10 +324,12 @@ def parse_state_text(
                     f"{source}:{lineno}: expected {dim} amplitudes, got {amps.size}"
                 )
             nrm = float(np.linalg.norm(amps))
-            if abs(nrm - 1.0) > 1e-6:
+            if not abs(nrm - 1.0) <= 1e-6:
                 raise ParseError(f"{source}:{lineno}: amplitudes have norm {nrm:.6g}, not 1")
             return prepare_pure(amps / nrm)
         if kind == "mixed":
+            if len(fields) != 1:
+                raise ParseError(f"{source}:{lineno}: mixed takes no arguments")
             return prepare_maximally_mixed(dim)
         if kind == "thermal":
             if len(fields) != 2:
@@ -343,5 +350,4 @@ def parse_state_text(
 
 
 def parse_state_file(path, dim: int, hamiltonian: PauliSum | None = None) -> PreparationUnitary:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_state_text(fh.read(), dim, hamiltonian, source=str(path))
+    return parse_state_text(read_input(path), dim, hamiltonian, source=str(path))

@@ -8,9 +8,8 @@ from blocksketch.algorithms import (
     SketchRequest,
     complexity_report,
     correlate,
-    dos_sketch,
     kpm_sketch,
-    response_sketch,
+    spectral_sketch,
 )
 from blocksketch.errors import (
     BadIntervalError,
@@ -81,7 +80,7 @@ def test_correlate_sampled_deterministic():
 
 def test_dos_moments_examples():
     req = SketchRequest(Z_SUM, "dos", eps=0.05, delta=0.05, num_moments=4)
-    sketch = dos_sketch(req)
+    sketch = spectral_sketch(req)
     got = [v.value.real for v in sketch.values]
     assert np.allclose(got, [1, 0, 1, 0, 1], atol=1e-9)
     assert sketch.chebyshev_orders == (0, 1, 2, 3, 4)
@@ -89,7 +88,7 @@ def test_dos_moments_examples():
     req = SketchRequest(
         X_SUM, "ldos", eps=0.05, delta=0.05, num_moments=1, site_state=np.array([1.0, 0.0])
     )
-    got = [v.value.real for v in dos_sketch(req).values]
+    got = [v.value.real for v in spectral_sketch(req).values]
     assert np.allclose(got, [1, 0], atol=1e-9)
 
 
@@ -97,7 +96,7 @@ def test_dos_moments_match_oracle(rng):
     for _ in range(5):
         h = random_pauli_sum(rng, 2, 4)
         req = SketchRequest(h, "dos", eps=0.05, delta=0.05, num_moments=8)
-        got = np.array([v.value.real for v in dos_sketch(req).values])
+        got = np.array([v.value.real for v in spectral_sketch(req).values])
         expected = oracle_moments(h, h.scale(), 8, np.eye(4) / 4)
         assert np.max(np.abs(got - expected)) < 1e-7
 
@@ -111,7 +110,7 @@ def test_dos_integral_two_eigenvalues():
         interval=(0.2, 0.45),
         allow_large_degree=True,
     )
-    sketch = dos_sketch(req)
+    sketch = spectral_sketch(req)
     w = sketch.window_meta
     assert abs(sketch.values[0].value.real - 0.5) <= w.tau + 0.05
     assert sketch.chebyshev_orders == (w.degree,)
@@ -126,7 +125,7 @@ def test_dos_integral_window_envelope(rng):
         req = SketchRequest(
             h, "dos", eps=0.15, delta=0.05, interval=(a, b), allow_large_degree=True
         )
-        sketch = dos_sketch(req)
+        sketch = spectral_sketch(req)
         w = sketch.window_meta
         energies = np.linalg.eigvalsh(pauli_sum_matrix(h)) / alpha
         inside = (energies >= a / alpha) & (energies <= b / alpha)
@@ -140,7 +139,7 @@ def test_moment_symmetry():
     # single non-identity word: spectrum symmetric about zero
     h = PauliSum.from_terms([(0.7, "XZ")])
     req = SketchRequest(h, "dos", eps=0.05, delta=0.05, num_moments=7)
-    got = [v.value.real for v in dos_sketch(req).values]
+    got = [v.value.real for v in spectral_sketch(req).values]
     assert np.max(np.abs(np.array(got)[1::2])) < 1e-9
 
 
@@ -155,7 +154,7 @@ def test_response_moment_examples():
         c_observable=X_SUM,
         state=KET0,
     )
-    sketch = response_sketch(req)
+    sketch = spectral_sketch(req)
     values = [v.value for v in sketch.values]
     assert values[0] == pytest.approx(1.0, abs=1e-9)
     assert values[1] == pytest.approx(-1.0, abs=1e-9)
@@ -177,7 +176,7 @@ def test_response_matches_oracle(rng):
             c_observable=c,
             state=state,
         )
-        sketch = response_sketch(req)
+        sketch = spectral_sketch(req)
         rho = reduced_density(state)
         for n, res in zip(sketch.chebyshev_orders, sketch.values):
             expected = oracle_response(h, b, c, rho, moment=n, alpha=h.scale())
@@ -199,8 +198,8 @@ def test_response_identity_consistent_with_dos(rng):
             c_observable=ident,
             state=prepare_maximally_mixed(4),
         )
-        dos_vals = np.array([v.value.real for v in dos_sketch(dos_req).values])
-        resp_vals = np.array([v.value.real for v in response_sketch(resp_req).values])
+        dos_vals = np.array([v.value.real for v in spectral_sketch(dos_req).values])
+        resp_vals = np.array([v.value.real for v in spectral_sketch(resp_req).values])
         assert np.max(np.abs(dos_vals - resp_vals)) <= 2 * 0.05
 
 
@@ -246,10 +245,10 @@ def test_request_validation():
 
 def test_sampled_sketch_deterministic():
     req = SketchRequest(TILTED, "dos", eps=0.1, delta=0.1, num_moments=3)
-    a = dos_sketch(req, "sampled", 5)
-    b = dos_sketch(req, "sampled", 5)
+    a = spectral_sketch(req, "sampled", 5)
+    b = spectral_sketch(req, "sampled", 5)
     assert [v.value for v in a.values] == [v.value for v in b.values]
-    exact = [v.value.real for v in dos_sketch(req).values]
+    exact = [v.value.real for v in spectral_sketch(req).values]
     for got, want in zip(a.values, exact):
         assert abs(got.value.real - want) <= 0.1
 
@@ -284,6 +283,6 @@ def test_complexity_report_dos_moments_n0():
 
 def test_seeded_moments_use_distinct_streams():
     req = SketchRequest(TILTED, "dos", eps=0.1, delta=0.1, num_moments=2)
-    sketch = dos_sketch(req, "sampled", 100)
+    sketch = spectral_sketch(req, "sampled", 100)
     seeds = [v.seed for v in sketch.values]
     assert seeds == [100, 101, 102]

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,3 +233,75 @@ def test_response_integral_eps_advice_scales_with_observables(workdir, capsys):
     assert rc == 2
     # 3 * 0.02 * rho_max * |B| |C| = 3 * 0.02 * 0.5 * 1.0 * 1.5
     assert "--eps 0.045 or larger, or --allow-large-degree" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, hamiltonian, args",
+    [
+        ("cost_correlation.json", "1.0 Z\n",
+         ["--kind", "correlation", "--observable", "{hx}", "0.0", "--state", "{ket0}",
+          "--eps", "0.1"]),
+        ("cost_dos_integral.json", "0.5 ZI\n0.3 IX\n",
+         ["--kind", "dos-integral", "--integral", "-0.2", "0.3", "--eps", "0.1"]),
+        ("cost_response_moments.json", "1.0 Z\n",
+         ["--kind", "response-moments", "--observable-b", "{hx}", "--observable-c", "{hx}",
+          "--state", "{ket0}", "--moments", "2", "--eps", "0.05"]),
+    ],
+)
+def test_cost_matches_golden(workdir, capsys, golden, hamiltonian, args):
+    (workdir / "h.txt").write_text(hamiltonian)
+    files = {"hx": workdir / "hx.txt", "ket0": workdir / "ket0.txt"}
+    argv = ["cost", "--hamiltonian", workdir / "h.txt", "--delta", "0.05"]
+    argv += [a.format(**files) for a in args]
+    assert _run(argv) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads((GOLDEN / golden).read_text())
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["kpm", "--kind", "ldos", "--moments", "3"],
+        ["cost", "--kind", "ldos-moments", "--moments", "3"],
+        ["cost", "--kind", "ldos-integral", "--integral", "-0.5", "0.5"],
+    ],
+)
+def test_ldos_without_state_names_the_flag(workdir, capsys, args):
+    assert _run(args + ["--hamiltonian", workdir / "hz.txt"]) == 2
+    assert "error: ldos requires a --state file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", ["-1", "0"])
+def test_kpm_grid_points_guard(workdir, capsys, points):
+    rc = _run(["kpm", "--hamiltonian", workdir / "hz.txt", "--moments", "3", "--grid-points", points])
+    assert rc == 2
+    assert f"--grid-points must be at least 1, got {points}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dos", "--hamiltonian", "{missing}", "--moments", "2"],
+        ["ldos", "--hamiltonian", "{hz}", "--moments", "2", "--state", "{missing}"],
+        ["correlate", "--hamiltonian", "{hz}", "--observable", "{missing}", "0", "--state", "{ket0}"],
+        ["response", "--hamiltonian", "{hz}", "--moments", "2", "--observable-b", "{hx}",
+         "--observable-c", "{missing}", "--state", "{ket0}"],
+    ],
+)
+def test_missing_input_file(workdir, capsys, args):
+    missing = workdir / "missing.txt"
+    files = {"missing": missing, "hz": workdir / "hz.txt", "hx": workdir / "hx.txt",
+             "ket0": workdir / "ket0.txt"}
+    assert _run([a.format(**files) for a in args]) == 2
+    assert f"error: cannot read {missing}: No such file or directory" in capsys.readouterr().err
+
+
+def test_correlate_time_must_be_a_number(workdir, capsys):
+    rc = _run(
+        ["correlate", "--hamiltonian", workdir / "hz.txt", "--observable", workdir / "hx.txt",
+         "soon", "--state", workdir / "ket0.txt"]
+    )
+    assert rc == 2
+    assert "time 'soon' is not a number" in capsys.readouterr().err

@@ -251,3 +251,8 @@ def test_result_json_shape():
     assert set(d) == {"value_re", "value_im", "eps", "delta", "grover_queries", "mode", "seed"}
     assert d["seed"] == 17 and d["mode"] == "sampled"
     assert d["delta"] == pytest.approx(0.1)
+
+
+def test_amplitude_problem_rejects_nan_state():
+    with pytest.raises(NotNormalizedError):
+        AmplitudeProblem(np.array([math.nan, 0.0]), np.eye(2))

@@ -114,3 +114,8 @@ def test_unitary_completion(rng):
         assert np.max(np.abs(u[:, 0] - v)) < 1e-12
     with pytest.raises(ValueError):
         unitary_completion(np.array([1.0, 1.0]))
+
+
+def test_unitary_completion_rejects_nan():
+    with pytest.raises(ValueError):
+        unitary_completion(np.array([np.nan, 0.0]))

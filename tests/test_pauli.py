@@ -5,6 +5,7 @@ from blocksketch.errors import EmptySumError, ParseError
 from blocksketch.pauli import (
     PauliSum,
     PauliTerm,
+    parse_pauli_file,
     parse_pauli_text,
     pauli_sum_matrix,
     pauli_term_matrix,
@@ -90,3 +91,24 @@ def test_parse_errors_name_line():
         parse_pauli_text("1.0 Z\n1.0 ZZ\n")
     with pytest.raises(ParseError, match="cancel"):
         parse_pauli_text("1.0 Z\n-1.0 Z\n")
+
+
+@pytest.mark.parametrize("coeff", ["nan", "inf", "-inf", "1e400"])
+def test_parse_rejects_nonfinite_coefficients_with_line(coeff):
+    with pytest.raises(ParseError, match=f"h.txt:2: coefficient '{coeff}' is not finite"):
+        parse_pauli_text(f"1.0 Z\n{coeff} Z\n", source="h.txt")
+
+
+def test_parse_rejects_merged_overflow():
+    with pytest.raises(ParseError, match="h.txt: .*finite"):
+        parse_pauli_text("1e308 Z\n1e308 Z\n", source="h.txt")
+
+
+def test_parse_file_reports_unreadable_path(tmp_path):
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(ParseError, match=f"cannot read {missing}: No such file or directory"):
+        parse_pauli_file(missing)
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe Z\n")
+    with pytest.raises(ParseError, match=f"cannot read {binary}: .*utf-8"):
+        parse_pauli_file(binary)

@@ -165,3 +165,30 @@ def test_parse_state_complex_amplitudes():
     rho = reduced_density(p)
     assert rho[0, 0].real == pytest.approx(0.36)
     assert rho[1, 1].real == pytest.approx(0.64)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("pure nan 0", "norm nan"),
+        ("pure inf 0", "norm inf"),
+        ("thermal nan", "finite"),
+        ("thermal inf", "finite"),
+        ("thermal -inf", "finite"),
+        ("thermal 1e308", "overflows"),
+        ("mixed extra", "mixed takes no arguments"),
+    ],
+)
+def test_parse_state_rejects_nonfinite_values_and_extra_tokens(text, message):
+    h = PauliSum.from_terms([(2.0, "Z")])
+    with pytest.raises(ParseError, match=f"s.txt:1: .*{message}"):
+        parse_state_text(text, 2, h, source="s.txt")
+
+
+def test_nan_purifications_are_rejected():
+    with pytest.raises(NotNormalizedError):
+        prepare_pure([math.nan, 0.0])
+    h = PauliSum.from_terms([(1.0, "Z")])
+    for beta in (math.nan, math.inf):
+        with pytest.raises(OutOfRangeError):
+            prepare_thermal(h, beta)
