@@ -204,7 +204,7 @@ def spectral_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = 
             req.eps / _window_share(req),
             allow_large_degree=req.allow_large_degree,
         )
-        w_enc = apply_polynomial(h_enc, window.poly, delta=req.eps / 3.0)
+        w_enc = apply_polynomial(h_enc, window, delta=req.eps / 3.0)
         return SketchResult((estimate(w_enc, req.eps / 3.0, seed),), (window.degree,), report, window)
 
     values = []

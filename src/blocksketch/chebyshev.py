@@ -5,9 +5,14 @@ soft step, the Bernoulli-tail amplifying polynomial, their composition into
 a certified window polynomial, and kernel-polynomial reconstruction from
 Chebyshev moments.
 
-Certification is done on a dense grid; constructors raise
-CertificationError rather than return a polynomial that misses its
-guarantees.
+Certification is a proof, not a sampled check. A degree-n series p is
+evaluated at the M + 1 extrema cos(j pi / M) by one DCT-I. In theta,
+p(cos theta) is a trigonometric polynomial of degree n, so Bernstein's
+inequality |d/dtheta p| <= n sup|p| bounds p between those points:
+sup|p| <= max_j |p| / (1 - n h) and sup|p - f| <= max_j |p - f| +
+h (n sup|p| + L) for a target f with |d/dtheta f(cos theta)| <= L, where
+h = pi / (2M). Constructors raise CertificationError rather than return a
+polynomial that misses its guarantees.
 """
 
 from __future__ import annotations
@@ -29,7 +34,10 @@ from .errors import (
     RangeViolationError,
 )
 
-CERT_UNIFORM_POINTS = 100_000
+# Extrema per degree of the Bernstein certificate: M = 32 n gives n h = pi / 64.
+CERT_EXTREMA_PER_DEGREE = 32
+# Points of the sampled sup-norm of a series with no recorded bound.
+SAMPLED_EXTREMA = 2**18
 # Refusing very small eta keeps the composed degree near or below ~2e5.
 MIN_ETA_REL = 0.02
 AMPLIFIER_INNER_SCALE = 0.8
@@ -90,6 +98,53 @@ def cheb_values_at_nodes(coeffs: np.ndarray, m: int) -> np.ndarray:
     return scipy.fft.dct(work, type=3)
 
 
+def cheb_values_at_extrema(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """Values of a Chebyshev series at the m + 1 extrema cos(pi j/m), j = 0..m.
+
+    Exact (up to roundoff) whenever m >= degree; computed with a DCT-I in
+    O(m log m).
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.size > m + 1:
+        raise ValueError("need m at least the degree of the series")
+    work = np.zeros(m + 1)
+    work[: coeffs.size] = coeffs / 2.0
+    work[0] = coeffs[0]
+    if coeffs.size == m + 1:
+        work[m] = coeffs[m]
+    return scipy.fft.dct(work, type=1)
+
+
+def certified_bounds(coeffs: np.ndarray, target, target_slope: float) -> tuple[float, float]:
+    """Proven bounds (sup |p|, sup |p - target|) over [-1, 1] for the series p.
+
+    From the values at the M + 1 extrema, M = CERT_EXTREMA_PER_DEGREE * n,
+    and Bernstein's inequality (see the module docstring). target_slope must
+    bound |d/dtheta target(cos theta)|.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    n = coeffs.size - 1
+    m = CERT_EXTREMA_PER_DEGREE * max(n, 1)
+    h = np.pi / (2.0 * m)
+    values = cheb_values_at_extrema(coeffs, m)
+    sup = float(np.max(np.abs(values))) / (1.0 - n * h)
+    extrema = np.cos(np.pi * np.arange(m + 1) / m)
+    gap = float(np.max(np.abs(values - target(extrema)))) + h * (n * sup + target_slope)
+    return sup, gap
+
+
+def sup_norm(p) -> float:
+    """The recorded sup-norm bound of p, or for a series with none the
+    largest |p| at the M + 1 extrema, M the smallest multiple of
+    2 max(deg, 1) at least SAMPLED_EXTREMA (a sampled value, not a proof:
+    it is exact for T_n, whose extrema the points include)."""
+    if p.sup_norm_bound is not None:
+        return p.sup_norm_bound
+    step = 2 * max(p.degree, 1)
+    m = -(-SAMPLED_EXTREMA // step) * step
+    return float(np.max(np.abs(cheb_values_at_extrema(p.coeffs, m))))
+
+
 def cheb_fit_at_nodes(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients interpolating values at the first-kind nodes.
 
@@ -116,13 +171,6 @@ def jackson_damping(n: int) -> np.ndarray:
     return ((big - m) * np.cos(np.pi * m / big) + np.sin(np.pi * m / big) / np.tan(np.pi / big)) / big
 
 
-def _certification_grid(extrema_degree: int) -> np.ndarray:
-    """Dense grid: uniform points plus the extrema of T_{2 extrema_degree}."""
-    uniform = np.linspace(-1.0, 1.0, CERT_UNIFORM_POINTS)
-    extrema = np.cos(np.pi * np.arange(2 * extrema_degree + 1) / (2 * extrema_degree))
-    return np.concatenate([uniform, extrema])
-
-
 def soft_step(x, a_bar: float, b_bar: float, kappa: float):
     """The piecewise-linear target: 1 on [a_bar, b_bar], -1 outside the
     kappa-strips, linear in between."""
@@ -143,9 +191,14 @@ def _validate_window_interval(a_bar, b_bar, kappa):
         )
 
 
-def _jackson_certified(a_bar, b_bar, kappa, n):
-    """Build the damped Chebyshev approximant of the soft step and
-    grid-certify the sup-norm bound 1/4; returns (poly, grid, values)."""
+def jackson_approx(a_bar: float, b_bar: float, kappa: float, n: int) -> ChebyshevPoly:
+    """Degree-n polynomial proven within 1/4 of the soft step on [-1, 1].
+
+    The Jackson-damped Chebyshev interpolant of the soft step, certified
+    by `certified_bounds` against the step, whose slope in theta is at most
+    2/kappa; raises CertificationError if the proven gap exceeds 1/4. The
+    proven sup-norm bound (at most 5/4) is recorded on the result.
+    """
     _validate_window_interval(a_bar, b_bar, kappa)
     n = int(n)
     if n < 24.0 / kappa - 1e-9:
@@ -154,25 +207,11 @@ def _jackson_certified(a_bar, b_bar, kappa, n):
     raw = cheb_fit_at_nodes(soft_step(nodes, a_bar, b_bar, kappa))
     coeffs = raw[: n + 1] * jackson_damping(n)
 
-    grid = _certification_grid(n)
-    jvals = chebval(grid, coeffs)
-    gap = float(np.max(np.abs(jvals - soft_step(grid, a_bar, b_bar, kappa))))
-    if gap > 0.25 + 1e-12:
-        raise CertificationError(
-            f"step approximation misses the 1/4 bound on the grid (max gap {gap:.6g})"
-        )
-    bound = float(np.max(np.abs(jvals)))
-    poly = ChebyshevPoly(coeffs, sup_norm_bound=bound)
-    return poly, grid, jvals
-
-
-def jackson_approx(a_bar: float, b_bar: float, kappa: float, n: int) -> ChebyshevPoly:
-    """Degree-n polynomial within 1/4 of the soft step, grid-certified.
-
-    The certified sup-norm bound (at most 5/4) is recorded on the result.
-    """
-    poly, _, _ = _jackson_certified(a_bar, b_bar, kappa, n)
-    return poly
+    sup, gap = certified_bounds(coeffs, lambda x: soft_step(x, a_bar, b_bar, kappa), 2.0 / kappa)
+    if gap > 0.25:
+        raise CertificationError(f"step approximation not proven within 1/4 (gap bound {gap:.6g})")
+    # |step| <= 1, so 1 + gap is a second proven bound.
+    return ChebyshevPoly(coeffs, sup_norm_bound=min(sup, 1.0 + gap))
 
 
 def amplifier_value(k: int, y):
@@ -205,11 +244,7 @@ def compose(outer: ChebyshevPoly, inner: ChebyshevPoly, scale_inner: float) -> C
     domain); recovered by interpolation at deg(outer)*deg(inner) + 1
     Chebyshev nodes, which is exact for the composed polynomial.
     """
-    if inner.sup_norm_bound is not None:
-        reach = abs(scale_inner) * inner.sup_norm_bound
-    else:
-        grid = _certification_grid(inner.degree if inner.degree > 0 else 1)
-        reach = abs(scale_inner) * float(np.max(np.abs(chebval(grid, inner.coeffs))))
+    reach = abs(scale_inner) * sup_norm(inner)
     if reach > 1.0 + 1e-9:
         raise RangeViolationError(
             f"scaled inner polynomial reaches {reach:.6g} > 1 on [-1, 1]"
@@ -227,7 +262,14 @@ def compose(outer: ChebyshevPoly, inner: ChebyshevPoly, scale_inner: float) -> C
 class WindowPoly:
     """A certified polynomial approximation of the indicator of
     [a_bar, b_bar]: within tau of 1 inside, within tau of 0 outside the
-    kappa-strips, and bounded by 1 everywhere on [-1, 1]."""
+    kappa-strips, and bounded by 1 everywhere on [-1, 1].
+
+    Called on x, it evaluates the factored form A_k(0.8 J(x)), which equals
+    the composed series `poly` up to roundoff.
+    """
+
+    # Proven by the certificate: 0.8 |J| <= 1, and A_k maps [-1, 1] to [0, 1].
+    sup_norm_bound = 1.0
 
     poly: ChebyshevPoly
     a_bar: float
@@ -248,6 +290,8 @@ class WindowPoly:
         inner = AMPLIFIER_INNER_SCALE * chebval(np.asarray(x, dtype=float), self.jackson_poly.coeffs)
         return amplifier_value(self.amplifier_order, inner)
 
+    __call__ = eval
+
 
 def window_parameters(eta_rel: float) -> tuple[float, int, int, float]:
     """The (kappa, n, k, tau) parameter chain for a relative budget eta_rel."""
@@ -266,7 +310,7 @@ def window_poly(
     eta_rel: float,
     allow_large_degree: bool = False,
 ) -> WindowPoly:
-    """Construct and grid-certify the window polynomial for [a_bar, b_bar].
+    """Construct and certify the window polynomial A_k(0.8 J(x)) for [a_bar, b_bar].
 
     eta_rel is the error budget relative to the bound on the integrand:
     the windowed integral of any measure bounded (in the running-integral
@@ -274,11 +318,18 @@ def window_poly(
     eta_rel * f_max. Degree is n*k with n = ceil(24/kappa),
     k = ceil(6 ln(4/eta_rel)), kappa = eta_rel/4.
 
+    The certificate is a proof: `jackson_approx` proves J within 1/4 of the
+    soft step, and the amplifier lemma (A_k monotone, A_k(3/5) >= 1 - tau,
+    A_k(-3/5) <= tau) carries that to the window regions. The composed
+    series `poly` is built for its coefficients and degree; evaluation goes
+    through the factored form.
+
     Raises:
         DegreeTooLargeError: for eta_rel below 0.02 unless allow_large_degree
             is set (the composed degree grows like (1/eta) ln(1/eta)).
         BadIntervalError: if the window plus margin does not fit in (-1, 1).
-        CertificationError: if any grid check fails.
+        CertificationError: if the step gap is not proven within 1/4 or the
+            amplifier misses tau at +-3/5.
     """
     kappa, n, k, tau = window_parameters(eta_rel)
     if eta_rel < MIN_ETA_REL and not allow_large_degree:
@@ -288,29 +339,23 @@ def window_poly(
     if tau > eta_rel / 4.0 + 1e-15:
         raise CertificationError(f"tau={tau} exceeds eta/4={eta_rel / 4.0}")
 
-    jackson, grid, jvals = _jackson_certified(a_bar, b_bar, kappa, n)
+    jackson = jackson_approx(a_bar, b_bar, kappa, n)
     amplifier = amplifying_poly(k)
     composed = compose(amplifier, jackson, AMPLIFIER_INNER_SCALE)
     if composed.degree != n * k:
         raise CertificationError(f"composed degree {composed.degree} != n*k = {n * k}")
 
-    # Region certification on the same grid, evaluated through the factored
-    # form: the amplifier is monotone, so window extrema sit at extrema of
-    # the (degree n) step approximant, which the grid already resolves.
-    wvals = amplifier_value(k, AMPLIFIER_INNER_SCALE * jvals)
-    inside = (grid >= a_bar) & (grid <= b_bar)
-    outside = (grid < a_bar - kappa) | (grid > b_bar + kappa)
-    violation = max(
-        float(np.max(np.abs(wvals) - 1.0, initial=-np.inf)),
-        float(np.max((1.0 - tau) - wvals[inside], initial=-np.inf)),
-        float(np.max(wvals[outside] - tau, initial=-np.inf)),
-        float(np.max(-wvals, initial=-np.inf)),
-    )
+    # Region check by the amplifier lemma. The proven gap is at most 1/4,
+    # so 0.8 J lies in [3/5, 1] inside the window and in [-1, -3/5] outside
+    # the strips; A_k is monotone with values in [0, 1] on [-1, 1], so its
+    # values at +-3/5 bound the window on both regions.
+    ends = amplifier_value(k, np.array([-0.6, 0.6]))
+    violation = max(float(ends[0]) - tau, (1.0 - tau) - float(ends[1]))
     if violation > 1e-12:
         raise CertificationError(f"window region check failed by {violation:.3g}")
 
     return WindowPoly(
-        poly=ChebyshevPoly(composed.coeffs, sup_norm_bound=1.0),
+        poly=composed,
         a_bar=a_bar,
         b_bar=b_bar,
         kappa=kappa,

@@ -350,7 +350,10 @@ def _normalize(args: argparse.Namespace) -> None:
             raise ValidationError("cost --kind *-moments requires --moments N")
     if args.seed is None:
         raw = os.environ.get(SEED_ENV_VAR)
-        args.seed = int(raw) if raw else None
+        try:
+            args.seed = int(raw) if raw else None
+        except ValueError:
+            raise ValidationError(f"${SEED_ENV_VAR}={raw!r} is not an integer") from None
     if args.integral is not None:
         args.integral = tuple(args.integral)
 

@@ -74,7 +74,7 @@ class CostOverflowError(BlockSketchError, OverflowError):
 
 
 class CertificationError(BlockSketchError):
-    """A polynomial failed its sup-norm or region certification grid check."""
+    """A polynomial failed its sup-norm or region certificate."""
 
 
 class ParseError(BlockSketchError):

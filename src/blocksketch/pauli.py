@@ -152,11 +152,14 @@ def parse_pauli_text(text: str, source: str = "<string>") -> PauliSum:
     if len(lengths) != 1:
         raise ParseError(f"{source}: inconsistent word lengths {sorted(lengths)}")
     try:
-        return PauliSum.from_terms(pairs)
+        parsed = PauliSum.from_terms(pairs)
     except EmptySumError:
         raise ParseError(f"{source}: all terms cancel to zero") from None
     except ValueError as exc:  # merged coefficients of one word overflowed
         raise ParseError(f"{source}: {exc}") from None
+    if not math.isfinite(parsed.scale()):
+        raise ParseError(f"{source}: the sum of |coefficients| (the scale alpha) overflows")
+    return parsed
 
 
 def read_input(path) -> str:

@@ -21,10 +21,9 @@ from dataclasses import replace
 from functools import partial
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebval
 
 from .block_encoding import BlockEncoding, encode_unitary, encoded_block
-from .chebyshev import ChebyshevPoly, _certification_grid
+from .chebyshev import ChebyshevPoly, WindowPoly, sup_norm
 from .errors import (
     CostOverflowError,
     InexactInputError,
@@ -147,8 +146,13 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
     )
 
 
-def apply_polynomial(b: BlockEncoding, p: ChebyshevPoly, delta: float) -> BlockEncoding:
+def apply_polynomial(b: BlockEncoding, p: ChebyshevPoly | WindowPoly, delta: float) -> BlockEncoding:
     """Encoding of p(A) for a polynomial bounded by 1 on [-1, 1].
+
+    p is a Chebyshev series or a certified window, which is evaluated in
+    its factored form A_k(0.8 J(x)) rather than as the composed series of
+    degree n k. The bound on p is its recorded sup_norm_bound (or, for a
+    series with none, the sampled `chebyshev.sup_norm`).
 
     Realized spectrally: p is applied to the eigenvalues of the encoded
     block, so the new block is p(A)/2 and the recovery scale is 2; the
@@ -160,11 +164,7 @@ def apply_polynomial(b: BlockEncoding, p: ChebyshevPoly, delta: float) -> BlockE
     """
     if delta < 0:
         raise OutOfRangeError(f"delta must be nonnegative, got {delta}")
-    if p.sup_norm_bound is not None:
-        bound = p.sup_norm_bound
-    else:
-        grid = _certification_grid(max(1, p.degree))
-        bound = float(np.max(np.abs(chebval(grid, p.coeffs))))
+    bound = sup_norm(p)
     if bound > 1.0 + 1e-9:
         raise PolyNotBoundedError(f"polynomial reaches {bound:.6g} > 1 on [-1, 1]")
     block = _require_hermitian_block(b)
@@ -172,7 +172,7 @@ def apply_polynomial(b: BlockEncoding, p: ChebyshevPoly, delta: float) -> BlockE
         raise CostOverflowError(f"cost ledger {p.degree} * {b.cost} exceeds 2^63 - 1")
 
     eigvals, vecs = np.linalg.eigh((block + block.conj().T) / 2.0)
-    transformed = chebval(np.clip(eigvals, -1.0, 1.0), p.coeffs)
+    transformed = p(np.clip(eigvals, -1.0, 1.0))
     halved = (vecs * (transformed / 2.0)) @ vecs.conj().T
     return BlockEncoding(
         block=halved,

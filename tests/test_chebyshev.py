@@ -1,29 +1,39 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import cheb2poly, chebval
 
+from blocksketch import chebyshev
+from blocksketch.block_encoding import encode_pauli_sum
 from blocksketch.chebyshev import (
     ChebyshevPoly,
     amplifier_value,
     amplifying_poly,
     cheb_eval,
+    cheb_values_at_extrema,
+    certified_bounds,
     chebyshev_t,
     compose,
     jackson_approx,
     jackson_damping,
     kpm_reconstruct,
     soft_step,
+    sup_norm,
     window_parameters,
     window_poly,
 )
+from blocksketch.cli import main
 from blocksketch.errors import (
     BadIntervalError,
+    CertificationError,
     GridOutOfRangeError,
     OutOfRangeError,
     RangeViolationError,
 )
+from blocksketch.spectral import apply_polynomial
+from conftest import random_pauli_sum
 
 
 def test_cheb_eval_examples():
@@ -234,3 +244,81 @@ def test_kpm_zeroth_only():
 def test_kpm_grid_validation():
     with pytest.raises(GridOutOfRangeError):
         kpm_reconstruct([1.0, 0.0], [0.5, 1.0])
+
+
+# SHA-256 of `window-poly --a=-0.5 --b=0.5 --eta 0.1 --output` as written
+# by the grid-certified construction; the proof must not move a coefficient.
+WINDOW_SHA256 = "e3ddd4cbfa9f16b36dbf79ddb768b215e12710af1021fc9f87fc47ebc3c8781c"
+
+
+def _extrema(m):
+    return np.cos(np.pi * np.arange(m + 1) / m)
+
+
+def test_values_at_extrema_match_chebval(rng):
+    for d in (0, 1, 2, 7, 40):
+        coeffs = rng.normal(size=d + 1)
+        for m in {max(d, 1), d + 1, 3 * d + 5}:
+            got = cheb_values_at_extrema(coeffs, m)
+            assert np.max(np.abs(got - chebval(_extrema(m), coeffs))) < 1e-12
+    with pytest.raises(ValueError):
+        cheb_values_at_extrema(np.ones(5), 3)
+
+
+def test_proven_sup_bound_covers_a_dense_uniform_sample(rng):
+    xs = np.linspace(-1.0, 1.0, 10**6)
+    for d in (1, 2, 3, 5, 8, 13, 21, 34, 55, 64):
+        coeffs = rng.normal(size=d + 1)
+        sup, gap = certified_bounds(coeffs, np.zeros_like, 0.0)
+        assert sup == pytest.approx(gap, rel=1e-12)
+        assert sup >= np.max(np.abs(chebval(xs, coeffs)))
+
+
+def test_proven_step_gap_covers_the_sampled_gap_on_workload_bins():
+    # The 10 unit energy bins of the 4-qubit TFIM chain (alpha = 5.8) at eta 0.025.
+    kappa, n, _, _ = window_parameters(0.025)
+    fine = 256 * n
+    for lo in range(-5, 5):
+        a_bar, b_bar = lo / 5.8, (lo + 1) / 5.8
+        j = jackson_approx(a_bar, b_bar, kappa, n)
+        step = lambda x: soft_step(x, a_bar, b_bar, kappa)  # noqa: E731
+        sup, gap = certified_bounds(j.coeffs, step, 2.0 / kappa)
+        assert j.sup_norm_bound == min(sup, 1.0 + gap)
+        sampled = cheb_values_at_extrema(j.coeffs, fine)
+        assert np.max(np.abs(sampled)) <= sup <= 1.25
+        assert np.max(np.abs(sampled - step(_extrema(fine)))) <= gap <= 0.25
+
+
+def test_overdamped_step_approximant_fails_the_certificate(monkeypatch):
+    # A Jackson kernel of an eighth of the degree smooths the step over a
+    # width far beyond kappa. (An undamped series passes: the soft step is
+    # continuous, so truncation has no Gibbs overshoot.)
+    def overdamped(n):
+        return np.concatenate([jackson_damping(n // 8), np.zeros(n - n // 8)])
+
+    monkeypatch.setattr(chebyshev, "jackson_damping", overdamped)
+    with pytest.raises(CertificationError):
+        jackson_approx(-0.3, 0.4, 0.025, 960)
+
+
+def test_sampled_sup_norm_is_exact_for_chebyshev_basis():
+    for n in (0, 1, 5, 1000, 70_001):
+        assert sup_norm(ChebyshevPoly(chebyshev_t(n).coeffs)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_factored_window_application_matches_composed_series(rng):
+    h = encode_pauli_sum(random_pauli_sum(rng, 3, 6))
+    w = window_poly(-0.3, 0.4, 0.1)
+    factored = apply_polynomial(h, w, 0.01)
+    composed = apply_polynomial(h, w.poly, 0.01)
+    assert np.max(np.abs(factored.block - composed.block)) < 1e-12
+    assert (factored.scale, factored.accuracy, factored.cost) == (
+        composed.scale, composed.accuracy, composed.cost
+    )
+
+
+def test_window_poly_coefficients_are_pinned(tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    assert main(["window-poly", "--a=-0.5", "--b=0.5", "--eta", "0.1", "--output", str(out)]) == 0
+    assert "grid_max_violation=0\n" in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WINDOW_SHA256

@@ -305,3 +305,29 @@ def test_correlate_time_must_be_a_number(workdir, capsys):
     )
     assert rc == 2
     assert "time 'soon' is not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["dos", "--moments", "2"], ["cost", "--kind", "dos-moments", "--moments", "2"]]
+)
+def test_non_integer_seed_env_var_names_the_variable(workdir, capsys, monkeypatch, command):
+    monkeypatch.setenv("BLOCKSKETCH_SEED", "abc")
+    rc = _run([command[0], "--hamiltonian", workdir / "hz.txt", *command[1:]])
+    assert rc == 2
+    assert "error: $BLOCKSKETCH_SEED='abc' is not an integer" in capsys.readouterr().err
+
+
+def test_window_poly_rejects_non_integer_seed_env_var(capsys, monkeypatch):
+    monkeypatch.setenv("BLOCKSKETCH_SEED", "1.5")
+    assert _run(["window-poly", "--a", "-0.2", "--b", "0.2", "--eta", "0.4"]) == 2
+    assert "BLOCKSKETCH_SEED" in capsys.readouterr().err
+
+
+def test_overflowing_scale_names_the_file(workdir, capsys):
+    big = workdir / "big.txt"
+    big.write_text("1e308 ZI\n1e308 IZ\n")
+    rc = _run(["dos", "--hamiltonian", big, "--moments", "1"])
+    assert rc == 2
+    assert f"error: {big}: the sum of |coefficients| (the scale alpha) overflows" in (
+        capsys.readouterr().err
+    )

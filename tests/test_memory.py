@@ -47,6 +47,11 @@ def inputs(tmp_path):
 COMMANDS = {
     "dos-moments": "dos --hamiltonian h.txt --moments 4",
     "dos-integral": "dos --hamiltonian h.txt --integral -2 2 --eps 0.1",
+    # eta = 0.025 (degree 119,040): pins the window certificate's arrays.
+    "dos-integral-eps-0.075": "dos --hamiltonian h.txt --integral -2 2 --eps 0.075",
+    "ldos-moments": "ldos --hamiltonian h.txt --moments 4 --state basis.txt",
+    "ldos-integral": "ldos --hamiltonian h.txt --integral -2 2 --eps 0.1 --state basis.txt",
+    "kpm": "kpm --hamiltonian h.txt --moments 4",
     "response-moments": "response --hamiltonian h.txt --moments 16 --observable-b b.txt "
     "--observable-c c.txt --state basis.txt",
     "correlate-4q": "correlate --hamiltonian h4.txt --observable o0.txt 0.5 "
