@@ -290,16 +290,13 @@ def _sketch_report(req: SketchRequest) -> dict:
             }
         )
     else:
-        # The response per-moment ledger has no log(1/delta) factor, as
-        # pinned by tests/golden/cost_response_moments.json.
-        moment_log = 1.0 if req.kind == RESPONSE else log_delta
         orders = list(range(req.num_moments + 1))
         out.update(
             {
                 "mode": "moments",
                 "orders": orders,
                 "per_moment_queries": [
-                    (q * n + prep_term) * weight / req.eps * moment_log for n in orders
+                    (q * n + prep_term) * weight / req.eps * log_delta for n in orders
                 ],
             }
         )

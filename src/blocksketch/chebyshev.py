@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -38,9 +39,13 @@ from .errors import (
 CERT_EXTREMA_PER_DEGREE = 32
 # Points of the sampled sup-norm of a series with no recorded bound.
 SAMPLED_EXTREMA = 2**18
-# Refusing very small eta keeps the composed degree near or below ~2e5.
+# Refusing very small eta keeps the window degree n k near or below ~2e5
+# (the composed series of that degree is built only when `poly` is read).
 MIN_ETA_REL = 0.02
 AMPLIFIER_INNER_SCALE = 0.8
+# Matrix entries per chunk of the cosine product in `WindowPoly.eval`
+# (2 MB of float64), which bounds its memory at any number of points.
+EVAL_CHUNK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True)
@@ -265,13 +270,13 @@ class WindowPoly:
     kappa-strips, and bounded by 1 everywhere on [-1, 1].
 
     Called on x, it evaluates the factored form A_k(0.8 J(x)), which equals
-    the composed series `poly` up to roundoff.
+    the composed series `poly` of degree n k up to roundoff. That series is
+    built lazily, on the first read of `poly`; `degree` is n k without it.
     """
 
     # Proven by the certificate: 0.8 |J| <= 1, and A_k maps [-1, 1] to [0, 1].
     sup_norm_bound = 1.0
 
-    poly: ChebyshevPoly
     a_bar: float
     b_bar: float
     kappa: float
@@ -283,11 +288,32 @@ class WindowPoly:
 
     @property
     def degree(self) -> int:
-        return self.poly.degree
+        return self.jackson_degree * self.amplifier_order
+
+    @cached_property
+    def poly(self) -> ChebyshevPoly:
+        """The composed series A_k(0.8 J(x)) in the T_k basis, built on first
+        read; raises CertificationError if its degree is not n k."""
+        amplifier = amplifying_poly(self.amplifier_order)
+        composed = compose(amplifier, self.jackson_poly, AMPLIFIER_INNER_SCALE)
+        if composed.degree != self.degree:
+            raise CertificationError(f"composed degree {composed.degree} != n*k = {self.degree}")
+        return composed
 
     def eval(self, x):
-        """Fast evaluation through the factored form A_k(0.8 J(x))."""
-        inner = AMPLIFIER_INNER_SCALE * chebval(np.asarray(x, dtype=float), self.jackson_poly.coeffs)
+        """A_k(0.8 J(x)) at x clipped to [-1, 1], with
+        J(x) = sum_m c_m cos(m arccos x) summed as a (points x (n+1)) cosine
+        product, at most EVAL_CHUNK_ENTRIES entries at a time."""
+        x = np.asarray(x, dtype=float)
+        theta = np.arccos(np.clip(x, -1.0, 1.0)).reshape(-1)
+        coeffs = self.jackson_poly.coeffs
+        orders = np.arange(coeffs.size)
+        rows = max(1, EVAL_CHUNK_ENTRIES // coeffs.size)
+        jackson = np.empty_like(theta)
+        for start in range(0, theta.size, rows):
+            chunk = theta[start : start + rows]
+            jackson[start : start + rows] = np.cos(np.multiply.outer(chunk, orders)) @ coeffs
+        inner = AMPLIFIER_INNER_SCALE * jackson.reshape(x.shape)
         return amplifier_value(self.amplifier_order, inner)
 
     __call__ = eval
@@ -320,9 +346,9 @@ def window_poly(
 
     The certificate is a proof: `jackson_approx` proves J within 1/4 of the
     soft step, and the amplifier lemma (A_k monotone, A_k(3/5) >= 1 - tau,
-    A_k(-3/5) <= tau) carries that to the window regions. The composed
-    series `poly` is built for its coefficients and degree; evaluation goes
-    through the factored form.
+    A_k(-3/5) <= tau) carries that to the window regions. Evaluation goes
+    through the factored form; the composed series `poly` is built only
+    when read, and the degree n k needs no series.
 
     Raises:
         DegreeTooLargeError: for eta_rel below 0.02 unless allow_large_degree
@@ -330,6 +356,8 @@ def window_poly(
         BadIntervalError: if the window plus margin does not fit in (-1, 1).
         CertificationError: if the step gap is not proven within 1/4 or the
             amplifier misses tau at +-3/5.
+        RangeViolationError: if 0.8 J is not proven within [-1, 1], the
+            amplifier's domain.
     """
     kappa, n, k, tau = window_parameters(eta_rel)
     if eta_rel < MIN_ETA_REL and not allow_large_degree:
@@ -340,10 +368,11 @@ def window_poly(
         raise CertificationError(f"tau={tau} exceeds eta/4={eta_rel / 4.0}")
 
     jackson = jackson_approx(a_bar, b_bar, kappa, n)
-    amplifier = amplifying_poly(k)
-    composed = compose(amplifier, jackson, AMPLIFIER_INNER_SCALE)
-    if composed.degree != n * k:
-        raise CertificationError(f"composed degree {composed.degree} != n*k = {n * k}")
+    # Checks the endpoints of A_k; the series itself is rebuilt by `poly`.
+    amplifying_poly(k)
+    reach = AMPLIFIER_INNER_SCALE * sup_norm(jackson)
+    if reach > 1.0 + 1e-9:
+        raise RangeViolationError(f"scaled inner polynomial reaches {reach:.6g} > 1 on [-1, 1]")
 
     # Region check by the amplifier lemma. The proven gap is at most 1/4,
     # so 0.8 J lies in [3/5, 1] inside the window and in [-1, -3/5] outside
@@ -355,7 +384,6 @@ def window_poly(
         raise CertificationError(f"window region check failed by {violation:.3g}")
 
     return WindowPoly(
-        poly=composed,
         a_bar=a_bar,
         b_bar=b_bar,
         kappa=kappa,

@@ -12,9 +12,11 @@ from .errors import DimensionMismatchError, NormTooLargeError, NotHermitianError
 
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
-# Full unitarity validation is O(dim^3); circuit unitaries above this
-# dimension are checked for shape only.
-VALIDATE_DIM_LIMIT = 256
+# Circuit unitaries up to this dimension get the exact O(dim^3) check; larger
+# ones get the O(dim^2) isometry probe on PROBE_COLUMNS seeded random columns.
+EXACT_UNITARY_DIM = 256
+PROBE_COLUMNS = 4
+PROBE_SEED = 0
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -41,18 +43,37 @@ def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     return float(np.max(np.abs(m @ m.conj().T - eye))) <= tol
 
 
+def passes_isometry_probe(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
+    """Seeded randomized isometry check of a square matrix in O(dim^2).
+
+    For PROBE_COLUMNS random unit columns V, the Gram matrix (m V)^dagger
+    (m V) must match V^dagger V within tol in every entry; its diagonal
+    compares ||m v|| with ||v||. A unitary passes; a matrix with
+    m^dagger m != I fails unless V happens to miss the deviation.
+    """
+    rng = np.random.default_rng(PROBE_SEED)
+    shape = (m.shape[0], PROBE_COLUMNS)
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    v /= np.linalg.norm(v, axis=0)
+    mv = m @ v
+    return float(np.max(np.abs(mv.conj().T @ mv - v.conj().T @ v))) <= tol
+
+
 def check_circuit_unitary(u: np.ndarray, full_dim: int) -> np.ndarray:
     """Validate a circuit unitary and return it as a complex array.
 
+    Up to EXACT_UNITARY_DIM, u u^dagger is checked against the identity;
+    above it, u must pass the isometry probe. No size goes unchecked.
+
     Raises:
         DimensionMismatchError: if u is not full_dim x full_dim.
-        NotUnitaryError: if full_dim is at most VALIDATE_DIM_LIMIT and u
-            is not unitary within UNITARY_TOL.
+        NotUnitaryError: if u fails the check for its size within UNITARY_TOL.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (full_dim, full_dim):
         raise DimensionMismatchError(f"unitary shape {u.shape} != ({full_dim}, {full_dim})")
-    if full_dim <= VALIDATE_DIM_LIMIT and not is_unitary(u, UNITARY_TOL):
+    check = is_unitary if full_dim <= EXACT_UNITARY_DIM else passes_isometry_probe
+    if not check(u, UNITARY_TOL):
         raise NotUnitaryError(f"matrix is not unitary within {UNITARY_TOL:.0e}")
     return u
 

@@ -113,10 +113,6 @@ def pauli_sum_matrix(s: PauliSum) -> np.ndarray:
     return out
 
 
-def identity_sum(qubits: int) -> PauliSum:
-    return PauliSum.from_terms([(1.0, "I" * qubits)])
-
-
 def parse_pauli_text(text: str, source: str = "<string>") -> PauliSum:
     """Parse the one-term-per-line text format, merging duplicate words.
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,4 +322,86 @@ def test_window_poly_coefficients_are_pinned(tmp_path, capsys):
     out = tmp_path / "w.csv"
     assert main(["window-poly", "--a=-0.5", "--b=0.5", "--eta", "0.1", "--output", str(out)]) == 0
     assert "grid_max_violation=0\n" in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WINDOW_SHA256
+
+
+@pytest.mark.parametrize("eta", [0.2, 0.1, 0.025, 0.02])
+def test_window_eval_matches_the_clenshaw_factored_form(eta):
+    w = window_poly(-0.3, 0.4, eta)
+    xs = np.random.default_rng(7).uniform(-1.0, 1.0, 10**4)
+    clenshaw = amplifier_value(w.amplifier_order, 0.8 * chebval(xs, w.jackson_poly.coeffs))
+    assert np.max(np.abs(w(xs) - clenshaw)) <= 1e-12
+
+
+def test_window_eval_keeps_the_input_shape():
+    w = window_poly(-0.3, 0.4, 0.2)
+    grid = np.linspace(-0.9, 0.9, 12).reshape(3, 4)
+    for x in (0.25, np.array(0.25), grid, np.array([]), np.zeros((2, 0))):
+        assert np.shape(w(x)) == np.shape(x)
+    assert np.array_equal(w(grid), w(grid.ravel()).reshape(3, 4))
+    assert w(0.25) == w(np.array([0.25]))[0]
+
+
+def test_window_eval_memory_is_bounded_by_chunks():
+    w = window_poly(-0.3, 0.4, 0.1)
+    xs = np.linspace(-1.0, 1.0, 10**5)
+    tracemalloc.start()
+    try:
+        w.eval(xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # An unchunked 10^5 x 961 cosine matrix alone would take 769 MB.
+    assert peak / 2**20 <= 16.0
+
+
+def test_window_series_is_built_once_on_first_read():
+    w = window_poly(-0.3, 0.4, 0.1)
+    assert "poly" not in vars(w)
+    assert w.poly is w.poly
+    assert w.poly.degree == w.jackson_degree * w.amplifier_order == w.degree
+
+
+INTEGRAL_JOBS = {
+    "dos": "dos --hamiltonian h.txt --integral -1 1 --eps 0.3",
+    "ldos": "ldos --hamiltonian h.txt --integral -1 1 --eps 0.3 --state basis.txt",
+    "response": "response --hamiltonian h.txt --integral -1 1 --eps 0.3 "
+    "--observable-b b.txt --observable-c c.txt --state mixed.txt",
+}
+
+
+@pytest.mark.parametrize("job", sorted(INTEGRAL_JOBS))
+@pytest.mark.parametrize("flags", ["--mode exact", "--mode sampled --seed 3", "--oracle"])
+def test_integral_sketches_never_compose_the_window_series(job, flags, tmp_path, monkeypatch):
+    files = {
+        "h.txt": "1.0 ZZ\n0.7 XI\n0.7 IX\n",
+        "b.txt": "0.6 ZI\n0.3 XY\n",
+        "c.txt": "0.5 XI\n0.2 IZ\n",
+        "basis.txt": "basis 1\n",
+        "mixed.txt": "mixed\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("chebyshev.compose ran on the integral sketch path")
+
+    monkeypatch.setattr(chebyshev, "compose", refuse)
+    argv = [str(tmp_path / t) if t.endswith(".txt") else t for t in INTEGRAL_JOBS[job].split()]
+    out = tmp_path / "out.csv"
+    assert main(argv + flags.split() + ["--output", str(out)]) == 0
+    assert out.read_text().count("\n") == 2
+
+
+def test_window_poly_output_composes_the_series_once(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compose(*args, **kwargs)
+
+    monkeypatch.setattr(chebyshev, "compose", counted)
+    out = tmp_path / "w.csv"
+    assert main(["window-poly", "--a=-0.5", "--b=0.5", "--eta", "0.1", "--output", str(out)]) == 0
+    assert len(calls) == 1
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WINDOW_SHA256

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from blocksketch.errors import NormTooLargeError, NotHermitianError
+from blocksketch.block_encoding import BlockEncoding
+from blocksketch.errors import NormTooLargeError, NotHermitianError, NotUnitaryError
 from blocksketch.linalg import (
+    EXACT_UNITARY_DIM,
+    check_circuit_unitary,
     eig_hermitian,
     embed_operator,
     is_hermitian,
@@ -119,3 +122,17 @@ def test_unitary_completion(rng):
 def test_unitary_completion_rejects_nan():
     with pytest.raises(ValueError):
         unitary_completion(np.array([np.nan, 0.0]))
+
+
+def test_circuit_unitary_check_stays_on_above_the_exact_limit(rng):
+    n = 512
+    assert n > EXACT_UNITARY_DIM
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    assert check_circuit_unitary(u, n) is not None
+    bad = u.copy()
+    bad[:, 7] *= 1.01
+    assert not is_unitary(bad)
+    with pytest.raises(NotUnitaryError):
+        check_circuit_unitary(bad, n)
+    with pytest.raises(NotUnitaryError):
+        BlockEncoding(unitary=bad, ancilla_dim=2, system_dim=n // 2, scale=1.0)
