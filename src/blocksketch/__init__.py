@@ -17,7 +17,6 @@ from .block_encoding import (
     adjoint,
     encode_pauli_sum,
     encode_unitary,
-    encoded_block,
     identity_encoding,
     linear_combine,
     product,
@@ -27,7 +26,6 @@ from .chebyshev import (
     ChebyshevPoly,
     WindowPoly,
     amplifying_poly,
-    cheb_eval,
     chebyshev_t,
     compose,
     jackson_approx,
@@ -42,8 +40,8 @@ from .estimation import (
     estimate_observable,
     grover_operator,
 )
-from .linalg import eig_hermitian, is_hermitian, is_unitary, spectral_norm, unitary_dilation
-from .oracle import oracle_correlation, oracle_dos_integral, oracle_moments, oracle_response
+from .linalg import is_hermitian, is_unitary, spectral_norm, unitary_dilation
+from .oracle import oracle_correlation, oracle_sketch
 from .pauli import (
     PauliSum,
     PauliTerm,

@@ -2,9 +2,9 @@
 
 A block encoding of a target matrix A is a unitary on ancilla (x) system
 whose top-left system block, times a scale alpha, represents A:
-``alpha * encoded_block(U) ~ A`` within ``alpha * accuracy``. The ancilla
+``alpha * U[:D, :D] ~ A`` within ``alpha * accuracy``. The ancilla
 register is the most significant tensor factor, so the encoded block is
-always the fixed top-left slice.
+always the fixed top-left slice, stored read-only as ``.block``.
 
 Values are block-first. A `BlockEncoding` carries its D x D block with the
 scale, accuracy, cost and dimension ledgers, and every operation here
@@ -129,11 +129,6 @@ class BlockEncoding:
             u = check_circuit_unitary(self.circuit(), self.ancilla_dim * self.system_dim)
             self.__dict__["_unitary"] = u
         return u
-
-
-def encoded_block(b: BlockEncoding) -> np.ndarray:
-    """The system-sized top-left block (ancilla projected onto |0>)."""
-    return np.array(b.block)
 
 
 def encode_unitary(u: np.ndarray, cost: int = 0) -> BlockEncoding:

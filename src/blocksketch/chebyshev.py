@@ -83,11 +83,6 @@ def chebyshev_t(n: int) -> ChebyshevPoly:
     return ChebyshevPoly(c, sup_norm_bound=1.0)
 
 
-def cheb_eval(p: ChebyshevPoly, x):
-    """Clenshaw evaluation of p at scalar or array x."""
-    return chebval(x, p.coeffs)
-
-
 def cheb_values_at_nodes(coeffs: np.ndarray, m: int) -> np.ndarray:
     """Values of a Chebyshev series at the m first-kind nodes cos(pi(i+1/2)/m).
 

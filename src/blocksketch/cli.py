@@ -91,7 +91,7 @@ def _build_sketch_request(args: argparse.Namespace, h: PauliSum) -> SketchReques
         prep = parse_state_file(args.state, h.dim, h)
         if prep.purifier_dim != 1:
             raise ValidationError("ldos requires a pure site state (pure or basis directive)")
-        kwargs["site_state"] = prep.purified_state()
+        kwargs["site_state"] = prep.purification
     if args.kind == RESPONSE:
         if args.observable_b is None or args.observable_c is None or args.state is None:
             raise ValidationError("response requires --observable-b, --observable-c, --state")
@@ -129,7 +129,7 @@ def _sketch_csv(req: SketchRequest, sketch, emit_oracle: bool) -> str:
     if emit_oracle:
         header += ",oracle_re,oracle_im" if complex_oracle else ",oracle"
     lines = [header]
-    oracle_vals = oracle_sketch(req, sketch) if emit_oracle else None
+    oracle_vals = oracle_sketch(req, sketch.window_meta) if emit_oracle else None
     for i, (order, res) in enumerate(zip(sketch.chebyshev_orders, sketch.values)):
         row = f"{order},{_fmt(res.value.real)},{_fmt(res.value.imag)},{res.grover_queries}"
         if emit_oracle:

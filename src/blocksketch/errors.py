@@ -65,10 +65,6 @@ class GridOutOfRangeError(BlockSketchError):
     pass
 
 
-class ScaleTooSmallError(BlockSketchError):
-    pass
-
-
 class CostOverflowError(BlockSketchError, OverflowError):
     pass
 

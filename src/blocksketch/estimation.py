@@ -33,7 +33,6 @@ import numpy as np
 from .block_encoding import (
     BlockEncoding,
     adjoint,
-    encoded_block,
     identity_encoding,
     linear_combine,
 )
@@ -267,13 +266,13 @@ def estimate_observable(
         raise DimensionMismatchError(
             f"encoding system {a.system_dim} != state system {rho.system_dim}"
         )
-    block = encoded_block(a)
+    block = a.block
     if not is_hermitian(block, 1e-8):
         raise NotHermitianError("encoded block is not Hermitian within 1e-8")
 
     shifted = _shifted_encoding(a)
     density = reduced_density(rho)
-    overlap = float(np.clip(np.real(np.trace(density @ encoded_block(shifted))), 0.0, 1.0))
+    overlap = float(np.clip(np.real(np.trace(density @ shifted.block)), 0.0, 1.0))
 
     amp_eps = min(eps / (2.0 * a.scale), 0.5)
     xi0, queries = _estimate(overlap, amp_eps, delta, mode, rng_seed)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NormTooLargeError, NotHermitianError, NotUnitaryError
+from .errors import DimensionMismatchError, NormTooLargeError, NotUnitaryError
 
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
@@ -81,24 +81,6 @@ def check_circuit_unitary(u: np.ndarray, full_dim: int) -> np.ndarray:
 def spectral_norm(m: np.ndarray) -> float:
     """Largest singular value."""
     return float(np.linalg.norm(as_complex_matrix(m), 2))
-
-
-def eig_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector matrix V with eigenvectors
-    as columns) so that m = V diag(w) V^dagger.
-
-    Raises:
-        NotHermitianError: if m deviates from Hermitian by more than tol
-            in max-entry norm.
-    """
-    m = as_complex_matrix(m)
-    if not is_hermitian(m, tol):
-        dev = float(np.max(np.abs(m - m.conj().T)))
-        raise NotHermitianError(f"matrix is not Hermitian (deviation {dev:.3e} > {tol:.1e})")
-    w, v = np.linalg.eigh(m)
-    return w, v
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .block_encoding import BlockEncoding, encode_unitary, encoded_block
+from .block_encoding import BlockEncoding, encode_unitary
 from .chebyshev import ChebyshevPoly, WindowPoly, sup_norm
 from .errors import (
     CostOverflowError,
@@ -75,7 +75,7 @@ def evolution_encoding(h: PauliSum, t: float, eps: float) -> BlockEncoding:
 
 
 def _require_hermitian_block(b: BlockEncoding) -> np.ndarray:
-    block = encoded_block(b)
+    block = b.block
     if not is_hermitian(block, 1e-8):
         raise NotHermitianError("encoded block is not Hermitian within 1e-8")
     return block

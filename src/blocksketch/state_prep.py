@@ -1,7 +1,7 @@
 """Preparation unitaries: purifications of density operators.
 
 A preparation unitary acts on system (x) purifier (system most significant)
-and sends a designated zero state to a purification of the target density
+and sends basis state zero to a purification of the target density
 operator. Values are purification-first: a `PreparationUnitary` stores the
 purification vector, which is all `reduced_density` and the estimators
 read, and builds its circuit unitary only when `.unitary` is first read.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -37,85 +37,41 @@ THERMAL_COST_EPS = 1e-3
 NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PreparationUnitary:
     """A purification on system (x) purifier of a density operator, with
-    the unitary that prepares it from basis state zero_state_index.
+    the circuit that prepares it from basis state zero.
 
-    Construct either from an explicit unitary,
-    ``PreparationUnitary(u, system_dim, purifier_dim, cost=..., zero_state_index=...)``,
-    which is checked like a built circuit and whose zero-state column is
-    stored, or from ``purification=`` and ``circuit=``: the unit vector and
-    a zero-argument callable building the unitary, which `.unitary` calls,
-    validates and caches on first access.
+    `purification` is the unit vector, stored read-only; `circuit` is a
+    zero-argument callable building the full unitary, whose first column
+    is the purification. `.unitary` calls it, validates the result and
+    caches it on first access.
     """
 
     purification: np.ndarray
     system_dim: int
     purifier_dim: int
+    circuit: Callable[[], np.ndarray] = field(repr=False, compare=False)
     cost: int = 0
-    zero_state_index: int = 0
-    circuit: Callable[[], np.ndarray] | None = field(default=None, repr=False, compare=False)
 
-    def __init__(
-        self,
-        unitary=None,
-        system_dim: int | None = None,
-        purifier_dim: int | None = None,
-        cost: int = 0,
-        zero_state_index: int = 0,
-        *,
-        purification=None,
-        circuit: Callable[[], np.ndarray] | None = None,
-    ):
-        if system_dim is None or purifier_dim is None:
-            raise TypeError("system_dim and purifier_dim are required")
-        full = system_dim * purifier_dim
-        if not 0 <= zero_state_index < full:
-            raise OutOfRangeError(f"zero state index {zero_state_index} out of range")
-        if unitary is not None:
-            if purification is not None or circuit is not None:
-                raise TypeError("an explicit unitary takes no purification or circuit")
-            u = check_circuit_unitary(unitary, full)
-            purification = u[:, zero_state_index].copy()
-            circuit = lambda: u  # noqa: E731
-            self.__dict__["_unitary"] = u
-        elif purification is None or circuit is None:
-            raise TypeError("pass a unitary, or a purification with the circuit that builds it")
-        else:
-            purification = np.array(purification, dtype=complex).reshape(-1)
-            if purification.size != full:
-                raise DimensionMismatchError(
-                    f"purification of size {purification.size} for "
-                    f"system {system_dim} x purifier {purifier_dim}"
-                )
-            nrm = float(np.linalg.norm(purification))
-            if not abs(nrm - 1.0) <= NORM_TOL:
-                raise NotNormalizedError(f"purification norm {nrm:.12g} differs from 1")
+    def __post_init__(self):
+        purification = np.array(self.purification, dtype=complex).reshape(-1)
+        if purification.size != self.system_dim * self.purifier_dim:
+            raise DimensionMismatchError(
+                f"purification of size {purification.size} for "
+                f"system {self.system_dim} x purifier {self.purifier_dim}"
+            )
+        nrm = float(np.linalg.norm(purification))
+        if not abs(nrm - 1.0) <= NORM_TOL:
+            raise NotNormalizedError(f"purification norm {nrm:.12g} differs from 1")
         purification.setflags(write=False)
-        # Frozen dataclass: fields are set through the instance dict.
-        self.__dict__.update(
-            purification=purification,
-            system_dim=system_dim,
-            purifier_dim=purifier_dim,
-            cost=cost,
-            zero_state_index=zero_state_index,
-            circuit=circuit,
-        )
+        object.__setattr__(self, "purification", purification)
 
-    @property
+    @cached_property
     def unitary(self) -> np.ndarray:
         """The full system (x) purifier unitary, built from the circuit on
-        first access and validated like an explicitly supplied one."""
-        u = self.__dict__.get("_unitary")
-        if u is None:
-            u = check_circuit_unitary(self.circuit(), self.system_dim * self.purifier_dim)
-            self.__dict__["_unitary"] = u
-        return u
-
-    def purified_state(self) -> np.ndarray:
-        """The purification vector: unitary applied to the zero state."""
-        return np.array(self.purification)
+        first access and validated by `check_circuit_unitary`."""
+        return check_circuit_unitary(self.circuit(), self.system_dim * self.purifier_dim)
 
 
 def reduced_density(p: PreparationUnitary) -> np.ndarray:
@@ -323,7 +279,8 @@ def parse_state_text(
                 raise ParseError(
                     f"{source}:{lineno}: expected {dim} amplitudes, got {amps.size}"
                 )
-            nrm = float(np.linalg.norm(amps))
+            with np.errstate(over="ignore"):
+                nrm = float(np.linalg.norm(amps))
             if not abs(nrm - 1.0) <= 1e-6:
                 raise ParseError(f"{source}:{lineno}: amplitudes have norm {nrm:.6g}, not 1")
             return prepare_pure(amps / nrm)

@@ -6,7 +6,6 @@ from blocksketch.block_encoding import (
     adjoint,
     encode_pauli_sum,
     encode_unitary,
-    encoded_block,
     identity_encoding,
     linear_combine,
     product,
@@ -31,13 +30,13 @@ Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def test_encode_unitary_examples():
     b = encode_unitary(Z)
     assert b.ancilla_dim == 1 and b.scale == 1.0 and b.accuracy == 0.0
-    assert np.allclose(encoded_block(b), Z)
-    assert np.allclose(encoded_block(encode_unitary(np.eye(4))), np.eye(4))
+    assert np.allclose(b.block, Z)
+    assert np.allclose(encode_unitary(np.eye(4)).block, np.eye(4))
 
     w, v = np.linalg.eigh(X)
     u = (v * np.exp(1j * 0.7 * w)) @ v.conj().T
     b = encode_unitary(u)
-    phases = np.sort(np.angle(np.linalg.eigvals(encoded_block(b))))
+    phases = np.sort(np.angle(np.linalg.eigvals(b.block)))
     assert np.allclose(phases, [-0.7, 0.7])
 
 
@@ -49,16 +48,16 @@ def test_encode_unitary_rejects():
 def test_encode_pauli_sum_examples():
     b = encode_pauli_sum(PauliSum.from_terms([(1.0, "Z")]))
     assert b.scale == 1.0 and b.ancilla_dim == 1
-    assert np.allclose(encoded_block(b), Z)
+    assert np.allclose(b.block, Z)
 
     b = encode_pauli_sum(PauliSum.from_terms([(0.5, "X"), (0.5, "Z")]))
     assert b.scale == pytest.approx(1.0)
-    assert np.allclose(encoded_block(b), (X + Z) / 2)
-    assert spectral_norm(encoded_block(b)) == pytest.approx(1 / np.sqrt(2))
+    assert np.allclose(b.block, (X + Z) / 2)
+    assert spectral_norm(b.block) == pytest.approx(1 / np.sqrt(2))
 
     b = encode_pauli_sum(PauliSum.from_terms([(0.3, "Z"), (0.2, "X")]))
     assert b.scale == pytest.approx(0.5)
-    assert np.allclose(encoded_block(b), 0.6 * Z + 0.4 * X)
+    assert np.allclose(b.block, 0.6 * Z + 0.4 * X)
     assert b.cost == 2
 
     with pytest.raises(EmptySumError):
@@ -70,21 +69,21 @@ def test_encode_pauli_sum_random(rng):
         s = random_pauli_sum(rng, int(rng.integers(1, 4)), 4)
         b = encode_pauli_sum(s)
         assert is_unitary(b.unitary, 1e-9)
-        assert np.max(np.abs(encoded_block(b) * b.scale - pauli_sum_matrix(s))) < 1e-9
+        assert np.max(np.abs(b.block * b.scale - pauli_sum_matrix(s))) < 1e-9
 
 
 def test_product_examples():
     bx, bz = encode_unitary(X), encode_unitary(Z)
-    assert np.allclose(encoded_block(product([bx, bz])), X @ Z)
+    assert np.allclose(product([bx, bz]).block, X @ Z)
 
     b = encode_pauli_sum(PauliSum.from_terms([(0.5, "X"), (0.5, "Z")]))
     bb = product([b, b])
     assert bb.scale == pytest.approx(1.0)
-    assert np.allclose(encoded_block(bb), np.eye(2) / 2)
+    assert np.allclose(bb.block, np.eye(2) / 2)
     assert bb.cost == 4
 
     assert product([bx]) is bx
-    assert np.allclose(encoded_block(product([bx, bx])), np.eye(2))
+    assert np.allclose(product([bx, bx]).block, np.eye(2))
 
     with pytest.raises(DimensionMismatchError):
         product([bx, encode_unitary(np.eye(4))])
@@ -100,27 +99,27 @@ def test_product_scale_and_unitarity(rng):
         pr = product([b1, b2])
         assert pr.scale == pytest.approx(b1.scale * b2.scale)
         assert is_unitary(pr.unitary, 1e-9)
-        expected = encoded_block(b1) @ encoded_block(b2)
-        assert np.max(np.abs(encoded_block(pr) - expected)) < 1e-9
+        expected = b1.block @ b2.block
+        assert np.max(np.abs(pr.block - expected)) < 1e-9
 
 
 def test_linear_combine_hermitian_parts():
     w, v = np.linalg.eigh(pauli_sum_matrix(PauliSum.from_terms([(0.4, "X"), (0.3, "Y")])))
     gamma = encode_unitary((v * np.exp(1j * w)) @ v.conj().T)
     herm = linear_combine([0.5, 0.5], [gamma, adjoint(gamma)])
-    assert is_hermitian(encoded_block(herm), 1e-9)
+    assert is_hermitian(herm.block, 1e-9)
     anti = linear_combine([-0.5j, 0.5j], [gamma, adjoint(gamma)])
-    assert is_hermitian(encoded_block(anti), 1e-9)
-    g = encoded_block(gamma)
-    assert np.max(np.abs(encoded_block(herm) - (g + g.conj().T) / 2)) < 1e-9
-    assert np.max(np.abs(encoded_block(anti) - (g - g.conj().T) / 2j)) < 1e-9
+    assert is_hermitian(anti.block, 1e-9)
+    g = gamma.block
+    assert np.max(np.abs(herm.block - (g + g.conj().T) / 2)) < 1e-9
+    assert np.max(np.abs(anti.block - (g - g.conj().T) / 2j)) < 1e-9
 
 
 def test_linear_combine_matches_pauli_encoding():
     lc = linear_combine([0.3, 0.2], [encode_unitary(Z), encode_unitary(X)])
     direct = encode_pauli_sum(PauliSum.from_terms([(0.3, "Z"), (0.2, "X")]))
     assert lc.scale == pytest.approx(direct.scale)
-    assert np.max(np.abs(encoded_block(lc) - encoded_block(direct))) < 1e-9
+    assert np.max(np.abs(lc.block - direct.block)) < 1e-9
 
 
 def test_linear_combine_errors():
@@ -145,16 +144,16 @@ def test_linear_combine_unitarity_random(rng):
             abs(coeffs[0]) * b1.scale + abs(coeffs[1]) * b2.scale
         )
         expected = coeffs[0] * pauli_sum_matrix(s1) + coeffs[1] * pauli_sum_matrix(s2)
-        assert np.max(np.abs(encoded_block(lc) * lc.scale - expected)) < 1e-9
+        assert np.max(np.abs(lc.block * lc.scale - expected)) < 1e-9
 
 
 def test_adjoint():
     bz = encode_unitary(Z)
-    assert np.allclose(encoded_block(adjoint(bz)), Z)
+    assert np.allclose(adjoint(bz).block, Z)
 
     b_iI = linear_combine([1j], [identity_encoding(2)])
-    assert np.allclose(encoded_block(b_iI), 1j * np.eye(2))
-    assert np.allclose(encoded_block(adjoint(b_iI)), -1j * np.eye(2))
+    assert np.allclose(b_iI.block, 1j * np.eye(2))
+    assert np.allclose(adjoint(b_iI).block, -1j * np.eye(2))
 
     b = encode_pauli_sum(PauliSum.from_terms([(0.3, "Z"), (0.2, "X")]))
     bb = adjoint(adjoint(b))
@@ -202,6 +201,6 @@ def test_empirical_error_within_bound(rng):
         exact = np.eye(dims)
         for a in blocks:
             exact = exact @ a
-        empirical = np.linalg.norm(encoded_block(pr) - exact, 2)
+        empirical = np.linalg.norm(pr.block - exact, 2)
         assert empirical <= product_error_bound(errs) + 1e-12
         assert pr.accuracy == pytest.approx(product_error_bound(errs))

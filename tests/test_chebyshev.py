@@ -12,7 +12,6 @@ from blocksketch.chebyshev import (
     ChebyshevPoly,
     amplifier_value,
     amplifying_poly,
-    cheb_eval,
     cheb_values_at_extrema,
     certified_bounds,
     chebyshev_t,
@@ -37,20 +36,20 @@ from blocksketch.spectral import apply_polynomial
 from conftest import random_pauli_sum
 
 
-def test_cheb_eval_examples():
+def test_poly_call_examples():
     t3 = chebyshev_t(3)
-    assert cheb_eval(t3, 1.0) == pytest.approx(1.0)
-    assert cheb_eval(t3, 0.5) == pytest.approx(-1.0)  # 4 x^3 - 3 x at 1/2
-    assert cheb_eval(chebyshev_t(4), -1.0) == pytest.approx(1.0)
+    assert t3(1.0) == pytest.approx(1.0)
+    assert t3(0.5) == pytest.approx(-1.0)  # 4 x^3 - 3 x at 1/2
+    assert chebyshev_t(4)(-1.0) == pytest.approx(1.0)
 
 
-def test_cheb_eval_matches_monomials(rng):
+def test_poly_call_matches_monomials(rng):
     for _ in range(10):
         d = int(rng.integers(1, 21))
         p = ChebyshevPoly(rng.normal(size=d + 1))
         xs = rng.uniform(-1, 1, size=40)
         mono = np.polynomial.polynomial.polyval(xs, cheb2poly(p.coeffs))
-        assert np.max(np.abs(cheb_eval(p, xs) - mono)) < 1e-9
+        assert np.max(np.abs(p(xs) - mono)) < 1e-9
 
 
 def test_jackson_approx_bounds():
@@ -59,9 +58,9 @@ def test_jackson_approx_bounds():
     j = jackson_approx(-0.2, 0.3, kappa, n)
     assert j.degree == n
     mid = 0.05
-    assert abs(cheb_eval(j, mid) - 1.0) <= 0.25
+    assert abs(j(mid) - 1.0) <= 0.25
     for x in (-0.9, 0.8, -0.5):
-        assert abs(cheb_eval(j, x) + 1.0) <= 0.25
+        assert abs(j(x) + 1.0) <= 0.25
     assert j.sup_norm_bound <= 1.25
 
 
@@ -82,12 +81,12 @@ def test_jackson_validation():
 def test_amplifier_examples():
     a1 = amplifying_poly(1)
     assert np.allclose(a1.coeffs, [0.5, 0.5])
-    assert cheb_eval(a1, 0.0) == pytest.approx(0.5)
-    assert cheb_eval(amplifying_poly(2), 0.0) == pytest.approx(0.75)
+    assert a1(0.0) == pytest.approx(0.5)
+    assert amplifying_poly(2)(0.0) == pytest.approx(0.75)
     for k in (1, 2, 5, 17, 40):
         ak = amplifying_poly(k)
-        assert cheb_eval(ak, 1.0) == pytest.approx(1.0, abs=1e-9)
-        assert cheb_eval(ak, -1.0) == pytest.approx(0.0, abs=1e-9)
+        assert ak(1.0) == pytest.approx(1.0, abs=1e-9)
+        assert ak(-1.0) == pytest.approx(0.0, abs=1e-9)
     with pytest.raises(OutOfRangeError):
         amplifying_poly(0)
 
@@ -122,8 +121,8 @@ def test_compose_nested_agreement(rng):
     a1 = amplifying_poly(1)
     w = compose(a1, j, 0.8)
     xs = rng.uniform(-1, 1, size=1000)
-    nested = (1.0 + 0.8 * cheb_eval(j, xs)) / 2.0
-    assert np.max(np.abs(cheb_eval(w, xs) - nested)) < 1e-8
+    nested = (1.0 + 0.8 * j(xs)) / 2.0
+    assert np.max(np.abs(w(xs) - nested)) < 1e-8
 
 
 def test_compose_range_violation():

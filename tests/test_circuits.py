@@ -150,30 +150,30 @@ def _check_preparation(prep: PreparationUnitary, ledger: tuple):
     u = prep.unitary
     assert u.shape == (full, full)
     assert is_unitary(u, TOL)
-    column = u[:, prep.zero_state_index]
-    stored = prep.purified_state()
+    column = u[:, 0]
+    stored = prep.purification
     phase = np.vdot(stored, column)
     assert abs(abs(phase) - 1.0) <= TOL
     assert np.max(np.abs(column - phase * stored)) <= TOL
-    assert (prep.system_dim, prep.purifier_dim, prep.cost, prep.zero_state_index) == ledger
+    assert (prep.system_dim, prep.purifier_dim, prep.cost) == ledger
 
 
 @pytest.mark.parametrize("d", range(2, 17))
 def test_maximally_mixed_circuit_prepares_stored_purification(d):
     dim = 1 << (d - 1).bit_length()
-    _check_preparation(prepare_maximally_mixed(d), (dim, 2 * dim, 2 * int(math.log2(dim)), 0))
+    _check_preparation(prepare_maximally_mixed(d), (dim, 2 * dim, 2 * int(math.log2(dim))))
 
 
 @pytest.mark.parametrize("d", range(2, 17))
 def test_pure_circuit_prepares_stored_vector(d, rng):
-    _check_preparation(prepare_pure(random_state_vector(rng, d)), (d, 1, d, 0))
+    _check_preparation(prepare_pure(random_state_vector(rng, d)), (d, 1, d))
 
 
 @pytest.mark.parametrize("qubits", range(1, 5))
 def test_thermal_circuit_prepares_stored_purification(qubits, rng):
     h = random_pauli_sum(rng, qubits, 4)
     prep, cost = prepare_thermal(h, float(rng.uniform(0.1, 2.0)))
-    _check_preparation(prep, (h.dim, h.dim, math.ceil(cost), 0))
+    _check_preparation(prep, (h.dim, h.dim, math.ceil(cost)))
 
 
 def test_rule_built_block_must_be_a_contraction():

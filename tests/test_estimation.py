@@ -6,7 +6,6 @@ import pytest
 from blocksketch.block_encoding import (
     encode_pauli_sum,
     encode_unitary,
-    encoded_block,
     identity_encoding,
     linear_combine,
 )
@@ -161,7 +160,7 @@ def test_shifted_block_is_psd(rng):
     for _ in range(10):
         s = random_pauli_sum(rng, 2, 4)
         shifted = _shifted_encoding(encode_pauli_sum(s))
-        eigs = np.linalg.eigvalsh(encoded_block(shifted))
+        eigs = np.linalg.eigvalsh(shifted.block)
         assert eigs.min() >= -1e-10
         assert eigs.max() <= 1.0 + 1e-10
 
@@ -194,7 +193,7 @@ def test_amplitude_matches_trace_identity(rng):
     b = encode_pauli_sum(s)
     shifted = _shifted_encoding(b)
     state = prepare_thermal(PauliSum.from_terms([(0.8, "Z"), (0.4, "X")]), 0.9)[0]
-    rho_vec = state.purified_state()
+    rho_vec = state.purification
     k = shifted.ancilla_dim
     # |0>_k (x) |rho>, then Psi = (U (x) I_l) |0>_k |rho>
     zero_rho = np.zeros(k * rho_vec.size, dtype=complex)
@@ -205,7 +204,7 @@ def test_amplitude_matches_trace_identity(rng):
     pi = np.kron(projector, np.outer(rho_vec, rho_vec.conj()))
     problem = AmplitudeProblem(psi, pi)
     rho = reduced_density(state)
-    shifted_trace = float(np.real(np.trace(rho @ encoded_block(shifted))))
+    shifted_trace = float(np.real(np.trace(rho @ shifted.block)))
     assert problem.true_amplitude() == pytest.approx(shifted_trace, abs=1e-10)
 
 

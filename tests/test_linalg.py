@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from blocksketch.block_encoding import BlockEncoding
-from blocksketch.errors import NormTooLargeError, NotHermitianError, NotUnitaryError
+from blocksketch.errors import NormTooLargeError, NotUnitaryError
 from blocksketch.linalg import (
     EXACT_UNITARY_DIM,
     check_circuit_unitary,
-    eig_hermitian,
     embed_operator,
     is_hermitian,
     is_unitary,
@@ -32,33 +31,6 @@ def test_spectral_norm_examples():
     assert spectral_norm(np.diag([0.3, -0.7])) == pytest.approx(0.7)
     m = pauli_sum_matrix(PauliSum.from_terms([(0.3, "Z"), (0.2, "X")]))
     assert spectral_norm(m) == pytest.approx(np.sqrt(0.13), rel=1e-9)
-
-
-def test_eig_hermitian_examples():
-    w, _ = eig_hermitian(np.diag([0.5, -0.5]).astype(complex))
-    assert np.allclose(w, [-0.5, 0.5])
-
-    w, v = eig_hermitian(np.array([[0, 1], [1, 0]], dtype=complex))
-    assert np.allclose(w, [-1.0, 1.0])
-    # eigenvectors (1, -+1)/sqrt(2) up to phase
-    assert abs(abs(v[0, 0]) - 1 / np.sqrt(2)) < 1e-12
-
-    m = pauli_sum_matrix(PauliSum.from_terms([(0.3, "Z"), (0.2, "X")]))
-    w, _ = eig_hermitian(m)
-    assert np.allclose(w, [-np.sqrt(0.13), np.sqrt(0.13)])
-
-
-def test_eig_hermitian_rejects_nonhermitian():
-    with pytest.raises(NotHermitianError):
-        eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_eig_hermitian_roundtrip(rng):
-    for _ in range(20):
-        m = random_hermitian_contraction(rng, 8, margin=0.5)
-        w, v = eig_hermitian(m)
-        assert np.max(np.abs((v * w) @ v.conj().T - m)) < 1e-9
-        assert is_unitary(v, 1e-9)
 
 
 def test_dilation_examples():

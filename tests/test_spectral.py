@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
 
-from blocksketch.block_encoding import BlockEncoding, encode_pauli_sum, encoded_block
+from blocksketch.block_encoding import BlockEncoding, encode_pauli_sum
 from blocksketch.chebyshev import ChebyshevPoly, chebyshev_t, window_poly
 from blocksketch.errors import (
     CostOverflowError,
@@ -39,12 +39,12 @@ def _spectral_chebyshev(a: np.ndarray, n: int) -> np.ndarray:
 
 def test_evolution_examples():
     h = PauliSum.from_terms([(1.0, "Z")])
-    assert np.allclose(encoded_block(evolution_encoding(h, 0.0, 0.5)), np.eye(2))
-    assert np.allclose(encoded_block(evolution_encoding(h, np.pi, 0.5)), -np.eye(2))
+    assert np.allclose(evolution_encoding(h, 0.0, 0.5).block, np.eye(2))
+    assert np.allclose(evolution_encoding(h, np.pi, 0.5).block, -np.eye(2))
 
     h2 = PauliSum.from_terms([(0.3, "Z"), (0.2, "X")])
     b = evolution_encoding(h2, 1.0, 0.5)
-    phases = np.sort(np.angle(np.linalg.eigvals(encoded_block(b))))
+    phases = np.sort(np.angle(np.linalg.eigvals(b.block)))
     assert np.allclose(phases, [-np.sqrt(0.13), np.sqrt(0.13)], atol=1e-10)
     assert b.scale == 1.0 and b.ancilla_dim == 1 and b.accuracy == 0.5
 
@@ -55,7 +55,7 @@ def test_evolution_unitary_of_time():
     for t in (-2.0, 0.3, 7.0):
         b = evolution_encoding(h, t, 0.01)
         expected = (vecs * np.exp(1j * energies * t)) @ vecs.conj().T
-        assert np.max(np.abs(encoded_block(b) - expected)) < 1e-10
+        assert np.max(np.abs(b.block - expected)) < 1e-10
         assert is_unitary(b.unitary, 1e-10)
 
 
@@ -81,14 +81,14 @@ def test_evolution_cost_monotone():
 def test_chebyshev_encoding_examples():
     b = encode_pauli_sum(PauliSum.from_terms([(0.3, "Z"), (0.2, "X")]))
     t0 = chebyshev_encoding(b, 0)
-    assert np.allclose(encoded_block(t0), np.eye(2))
+    assert np.allclose(t0.block, np.eye(2))
     t1 = chebyshev_encoding(b, 1)
-    assert np.max(np.abs(encoded_block(t1) - encoded_block(b))) < 1e-12
+    assert np.max(np.abs(t1.block - b.block)) < 1e-12
 
     # block is A = 0.6 Z + 0.4 X with eigenvalues +-sqrt(0.52);
     # T_2(A) = 2 A^2 - I = 0.04 I
     t2 = chebyshev_encoding(b, 2)
-    assert np.max(np.abs(encoded_block(t2) - 0.04 * np.eye(2))) < 1e-10
+    assert np.max(np.abs(t2.block - 0.04 * np.eye(2))) < 1e-10
     assert t2.cost == 2 * b.cost and t2.scale == 1.0
 
 
@@ -99,7 +99,7 @@ def test_chebyshev_encoding_vs_spectral(rng):
             enc = _contraction_encoding(a)
             for n in range(17):
                 tn = chebyshev_encoding(enc, n)
-                assert np.max(np.abs(encoded_block(tn) - _spectral_chebyshev(a, n))) <= 1e-8
+                assert np.max(np.abs(tn.block - _spectral_chebyshev(a, n))) <= 1e-8
                 assert tn.cost == n * enc.cost
 
 
@@ -107,9 +107,9 @@ def test_chebyshev_recurrence_cross_check(rng):
     a = random_hermitian_contraction(rng, 4)
     enc = _contraction_encoding(a)
     for n in (3, 7):
-        t_prev = encoded_block(chebyshev_encoding(enc, n - 1))
-        t_n = encoded_block(chebyshev_encoding(enc, n))
-        t_next = encoded_block(chebyshev_encoding(enc, n + 1))
+        t_prev = chebyshev_encoding(enc, n - 1).block
+        t_n = chebyshev_encoding(enc, n).block
+        t_next = chebyshev_encoding(enc, n + 1).block
         assert np.max(np.abs(t_next - (2 * a @ t_n - t_prev))) < 1e-7
 
 
@@ -132,12 +132,12 @@ def test_chebyshev_encoding_validation():
 def test_apply_polynomial_examples():
     b = encode_pauli_sum(PauliSum.from_terms([(1.0, "Z")]))
     r = apply_polynomial(b, chebyshev_t(0), 1e-3)
-    assert np.allclose(encoded_block(r), np.eye(2) / 2)
+    assert np.allclose(r.block, np.eye(2) / 2)
     assert r.scale == 2.0 and r.accuracy == 1e-3
 
     w = window_poly(-0.5, 0.5, 0.2)
     rw = apply_polynomial(b, w.poly, 1e-3)
-    eigs = np.linalg.eigvalsh(encoded_block(rw))
+    eigs = np.linalg.eigvalsh(rw.block)
     # both eigenvalues of Z sit outside the window, so w(+-1)/2 is in [0, tau/2]
     assert np.all(eigs >= -1e-12) and np.all(eigs <= w.tau / 2 + 1e-12)
     assert rw.cost == w.poly.degree * b.cost
@@ -146,7 +146,7 @@ def test_apply_polynomial_examples():
     m = np.diag([0.5, -0.5]).astype(complex)
     enc = _contraction_encoding(m)
     r3 = apply_polynomial(enc, chebyshev_t(3), 1e-4)
-    assert np.max(np.abs(encoded_block(r3) - np.diag([-0.5, 0.5]))) < 1e-10
+    assert np.max(np.abs(r3.block - np.diag([-0.5, 0.5]))) < 1e-10
 
 
 def test_apply_polynomial_linearity(rng):
@@ -158,10 +158,8 @@ def test_apply_polynomial_linearity(rng):
     sum_coeffs[:3] += p.coeffs
     sum_coeffs += q.coeffs
     both = apply_polynomial(enc, ChebyshevPoly(sum_coeffs), 0.0)
-    separate = encoded_block(apply_polynomial(enc, p, 0.0)) + encoded_block(
-        apply_polynomial(enc, q, 0.0)
-    )
-    assert np.max(np.abs(encoded_block(both) - separate)) < 1e-8
+    separate = apply_polynomial(enc, p, 0.0).block + apply_polynomial(enc, q, 0.0).block
+    assert np.max(np.abs(both.block - separate)) < 1e-8
 
 
 def test_apply_polynomial_validation():

@@ -1,11 +1,21 @@
+import dataclasses
 import math
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
 
-from blocksketch.errors import NotNormalizedError, OutOfRangeError, ParseError
+from blocksketch.errors import (
+    DimensionMismatchError,
+    NotNormalizedError,
+    OutOfRangeError,
+    ParseError,
+)
+from blocksketch.linalg import unitary_completion
 from blocksketch.pauli import PauliSum
 from blocksketch.state_prep import (
+    PreparationUnitary,
     exact_amplification_params,
     parse_state_text,
     prepare_basis_state,
@@ -183,6 +193,24 @@ def test_parse_state_rejects_nonfinite_values_and_extra_tokens(text, message):
     h = PauliSum.from_terms([(2.0, "Z")])
     with pytest.raises(ParseError, match=f"s.txt:1: .*{message}"):
         parse_state_text(text, 2, h, source="s.txt")
+
+
+def test_overflowing_amplitudes_are_rejected_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="s.txt:1: .*norm inf"):
+            parse_state_text("pure 1e200 1e200", 2, source="s.txt")
+
+
+def test_preparation_checks_size_and_norm_and_builds_its_unitary_once(rng):
+    v = random_state_vector(rng, 4)
+    with pytest.raises(DimensionMismatchError):
+        PreparationUnitary(v, system_dim=2, purifier_dim=1, circuit=partial(unitary_completion, v))
+    prep = prepare_pure(v)
+    # replace re-runs the checks of __post_init__
+    with pytest.raises(NotNormalizedError):
+        dataclasses.replace(prep, purification=2 * v)
+    assert prep.unitary is prep.unitary
 
 
 def test_nan_purifications_are_rejected():
