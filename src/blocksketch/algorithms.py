@@ -60,7 +60,7 @@ class CorrelationSpec:
         return [times[j + 1] - times[j] for j in range(len(times) - 1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SketchRequest:
     """Inputs for a density-of-states or response sketch.
 

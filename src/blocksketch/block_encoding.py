@@ -47,7 +47,7 @@ from .pauli import PauliSum, pauli_sum_matrix, pauli_word_matrix
 CONTRACTION_TOL = 1e-10
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class BlockEncoding:
     """The encoded block on C^system_dim of a unitary on
     C^ancilla_dim (x) C^system_dim, with a scale, an accuracy bound, and an

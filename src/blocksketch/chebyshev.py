@@ -13,6 +13,11 @@ sup|p| <= max_j |p| / (1 - n h) and sup|p - f| <= max_j |p - f| +
 h (n sup|p| + L) for a target f with |d/dtheta f(cos theta)| <= L, where
 h = pi / (2M). Constructors raise CertificationError rather than return a
 polynomial that misses its guarantees.
+
+scipy (`scipy.fft.dct`, `scipy.special.betainc`) is imported on first use,
+inside the functions that call it. Only window and amplifier code needs it,
+and importing it with the package would take most of the cold start of the
+moments, kpm, correlate and cost commands, which never call it.
 """
 
 from __future__ import annotations
@@ -22,9 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 from numpy.polynomial.chebyshev import chebval
-from scipy.special import betainc
 
 from .errors import (
     BadIntervalError,
@@ -48,7 +51,7 @@ AMPLIFIER_INNER_SCALE = 0.8
 EVAL_CHUNK_ENTRIES = 2**18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChebyshevPoly:
     """Coefficients c_0..c_d in the T_k basis, with an optional certified
     bound on sup |p(x)| over [-1, 1]."""
@@ -83,6 +86,13 @@ def chebyshev_t(n: int) -> ChebyshevPoly:
     return ChebyshevPoly(c, sup_norm_bound=1.0)
 
 
+def _dct(x: np.ndarray, type: int) -> np.ndarray:
+    """scipy.fft.dct of x, with scipy.fft imported on first use."""
+    import scipy.fft
+
+    return scipy.fft.dct(x, type=type)
+
+
 def cheb_values_at_nodes(coeffs: np.ndarray, m: int) -> np.ndarray:
     """Values of a Chebyshev series at the m first-kind nodes cos(pi(i+1/2)/m).
 
@@ -95,7 +105,7 @@ def cheb_values_at_nodes(coeffs: np.ndarray, m: int) -> np.ndarray:
     work = np.zeros(m)
     work[0] = coeffs[0]
     work[1 : coeffs.size] = coeffs[1:] / 2.0
-    return scipy.fft.dct(work, type=3)
+    return _dct(work, type=3)
 
 
 def cheb_values_at_extrema(coeffs: np.ndarray, m: int) -> np.ndarray:
@@ -112,7 +122,7 @@ def cheb_values_at_extrema(coeffs: np.ndarray, m: int) -> np.ndarray:
     work[0] = coeffs[0]
     if coeffs.size == m + 1:
         work[m] = coeffs[m]
-    return scipy.fft.dct(work, type=1)
+    return _dct(work, type=1)
 
 
 def certified_bounds(coeffs: np.ndarray, target, target_slope: float) -> tuple[float, float]:
@@ -153,7 +163,7 @@ def cheb_fit_at_nodes(values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     m = values.size
-    c = scipy.fft.dct(values, type=2) / m
+    c = _dct(values, type=2) / m
     c[0] /= 2.0
     return c
 
@@ -218,6 +228,8 @@ def amplifier_value(k: int, y):
     """The order-k amplifying polynomial evaluated through the regularized
     incomplete beta function: the probability that a Binomial(k, (1+y)/2)
     variable reaches k/2."""
+    from scipy.special import betainc
+
     m = (k + 1) // 2
     p = np.clip((1.0 + np.asarray(y, dtype=float)) / 2.0, 0.0, 1.0)
     return betainc(m, k - m + 1, p)
@@ -258,7 +270,7 @@ def compose(outer: ChebyshevPoly, inner: ChebyshevPoly, scale_inner: float) -> C
     return ChebyshevPoly(coeffs, sup_norm_bound=outer.sup_norm_bound)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WindowPoly:
     """A certified polynomial approximation of the indicator of
     [a_bar, b_bar]: within tau of 1 inside, within tau of 0 outside the

@@ -82,7 +82,7 @@ def query_budget(eps: float, delta: float) -> int:
     return math.ceil(GROVER_QUERY_CONSTANT * math.log(1.0 / delta) / eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmplitudeProblem:
     """A state vector and the projector whose image norm is estimated."""
 

@@ -12,6 +12,10 @@ the ledger (QR completion of the purification).
 
 Also defines the on-disk state format consumed by the CLI:
 ``pure <amplitudes>`` | ``mixed`` | ``thermal <beta>`` | ``basis <index>``.
+
+`scipy.special.logsumexp` is imported on first use, in `prepare_thermal`,
+so that commands without a thermal state (among them the moments, kpm,
+correlate and cost commands) start without loading scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     DimensionMismatchError,
@@ -37,7 +40,7 @@ THERMAL_COST_EPS = 1e-3
 NORM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreparationUnitary:
     """A purification on system (x) purifier of a density operator, with
     the circuit that prepares it from basis state zero.
@@ -224,6 +227,8 @@ def prepare_thermal(h: PauliSum, beta_inv_temp: float) -> tuple[PreparationUnita
     evaluated (Q = number of terms, alpha = coefficient one-norm,
     eps = 1e-3, unit constants) and rounded up into the cost ledger.
     """
+    from scipy.special import logsumexp
+
     if not 0.0 <= beta_inv_temp < math.inf:
         raise OutOfRangeError(
             f"inverse temperature must be finite and nonnegative, got {beta_inv_temp}"

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -11,12 +12,15 @@ from blocksketch.algorithms import (
     kpm_sketch,
     spectral_sketch,
 )
+from blocksketch.block_encoding import encode_pauli_sum
+from blocksketch.chebyshev import chebyshev_t, window_poly
 from blocksketch.errors import (
     BadIntervalError,
     EmptySumError,
     OutOfRangeError,
     ValidationError,
 )
+from blocksketch.estimation import AmplitudeProblem
 from blocksketch.oracle import oracle_correlation, oracle_sketch
 from blocksketch.pauli import PauliSum, pauli_sum_matrix
 from blocksketch.state_prep import (
@@ -280,3 +284,45 @@ def test_seeded_moments_use_distinct_streams():
     sketch = spectral_sketch(req, "sampled", 100)
     seeds = [v.seed for v in sketch.values]
     assert seeds == [100, 101, 102]
+
+
+# Values holding an ndarray compare and hash by identity; the named lazy
+# attribute is a cached_property, read before hashing.
+ARRAY_VALUES = {
+    "BlockEncoding": (lambda: encode_pauli_sum(TILTED), "unitary"),
+    "PreparationUnitary": (lambda: prepare_pure([1.0, 0.0]), "unitary"),
+    "ChebyshevPoly": (lambda: chebyshev_t(3), None),
+    "WindowPoly": (lambda: window_poly(-0.2, 0.2, 0.4), "poly"),
+    "AmplitudeProblem": (
+        lambda: AmplitudeProblem(np.array([1.0, 0.0]), np.diag([1.0, 0.0])),
+        None,
+    ),
+    "SketchRequest": (
+        lambda: SketchRequest(
+            TILTED, "ldos", 0.05, 0.05, num_moments=2, site_state=np.array([1.0, 0.0])
+        ),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_VALUES))
+def test_array_values_compare_by_identity(name):
+    build, lazy = ARRAY_VALUES[name]
+    a = build()
+    if lazy is not None:
+        assert getattr(a, lazy) is getattr(a, lazy)
+    twin = copy.copy(a)
+    assert a == a
+    assert a != twin
+    assert hash(a) == hash(a)
+    assert a in {a} and len({a, twin}) == 2
+
+
+def test_correlation_spec_compares_by_fields():
+    spec = CorrelationSpec(Z_SUM, ((X_SUM, 0.5),), KET0, 0.05, 0.05)
+    same = CorrelationSpec(Z_SUM, ((X_SUM, 0.5),), KET0, 0.05, 0.05)
+    other_state = CorrelationSpec(Z_SUM, ((X_SUM, 0.5),), prepare_basis_state(0, 2), 0.05, 0.05)
+    assert spec == same and hash(spec) == hash(same)
+    assert spec != other_state
+    assert len({spec, same, other_state}) == 2

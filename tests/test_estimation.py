@@ -19,6 +19,7 @@ from blocksketch.estimation import (
     AmplitudeProblem,
     GROVER_QUERY_CONSTANT,
     _shifted_encoding,
+    _simulate_amplitude,
     estimate_amplitude,
     estimate_complex,
     estimate_observable,
@@ -129,6 +130,41 @@ def test_estimate_amplitude_calibration_spot():
             hits += 1
         assert r.grover_queries <= query_budget(0.01, 0.05)
     assert hits >= 188  # 94 percent of 200
+
+
+def _binomial_quantile(trials: int, p: float, tail: float) -> int:
+    """Smallest m with P(Binomial(trials, p) > m) <= tail."""
+    cdf = 0.0
+    for m in range(trials + 1):
+        cdf += math.comb(trials, m) * p**m * (1.0 - p) ** (trials - m)
+        if 1.0 - cdf <= tail:
+            return m
+    return trials
+
+
+@pytest.mark.parametrize("amplitude", [0.05, 0.37, 0.5, 0.98])
+def test_amplitude_queries_scale_as_inverse_eps(amplitude):
+    """The iterative scheme uses O(1/eps) Grover queries (Rall, amplitude
+    estimation): the median count over seeds grows with slope about 1 in
+    log(1/eps). Measured slopes: 1.02 / 1.26 / 1.18 / 1.11 at amplitudes
+    0.05 / 0.37 / 0.5 / 0.98, with counts at most 0.19 of the budget and
+    no misses. eps = 2^-3 is left out: there the median run at 0.5 stops
+    at k = 0 with no query, and counted as one query it pulls the fit to
+    about 2."""
+    delta, seeds = 0.05, 100
+    epss = [2.0**-j for j in range(4, 10)]
+    medians = []
+    for eps in epss:
+        counts, misses = [], 0
+        for seed in range(seeds):
+            est, queries = _simulate_amplitude(amplitude, eps, delta, np.random.default_rng(seed))
+            counts.append(queries)
+            misses += abs(est - amplitude) > eps
+        assert max(counts) <= query_budget(eps, delta)
+        assert misses <= _binomial_quantile(seeds, delta, 1e-6)
+        medians.append(float(np.median(counts)))
+    slope = np.polyfit(np.log(1.0 / np.array(epss)), np.log(medians), 1)[0]
+    assert 0.8 < slope < 1.5
 
 
 def test_estimate_observable_examples():
