@@ -60,5 +60,66 @@ from .state_prep import (
     reduced_density,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # algorithms
+    "CorrelationSpec",
+    "SketchRequest",
+    "SketchResult",
+    "complexity_report",
+    "correlate",
+    "kpm_sketch",
+    "spectral_sketch",
+    # block_encoding
+    "BlockEncoding",
+    "adjoint",
+    "encode_pauli_sum",
+    "encode_unitary",
+    "identity_encoding",
+    "linear_combine",
+    "product",
+    "product_error_bound",
+    # chebyshev
+    "ChebyshevPoly",
+    "WindowPoly",
+    "amplifying_poly",
+    "chebyshev_t",
+    "compose",
+    "jackson_approx",
+    "kpm_reconstruct",
+    "window_poly",
+    # estimation
+    "AmplitudeProblem",
+    "EstimationResult",
+    "estimate_amplitude",
+    "estimate_complex",
+    "estimate_observable",
+    "grover_operator",
+    # linalg
+    "is_hermitian",
+    "is_unitary",
+    "spectral_norm",
+    "unitary_dilation",
+    # oracle
+    "oracle_correlation",
+    "oracle_sketch",
+    # pauli
+    "PauliSum",
+    "PauliTerm",
+    "parse_pauli_file",
+    "parse_pauli_text",
+    "pauli_sum_matrix",
+    "pauli_term_matrix",
+    # spectral
+    "apply_polynomial",
+    "chebyshev_encoding",
+    "evolution_cost",
+    "evolution_encoding",
+    # state_prep
+    "PreparationUnitary",
+    "exact_amplification_params",
+    "prepare_maximally_mixed",
+    "prepare_pure",
+    "prepare_thermal",
+    "reduced_density",
+]
 __version__ = "0.1.0"

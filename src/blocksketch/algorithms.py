@@ -106,7 +106,7 @@ class SketchRequest:
                 raise ValidationError("response requires B, C, and a state")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SketchResult:
     values: tuple
     chebyshev_orders: tuple

@@ -14,6 +14,28 @@ ancilla-wise products); the full ancilla (x) system unitary is built from
 that recipe only when `.unitary` is first read, which verification code
 does and the estimation pipelines never do.
 
+The norm ledger. A block of a unitary is a contraction, and every value
+carries ``norm_bound``, an upper bound on the spectral norm of its block,
+which construction checks against 1 + CONTRACTION_TOL in O(1). Each rule
+proves its bound from its inputs' (Gilyen-Su-Low-Wiebe normalization
+bookkeeping), so no rule runs an SVD:
+
+- `encode_pauli_sum`: sum_i |beta_i| / alpha = 1;
+- `identity_encoding`, `encode_unitary` and any explicit unitary: 1 (the
+  unitary itself is still checked by `check_circuit_unitary`);
+- `adjoint` and `normalized`: the input's bound;
+- `product`: the product of the input bounds;
+- `linear_combine`: sum_i w_i bound_i over the convex weights w_i;
+- `spectral.chebyshev_encoding`: 1 for an exactly Hermitian input block
+  with bound at most 1 (else an SVD, see there);
+- `spectral.apply_polynomial`: sup_norm(p) / 2.
+
+Where no rule exists the bound is measured: ``BlockEncoding(block=...,
+circuit=...)``, and so `dataclasses.replace`, which passes the block back
+through that constructor, run the SVD and record the measured norm.
+``norm_bound`` is not a constructor argument, so no caller can assert a
+bound for an arbitrary block.
+
 All values are immutable and all operations pure.
 """
 
@@ -56,12 +78,18 @@ class BlockEncoding:
     Construct either from an explicit unitary,
     ``BlockEncoding(u, ancilla_dim, system_dim, scale=..., accuracy=..., cost=...)``,
     which is checked like a built circuit and whose top-left block is
-    stored, or from ``block=`` and ``circuit=``: the block (checked to be a
-    contraction) and a zero-argument callable building the unitary, which
-    `.unitary` calls, validates and caches on first access.
+    stored with norm bound 1, or from ``block=`` and ``circuit=``: the
+    block and a zero-argument callable building the unitary, which
+    `.unitary` calls, validates and caches on first access. A block passed
+    this way has no rule behind it, so its spectral norm is measured by an
+    SVD, checked to be at most 1 + CONTRACTION_TOL and recorded as
+    ``norm_bound``. The arithmetic of this module and of `spectral` builds
+    its values through the rule path instead, which records the bound its
+    rule proves (see the module docstring) and checks it in O(1).
     """
 
     block: np.ndarray
+    norm_bound: float = field(init=False)
     ancilla_dim: int
     system_dim: int
     scale: float
@@ -83,14 +111,7 @@ class BlockEncoding:
     ):
         if None in (ancilla_dim, system_dim, scale):
             raise TypeError("ancilla_dim, system_dim and scale are required")
-        if scale <= 0:
-            raise OutOfRangeError(f"scale must be positive, got {scale}")
-        if accuracy < 0:
-            raise OutOfRangeError(f"accuracy must be nonnegative, got {accuracy}")
-        if cost < 0:
-            raise OutOfRangeError(f"cost must be nonnegative, got {cost}")
-        if ancilla_dim < 1:
-            raise DimensionMismatchError(f"ancilla dimension must be positive, got {ancilla_dim}")
+        _check_ledger(ancilla_dim, scale, accuracy, cost)
         d = system_dim
         if unitary is not None:
             if block is not None or circuit is not None:
@@ -99,26 +120,13 @@ class BlockEncoding:
             block = u[:d, :d].copy()
             circuit = lambda: u  # noqa: E731
             self.__dict__["_unitary"] = u
+            norm_bound = 1.0
         elif block is None or circuit is None:
             raise TypeError("pass a unitary, or a block with the circuit that builds it")
         else:
-            block = np.array(block, dtype=complex)
-            if block.shape != (d, d):
-                raise DimensionMismatchError(f"block shape {block.shape} != ({d}, {d})")
-            norm = spectral_norm(block)
-            if norm > 1.0 + CONTRACTION_TOL:
-                raise NormTooLargeError(f"encoded block has spectral norm {norm:.12g} > 1")
-        block.setflags(write=False)
-        # Frozen dataclass: fields are set through the instance dict.
-        self.__dict__.update(
-            block=block,
-            ancilla_dim=ancilla_dim,
-            system_dim=system_dim,
-            scale=scale,
-            accuracy=accuracy,
-            cost=cost,
-            circuit=circuit,
-        )
+            block = _square(np.array(block, dtype=complex), d)
+            norm_bound = spectral_norm(block)
+        _set_fields(self, block, norm_bound, ancilla_dim, system_dim, scale, accuracy, cost, circuit)
 
     @property
     def unitary(self) -> np.ndarray:
@@ -131,6 +139,57 @@ class BlockEncoding:
         return u
 
 
+def _check_ledger(ancilla_dim: int, scale: float, accuracy: float, cost: int):
+    if scale <= 0:
+        raise OutOfRangeError(f"scale must be positive, got {scale}")
+    if accuracy < 0:
+        raise OutOfRangeError(f"accuracy must be nonnegative, got {accuracy}")
+    if cost < 0:
+        raise OutOfRangeError(f"cost must be nonnegative, got {cost}")
+    if ancilla_dim < 1:
+        raise DimensionMismatchError(f"ancilla dimension must be positive, got {ancilla_dim}")
+
+
+def _square(block: np.ndarray, d: int) -> np.ndarray:
+    if block.shape != (d, d):
+        raise DimensionMismatchError(f"block shape {block.shape} != ({d}, {d})")
+    return block
+
+
+def _set_fields(enc, block, norm_bound, ancilla_dim, system_dim, scale, accuracy, cost, circuit):
+    """Check the norm bound and set the fields of a frozen encoding."""
+    if norm_bound > 1.0 + CONTRACTION_TOL:
+        raise NormTooLargeError(f"encoded block has spectral norm bound {norm_bound:.12g} > 1")
+    block.setflags(write=False)
+    # Frozen dataclass: fields are set through the instance dict.
+    enc.__dict__.update(
+        block=block,
+        norm_bound=norm_bound,
+        ancilla_dim=ancilla_dim,
+        system_dim=system_dim,
+        scale=scale,
+        accuracy=accuracy,
+        cost=cost,
+        circuit=circuit,
+    )
+
+
+def _by_rule(
+    block, norm_bound: float, *, ancilla_dim, system_dim, scale, accuracy, cost, circuit
+) -> BlockEncoding:
+    """An encoding whose block an arithmetic rule computed, recorded with
+    the norm bound that rule proves and checked without an SVD.
+
+    Package-private: the block is taken as it is (no copy) and must be a
+    fresh array or an already read-only input block.
+    """
+    _check_ledger(ancilla_dim, scale, accuracy, cost)
+    enc = object.__new__(BlockEncoding)
+    block = _square(np.asarray(block, dtype=complex), system_dim)
+    _set_fields(enc, block, norm_bound, ancilla_dim, system_dim, scale, accuracy, cost, circuit)
+    return enc
+
+
 def encode_unitary(u: np.ndarray, cost: int = 0) -> BlockEncoding:
     """Trivial encoding of a unitary: scale 1, no ancilla, exact."""
     u = np.asarray(u, dtype=complex)
@@ -140,7 +199,32 @@ def encode_unitary(u: np.ndarray, cost: int = 0) -> BlockEncoding:
 
 
 def identity_encoding(system_dim: int) -> BlockEncoding:
-    return encode_unitary(np.eye(system_dim), cost=0)
+    """The identity as its own exact encoding: block I, norm bound 1."""
+    return _by_rule(
+        np.eye(system_dim, dtype=complex),
+        1.0,
+        ancilla_dim=1,
+        system_dim=system_dim,
+        scale=1.0,
+        accuracy=0.0,
+        cost=0,
+        circuit=partial(np.eye, system_dim, dtype=complex),
+    )
+
+
+def normalized(b: BlockEncoding) -> BlockEncoding:
+    """b read as a 1-scaled encoding of A/alpha: the same block, norm
+    bound, circuit and other ledgers at scale 1."""
+    return _by_rule(
+        b.block,
+        b.norm_bound,
+        ancilla_dim=b.ancilla_dim,
+        system_dim=b.system_dim,
+        scale=1.0,
+        accuracy=b.accuracy,
+        cost=b.cost,
+        circuit=b.circuit,
+    )
 
 
 def _prepare_unitary(weights: np.ndarray, dim: int) -> np.ndarray:
@@ -185,8 +269,9 @@ def encode_pauli_sum(s: PauliSum) -> BlockEncoding:
     m = len(s.terms)
     alpha = s.scale()
     dim_anc = 1 << max(0, (m - 1).bit_length())
-    return BlockEncoding(
-        block=pauli_sum_matrix(s) / alpha,
+    return _by_rule(
+        pauli_sum_matrix(s) / alpha,
+        1.0,
         ancilla_dim=dim_anc,
         system_dim=s.dim,
         scale=alpha,
@@ -202,8 +287,9 @@ def _adjoint_circuit(b: BlockEncoding) -> np.ndarray:
 
 def adjoint(b: BlockEncoding) -> BlockEncoding:
     """Encoding of the conjugate transpose of the target; same ledger."""
-    return BlockEncoding(
-        block=b.block.conj().T,
+    return _by_rule(
+        b.block.conj().T,
+        b.norm_bound,
         ancilla_dim=b.ancilla_dim,
         system_dim=b.system_dim,
         scale=b.scale,
@@ -255,8 +341,9 @@ def product(encodings) -> BlockEncoding:
     if len(encodings) == 1:
         return encodings[0]
 
-    return BlockEncoding(
-        block=reduce(np.matmul, [b.block for b in encodings]),
+    return _by_rule(
+        reduce(np.matmul, [b.block for b in encodings]),
+        math.prod(b.norm_bound for b in encodings),
         ancilla_dim=int(np.prod([b.ancilla_dim for b in encodings])),
         system_dim=encodings[0].system_dim,
         scale=float(np.prod([b.scale for b in encodings])),
@@ -318,8 +405,9 @@ def linear_combine(coeffs, encodings) -> BlockEncoding:
     phases = [c / abs(c) if c != 0 else 1.0 for c in coeffs]
     dim_prep = 1 << max(0, (m - 1).bit_length())
 
-    return BlockEncoding(
-        block=sum(w * p * b.block for w, p, b in zip(weights, phases, encodings)),
+    return _by_rule(
+        sum(w * p * b.block for w, p, b in zip(weights, phases, encodings)),
+        float(sum(w * b.norm_bound for w, b in zip(weights, encodings))),
         ancilla_dim=dim_prep * max(b.ancilla_dim for b in encodings),
         system_dim=encodings[0].system_dim,
         scale=total,

@@ -26,7 +26,7 @@ distinct seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .block_encoding import (
     adjoint,
     identity_encoding,
     linear_combine,
+    normalized,
 )
 from .errors import (
     DimensionMismatchError,
@@ -242,8 +243,7 @@ def estimate_amplitude(
 def _shifted_encoding(a: BlockEncoding) -> BlockEncoding:
     """1-scaled encoding of (I + A/alpha)/2, which is positive
     semi-definite whenever the encoded block is a Hermitian contraction."""
-    normalized = replace(a, scale=1.0)
-    return linear_combine([0.5, 0.5], [identity_encoding(a.system_dim), normalized])
+    return linear_combine([0.5, 0.5], [identity_encoding(a.system_dim), normalized(a)])
 
 
 def estimate_observable(

@@ -17,12 +17,11 @@ block through a unitary dilation.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
-from .block_encoding import BlockEncoding, encode_unitary
+from .block_encoding import BlockEncoding, _by_rule
 from .chebyshev import ChebyshevPoly, WindowPoly, sup_norm
 from .errors import (
     CostOverflowError,
@@ -71,7 +70,7 @@ def evolution_encoding(h: PauliSum, t: float, eps: float) -> BlockEncoding:
     energies, vecs = np.linalg.eigh(pauli_sum_matrix(h))
     u = (vecs * np.exp(1j * energies * t)) @ vecs.conj().T
     cost = math.ceil(evolution_cost(len(h.terms), h.scale(), t, eps))
-    return replace(encode_unitary(u, cost=cost), accuracy=eps)
+    return BlockEncoding(u, 1, h.dim, scale=1.0, accuracy=eps, cost=cost)
 
 
 def _require_hermitian_block(b: BlockEncoding) -> np.ndarray:
@@ -110,6 +109,11 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
     T_n(A) (Low-Chuang qubitization; Gilyen-Su-Low-Wiebe, Lemma 9).
     Requires an exact input encoding; T_n is 1-scaled and costs n times
     the input.
+
+    Norm ledger: |T_n| <= 1 on [-1, 1], so for an exactly Hermitian block
+    (equal to its conjugate transpose bit for bit) with norm bound at most
+    1 the bound of T_n is 1. A block Hermitian only within tolerance can
+    give a T_n of norm above 1, so there the norm is measured by an SVD.
     """
     if n < 0:
         raise OutOfRangeError("Chebyshev order must be nonnegative")
@@ -135,8 +139,7 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
             for _ in range(2, n):
                 t_1, t_2 = 2.0 * (a @ t_1) - t_2, t_1
         block = 2.0 * (a @ t_1) - t_2
-    return BlockEncoding(
-        block=block,
+    ledger = dict(
         ancilla_dim=b.ancilla_dim,
         system_dim=b.system_dim,
         scale=1.0,
@@ -144,6 +147,9 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
         cost=n * b.cost,
         circuit=partial(_alternating_word, b, n),
     )
+    if b.norm_bound <= 1.0 and np.array_equal(a, a.conj().T):
+        return _by_rule(block, 1.0, **ledger)
+    return BlockEncoding(block=block, **ledger)
 
 
 def apply_polynomial(b: BlockEncoding, p: ChebyshevPoly | WindowPoly, delta: float) -> BlockEncoding:
@@ -160,7 +166,7 @@ def apply_polynomial(b: BlockEncoding, p: ChebyshevPoly | WindowPoly, delta: flo
     ancilla qubit. The accuracy field records delta and the cost ledger
     charges degree * input cost, matching the interface of a
     singular-value-transformation circuit whose phase factors are out of
-    scope here.
+    scope here. The norm ledger records sup_norm(p) / 2.
     """
     if delta < 0:
         raise OutOfRangeError(f"delta must be nonnegative, got {delta}")
@@ -174,8 +180,9 @@ def apply_polynomial(b: BlockEncoding, p: ChebyshevPoly | WindowPoly, delta: flo
     eigvals, vecs = np.linalg.eigh((block + block.conj().T) / 2.0)
     transformed = p(np.clip(eigvals, -1.0, 1.0))
     halved = (vecs * (transformed / 2.0)) @ vecs.conj().T
-    return BlockEncoding(
-        block=halved,
+    return _by_rule(
+        halved,
+        bound / 2.0,
         ancilla_dim=2 * b.ancilla_dim,
         system_dim=b.system_dim,
         scale=2.0,

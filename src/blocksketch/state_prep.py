@@ -48,7 +48,8 @@ class PreparationUnitary:
     `purification` is the unit vector, stored read-only; `circuit` is a
     zero-argument callable building the full unitary, whose first column
     is the purification. `.unitary` calls it, validates the result and
-    caches it on first access.
+    caches it on first access; `.density` (what `reduced_density` returns)
+    is likewise formed once, on first access, and cached read-only.
     """
 
     purification: np.ndarray
@@ -76,11 +77,19 @@ class PreparationUnitary:
         first access and validated by `check_circuit_unitary`."""
         return check_circuit_unitary(self.circuit(), self.system_dim * self.purifier_dim)
 
+    @cached_property
+    def density(self) -> np.ndarray:
+        """Partial trace of the purification over the purifier register,
+        formed on first access and cached read-only."""
+        psi = self.purification.reshape(self.system_dim, self.purifier_dim)
+        rho = psi @ psi.conj().T
+        rho.setflags(write=False)
+        return rho
+
 
 def reduced_density(p: PreparationUnitary) -> np.ndarray:
-    """Partial trace of the purification over the purifier register."""
-    psi = p.purification.reshape(p.system_dim, p.purifier_dim)
-    return psi @ psi.conj().T
+    """The reduced density of p on the system register (read-only)."""
+    return p.density
 
 
 def prepare_pure(v) -> PreparationUnitary:

@@ -286,8 +286,9 @@ def test_seeded_moments_use_distinct_streams():
     assert seeds == [100, 101, 102]
 
 
-# Values holding an ndarray compare and hash by identity; the named lazy
-# attribute is a cached_property, read before hashing.
+# Values holding an ndarray (or, for SketchResult, a dict) compare and hash
+# by identity; the named lazy attribute is a cached_property, read before
+# hashing.
 ARRAY_VALUES = {
     "BlockEncoding": (lambda: encode_pauli_sum(TILTED), "unitary"),
     "PreparationUnitary": (lambda: prepare_pure([1.0, 0.0]), "unitary"),
@@ -301,6 +302,10 @@ ARRAY_VALUES = {
         lambda: SketchRequest(
             TILTED, "ldos", 0.05, 0.05, num_moments=2, site_state=np.array([1.0, 0.0])
         ),
+        None,
+    ),
+    "SketchResult": (
+        lambda: spectral_sketch(SketchRequest(TILTED, "dos", 0.1, 0.05, num_moments=1)),
         None,
     ),
 }

@@ -1,25 +1,34 @@
-"""The circuit unitaries behind the block-first values.
+"""The circuit unitaries and norm ledger behind the block-first values.
 
 Every encoding and preparation carries its block (or purification) and
 ledgers, and builds its full unitary only when `.unitary` is read. These
 tests materialize each constructor's circuit on random inputs and check it
-against the stored value, and check that no pipeline reads a circuit.
+against the stored value, check that each rule records the norm bound it
+proves and that the bound holds, and check that no pipeline reads a
+circuit, runs a contraction SVD or forms a reduced density twice.
 """
 
 import math
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
+from blocksketch import block_encoding
 from blocksketch.block_encoding import (
+    CONTRACTION_TOL,
     BlockEncoding,
     adjoint,
     encode_pauli_sum,
+    encode_unitary,
+    identity_encoding,
     linear_combine,
+    normalized,
     product,
     product_error_bound,
 )
-from blocksketch.chebyshev import ChebyshevPoly
+from blocksketch.chebyshev import ChebyshevPoly, sup_norm
 from blocksketch.cli import main
 from blocksketch.errors import NormTooLargeError
 from blocksketch.estimation import (
@@ -27,7 +36,7 @@ from blocksketch.estimation import (
     antihermitian_part_encoding,
     hermitian_part_encoding,
 )
-from blocksketch.linalg import is_unitary
+from blocksketch.linalg import is_unitary, spectral_norm, unitary_completion, unitary_dilation
 from blocksketch.spectral import apply_polynomial, chebyshev_encoding, evolution_encoding
 from blocksketch.state_prep import (
     PreparationUnitary,
@@ -36,7 +45,7 @@ from blocksketch.state_prep import (
     prepare_thermal,
 )
 
-from conftest import random_pauli_sum, random_state_vector
+from conftest import random_hermitian_contraction, random_pauli_sum, random_state_vector
 
 TOL = 1e-10
 
@@ -176,10 +185,145 @@ def test_thermal_circuit_prepares_stored_purification(qubits, rng):
     _check_preparation(prep, (h.dim, h.dim, math.ceil(cost)))
 
 
+def _shrunk(rng):
+    """An exact encoding whose norm bound is below 1: a halved polynomial
+    of a Pauli-sum encoding."""
+    (b,) = _pauli_inputs(rng, count=1)
+    coeffs = rng.normal(size=4)
+    return apply_polynomial(b, ChebyshevPoly(coeffs / (np.sum(np.abs(coeffs)) * 1.2)), 0.0)
+
+
+def _bound_encode_pauli_sum(rng):
+    return encode_pauli_sum(random_pauli_sum(rng, 3, 6)), 1.0
+
+
+def _bound_identity_encoding(rng):
+    return identity_encoding(int(rng.integers(1, 9))), 1.0
+
+
+def _bound_encode_unitary(rng):
+    return encode_unitary(unitary_completion(random_state_vector(rng, 8))), 1.0
+
+
+def _bound_adjoint(rng):
+    s = _shrunk(rng)
+    return adjoint(s), s.norm_bound
+
+
+def _bound_normalized(rng):
+    s = _shrunk(rng)
+    return normalized(s), s.norm_bound
+
+
+def _bound_product(rng):
+    s1, s2 = _shrunk(rng), _shrunk(rng)
+    (b,) = _pauli_inputs(rng, count=1)
+    return product([s1, b, s2]), s1.norm_bound * s2.norm_bound
+
+
+def _bound_linear_combine(rng):
+    (b,) = _pauli_inputs(rng, count=1)
+    s = _shrunk(rng)
+    coeffs = rng.normal(size=2) + 1j * rng.normal(size=2)
+    strengths = np.abs(coeffs) * [b.scale, s.scale]
+    weights = strengths / strengths.sum()
+    return linear_combine(coeffs, [b, s]), weights[0] + weights[1] * s.norm_bound
+
+
+def _bound_chebyshev_encoding(rng):
+    (b,) = _pauli_inputs(rng, count=1)
+    return chebyshev_encoding(b, int(rng.integers(0, 8))), 1.0
+
+
+def _bound_apply_polynomial(rng):
+    (b,) = _pauli_inputs(rng, count=1)
+    coeffs = rng.normal(size=6)
+    p = ChebyshevPoly(coeffs / (np.sum(np.abs(coeffs)) * 1.01))
+    return apply_polynomial(b, p, 1e-3), sup_norm(p) / 2.0
+
+
+def _bound_evolution_encoding(rng):
+    return evolution_encoding(random_pauli_sum(rng, 3, 4), 0.9, 0.05), 1.0
+
+
+def _bound_shifted_encoding(rng):
+    s = _shrunk(rng)
+    return _shifted_encoding(s), 0.5 + 0.5 * s.norm_bound
+
+
+# Each rule constructor with the norm bound its rule gives on its inputs.
+NORM_RULES = {
+    "encode_pauli_sum": _bound_encode_pauli_sum,
+    "identity_encoding": _bound_identity_encoding,
+    "encode_unitary": _bound_encode_unitary,
+    "adjoint": _bound_adjoint,
+    "normalized": _bound_normalized,
+    "product": _bound_product,
+    "linear_combine": _bound_linear_combine,
+    "chebyshev_encoding": _bound_chebyshev_encoding,
+    "apply_polynomial": _bound_apply_polynomial,
+    "evolution_encoding": _bound_evolution_encoding,
+    "_shifted_encoding": _bound_shifted_encoding,
+}
+
+
+@pytest.fixture
+def no_svd(monkeypatch):
+    """Make the contraction SVD of `BlockEncoding(block=...)` fail."""
+
+    def refuse(m):
+        raise AssertionError("a contraction SVD ran where a rule proves the bound")
+
+    monkeypatch.setattr(block_encoding, "spectral_norm", refuse)
+
+
+@pytest.mark.parametrize("name", sorted(NORM_RULES))
+def test_norm_ledger_follows_its_rule_and_bounds_the_block(name, no_svd):
+    rng = np.random.default_rng(sorted(NORM_RULES).index(name))
+    for _ in range(3):
+        enc, bound = NORM_RULES[name](rng)
+        assert enc.ancilla_dim * enc.system_dim <= 256
+        assert enc.norm_bound == pytest.approx(bound, rel=1e-12, abs=0.0)
+        assert spectral_norm(enc.block) - 1e-12 <= enc.norm_bound <= 1.0 + CONTRACTION_TOL
+
+
 def test_rule_built_block_must_be_a_contraction():
     with pytest.raises(NormTooLargeError):
         BlockEncoding(block=1.01 * np.eye(2), ancilla_dim=2, system_dim=2, scale=1.0,
                       circuit=lambda: np.eye(4))
+
+
+def test_a_block_without_a_rule_has_its_norm_measured(rng):
+    enc = encode_pauli_sum(random_pauli_sum(rng, 2, 4))
+    with pytest.raises(NormTooLargeError):
+        replace(enc, block=1.01 * np.eye(4))
+    half = replace(enc, block=0.5 * enc.block)
+    assert half.norm_bound == pytest.approx(spectral_norm(0.5 * enc.block), rel=1e-12)
+    assert half.norm_bound < 0.5 + 1e-12
+    with pytest.raises(ValueError):
+        replace(enc, norm_bound=0.5)
+    with pytest.raises(TypeError):
+        BlockEncoding(block=enc.block, norm_bound=1.0, ancilla_dim=enc.ancilla_dim,
+                      system_dim=4, scale=1.0, circuit=enc.circuit)
+
+
+def test_chebyshev_of_a_nearly_hermitian_block_is_measured(rng):
+    """T_n of a block that is Hermitian only within 1e-8 can leave the unit
+    ball, so its norm is measured rather than taken to be 1."""
+    a = np.array([[0.9, 5e-9], [0.0, 0.9]], dtype=complex)
+    a *= (1.0 - 1e-12) / np.linalg.norm(a, 2)
+    enc = BlockEncoding(block=a, ancilla_dim=2, system_dim=2, scale=1.0,
+                        circuit=partial(unitary_dilation, a))
+    assert enc.norm_bound <= 1.0 and not np.array_equal(enc.block, enc.block.conj().T)
+    t_100 = chebyshev_encoding(enc, 100)
+    assert t_100.norm_bound == pytest.approx(spectral_norm(t_100.block), rel=1e-12)
+    with pytest.raises(NormTooLargeError):
+        chebyshev_encoding(enc, 800)
+
+    exact = random_hermitian_contraction(rng, 4)
+    exact_enc = BlockEncoding(block=exact, ancilla_dim=2, system_dim=4, scale=1.0,
+                              circuit=partial(unitary_dilation, exact))
+    assert chebyshev_encoding(exact_enc, 5).norm_bound == 1.0
 
 
 @pytest.fixture
@@ -191,6 +335,21 @@ def no_circuits(monkeypatch):
 
     monkeypatch.setattr(BlockEncoding, "unitary", property(refuse))
     monkeypatch.setattr(PreparationUnitary, "unitary", property(refuse))
+
+
+@pytest.fixture
+def densities(monkeypatch):
+    """Record each preparation whose reduced density is formed."""
+    prop = PreparationUnitary.__dict__["density"]
+    formed = []
+    form = prop.func
+
+    def recorded(prep):
+        formed.append(prep)
+        return form(prep)
+
+    monkeypatch.setattr(prop, "func", recorded)
+    return formed
 
 
 @pytest.fixture
@@ -225,10 +384,21 @@ PIPELINES = {
 }
 
 
-@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
-@pytest.mark.parametrize("mode", ["exact", "sampled"])
-def test_pipelines_never_build_a_circuit(pipeline, mode, inputs, no_circuits):
+def _run_pipeline(pipeline: str, mode: str, inputs) -> str:
     argv = [str(inputs / tok) if tok.endswith(".txt") else tok for tok in PIPELINES[pipeline].split()]
     out = inputs / "out.txt"
     assert main(argv + ["--mode", mode, "--seed", "3", "--output", str(out)]) == 0
-    assert out.read_text()
+    return out.read_text()
+
+
+@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_pipelines_never_build_a_circuit(pipeline, mode, inputs, no_circuits):
+    assert _run_pipeline(pipeline, mode, inputs)
+
+
+@pytest.mark.parametrize("pipeline", sorted(PIPELINES))
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_pipelines_run_no_svd_and_form_one_density(pipeline, mode, inputs, no_svd, densities):
+    assert _run_pipeline(pipeline, mode, inputs)
+    assert len(densities) == 1
