@@ -14,10 +14,11 @@ h (n sup|p| + L) for a target f with |d/dtheta f(cos theta)| <= L, where
 h = pi / (2M). Constructors raise CertificationError rather than return a
 polynomial that misses its guarantees.
 
-scipy (`scipy.fft.dct`, `scipy.special.betainc`) is imported on first use,
-inside the functions that call it. Only window and amplifier code needs it,
-and importing it with the package would take most of the cold start of the
-moments, kpm, correlate and cost commands, which never call it.
+The package needs numpy alone. The cosine transforms are numpy FFTs: a
+DCT-I is the real FFT of the even extension, and a DCT-II or DCT-III is
+one half-spectrum real FFT after Makhoul's reordering (J. Makhoul, "A fast
+cosine transform in one and two dimensions", IEEE Trans. ASSP 28, 1980).
+The amplifier is its binomial tail sum.
 """
 
 from __future__ import annotations
@@ -86,11 +87,42 @@ def chebyshev_t(n: int) -> ChebyshevPoly:
     return ChebyshevPoly(c, sup_norm_bound=1.0)
 
 
-def _dct(x: np.ndarray, type: int) -> np.ndarray:
-    """scipy.fft.dct of x, with scipy.fft imported on first use."""
-    import scipy.fft
+def _dct1(x: np.ndarray) -> np.ndarray:
+    """DCT-I, y_k = x_0 + (-1)^k x_{N-1} + 2 sum_{0<j<N-1} x_j cos(pi j k/(N-1)),
+    as the real FFT of the even extension; N >= 2. The real part is copied
+    out, so the complex spectrum is freed at once and callers get a
+    contiguous array."""
+    return np.fft.rfft(np.concatenate([x, x[-2:0:-1]])).real.copy()
 
-    return scipy.fft.dct(x, type=type)
+
+def _dct2(x: np.ndarray) -> np.ndarray:
+    """DCT-II, y_k = 2 sum_j x_j cos(pi k (2j+1)/(2N)), by Makhoul's reordering.
+
+    With v = (x_0, x_2, ..., x_3, x_1) and V its FFT, z_k = e^{-i pi k/(2N)} V_k
+    gives y_k = 2 Re z_k and y_{N-k} = -2 Im z_k, so half the spectrum is enough.
+    """
+    n = x.size
+    half = n // 2
+    z = np.fft.rfft(np.concatenate([x[::2], x[1::2][::-1]]))
+    z *= np.exp(-0.5j * np.pi / n * np.arange(half + 1))
+    y = np.empty(n)
+    y[: half + 1] = 2.0 * z.real
+    y[half + 1 :] = -2.0 * z.imag[n - half - 1 : 0 : -1]
+    return y
+
+
+def _dct3(x: np.ndarray) -> np.ndarray:
+    """DCT-III, y_k = x_0 + 2 sum_{j>=1} x_j cos(pi j (2k+1)/(2N)), the inverse
+    of `_dct2` up to the factor 2N, by undoing Makhoul's reordering."""
+    n = x.size
+    k = np.arange(n // 2 + 1)
+    mirrored = np.concatenate([[0.0], x[:0:-1]])[k]  # x_{N-k}, with x_N = 0
+    u = (x[k] - 1j * mirrored) * np.exp(0.5j * np.pi / n * k)
+    v = np.fft.irfft(u, n, norm="forward")
+    y = np.empty(n)
+    y[::2] = v[: (n + 1) // 2]
+    y[1::2] = v[(n + 1) // 2 :][::-1]
+    return y
 
 
 def cheb_values_at_nodes(coeffs: np.ndarray, m: int) -> np.ndarray:
@@ -105,7 +137,7 @@ def cheb_values_at_nodes(coeffs: np.ndarray, m: int) -> np.ndarray:
     work = np.zeros(m)
     work[0] = coeffs[0]
     work[1 : coeffs.size] = coeffs[1:] / 2.0
-    return _dct(work, type=3)
+    return _dct3(work)
 
 
 def cheb_values_at_extrema(coeffs: np.ndarray, m: int) -> np.ndarray:
@@ -122,7 +154,7 @@ def cheb_values_at_extrema(coeffs: np.ndarray, m: int) -> np.ndarray:
     work[0] = coeffs[0]
     if coeffs.size == m + 1:
         work[m] = coeffs[m]
-    return _dct(work, type=1)
+    return _dct1(work)
 
 
 def certified_bounds(coeffs: np.ndarray, target, target_slope: float) -> tuple[float, float]:
@@ -138,7 +170,11 @@ def certified_bounds(coeffs: np.ndarray, target, target_slope: float) -> tuple[f
     h = np.pi / (2.0 * m)
     values = cheb_values_at_extrema(coeffs, m)
     sup = float(np.max(np.abs(values))) / (1.0 - n * h)
-    extrema = np.cos(np.pi * np.arange(m + 1) / m)
+    # m is even: the upper half mirrors the lower, cos(pi (m-j)/m) = -cos(pi j/m).
+    half = m // 2
+    extrema = np.empty(m + 1)
+    extrema[: half + 1] = np.cos(np.pi * np.arange(half + 1) / m)
+    extrema[half + 1 :] = -extrema[half - 1 :: -1]
     gap = float(np.max(np.abs(values - target(extrema)))) + h * (n * sup + target_slope)
     return sup, gap
 
@@ -163,7 +199,7 @@ def cheb_fit_at_nodes(values: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(values, dtype=float)
     m = values.size
-    c = _dct(values, type=2) / m
+    c = _dct2(values) / m
     c[0] /= 2.0
     return c
 
@@ -225,14 +261,17 @@ def jackson_approx(a_bar: float, b_bar: float, kappa: float, n: int) -> Chebyshe
 
 
 def amplifier_value(k: int, y):
-    """The order-k amplifying polynomial evaluated through the regularized
-    incomplete beta function: the probability that a Binomial(k, (1+y)/2)
-    variable reaches k/2."""
-    from scipy.special import betainc
-
+    """The order-k amplifying polynomial: the probability that a
+    Binomial(k, p) variable, p = (1+y)/2, reaches k/2, as its tail sum
+    sum_{j>=m} C(k, j) p^j (1-p)^(k-j) with m = ceil(k/2). The sum runs one
+    term at a time, so memory stays that of the points."""
     m = (k + 1) // 2
     p = np.clip((1.0 + np.asarray(y, dtype=float)) / 2.0, 0.0, 1.0)
-    return betainc(m, k - m + 1, p)
+    q = 1.0 - p
+    tail = np.zeros_like(p)
+    for j in range(m, k + 1):
+        tail += float(math.comb(k, j)) * p**j * q ** (k - j)
+    return tail[()]  # a numpy scalar for scalar input, as from a ufunc
 
 
 def amplifying_poly(k: int) -> ChebyshevPoly:

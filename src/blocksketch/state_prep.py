@@ -13,9 +13,9 @@ the ledger (QR completion of the purification).
 Also defines the on-disk state format consumed by the CLI:
 ``pure <amplitudes>`` | ``mixed`` | ``thermal <beta>`` | ``basis <index>``.
 
-`scipy.special.logsumexp` is imported on first use, in `prepare_thermal`,
-so that commands without a thermal state (among them the moments, kpm,
-correlate and cost commands) start without loading scipy.
+The thermal state needs numpy alone: its log partition function is the
+max-shifted log-sum-exp of the Gibbs logits, from the same shifted
+exponentials that give its weights.
 """
 
 from __future__ import annotations
@@ -236,8 +236,6 @@ def prepare_thermal(h: PauliSum, beta_inv_temp: float) -> tuple[PreparationUnita
     evaluated (Q = number of terms, alpha = coefficient one-norm,
     eps = 1e-3, unit constants) and rounded up into the cost ledger.
     """
-    from scipy.special import logsumexp
-
     if not 0.0 <= beta_inv_temp < math.inf:
         raise OutOfRangeError(
             f"inverse temperature must be finite and nonnegative, got {beta_inv_temp}"
@@ -247,13 +245,15 @@ def prepare_thermal(h: PauliSum, beta_inv_temp: float) -> tuple[PreparationUnita
         logits = -beta_inv_temp * energies
     if not np.all(np.isfinite(logits)):
         raise OutOfRangeError(f"beta * H overflows at inverse temperature {beta_inv_temp}")
-    weights = np.exp(logits - logits.max())
-    weights /= weights.sum()
+    top = logits.max()
+    weights = np.exp(logits - top)
+    total = weights.sum()
+    weights /= total
+    log_z = float(top + np.log(total))
 
     dim = h.dim
     purification = (vecs * np.sqrt(weights)).reshape(-1)
 
-    log_z = float(logsumexp(logits))
     cost = thermal_cost_estimate(len(h.terms), h.scale(), beta_inv_temp, dim, log_z)
     cost_int = int(min(math.ceil(cost), 2**62)) if math.isfinite(cost) else 2**62
     prep = PreparationUnitary(

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from blocksketch.chebyshev import (
     ChebyshevPoly,
     amplifier_value,
     amplifying_poly,
+    cheb_fit_at_nodes,
     cheb_values_at_extrema,
+    cheb_values_at_nodes,
     certified_bounds,
     chebyshev_t,
     compose,
@@ -246,9 +249,9 @@ def test_kpm_grid_validation():
         kpm_reconstruct([1.0, 0.0], [0.5, 1.0])
 
 
-# SHA-256 of `window-poly --a=-0.5 --b=0.5 --eta 0.1 --output` as written
-# by the grid-certified construction; the proof must not move a coefficient.
-WINDOW_SHA256 = "e3ddd4cbfa9f16b36dbf79ddb768b215e12710af1021fc9f87fc47ebc3c8781c"
+# SHA-256 of `window-poly --a=-0.5 --b=0.5 --eta 0.1 --output`; a change to
+# the certificate or the evaluation must not move a coefficient.
+WINDOW_SHA256 = "0f2d8525d5c806321ad0bf3479411467fc8987adfdf618962f09a187fd4ab1d7"
 
 
 def _extrema(m):
@@ -404,3 +407,92 @@ def test_window_poly_output_composes_the_series_once(tmp_path, monkeypatch, caps
     assert main(["window-poly", "--a=-0.5", "--b=0.5", "--eta", "0.1", "--output", str(out)]) == 0
     assert len(calls) == 1
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WINDOW_SHA256
+
+
+TRANSFORM_SIZES = (2, 3, 4, 5, 8, 31, 32, 33, 257)
+
+
+def _direct_dct(x, kind):
+    """The O(N^2) cosine sums of the DCT of type `kind`, with each integer
+    phase reduced modulo its period before the cosine."""
+    n = x.size
+    j = np.arange(n)
+    k = j[:, None]
+    if kind == 1:
+        weights = np.full(n, 2.0)
+        weights[[0, -1]] = 1.0
+        return (np.cos(np.pi * (k * j % (2 * (n - 1))) / (n - 1)) * weights) @ x
+    if kind == 2:
+        return 2.0 * np.cos(np.pi * (k * (2 * j + 1) % (4 * n)) / (2 * n)) @ x
+    weights = np.full(n, 2.0)
+    weights[0] = 1.0
+    return (np.cos(np.pi * (j * (2 * k + 1) % (4 * n)) / (2 * n)) * weights) @ x
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3])
+@pytest.mark.parametrize("n", TRANSFORM_SIZES)
+def test_cosine_transforms_match_the_direct_sums(kind, n):
+    x = np.random.default_rng(n).normal(size=n)
+    got = {1: chebyshev._dct1, 2: chebyshev._dct2, 3: chebyshev._dct3}[kind](x)
+    want = _direct_dct(x, kind)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", TRANSFORM_SIZES)
+def test_node_values_and_node_fit_invert_each_other(n):
+    coeffs = np.random.default_rng(n).normal(size=n)
+    for m in (n, n + 3):
+        fitted = cheb_fit_at_nodes(cheb_values_at_nodes(coeffs, m))
+        assert np.max(np.abs(fitted[:n] - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
+        assert np.max(np.abs(fitted[n:]), initial=0.0) <= 1e-13 * np.max(np.abs(coeffs))
+
+
+def test_window_with_a_prime_jackson_degree():
+    # n = 967 is prime, so the DCT-I at 32 n + 1 extrema and the DCT-II at
+    # 4 n nodes run FFTs whose length has a large prime factor.
+    eta = 96.0 / 966.5
+    w = window_poly(-0.3, 0.45, eta)
+    assert w.jackson_degree == 967
+    xs = np.random.default_rng(5).uniform(-1.0, 1.0, 1000)
+    clenshaw = amplifier_value(w.amplifier_order, 0.8 * chebval(xs, w.jackson_poly.coeffs))
+    assert np.max(np.abs(w(xs) - clenshaw)) <= 1e-12
+    m = 32 * 967
+    picks = np.arange(0, m + 1, 97)
+    values = cheb_values_at_extrema(w.jackson_poly.coeffs, m)[picks]
+    assert np.max(np.abs(values - chebval(_extrema(m)[picks], w.jackson_poly.coeffs))) <= 1e-12
+
+
+def _exact_binomial_tail(k, p):
+    """P[Binomial(k, p) >= ceil(k/2)] in exact rational arithmetic."""
+    num, den = Fraction(p).as_integer_ratio()
+    m = (k + 1) // 2
+    tail = sum(math.comb(k, j) * num**j * (den - num) ** (k - j) for j in range(m, k + 1))
+    return Fraction(tail, den**k)
+
+
+def test_amplifier_value_is_the_exact_binomial_tail():
+    ys = np.concatenate([np.linspace(-1.0, 1.0, 41), [-1 + 1e-9, -0.999, 0.999, 1 - 1e-9]])
+    grid = np.linspace(-1.0, 1.0, 10_001)
+    for k in range(1, 62):
+        got = amplifier_value(k, ys)
+        ps = np.clip((1.0 + ys) / 2.0, 0.0, 1.0)
+        for value, p in zip(got, ps):
+            exact = _exact_binomial_tail(k, float(p))
+            assert abs(Fraction(float(value)) - exact) <= Fraction(1, 10**13) * exact
+        vals = amplifier_value(k, grid)
+        assert (vals[0], vals[-1]) == (0.0, 1.0)
+        # Monotone up to the roundoff of a sum of terms of size at most 1.
+        assert np.all(np.diff(vals) >= -1e-15)
+
+
+def test_written_window_series_evaluates_to_the_factored_window(tmp_path, capsys):
+    out = tmp_path / "w.csv"
+    assert main(["window-poly", "--a=-0.5", "--b=0.5", "--eta", "0.1", "--output", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert rows[1] == "k,coeff"
+    coeffs = np.array([float(row.split(",")[1]) for row in rows[2:]])
+    w = window_poly(-0.5, 0.5, 0.1)
+    assert coeffs.size == w.degree + 1
+    xs = np.random.default_rng(13).uniform(-1.0, 1.0, 1000)
+    assert np.max(np.abs(chebval(xs, coeffs) - w(xs))) <= 1e-12

@@ -1,11 +1,12 @@
-"""Cold start of the CLI: which commands load scipy.
+"""Cold start of the CLI: no command loads scipy.
 
-scipy is imported on first use, by the window-polynomial and thermal-state
-code only, so the moments, kpm, correlate and cost commands run without
-it. Each case runs `cli.main` in a fresh interpreter and reports its exit
-code and whether scipy was loaded.
+The package needs numpy alone. Each case runs `cli.main` in a fresh
+interpreter whose import system refuses scipy, so a hidden scipy import
+fails the command, and reports its exit code and whether scipy was
+loaded. A scan of the package's source checks that no module imports it.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -17,7 +18,15 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 _CHILD = """
-import json, sys
+import importlib.abc, json, sys
+
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"refused to import {name}")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
 from blocksketch.cli import main
 rc = main(sys.argv[1:])
 print(json.dumps({"rc": rc, "scipy": "scipy" in sys.modules}))
@@ -41,8 +50,18 @@ SCIPY_FREE = {
     ],
 }
 
-SCIPY_LOADING = {
+# Commands that build a window polynomial or a thermal state.
+WINDOW_AND_THERMAL = {
     "dos-integral": ["dos", "--hamiltonian", "h.txt", "--integral", "-1", "1", "--eps", "0.1"],
+    "ldos-integral": [
+        "ldos", "--hamiltonian", "h.txt", "--integral", "-1", "1", "--eps", "0.1",
+        "--state", "basis.txt", "--oracle",
+    ],
+    "response-integral": [
+        "response", "--hamiltonian", "h.txt", "--integral", "-1", "1", "--eps", "0.3",
+        "--mode", "sampled", "--seed", "3", "--observable-b", "b.txt",
+        "--observable-c", "c.txt", "--state", "mixed.txt",
+    ],
     "window-poly-output": [
         "window-poly", "--a", "-0.2", "--b", "0.2", "--eta", "0.4", "--output", "w.csv",
     ],
@@ -86,7 +105,25 @@ def test_command_runs_without_scipy(name, workdir):
     assert result == {"rc": 0, "scipy": False}
 
 
-@pytest.mark.parametrize("name", sorted(SCIPY_LOADING))
-def test_window_and_thermal_commands_load_scipy(name, workdir):
-    result = _run_fresh(SCIPY_LOADING[name], workdir)
-    assert result == {"rc": 0, "scipy": True}
+@pytest.mark.parametrize("name", sorted(WINDOW_AND_THERMAL))
+def test_window_and_thermal_commands_never_load_scipy(name, workdir):
+    result = _run_fresh(WINDOW_AND_THERMAL[name], workdir)
+    assert result == {"rc": 0, "scipy": False}
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield node.lineno, [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, [node.module or ""]
+
+
+def test_no_package_module_imports_scipy():
+    paths = sorted((SRC / "blocksketch").rglob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for lineno, names in _imported_modules(tree):
+            for name in names:
+                assert name.partition(".")[0] != "scipy", f"{path.name}:{lineno} imports {name}"

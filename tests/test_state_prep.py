@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from blocksketch import state_prep
 from blocksketch.errors import (
     DimensionMismatchError,
     NotNormalizedError,
@@ -13,7 +14,7 @@ from blocksketch.errors import (
     ParseError,
 )
 from blocksketch.linalg import unitary_completion
-from blocksketch.pauli import PauliSum
+from blocksketch.pauli import PauliSum, pauli_sum_matrix
 from blocksketch.state_prep import (
     PreparationUnitary,
     exact_amplification_params,
@@ -121,6 +122,29 @@ def test_thermal_examples():
 
     with pytest.raises(OutOfRangeError):
         prepare_thermal(h, -1.0)
+
+
+THERMAL_HAMILTONIANS = {
+    2: [(1.0, "ZZ"), (0.7, "XI"), (0.7, "IX")],
+    3: [(1.0, "ZZI"), (0.3, "IZZ"), (0.7, "XII"), (0.7, "IXI"), (0.7, "IIX"), (-0.2, "YIY")],
+}
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 5.0, 50.0])
+@pytest.mark.parametrize("qubits", sorted(THERMAL_HAMILTONIANS))
+def test_thermal_log_partition_matches_an_exact_sum(qubits, beta, monkeypatch):
+    h = PauliSum.from_terms(THERMAL_HAMILTONIANS[qubits])
+    seen = []
+
+    def recording(*args):
+        seen.append(args[4])
+        return thermal_cost_estimate(*args)
+
+    monkeypatch.setattr(state_prep, "thermal_cost_estimate", recording)
+    prepare_thermal(h, beta)
+    energies = np.linalg.eigh(pauli_sum_matrix(h))[0]
+    exact = math.log(math.fsum(math.exp(-beta * float(e)) for e in energies))
+    assert seen == [pytest.approx(exact, rel=1e-13, abs=1e-13)]
 
 
 def test_thermal_cost_zero_beta():
