@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -198,8 +198,19 @@ def encode_unitary(u: np.ndarray, cost: int = 0) -> BlockEncoding:
     return BlockEncoding(u, 1, u.shape[0], scale=1.0, accuracy=0.0, cost=cost)
 
 
+def _read_only_eye(d: int) -> np.ndarray:
+    eye = np.eye(d, dtype=complex)
+    eye.setflags(write=False)
+    return eye
+
+
+@lru_cache(maxsize=4)
 def identity_encoding(system_dim: int) -> BlockEncoding:
-    """The identity as its own exact encoding: block I, norm bound 1."""
+    """The identity as its own exact encoding: block I, norm bound 1.
+
+    One value per dimension, built on first use and shared while the
+    dimension is among the last four asked for; its block and its unitary
+    are read-only."""
     return _by_rule(
         np.eye(system_dim, dtype=complex),
         1.0,
@@ -208,7 +219,7 @@ def identity_encoding(system_dim: int) -> BlockEncoding:
         scale=1.0,
         accuracy=0.0,
         cost=0,
-        circuit=partial(np.eye, system_dim, dtype=complex),
+        circuit=partial(_read_only_eye, system_dim),
     )
 
 
@@ -227,10 +238,10 @@ def normalized(b: BlockEncoding) -> BlockEncoding:
     )
 
 
-def _prepare_unitary(weights: np.ndarray, dim: int) -> np.ndarray:
+def _prepare_unitary(weights, dim: int) -> np.ndarray:
     """Unitary sending |0> to the sqrt-weight superposition, zero padded."""
     col = np.zeros(dim, dtype=complex)
-    col[: weights.size] = np.sqrt(weights)
+    col[: len(weights)] = np.sqrt(weights)
     return unitary_completion(col)
 
 
@@ -354,7 +365,7 @@ def product(encodings) -> BlockEncoding:
 
 
 def _combine_circuit(
-    phases: list[complex], encodings: list[BlockEncoding], weights: np.ndarray, dim_prep: int
+    phases: list[complex], encodings: list[BlockEncoding], weights: list[float], dim_prep: int
 ) -> np.ndarray:
     """Prepare/select/unprepare unitary of a linear combination (see
     linear_combine)."""
@@ -397,21 +408,28 @@ def linear_combine(coeffs, encodings) -> BlockEncoding:
         raise DimensionMismatchError(f"system dimensions differ: {sorted(dims_sys)}")
 
     m = len(encodings)
-    strengths = np.array([b.scale * abs(c) for c, b in zip(coeffs, encodings)])
-    total = float(strengths.sum())
+    strengths = [b.scale * abs(c) for c, b in zip(coeffs, encodings)]
+    # numpy's pairwise order, which differs from a left fold from 8 terms on.
+    total = float(np.sum(strengths))
     if total <= 0:
         raise OutOfRangeError("all coefficients are zero; the combination has no scale")
-    weights = strengths / total
+    weights = [s / total for s in strengths]
     phases = [c / abs(c) if c != 0 else 1.0 for c in coeffs]
     dim_prep = 1 << max(0, (m - 1).bit_length())
+    d = encodings[0].system_dim
 
+    # A running sum from +0, which also turns the first term's -0 entries
+    # into +0 as sum() from 0 would.
+    block = np.zeros((d, d), dtype=complex)
+    for w, p, b in zip(weights, phases, encodings):
+        block += w * p * b.block
     return _by_rule(
-        sum(w * p * b.block for w, p, b in zip(weights, phases, encodings)),
-        float(sum(w * b.norm_bound for w, b in zip(weights, encodings))),
+        block,
+        sum(w * b.norm_bound for w, b in zip(weights, encodings)),
         ancilla_dim=dim_prep * max(b.ancilla_dim for b in encodings),
-        system_dim=encodings[0].system_dim,
+        system_dim=d,
         scale=total,
-        accuracy=float(sum(s * b.accuracy for s, b in zip(strengths, encodings)) / total),
+        accuracy=sum(s * b.accuracy for s, b in zip(strengths, encodings)) / total,
         cost=int(sum(b.cost for b in encodings)),
         circuit=partial(_combine_circuit, phases, encodings, weights, dim_prep),
     )

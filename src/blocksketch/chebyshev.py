@@ -39,7 +39,7 @@ from .errors import (
     RangeViolationError,
 )
 
-# Extrema per degree of the Bernstein certificate: M = 32 n gives n h = pi / 64.
+# Extrema per degree of the Bernstein certificate: M >= 32 n gives n h <= pi / 64.
 CERT_EXTREMA_PER_DEGREE = 32
 # Points of the sampled sup-norm of a series with no recorded bound.
 SAMPLED_EXTREMA = 2**18
@@ -157,16 +157,36 @@ def cheb_values_at_extrema(coeffs: np.ndarray, m: int) -> np.ndarray:
     return _dct1(work)
 
 
+def certificate_extrema(n: int) -> int:
+    """M of the certificate of a degree-n series: the smallest even
+    5-smooth number at least CERT_EXTREMA_PER_DEGREE * max(n, 1).
+
+    The DCT-I at M + 1 points is a real FFT of length 2M, which numpy runs
+    fast only when that length has small prime factors; at a prime n,
+    M = 32 n would put n in it. A larger M only shrinks h = pi / (2M)."""
+    half = CERT_EXTREMA_PER_DEGREE * max(n, 1) // 2
+    best = 1 << (half - 1).bit_length()
+    odd = 1
+    while odd < best:
+        factor = odd
+        while factor < best:
+            candidate = factor << (-(-half // factor) - 1).bit_length()
+            best = min(best, candidate)
+            factor *= 3
+        odd *= 5
+    return 2 * best
+
+
 def certified_bounds(coeffs: np.ndarray, target, target_slope: float) -> tuple[float, float]:
     """Proven bounds (sup |p|, sup |p - target|) over [-1, 1] for the series p.
 
-    From the values at the M + 1 extrema, M = CERT_EXTREMA_PER_DEGREE * n,
-    and Bernstein's inequality (see the module docstring). target_slope must
+    From the values at the M + 1 extrema, M = `certificate_extrema(n)`, and
+    Bernstein's inequality (see the module docstring). target_slope must
     bound |d/dtheta target(cos theta)|.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     n = coeffs.size - 1
-    m = CERT_EXTREMA_PER_DEGREE * max(n, 1)
+    m = certificate_extrema(n)
     h = np.pi / (2.0 * m)
     values = cheb_values_at_extrema(coeffs, m)
     sup = float(np.max(np.abs(values))) / (1.0 - n * h)

@@ -166,8 +166,9 @@ def _simulate_amplitude(amplitude: float, eps: float, delta: float, rng) -> tupl
     slice of the failure budget, so the union over any number of rounds
     stays below delta.
     """
-    theta = math.asin(float(np.clip(amplitude, 0.0, 1.0)))
-    lo, hi = 0.0, math.pi / 2.0
+    half_pi = math.pi / 2.0
+    theta = math.asin(min(max(amplitude, 0.0), 1.0))
+    lo, hi = 0.0, half_pi
     k = 0
     pool_ones = 0
     pool_shots = 0
@@ -193,7 +194,7 @@ def _simulate_amplitude(amplitude: float, eps: float, delta: float, rng) -> tupl
         p_lo = max(0.0, p_hat - half)
         p_hi = min(1.0, p_hat + half)
         big_k = 2 * k + 1
-        q = math.floor(big_k * lo / (math.pi / 2.0) + 1e-12)
+        q = math.floor(big_k * lo / half_pi + 1e-12)
         x_lo, x_hi = _invert_quadrant(q, p_lo, p_hi)
         new_lo = max(lo, x_lo / big_k)
         new_hi = min(hi, x_hi / big_k)
@@ -201,8 +202,8 @@ def _simulate_amplitude(amplitude: float, eps: float, delta: float, rng) -> tupl
             # Confidence intervals disagreed (a budgeted failure event);
             # fall back to the fresh round's interval.
             new_lo, new_hi = x_lo / big_k, x_hi / big_k
-        lo = float(np.clip(new_lo, 0.0, math.pi / 2.0))
-        hi = float(np.clip(new_hi, 0.0, math.pi / 2.0))
+        lo = min(max(new_lo, 0.0), half_pi)
+        hi = min(max(new_hi, 0.0), half_pi)
     else:
         raise RuntimeError("amplitude estimation failed to converge")
 
@@ -272,7 +273,8 @@ def estimate_observable(
 
     shifted = _shifted_encoding(a)
     density = reduced_density(rho)
-    overlap = float(np.clip(np.real(np.trace(density @ shifted.block)), 0.0, 1.0))
+    # Tr(rho S) = sum_ij conj(rho_ij) S_ij for a Hermitian rho: O(D^2), no product.
+    overlap = min(max(float(np.vdot(density, shifted.block).real), 0.0), 1.0)
 
     amp_eps = min(eps / (2.0 * a.scale), 0.5)
     xi0, queries = _estimate(overlap, amp_eps, delta, mode, rng_seed)

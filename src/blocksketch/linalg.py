@@ -26,12 +26,18 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
+def hermitian_gap(m: np.ndarray) -> float:
+    """Max-entry deviation of a square matrix from its conjugate transpose;
+    0 exactly when the two are equal entry for entry."""
+    return float(np.max(np.abs(m - m.conj().T)))
+
+
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     """Max-entry deviation from the conjugate transpose is at most tol."""
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         return False
-    return float(np.max(np.abs(m - m.conj().T))) <= tol
+    return hermitian_gap(m) <= tol
 
 
 def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
@@ -121,13 +127,6 @@ def unitary_dilation(m: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     out[:d, d:] = top_right
     out[d:, :d] = bottom_left
     out[d:, d:] = -m.conj().T
-    return out
-
-
-def kron_all(mats) -> np.ndarray:
-    out = np.array([[1.0 + 0.0j]])
-    for m in mats:
-        out = np.kron(out, m)
     return out
 
 

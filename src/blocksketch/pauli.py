@@ -1,5 +1,11 @@
 """Pauli-string algebra: weighted sums of Pauli words and their dense matrices.
 
+A word is held in the symplectic form of Aaronson and Gottesman (2004):
+bit masks x and z (the first letter is the most significant bit) and the
+number of Y letters. As Y = iXZ, the word maps |j> to
+i^(#Y) (-1)^popcount(z & j) |j xor x>, so its matrix has one entry per
+column and a sum of m words is scattered into its D x D matrix in O(m D).
+
 Also defines the on-disk text format for Hamiltonians and observables:
 one term per line as ``<real coefficient> <pauli word>``, ``#`` starts a
 comment, blank lines are ignored.
@@ -8,21 +14,23 @@ comment, blank lines are ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptySumError, ParseError
-from .linalg import kron_all
-
-PAULI_MATRICES = {
-    "I": np.array([[1, 0], [0, 1]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 _ALPHABET = frozenset("IXYZ")
+
+
+def word_masks(word: str) -> tuple[int, int, int]:
+    """(x_mask, z_mask, number of Y letters) of a Pauli word; the first
+    letter is the most significant bit."""
+    x = z = 0
+    for c in word:
+        x = 2 * x + (c in "XY")
+        z = 2 * z + (c in "YZ")
+    return x, z, word.count("Y")
 
 
 @dataclass(frozen=True)
@@ -31,6 +39,7 @@ class PauliTerm:
 
     coefficient: float
     word: str
+    masks: tuple[int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.word:
@@ -40,6 +49,7 @@ class PauliTerm:
             raise ValueError(f"invalid Pauli letters {sorted(bad)} in word {self.word!r}")
         if not math.isfinite(self.coefficient) or self.coefficient == 0.0:
             raise ValueError(f"coefficient must be finite and nonzero, got {self.coefficient}")
+        object.__setattr__(self, "masks", word_masks(self.word))
 
     @property
     def qubits(self) -> int:
@@ -96,8 +106,30 @@ class PauliSum:
         return 2**self.qubits
 
 
+def _add_word(out: np.ndarray, masks: tuple[int, int, int], coefficient: float, qubits: int):
+    """Add coefficient times the word with these masks to the complex
+    matrix out, in place: coefficient i^(#Y) (-1)^popcount(z & j) at row
+    j xor x of each column j. The parity is an xor fold of z & j (numpy
+    before 2.0 has no bitwise_count)."""
+    x, z, num_y = masks
+    cols = np.arange(out.shape[0])
+    parity = cols & z
+    shift = 1
+    while shift < qubits:
+        parity ^= parity >> shift
+        shift *= 2
+    part = out.imag if num_y % 2 else out.real
+    value = coefficient if num_y % 4 < 2 else -coefficient
+    part[cols ^ x, cols] += value * (1 - 2 * (parity & 1))
+
+
 def pauli_word_matrix(word: str) -> np.ndarray:
-    return kron_all(PAULI_MATRICES[c] for c in word)
+    """Dense matrix of the tensor product of the Pauli letters of word."""
+    if not word or not set(word) <= _ALPHABET:
+        raise ValueError(f"not a Pauli word: {word!r}")
+    out = np.zeros((2 ** len(word), 2 ** len(word)), dtype=complex)
+    _add_word(out, word_masks(word), 1.0, len(word))
+    return out
 
 
 def pauli_term_matrix(term: PauliTerm) -> np.ndarray:
@@ -106,10 +138,10 @@ def pauli_term_matrix(term: PauliTerm) -> np.ndarray:
 
 
 def pauli_sum_matrix(s: PauliSum) -> np.ndarray:
-    """Dense Hermitian matrix of the full sum."""
+    """Dense Hermitian matrix of the full sum, the terms added in order."""
     out = np.zeros((s.dim, s.dim), dtype=complex)
     for t in s.terms:
-        out += pauli_term_matrix(t)
+        _add_word(out, t.masks, t.coefficient, s.qubits)
     return out
 
 

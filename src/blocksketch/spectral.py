@@ -31,7 +31,7 @@ from .errors import (
     PolyNotBoundedError,
     ValidationError,
 )
-from .linalg import embed_operator, is_hermitian, unitary_dilation
+from .linalg import embed_operator, hermitian_gap, unitary_dilation
 from .pauli import PauliSum, pauli_sum_matrix
 
 _COST_LIMIT = 2**63 - 1
@@ -73,11 +73,19 @@ def evolution_encoding(h: PauliSum, t: float, eps: float) -> BlockEncoding:
     return BlockEncoding(u, 1, h.dim, scale=1.0, accuracy=eps, cost=cost)
 
 
+def _hermitian_gap(b: BlockEncoding) -> float:
+    """`hermitian_gap` of the block of b. An encoding is immutable, so the
+    gap is measured once and kept with it, as `.unitary` is."""
+    gap = b.__dict__.get("_hermitian_gap")
+    if gap is None:
+        gap = b.__dict__["_hermitian_gap"] = hermitian_gap(b.block)
+    return gap
+
+
 def _require_hermitian_block(b: BlockEncoding) -> np.ndarray:
-    block = b.block
-    if not is_hermitian(block, 1e-8):
+    if not _hermitian_gap(b) <= 1e-8:
         raise NotHermitianError("encoded block is not Hermitian within 1e-8")
-    return block
+    return b.block
 
 
 def _alternating_word(b: BlockEncoding, n: int) -> np.ndarray:
@@ -114,6 +122,7 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
     (equal to its conjugate transpose bit for bit) with norm bound at most
     1 the bound of T_n is 1. A block Hermitian only within tolerance can
     give a T_n of norm above 1, so there the norm is measured by an SVD.
+    Both checks read the Hermitian gap of b, measured once per encoding.
     """
     if n < 0:
         raise OutOfRangeError("Chebyshev order must be nonnegative")
@@ -147,7 +156,7 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
         cost=n * b.cost,
         circuit=partial(_alternating_word, b, n),
     )
-    if b.norm_bound <= 1.0 and np.array_equal(a, a.conj().T):
+    if b.norm_bound <= 1.0 and _hermitian_gap(b) == 0.0:
         return _by_rule(block, 1.0, **ledger)
     return BlockEncoding(block=block, **ledger)
 

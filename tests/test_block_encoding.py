@@ -18,13 +18,34 @@ from blocksketch.errors import (
     NotUnitaryError,
     OutOfRangeError,
 )
-from blocksketch.linalg import is_hermitian, is_unitary, spectral_norm, unitary_dilation
+from blocksketch.linalg import (
+    check_circuit_unitary,
+    is_hermitian,
+    is_unitary,
+    spectral_norm,
+    unitary_dilation,
+)
 from blocksketch.pauli import PauliSum, pauli_sum_matrix
 
 from conftest import random_pauli_sum
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def test_identity_encoding_is_one_read_only_value_per_dimension():
+    for d in (1, 2, 8, 64):
+        eye = identity_encoding(d)
+        assert identity_encoding(d) is eye
+        assert np.array_equal(eye.block, np.eye(d))
+        assert (eye.ancilla_dim, eye.system_dim, eye.scale, eye.accuracy, eye.cost) == (1, d, 1.0, 0.0, 0)
+        assert eye.norm_bound == 1.0
+        for part in (eye.block, eye.unitary):
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0, 0] = 2.0
+        assert np.array_equal(check_circuit_unitary(eye.unitary, d), np.eye(d))
+        assert identity_encoding(d).unitary is eye.unitary
 
 
 def test_encode_unitary_examples():

@@ -16,6 +16,7 @@ from blocksketch.chebyshev import (
     cheb_fit_at_nodes,
     cheb_values_at_extrema,
     cheb_values_at_nodes,
+    certificate_extrema,
     certified_bounds,
     chebyshev_t,
     compose,
@@ -461,6 +462,42 @@ def test_window_with_a_prime_jackson_degree():
     picks = np.arange(0, m + 1, 97)
     values = cheb_values_at_extrema(w.jackson_poly.coeffs, m)[picks]
     assert np.max(np.abs(values - chebval(_extrema(m)[picks], w.jackson_poly.coeffs))) <= 1e-12
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+def test_certificate_extrema_is_the_next_even_5_smooth_number():
+    for n in [*range(0, 400), 967, 3840, 3847, 119_040]:
+        m = certificate_extrema(n)
+        assert m >= 32 * max(n, 1) and m % 2 == 0 and _is_5_smooth(m)
+        assert not any(_is_5_smooth(c) for c in range(32 * max(n, 1), m, 2))
+    # The benchmark's n = 3840 keeps M = 32 n.
+    assert certificate_extrema(3840) == 32 * 3840
+
+
+def test_window_with_a_prime_jackson_degree_certifies_on_a_5_smooth_grid(monkeypatch):
+    seen = []
+    extrema = chebyshev.cheb_values_at_extrema
+
+    def recording(coeffs, m):
+        seen.append((np.asarray(coeffs).size - 1, m))
+        return extrema(coeffs, m)
+
+    monkeypatch.setattr(chebyshev, "cheb_values_at_extrema", recording)
+    # a = -0.3, b = 0.45 at this eta gives the prime Jackson degree 3847.
+    w = window_poly(-0.3, 0.45, 96.0 / 3846.5)
+    assert w.jackson_degree == 3847
+    assert seen == [(3847, 124_416)]
+    assert _is_5_smooth(124_416) and 124_416 >= 32 * 3847
+    assert w.jackson_poly.sup_norm_bound <= 1.25
+    xs = np.random.default_rng(6).uniform(-1.0, 1.0, 200)
+    clenshaw = amplifier_value(w.amplifier_order, 0.8 * chebval(xs, w.jackson_poly.coeffs))
+    assert np.max(np.abs(w(xs) - clenshaw)) <= 1e-12
 
 
 def _exact_binomial_tail(k, p):

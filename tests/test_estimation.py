@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +119,25 @@ def test_estimate_amplitude_deterministic():
     a = estimate_amplitude(p, 0.01, 0.05, "sampled", 42)
     b = estimate_amplitude(p, 0.01, 0.05, "sampled", 42)
     assert a == b
+
+
+AMPLITUDE_GOLDEN = Path(__file__).parent / "golden" / "amplitude_sampled.json"
+
+
+def test_sampled_amplitude_estimates_match_golden():
+    # Amplitudes 0 and 1, values just inside both ends and around 0.5; each
+    # estimate must reproduce its recorded repr and Grover query count exactly.
+    cases = json.loads(AMPLITUDE_GOLDEN.read_text())
+    assert len(cases) == 42
+    for case in cases:
+        a = case["amplitude"]
+        problem = AmplitudeProblem(np.array([math.sqrt(1.0 - a * a), a]), np.diag([0.0, 1.0]))
+        r = estimate_amplitude(problem, case["eps"], case["delta"], "sampled", case["seed"])
+        assert (repr(r.value.real), r.value.imag, r.grover_queries) == (
+            case["estimate"],
+            0.0,
+            case["grover_queries"],
+        ), case
 
 
 def test_estimate_amplitude_calibration_spot():

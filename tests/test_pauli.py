@@ -1,5 +1,9 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocksketch.errors import EmptySumError, ParseError
 from blocksketch.pauli import (
@@ -9,7 +13,40 @@ from blocksketch.pauli import (
     parse_pauli_text,
     pauli_sum_matrix,
     pauli_term_matrix,
+    pauli_word_matrix,
+    word_masks,
 )
+
+# The kron-product reference for the bit-mask matrices.
+KRON_LETTERS = {
+    "I": np.array([[1, 0], [0, 1]], dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def _kron_word(word):
+    return reduce(np.kron, [KRON_LETTERS[c] for c in word], np.ones((1, 1), dtype=complex))
+
+
+def _kron_sum(s):
+    out = np.zeros((s.dim, s.dim), dtype=complex)
+    for t in s.terms:
+        out += t.coefficient * _kron_word(t.word)
+    return out
+
+
+@st.composite
+def pauli_sums(draw):
+    qubits = draw(st.integers(1, 6))
+    word = st.text(alphabet="IXYZ", min_size=qubits, max_size=qubits)
+    coeff = st.one_of(
+        st.floats(-10.0, 10.0, allow_subnormal=False).filter(lambda c: c != 0.0),
+        st.sampled_from([1.0, -1.0, 0.5, 1e-300, -3e300]),
+    )
+    pairs = draw(st.lists(st.tuples(coeff, word), min_size=1, max_size=8, unique_by=lambda p: p[1]))
+    return PauliSum(tuple(PauliTerm(c, w) for c, w in pairs), qubits)
 
 # X (x) Z expanded by hand
 XZ = np.array(
@@ -27,6 +64,26 @@ def test_term_matrix_examples():
     assert np.allclose(pauli_term_matrix(PauliTerm(1.0, "I")), np.eye(2))
     assert np.allclose(pauli_term_matrix(PauliTerm(0.5, "Z")), np.diag([0.5, -0.5]))
     assert np.allclose(pauli_term_matrix(PauliTerm(1.0, "XZ")), XZ)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pauli_sums())
+def test_bit_mask_matrices_equal_the_kron_products(s):
+    assert np.array_equal(pauli_sum_matrix(s), _kron_sum(s))
+    for t in s.terms:
+        assert np.array_equal(pauli_word_matrix(t.word), _kron_word(t.word))
+        assert np.array_equal(pauli_term_matrix(t), t.coefficient * _kron_word(t.word))
+
+
+def test_word_masks():
+    assert word_masks("I") == (0, 0, 0)
+    assert word_masks("XYZI") == (0b1100, 0b0110, 1)
+    assert word_masks("YY") == (0b11, 0b11, 2)
+    assert PauliTerm(0.5, "ZXY").masks == (0b011, 0b101, 1)
+    with pytest.raises(ValueError):
+        pauli_word_matrix("XQ")
+    with pytest.raises(ValueError):
+        pauli_word_matrix("")
 
 
 def test_term_matrix_hermitian(rng):

@@ -14,6 +14,7 @@ from blocksketch.errors import (
     OutOfRangeError,
     PolyNotBoundedError,
 )
+from blocksketch import spectral
 from blocksketch.linalg import is_unitary, unitary_dilation
 from blocksketch.pauli import PauliSum, pauli_sum_matrix
 from blocksketch.spectral import (
@@ -127,6 +128,32 @@ def test_chebyshev_encoding_validation():
         chebyshev_encoding(encode_unitary(u), 2)
     with pytest.raises(CostOverflowError):
         chebyshev_encoding(replace(b, cost=2**62), 4)
+
+
+def test_chebyshev_encoding_measures_the_hermitian_gap_once_per_encoding(monkeypatch, rng):
+    measured = []
+    gap = spectral.hermitian_gap
+    monkeypatch.setattr(spectral, "hermitian_gap", lambda m: measured.append(m) or gap(m))
+    h = encode_pauli_sum(PauliSum.from_terms([(0.5, "ZZ"), (0.3, "XI"), (0.2, "IY")]))
+    previous = ()
+    for n in range(8):
+        t_n = chebyshev_encoding(h, n, previous)
+        assert t_n.norm_bound == 1.0
+        previous = (t_n, *previous[:1])
+    assert len(measured) == 1 and measured[0] is h.block
+
+    # A block Hermitian only within tolerance is measured once too, and
+    # every order still takes the SVD path; a non-Hermitian one fails at
+    # every order.
+    a = random_hermitian_contraction(rng, 4)
+    near = _contraction_encoding(a + 1e-12 * np.triu(np.ones((4, 4)), 1))
+    skew = _contraction_encoding(0.5 * a + 0.2j * np.eye(4))
+    measured.clear()
+    for n in (1, 2, 3):
+        assert chebyshev_encoding(near, n).norm_bound != 1.0
+        with pytest.raises(NotHermitianError):
+            chebyshev_encoding(skew, n)
+    assert len(measured) == 2
 
 
 def test_apply_polynomial_examples():
