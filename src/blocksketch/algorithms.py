@@ -220,7 +220,9 @@ def spectral_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = 
 def kpm_sketch(
     req: SketchRequest, grid, mode: str = "exact", seed: int | None = None
 ) -> tuple[SketchResult, np.ndarray]:
-    """Moments plus kernel-polynomial reconstruction on the given grid."""
+    """Moments plus kernel-polynomial reconstruction of their real parts on
+    the given grid (response moments are complex; `kpm_reconstruct` of the
+    imaginary parts gives the rest)."""
     if req.num_moments is None:
         raise ValidationError("kpm_sketch requires a moments-mode request")
     sketch = spectral_sketch(req, mode, seed)

@@ -6,13 +6,20 @@ a certified window polynomial, and kernel-polynomial reconstruction from
 Chebyshev moments.
 
 Certification is a proof, not a sampled check. A degree-n series p is
-evaluated at the M + 1 extrema cos(j pi / M) by one DCT-I. In theta,
-p(cos theta) is a trigonometric polynomial of degree n, so Bernstein's
-inequality |d/dtheta p| <= n sup|p| bounds p between those points:
-sup|p| <= max_j |p| / (1 - n h) and sup|p - f| <= max_j |p - f| +
-h (n sup|p| + L) for a target f with |d/dtheta f(cos theta)| <= L, where
-h = pi / (2M). Constructors raise CertificationError rather than return a
-polynomial that misses its guarantees.
+evaluated at the M + 1 extrema cos(j pi / M), M >= 8 n, by one DCT-I; in
+theta they are a grid of covering radius h = pi / (2M). p(cos theta) is an
+even trigonometric polynomial of degree n, so Bernstein's inequality,
+applied twice, gives |d^2/dtheta^2 p| <= n^2 S with S = sup|p|. At a
+maximiser of |p| the derivative vanishes (at 0 and pi by evenness), and a
+second-order Taylor step to the nearest grid point gives
+S <= max_j |p| / (1 - (n h)^2 / 2). For a target f, piecewise linear in x
+with kinks x_c in [-1, 1], the error g = p - f(cos theta) has
+|g''| <= n^2 S + L on every piece, where L bounds |d^2/dtheta^2 f(cos theta)|
+(the largest slope of f will do). A maximiser of |g| is either a kink or a
+critical point of its piece, and a critical point lies within h of a grid
+point or of a kink of that piece; so sup|g| <= max(max_j |g|, max_c |g|) +
+h^2 (n^2 S + L) / 2. Constructors raise CertificationError rather than
+return a polynomial that misses its guarantees.
 
 The package needs numpy alone. The cosine transforms are numpy FFTs: a
 DCT-I is the real FFT of the even extension, and a DCT-II or DCT-III is
@@ -39,15 +46,17 @@ from .errors import (
     RangeViolationError,
 )
 
-# Extrema per degree of the Bernstein certificate: M >= 32 n gives n h <= pi / 64.
-CERT_EXTREMA_PER_DEGREE = 32
+# Extrema per degree of the second-order Bernstein certificate: M >= 8 n
+# gives n h <= pi / 16, so the slack factor (n h)^2 / 2 is at most 0.0193.
+CERT_EXTREMA_PER_DEGREE = 8
 # Points of the sampled sup-norm of a series with no recorded bound.
 SAMPLED_EXTREMA = 2**18
-# Refusing very small eta keeps the window degree n k near or below ~2e5
-# (the composed series of that degree is built only when `poly` is read).
-MIN_ETA_REL = 0.02
+# Refusing very small eta keeps the window degree n k at or below 787,200
+# (eta = 0.005: n = 19,200, k = 41); the composed series of that degree is
+# built only when `poly` is read.
+MIN_ETA_REL = 0.005
 AMPLIFIER_INNER_SCALE = 0.8
-# Matrix entries per chunk of the cosine product in `WindowPoly.eval`
+# Matrix entries per chunk of the cosine product in `_cosine_sum`
 # (2 MB of float64), which bounds its memory at any number of points.
 EVAL_CHUNK_ENTRIES = 2**18
 
@@ -157,14 +166,12 @@ def cheb_values_at_extrema(coeffs: np.ndarray, m: int) -> np.ndarray:
     return _dct1(work)
 
 
-def certificate_extrema(n: int) -> int:
-    """M of the certificate of a degree-n series: the smallest even
-    5-smooth number at least CERT_EXTREMA_PER_DEGREE * max(n, 1).
+def _next_even_5_smooth(m: int) -> int:
+    """The smallest even 5-smooth number at least m.
 
-    The DCT-I at M + 1 points is a real FFT of length 2M, which numpy runs
-    fast only when that length has small prime factors; at a prime n,
-    M = 32 n would put n in it. A larger M only shrinks h = pi / (2M)."""
-    half = CERT_EXTREMA_PER_DEGREE * max(n, 1) // 2
+    A DCT-I at M + 1 points is a real FFT of length 2M, which numpy runs
+    fast only when that length has small prime factors."""
+    half = max(-(-m // 2), 1)
     best = 1 << (half - 1).bit_length()
     odd = 1
     while odd < best:
@@ -177,38 +184,73 @@ def certificate_extrema(n: int) -> int:
     return 2 * best
 
 
-def certified_bounds(coeffs: np.ndarray, target, target_slope: float) -> tuple[float, float]:
+def certificate_extrema(n: int) -> int:
+    """M of the certificate of a degree-n series: the smallest even
+    5-smooth number at least CERT_EXTREMA_PER_DEGREE * max(n, 1).
+
+    At a prime n, M = 8 n would put n in the FFT length; a larger M only
+    shrinks h = pi / (2M)."""
+    return _next_even_5_smooth(CERT_EXTREMA_PER_DEGREE * max(n, 1))
+
+
+def _cosine_sum(theta: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_m c_m cos(m theta) at each point of the 1-d theta, that is the
+    series at cos theta, as a (points x (n+1)) cosine product taken at most
+    EVAL_CHUNK_ENTRIES entries at a time."""
+    orders = np.arange(coeffs.size)
+    rows = max(1, EVAL_CHUNK_ENTRIES // coeffs.size)
+    total = np.empty_like(theta)
+    for start in range(0, theta.size, rows):
+        chunk = theta[start : start + rows]
+        total[start : start + rows] = np.cos(np.multiply.outer(chunk, orders)) @ coeffs
+    return total
+
+
+def certified_bounds(
+    coeffs: np.ndarray, target, kinks, target_curvature: float
+) -> tuple[float, float]:
     """Proven bounds (sup |p|, sup |p - target|) over [-1, 1] for the series p.
 
-    From the values at the M + 1 extrema, M = `certificate_extrema(n)`, and
-    Bernstein's inequality (see the module docstring). target_slope must
-    bound |d/dtheta target(cos theta)|.
+    From the values at the M + 1 extrema, M = `certificate_extrema(n)`, the
+    values at the kinks, and the second-order Bernstein bound (see the
+    module docstring). target must be linear in x between the kinks, and
+    target_curvature must bound |d^2/dtheta^2 target(cos theta)| on each
+    piece.
     """
     coeffs = np.asarray(coeffs, dtype=float)
+    kinks = np.asarray(kinks, dtype=float).reshape(-1)
+    if not np.all(np.abs(kinks) <= 1.0):
+        raise ValueError("kinks must lie in [-1, 1]")
     n = coeffs.size - 1
     m = certificate_extrema(n)
     h = np.pi / (2.0 * m)
     values = cheb_values_at_extrema(coeffs, m)
-    sup = float(np.max(np.abs(values))) / (1.0 - n * h)
+    sup = float(np.max(np.abs(values))) / (1.0 - 0.5 * (n * h) ** 2)
     # m is even: the upper half mirrors the lower, cos(pi (m-j)/m) = -cos(pi j/m).
     half = m // 2
     extrema = np.empty(m + 1)
     extrema[: half + 1] = np.cos(np.pi * np.arange(half + 1) / m)
     extrema[half + 1 :] = -extrema[half - 1 :: -1]
-    gap = float(np.max(np.abs(values - target(extrema)))) + h * (n * sup + target_slope)
+    at_kinks = _cosine_sum(np.arccos(kinks), coeffs) - target(kinks)
+    worst = max(
+        float(np.max(np.abs(values - target(extrema)))),
+        float(np.max(np.abs(at_kinks), initial=0.0)),
+    )
+    gap = worst + 0.5 * h**2 * (n**2 * sup + target_curvature)
     return sup, gap
 
 
 def sup_norm(p) -> float:
     """The recorded sup-norm bound of p, or for a series with none the
-    largest |p| at the M + 1 extrema, M the smallest multiple of
-    2 max(deg, 1) at least SAMPLED_EXTREMA (a sampled value, not a proof:
-    it is exact for T_n, whose extrema the points include)."""
+    largest |p| at the M + 1 extrema, M the smallest even 5-smooth number
+    at least SAMPLED_EXTREMA and 2 deg, and at the deg + 1 extrema of T_deg
+    (a sampled value, not a proof: it is exact for T_n)."""
     if p.sup_norm_bound is not None:
         return p.sup_norm_bound
-    step = 2 * max(p.degree, 1)
-    m = -(-SAMPLED_EXTREMA // step) * step
-    return float(np.max(np.abs(cheb_values_at_extrema(p.coeffs, m))))
+    m = _next_even_5_smooth(max(SAMPLED_EXTREMA, 2 * p.degree))
+    dense = np.max(np.abs(cheb_values_at_extrema(p.coeffs, m)))
+    own = np.max(np.abs(cheb_values_at_extrema(p.coeffs, max(p.degree, 1))))
+    return float(max(dense, own))
 
 
 def cheb_fit_at_nodes(values: np.ndarray) -> np.ndarray:
@@ -261,8 +303,9 @@ def jackson_approx(a_bar: float, b_bar: float, kappa: float, n: int) -> Chebyshe
     """Degree-n polynomial proven within 1/4 of the soft step on [-1, 1].
 
     The Jackson-damped Chebyshev interpolant of the soft step, certified
-    by `certified_bounds` against the step, whose slope in theta is at most
-    2/kappa; raises CertificationError if the proven gap exceeds 1/4. The
+    by `certified_bounds` against the step, with kinks a_bar - kappa, a_bar,
+    b_bar, b_bar + kappa and curvature in theta at most its slope 2/kappa;
+    raises CertificationError if the proven gap exceeds 1/4. The
     proven sup-norm bound (at most 5/4) is recorded on the result.
     """
     _validate_window_interval(a_bar, b_bar, kappa)
@@ -273,7 +316,12 @@ def jackson_approx(a_bar: float, b_bar: float, kappa: float, n: int) -> Chebyshe
     raw = cheb_fit_at_nodes(soft_step(nodes, a_bar, b_bar, kappa))
     coeffs = raw[: n + 1] * jackson_damping(n)
 
-    sup, gap = certified_bounds(coeffs, lambda x: soft_step(x, a_bar, b_bar, kappa), 2.0 / kappa)
+    sup, gap = certified_bounds(
+        coeffs,
+        lambda x: soft_step(x, a_bar, b_bar, kappa),
+        (a_bar - kappa, a_bar, b_bar, b_bar + kappa),
+        2.0 / kappa,
+    )
     if gap > 0.25:
         raise CertificationError(f"step approximation not proven within 1/4 (gap bound {gap:.6g})")
     # |step| <= 1, so 1 + gap is a second proven bound.
@@ -368,17 +416,10 @@ class WindowPoly:
 
     def eval(self, x):
         """A_k(0.8 J(x)) at x clipped to [-1, 1], with
-        J(x) = sum_m c_m cos(m arccos x) summed as a (points x (n+1)) cosine
-        product, at most EVAL_CHUNK_ENTRIES entries at a time."""
+        J(x) = sum_m c_m cos(m arccos x) summed by `_cosine_sum`."""
         x = np.asarray(x, dtype=float)
         theta = np.arccos(np.clip(x, -1.0, 1.0)).reshape(-1)
-        coeffs = self.jackson_poly.coeffs
-        orders = np.arange(coeffs.size)
-        rows = max(1, EVAL_CHUNK_ENTRIES // coeffs.size)
-        jackson = np.empty_like(theta)
-        for start in range(0, theta.size, rows):
-            chunk = theta[start : start + rows]
-            jackson[start : start + rows] = np.cos(np.multiply.outer(chunk, orders)) @ coeffs
+        jackson = _cosine_sum(theta, self.jackson_poly.coeffs)
         inner = AMPLIFIER_INNER_SCALE * jackson.reshape(x.shape)
         return amplifier_value(self.amplifier_order, inner)
 
@@ -417,7 +458,7 @@ def window_poly(
     when read, and the degree n k needs no series.
 
     Raises:
-        DegreeTooLargeError: for eta_rel below 0.02 unless allow_large_degree
+        DegreeTooLargeError: for eta_rel below MIN_ETA_REL unless allow_large_degree
             is set (the composed degree grows like (1/eta) ln(1/eta)).
         BadIntervalError: if the window plus margin does not fit in (-1, 1).
         CertificationError: if the step gap is not proven within 1/4 or the

@@ -32,7 +32,7 @@ from .algorithms import (
     min_window_eps,
     spectral_sketch,
 )
-from .chebyshev import MIN_ETA_REL, window_poly
+from .chebyshev import MIN_ETA_REL, kpm_reconstruct, window_poly
 from .errors import BlockSketchError, DegreeTooLargeError, ValidationError
 from .oracle import oracle_correlation, oracle_sketch
 from .pauli import PauliSum, parse_pauli_file
@@ -178,9 +178,13 @@ def _cmd_kpm(args: argparse.Namespace) -> int:
         raise ValidationError(f"--grid-points must be at least 1, got {args.grid_points}")
     req = _build_sketch_request(args, _load_hamiltonian(args))
     grid = np.linspace(-0.99, 0.99, args.grid_points)
-    _sketch, reconstruction = kpm_sketch(req, grid, args.mode, args.seed)
-    lines = ["x,f_kpm"]
-    lines += [f"{_fmt(x)},{_fmt(f)}" for x, f in zip(grid, reconstruction)]
+    sketch, reconstruction = kpm_sketch(req, grid, args.mode, args.seed)
+    header, columns = "x,f_kpm", [grid, reconstruction]
+    if req.kind == RESPONSE:
+        # Response moments are complex: reconstruct their imaginary parts too.
+        header += ",f_kpm_im"
+        columns.append(kpm_reconstruct([res.value.imag for res in sketch.values], grid))
+    lines = [header] + [",".join(_fmt(v) for v in row) for row in zip(*columns)]
     _write_output("\n".join(lines) + "\n", args.output)
     return 0
 

@@ -148,7 +148,7 @@ def test_window_poly_metadata_and_guardrail():
     assert (w.jackson_degree, w.amplifier_order, w.degree) == (960, 23, 22080)
     assert w.tau == pytest.approx(math.exp(-23 / 6))
     with pytest.raises(OutOfRangeError):
-        window_poly(-0.3, 0.4, 0.015)
+        window_poly(-0.3, 0.4, 0.004)
     with pytest.raises(BadIntervalError):
         window_poly(-0.999, 0.4, 0.1)
     with pytest.raises(OutOfRangeError):
@@ -273,7 +273,7 @@ def test_proven_sup_bound_covers_a_dense_uniform_sample(rng):
     xs = np.linspace(-1.0, 1.0, 10**6)
     for d in (1, 2, 3, 5, 8, 13, 21, 34, 55, 64):
         coeffs = rng.normal(size=d + 1)
-        sup, gap = certified_bounds(coeffs, np.zeros_like, 0.0)
+        sup, gap = certified_bounds(coeffs, np.zeros_like, (), 0.0)
         assert sup == pytest.approx(gap, rel=1e-12)
         assert sup >= np.max(np.abs(chebval(xs, coeffs)))
 
@@ -286,11 +286,82 @@ def test_proven_step_gap_covers_the_sampled_gap_on_workload_bins():
         a_bar, b_bar = lo / 5.8, (lo + 1) / 5.8
         j = jackson_approx(a_bar, b_bar, kappa, n)
         step = lambda x: soft_step(x, a_bar, b_bar, kappa)  # noqa: E731
-        sup, gap = certified_bounds(j.coeffs, step, 2.0 / kappa)
+        kinks = (a_bar - kappa, a_bar, b_bar, b_bar + kappa)
+        sup, gap = certified_bounds(j.coeffs, step, kinks, 2.0 / kappa)
         assert j.sup_norm_bound == min(sup, 1.0 + gap)
         sampled = cheb_values_at_extrema(j.coeffs, fine)
         assert np.max(np.abs(sampled)) <= sup <= 1.25
         assert np.max(np.abs(sampled - step(_extrema(fine)))) <= gap <= 0.25
+        first_sup, first_gap = _first_order_bounds(j.coeffs, step, 2.0 / kappa)
+        assert sup < first_sup and gap <= first_gap
+
+
+def _first_order_bounds(coeffs, target, slope):
+    """The first-order Bernstein certificate on M = 32 n extrema, kept here
+    as a reference: sup <= max |p| / (1 - n h) and
+    gap <= max |p - f| + h (n sup + slope)."""
+    n = coeffs.size - 1
+    m = 32 * n
+    h = np.pi / (2.0 * m)
+    values = cheb_values_at_extrema(coeffs, m)
+    sup = np.max(np.abs(values)) / (1.0 - n * h)
+    return sup, np.max(np.abs(values - target(_extrema(m)))) + h * (n * sup + slope)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("eta", [0.4, 0.1, 0.025, 0.005])
+def test_second_order_bounds_cover_a_dense_sample_on_seeded_windows(eta, seed):
+    kappa, n, _, _ = window_parameters(eta)
+    rng = np.random.default_rng(seed)
+    a_bar = rng.uniform(-1.0 + kappa + 1e-3, 0.5)
+    b_bar = rng.uniform(a_bar + 1e-3, 1.0 - kappa - 1e-3)
+    j = jackson_approx(a_bar, b_bar, kappa, n)
+    step = lambda x: soft_step(x, a_bar, b_bar, kappa)  # noqa: E731
+    kinks = (a_bar - kappa, a_bar, b_bar, b_bar + kappa)
+    sup, gap = certified_bounds(j.coeffs, step, kinks, 2.0 / kappa)
+    dense = cheb_values_at_extrema(j.coeffs, 64 * n)
+    assert np.max(np.abs(dense)) <= sup <= 1.02
+    assert np.max(np.abs(dense - step(_extrema(64 * n)))) <= gap <= 0.25
+    first_sup, first_gap = _first_order_bounds(j.coeffs, step, 2.0 / kappa)
+    assert sup < first_sup and gap <= first_gap
+
+
+def test_kink_between_grid_points_is_covered_by_the_kink_term():
+    # p = T_16 / 2 is certified on M = 128 extrema. The target is a tent of
+    # height 2 and half-width 0.004 with its apex midway between the grid
+    # angles 64 pi / 128 and 65 pi / 128, so it vanishes at every grid point
+    # and the worst error |p - f| sits at the apex kink.
+    coeffs = np.zeros(17)
+    coeffs[16] = 0.5
+    m = certificate_extrema(16)
+    assert m == 128
+    apex, half_width = np.cos(np.pi / 2 + np.pi / (2 * m)), 0.004
+
+    def tent(x):
+        return 2.0 * np.maximum(0.0, 1.0 - np.abs(np.asarray(x) - apex) / half_width)
+
+    assert np.all(tent(_extrema(m)) == 0.0)
+    kinks = (apex - half_width, apex, apex + half_width)
+    sup, gap = certified_bounds(coeffs, tent, kinks, 2.0 / half_width)
+    worst = abs(chebval(apex, coeffs) - 2.0)
+    assert worst > 1.5
+    dense = np.concatenate([_extrema(64 * 16), kinks])
+    assert np.max(np.abs(chebval(dense, coeffs) - tent(dense))) == pytest.approx(worst)
+    assert worst <= gap and sup >= 0.5
+    with pytest.raises(ValueError):
+        certified_bounds(coeffs, tent, (1.5,), 0.0)
+
+
+def test_window_at_the_degree_guard_has_a_pinned_memory_ceiling():
+    tracemalloc.start()
+    try:
+        w = window_poly(-0.3, 0.2, 0.005, allow_large_degree=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert w.degree == 787_200
+    # Measured 8.4 MB; a certificate on 32 n extrema would take 29.4 MB.
+    assert peak / 2**20 <= 10.0
 
 
 def test_overdamped_step_approximant_fails_the_certificate(monkeypatch):
@@ -308,6 +379,23 @@ def test_overdamped_step_approximant_fails_the_certificate(monkeypatch):
 def test_sampled_sup_norm_is_exact_for_chebyshev_basis():
     for n in (0, 1, 5, 1000, 70_001):
         assert sup_norm(ChebyshevPoly(chebyshev_t(n).coeffs)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_sampled_sup_norm_at_a_prime_degree_uses_a_5_smooth_grid(monkeypatch):
+    seen = []
+    extrema = chebyshev.cheb_values_at_extrema
+
+    def recording(coeffs, m):
+        seen.append((np.asarray(coeffs).size - 1, m))
+        return extrema(coeffs, m)
+
+    monkeypatch.setattr(chebyshev, "cheb_values_at_extrema", recording)
+    assert sup_norm(ChebyshevPoly(chebyshev_t(3847).coeffs)) == pytest.approx(1.0, abs=1e-12)
+    # 2^18 is the SAMPLED_EXTREMA grid; the series' own extrema keep T_n exact.
+    assert seen == [(3847, 2**18), (3847, 3847)]
+    coeffs = np.random.default_rng(3847).normal(size=3848)
+    want = max(np.max(np.abs(extrema(coeffs, m))) for m in (2**18, 3847))
+    assert sup_norm(ChebyshevPoly(coeffs)) == want
 
 
 def test_factored_window_application_matches_composed_series(rng):
@@ -474,10 +562,10 @@ def _is_5_smooth(m):
 def test_certificate_extrema_is_the_next_even_5_smooth_number():
     for n in [*range(0, 400), 967, 3840, 3847, 119_040]:
         m = certificate_extrema(n)
-        assert m >= 32 * max(n, 1) and m % 2 == 0 and _is_5_smooth(m)
-        assert not any(_is_5_smooth(c) for c in range(32 * max(n, 1), m, 2))
-    # The benchmark's n = 3840 keeps M = 32 n.
-    assert certificate_extrema(3840) == 32 * 3840
+        assert m >= 8 * max(n, 1) and m % 2 == 0 and _is_5_smooth(m)
+        assert not any(_is_5_smooth(c) for c in range(8 * max(n, 1), m, 2))
+    # The benchmark's n = 3840 keeps M = 8 n.
+    assert certificate_extrema(3840) == 8 * 3840
 
 
 def test_window_with_a_prime_jackson_degree_certifies_on_a_5_smooth_grid(monkeypatch):
@@ -492,8 +580,8 @@ def test_window_with_a_prime_jackson_degree_certifies_on_a_5_smooth_grid(monkeyp
     # a = -0.3, b = 0.45 at this eta gives the prime Jackson degree 3847.
     w = window_poly(-0.3, 0.45, 96.0 / 3846.5)
     assert w.jackson_degree == 3847
-    assert seen == [(3847, 124_416)]
-    assert _is_5_smooth(124_416) and 124_416 >= 32 * 3847
+    assert seen == [(3847, 31_104)]
+    assert _is_5_smooth(31_104) and 31_104 >= 8 * 3847
     assert w.jackson_poly.sup_norm_bound <= 1.25
     xs = np.random.default_rng(6).uniform(-1.0, 1.0, 200)
     clenshaw = amplifier_value(w.amplifier_order, 0.8 * chebval(xs, w.jackson_poly.coeffs))

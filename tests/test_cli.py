@@ -5,7 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blocksketch.algorithms import SketchRequest
+from blocksketch.chebyshev import kpm_reconstruct
 from blocksketch.cli import main
+from blocksketch.oracle import oracle_sketch
+from blocksketch.pauli import PauliSum
+from blocksketch.state_prep import prepare_pure
 
 HATOL = 1e-9
 
@@ -177,6 +182,30 @@ def test_kpm_command(workdir):
     assert np.max(np.abs(values[:, 1] - values[::-1, 1])) < 1e-9
 
 
+def test_kpm_response_reconstructs_both_parts_of_the_complex_moments(workdir):
+    (workdir / "hy.txt").write_text("1.0 Y\n")
+    out = workdir / "kpm.csv"
+    rc = _run(
+        ["kpm", "--kind", "response", "--hamiltonian", workdir / "tilted.txt", "--moments",
+         "8", "--grid-points", "21", "--observable-b", workdir / "hy.txt", "--observable-c",
+         workdir / "hz.txt", "--state", workdir / "ket0.txt", "--output", out]
+    )
+    assert rc == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "x,f_kpm,f_kpm_im"
+    values = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    req = SketchRequest(
+        hamiltonian=PauliSum.from_terms([(0.3, "Z"), (0.2, "X")]), kind="response", eps=0.05,
+        delta=0.05, num_moments=8, b_observable=PauliSum.from_terms([(1.0, "Y")]),
+        c_observable=PauliSum.from_terms([(1.0, "Z")]), state=prepare_pure([1.0, 0.0]),
+    )
+    moments = np.array(oracle_sketch(req))
+    grid = np.linspace(-0.99, 0.99, 21)
+    assert np.max(np.abs(moments.imag)) > 0.1
+    assert values[:, 1] == pytest.approx(kpm_reconstruct(moments.real, grid), abs=1e-9)
+    assert values[:, 2] == pytest.approx(kpm_reconstruct(moments.imag, grid), abs=1e-9)
+
+
 def test_cost_command(workdir, capsys):
     rc = _run(
         ["cost", "--kind", "dos-integral", "--hamiltonian", workdir / "tilted.txt",
@@ -215,11 +244,13 @@ def test_help_lists_flags(capsys):
 
 def test_default_eps_integral_names_the_passing_eps(workdir, capsys):
     base = ["dos", "--hamiltonian", workdir / "hz.txt", "--integral", "-0.5", "0.5"]
-    assert _run(base) == 2
+    assert _run(base + ["--output", workdir / "default.csv"]) == 0
+    assert _run(base + ["--eps", "0.01"]) == 2
     err = capsys.readouterr().err
     assert "--allow-large-degree" in err and "allow_large_degree=True" not in err
-    assert "--eps 0.06 or larger" in err
-    assert _run(base + ["--eps", "0.06", "--output", workdir / "int.csv"]) == 0
+    # 3 * MIN_ETA_REL = 3 * 0.005
+    assert "--eps 0.015 or larger" in err
+    assert _run(base + ["--eps", "0.015", "--output", workdir / "int.csv"]) == 0
 
 
 def test_response_integral_eps_advice_scales_with_observables(workdir, capsys):
@@ -227,12 +258,12 @@ def test_response_integral_eps_advice_scales_with_observables(workdir, capsys):
     (workdir / "c.txt").write_text("1.5 X\n")
     rc = _run(
         ["response", "--hamiltonian", workdir / "hz.txt", "--integral", "-0.5", "0.5",
-         "--eps", "0.03", "--rho-max", "0.5", "--observable-b", workdir / "b.txt", "--observable-c",
+         "--eps", "0.01", "--rho-max", "0.5", "--observable-b", workdir / "b.txt", "--observable-c",
          workdir / "c.txt", "--state", workdir / "ket0.txt"]
     )
     assert rc == 2
-    # 3 * 0.02 * rho_max * |B| |C| = 3 * 0.02 * 0.5 * 1.0 * 1.5
-    assert "--eps 0.045 or larger, or --allow-large-degree" in capsys.readouterr().err
+    # 3 * 0.005 * rho_max * |B| |C| = 3 * 0.005 * 0.5 * 1.0 * 1.5
+    assert "--eps 0.01125 or larger, or --allow-large-degree" in capsys.readouterr().err
 
 
 GOLDEN = Path(__file__).parent / "golden"
