@@ -48,9 +48,11 @@ class CorrelationSpec:
         object.__setattr__(self, "observables", tuple(self.observables))
         if not self.observables:
             raise EmptySumError("at least one observable is required")
-        for obs, _t in self.observables:
+        for obs, t in self.observables:
             if obs.qubits != self.hamiltonian.qubits:
                 raise ValidationError("observable and Hamiltonian qubit counts differ")
+            if not math.isfinite(t):
+                raise OutOfRangeError(f"observable time must be finite, got {t!r}")
         if not (0.0 < self.eps < 1.0 and 0.0 < self.delta < 1.0):
             raise OutOfRangeError("eps and delta must lie in (0, 1)")
 

@@ -7,12 +7,21 @@ register is the most significant tensor factor, so the encoded block is
 always the fixed top-left slice, stored read-only as ``.block``.
 
 Values are block-first. A `BlockEncoding` carries its D x D block with the
-scale, accuracy, cost and dimension ledgers, and every operation here
-computes the new block from the input blocks by an exact rule. Each
-operation also records its circuit recipe (prepare/select/unprepare,
-ancilla-wise products); the full ancilla (x) system unitary is built from
-that recipe only when `.unitary` is first read, which verification code
-does and the estimation pipelines never do.
+scale, accuracy, cost and dimension ledgers, and its circuit recipe: a
+zero-argument callable building the full ancilla (x) system unitary
+(prepare/select/unprepare, ancilla-wise products, or the given matrix).
+The unitary is built, validated and cached only when `.unitary` is first
+read, which verification code does and the estimation pipelines never do.
+
+An encoding is built in one of two ways:
+
+- by a rule: every operation here and in `spectral` computes the new
+  block from its inputs' blocks and records the norm bound the rule
+  proves;
+- by measurement: ``BlockEncoding(block, ancilla_dim, system_dim, scale,
+  accuracy, cost, circuit=...)`` for a block with no rule behind it, whose
+  spectral norm is measured by an SVD. `dataclasses.replace`, which passes
+  the block back through that constructor, measures too.
 
 The norm ledger. A block of a unitary is a contraction, and every value
 carries ``norm_bound``, an upper bound on the spectral norm of its block,
@@ -21,8 +30,8 @@ proves its bound from its inputs' (Gilyen-Su-Low-Wiebe normalization
 bookkeeping), so no rule runs an SVD:
 
 - `encode_pauli_sum`: sum_i |beta_i| / alpha = 1;
-- `identity_encoding`, `encode_unitary` and any explicit unitary: 1 (the
-  unitary itself is still checked by `check_circuit_unitary`);
+- `identity_encoding`, `encode_unitary`, `spectral.evolution_encoding`:
+  1, a unitary;
 - `adjoint` and `normalized`: the input's bound;
 - `product`: the product of the input bounds;
 - `linear_combine`: sum_i w_i bound_i over the convex weights w_i;
@@ -30,9 +39,6 @@ bookkeeping), so no rule runs an SVD:
   with bound at most 1 (else an SVD, see there);
 - `spectral.apply_polynomial`: sup_norm(p) / 2.
 
-Where no rule exists the bound is measured: ``BlockEncoding(block=...,
-circuit=...)``, and so `dataclasses.replace`, which passes the block back
-through that constructor, run the SVD and record the measured norm.
 ``norm_bound`` is not a constructor argument, so no caller can assert a
 bound for an arbitrary block.
 
@@ -43,7 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from typing import Callable
 
 import numpy as np
@@ -53,6 +59,7 @@ from .errors import (
     EmptySumError,
     LengthMismatchError,
     NormTooLargeError,
+    NotHermitianError,
     NotUnitaryError,
     OutOfRangeError,
 )
@@ -60,6 +67,7 @@ from .linalg import (
     check_circuit_unitary,
     embed_direct_sum,
     embed_operator,
+    hermitian_gap,
     is_unitary,
     spectral_norm,
     unitary_completion,
@@ -75,17 +83,15 @@ class BlockEncoding:
     C^ancilla_dim (x) C^system_dim, with a scale, an accuracy bound, and an
     abstract gate-cost ledger.
 
-    Construct either from an explicit unitary,
-    ``BlockEncoding(u, ancilla_dim, system_dim, scale=..., accuracy=..., cost=...)``,
-    which is checked like a built circuit and whose top-left block is
-    stored with norm bound 1, or from ``block=`` and ``circuit=``: the
-    block and a zero-argument callable building the unitary, which
-    `.unitary` calls, validates and caches on first access. A block passed
-    this way has no rule behind it, so its spectral norm is measured by an
-    SVD, checked to be at most 1 + CONTRACTION_TOL and recorded as
-    ``norm_bound``. The arithmetic of this module and of `spectral` builds
-    its values through the rule path instead, which records the bound its
-    rule proves (see the module docstring) and checks it in O(1).
+    The constructor is the measurement path: ``block`` has no rule behind
+    it, so its spectral norm is measured by an SVD, checked to be at most
+    1 + CONTRACTION_TOL and recorded as ``norm_bound``; ``circuit`` is the
+    zero-argument callable building the unitary. The arithmetic of this
+    module and of `spectral` builds its values by rule instead, recording
+    the bound the rule proves (see the module docstring) without an SVD.
+
+    `.unitary` and `.hermitian_gap` are computed on first access and
+    cached with the value, which is immutable.
     """
 
     block: np.ndarray
@@ -95,51 +101,37 @@ class BlockEncoding:
     scale: float
     accuracy: float = 0.0
     cost: int = 0
-    circuit: Callable[[], np.ndarray] | None = field(default=None, repr=False, compare=False)
+    circuit: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     def __init__(
         self,
-        unitary=None,
-        ancilla_dim: int | None = None,
-        system_dim: int | None = None,
-        scale: float | None = None,
+        block,
+        ancilla_dim: int,
+        system_dim: int,
+        scale: float,
         accuracy: float = 0.0,
         cost: int = 0,
         *,
-        block=None,
-        circuit: Callable[[], np.ndarray] | None = None,
+        circuit: Callable[[], np.ndarray],
     ):
-        if None in (ancilla_dim, system_dim, scale):
-            raise TypeError("ancilla_dim, system_dim and scale are required")
-        _check_ledger(ancilla_dim, scale, accuracy, cost)
-        d = system_dim
-        if unitary is not None:
-            if block is not None or circuit is not None:
-                raise TypeError("an explicit unitary takes no block or circuit")
-            u = check_circuit_unitary(unitary, ancilla_dim * d)
-            block = u[:d, :d].copy()
-            circuit = lambda: u  # noqa: E731
-            self.__dict__["_unitary"] = u
-            norm_bound = 1.0
-        elif block is None or circuit is None:
-            raise TypeError("pass a unitary, or a block with the circuit that builds it")
-        else:
-            block = _square(np.array(block, dtype=complex), d)
-            norm_bound = spectral_norm(block)
-        _set_fields(self, block, norm_bound, ancilla_dim, system_dim, scale, accuracy, cost, circuit)
+        block = np.array(block, dtype=complex)
+        _set_fields(self, block, None, ancilla_dim, system_dim, scale, accuracy, cost, circuit)
 
-    @property
+    @cached_property
     def unitary(self) -> np.ndarray:
         """The full ancilla (x) system unitary, built from the circuit on
-        first access and validated like an explicitly supplied one."""
-        u = self.__dict__.get("_unitary")
-        if u is None:
-            u = check_circuit_unitary(self.circuit(), self.ancilla_dim * self.system_dim)
-            self.__dict__["_unitary"] = u
-        return u
+        first access and validated by `check_circuit_unitary`."""
+        return check_circuit_unitary(self.circuit(), self.ancilla_dim * self.system_dim)
+
+    @cached_property
+    def hermitian_gap(self) -> float:
+        """`linalg.hermitian_gap` of the block, measured on first access."""
+        return hermitian_gap(self.block)
 
 
-def _check_ledger(ancilla_dim: int, scale: float, accuracy: float, cost: int):
+def _set_fields(enc, block, norm_bound, ancilla_dim, system_dim, scale, accuracy, cost, circuit):
+    """Check the ledgers, the block's shape and its norm bound (measured by
+    an SVD when None), and set the fields of a frozen encoding."""
     if scale <= 0:
         raise OutOfRangeError(f"scale must be positive, got {scale}")
     if accuracy < 0:
@@ -148,16 +140,10 @@ def _check_ledger(ancilla_dim: int, scale: float, accuracy: float, cost: int):
         raise OutOfRangeError(f"cost must be nonnegative, got {cost}")
     if ancilla_dim < 1:
         raise DimensionMismatchError(f"ancilla dimension must be positive, got {ancilla_dim}")
-
-
-def _square(block: np.ndarray, d: int) -> np.ndarray:
-    if block.shape != (d, d):
-        raise DimensionMismatchError(f"block shape {block.shape} != ({d}, {d})")
-    return block
-
-
-def _set_fields(enc, block, norm_bound, ancilla_dim, system_dim, scale, accuracy, cost, circuit):
-    """Check the norm bound and set the fields of a frozen encoding."""
+    if block.shape != (system_dim, system_dim):
+        raise DimensionMismatchError(f"block shape {block.shape} != ({system_dim}, {system_dim})")
+    if norm_bound is None:
+        norm_bound = spectral_norm(block)
     if norm_bound > 1.0 + CONTRACTION_TOL:
         raise NormTooLargeError(f"encoded block has spectral norm bound {norm_bound:.12g} > 1")
     block.setflags(write=False)
@@ -183,25 +169,44 @@ def _by_rule(
     Package-private: the block is taken as it is (no copy) and must be a
     fresh array or an already read-only input block.
     """
-    _check_ledger(ancilla_dim, scale, accuracy, cost)
     enc = object.__new__(BlockEncoding)
-    block = _square(np.asarray(block, dtype=complex), system_dim)
+    block = np.asarray(block, dtype=complex)
     _set_fields(enc, block, norm_bound, ancilla_dim, system_dim, scale, accuracy, cost, circuit)
     return enc
 
 
+def _own_block(u: np.ndarray, accuracy: float, cost: int) -> BlockEncoding:
+    """A unitary as its own encoding: no ancilla, scale 1, norm bound 1,
+    and a circuit that returns u (a fresh array, made read-only here)."""
+    return _by_rule(
+        u,
+        1.0,
+        ancilla_dim=1,
+        system_dim=u.shape[0],
+        scale=1.0,
+        accuracy=accuracy,
+        cost=cost,
+        circuit=partial(np.asarray, u),
+    )
+
+
 def encode_unitary(u: np.ndarray, cost: int = 0) -> BlockEncoding:
     """Trivial encoding of a unitary: scale 1, no ancilla, exact."""
-    u = np.asarray(u, dtype=complex)
+    u = np.array(u, dtype=complex)
     if not is_unitary(u, 1e-10):
         raise NotUnitaryError("input is not unitary within 1e-10")
-    return BlockEncoding(u, 1, u.shape[0], scale=1.0, accuracy=0.0, cost=cost)
+    return _own_block(u, 0.0, cost)
 
 
-def _read_only_eye(d: int) -> np.ndarray:
-    eye = np.eye(d, dtype=complex)
-    eye.setflags(write=False)
-    return eye
+def hermitian_block(b: BlockEncoding) -> np.ndarray:
+    """The block of b, which must be Hermitian within 1e-8 in every entry.
+
+    Raises:
+        NotHermitianError: if its Hermitian gap exceeds 1e-8.
+    """
+    if not b.hermitian_gap <= 1e-8:
+        raise NotHermitianError("encoded block is not Hermitian within 1e-8")
+    return b.block
 
 
 @lru_cache(maxsize=4)
@@ -209,18 +214,9 @@ def identity_encoding(system_dim: int) -> BlockEncoding:
     """The identity as its own exact encoding: block I, norm bound 1.
 
     One value per dimension, built on first use and shared while the
-    dimension is among the last four asked for; its block and its unitary
-    are read-only."""
-    return _by_rule(
-        np.eye(system_dim, dtype=complex),
-        1.0,
-        ancilla_dim=1,
-        system_dim=system_dim,
-        scale=1.0,
-        accuracy=0.0,
-        cost=0,
-        circuit=partial(_read_only_eye, system_dim),
-    )
+    dimension is among the last four asked for; its block, which is also
+    its unitary, is read-only."""
+    return _own_block(np.eye(system_dim, dtype=complex), 0.0, 0)
 
 
 def normalized(b: BlockEncoding) -> BlockEncoding:
@@ -245,25 +241,27 @@ def _prepare_unitary(weights, dim: int) -> np.ndarray:
     return unitary_completion(col)
 
 
+def _select_circuit(weights, branches: list[np.ndarray], dim_prep: int) -> np.ndarray:
+    """Prepare/select/unprepare unitary: the prepare register (dimension
+    dim_prep) loads sqrt(weights), and the select unitary applies branch i
+    on prepare state i and the identity on padding states."""
+    branch_dim = branches[0].shape[0]
+    v_prep = _prepare_unitary(weights, dim_prep)
+    v_select = np.zeros((dim_prep * branch_dim, dim_prep * branch_dim), dtype=complex)
+    for i in range(dim_prep):
+        lo = i * branch_dim
+        branch = branches[i] if i < len(branches) else np.eye(branch_dim)
+        v_select[lo : lo + branch_dim, lo : lo + branch_dim] = branch
+
+    eye = np.eye(branch_dim)
+    return np.kron(v_prep.conj().T, eye) @ v_select @ np.kron(v_prep, eye)
+
+
 def _pauli_sum_circuit(s: PauliSum, dim_anc: int) -> np.ndarray:
     """Prepare/select/unprepare unitary of a Pauli sum (see encode_pauli_sum)."""
-    m = len(s.terms)
-    dim_sys = s.dim
     weights = np.array([abs(t.coefficient) for t in s.terms]) / s.scale()
-    v_prep = _prepare_unitary(weights, dim_anc)
-
-    v_select = np.zeros((dim_anc * dim_sys, dim_anc * dim_sys), dtype=complex)
-    for i in range(dim_anc):
-        lo = i * dim_sys
-        if i < m:
-            term = s.terms[i]
-            sign = 1.0 if term.coefficient > 0 else -1.0
-            v_select[lo : lo + dim_sys, lo : lo + dim_sys] = sign * pauli_word_matrix(term.word)
-        else:
-            v_select[lo : lo + dim_sys, lo : lo + dim_sys] = np.eye(dim_sys)
-
-    eye = np.eye(dim_sys)
-    return np.kron(v_prep.conj().T, eye) @ v_select @ np.kron(v_prep, eye)
+    branches = [(1.0 if t.coefficient > 0 else -1.0) * pauli_word_matrix(t.word) for t in s.terms]
+    return _select_circuit(weights, branches, dim_anc)
 
 
 def encode_pauli_sum(s: PauliSum) -> BlockEncoding:
@@ -324,6 +322,14 @@ def product_error_bound(errors) -> float:
     return total
 
 
+def _shared_system_dim(encodings: list[BlockEncoding]) -> int:
+    """The system dimension of a nonempty list of encodings, which must agree."""
+    dims = {b.system_dim for b in encodings}
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"system dimensions differ: {sorted(dims)}")
+    return dims.pop()
+
+
 def _product_circuit(encodings: list[BlockEncoding]) -> np.ndarray:
     """Product of the factor unitaries, each on its own ancilla register."""
     dim_sys = encodings[0].system_dim
@@ -346,9 +352,7 @@ def product(encodings) -> BlockEncoding:
     encodings = list(encodings)
     if not encodings:
         raise LengthMismatchError("product requires at least one encoding")
-    dims_sys = {b.system_dim for b in encodings}
-    if len(dims_sys) != 1:
-        raise DimensionMismatchError(f"system dimensions differ: {sorted(dims_sys)}")
+    d = _shared_system_dim(encodings)
     if len(encodings) == 1:
         return encodings[0]
 
@@ -356,7 +360,7 @@ def product(encodings) -> BlockEncoding:
         reduce(np.matmul, [b.block for b in encodings]),
         math.prod(b.norm_bound for b in encodings),
         ancilla_dim=int(np.prod([b.ancilla_dim for b in encodings])),
-        system_dim=encodings[0].system_dim,
+        system_dim=d,
         scale=float(np.prod([b.scale for b in encodings])),
         accuracy=product_error_bound([b.accuracy for b in encodings]),
         cost=int(sum(b.cost for b in encodings)),
@@ -369,21 +373,9 @@ def _combine_circuit(
 ) -> np.ndarray:
     """Prepare/select/unprepare unitary of a linear combination (see
     linear_combine)."""
-    m = len(encodings)
     branch_dim = max(b.ancilla_dim for b in encodings) * encodings[0].system_dim
-    v_prep = _prepare_unitary(weights, dim_prep)
-
-    v_select = np.zeros((dim_prep * branch_dim, dim_prep * branch_dim), dtype=complex)
-    for i in range(dim_prep):
-        lo = i * branch_dim
-        if i < m:
-            branch = phases[i] * embed_direct_sum(encodings[i].unitary, branch_dim)
-        else:
-            branch = np.eye(branch_dim)
-        v_select[lo : lo + branch_dim, lo : lo + branch_dim] = branch
-
-    eye = np.eye(branch_dim)
-    return np.kron(v_prep.conj().T, eye) @ v_select @ np.kron(v_prep, eye)
+    branches = [p * embed_direct_sum(b.unitary, branch_dim) for p, b in zip(phases, encodings)]
+    return _select_circuit(weights, branches, dim_prep)
 
 
 def linear_combine(coeffs, encodings) -> BlockEncoding:
@@ -403,10 +395,7 @@ def linear_combine(coeffs, encodings) -> BlockEncoding:
         raise LengthMismatchError("linear_combine requires at least one encoding")
     if len(coeffs) != len(encodings):
         raise LengthMismatchError(f"{len(coeffs)} coefficients for {len(encodings)} encodings")
-    dims_sys = {b.system_dim for b in encodings}
-    if len(dims_sys) != 1:
-        raise DimensionMismatchError(f"system dimensions differ: {sorted(dims_sys)}")
-
+    d = _shared_system_dim(encodings)
     m = len(encodings)
     strengths = [b.scale * abs(c) for c, b in zip(coeffs, encodings)]
     # numpy's pairwise order, which differs from a left fold from 8 terms on.
@@ -416,7 +405,6 @@ def linear_combine(coeffs, encodings) -> BlockEncoding:
     weights = [s / total for s in strengths]
     phases = [c / abs(c) if c != 0 else 1.0 for c in coeffs]
     dim_prep = 1 << max(0, (m - 1).bit_length())
-    d = encodings[0].system_dim
 
     # A running sum from +0, which also turns the first term's -0 entries
     # into +0 as sum() from 0 would.

@@ -14,6 +14,7 @@ moment and correlation oracle columns are the sharp spectral sums.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -41,6 +42,7 @@ from .state_prep import parse_state_file, reduced_density
 MAX_QUBITS = 6
 MAX_MOMENTS = 4096
 SEED_ENV_VAR = "BLOCKSKETCH_SEED"
+_CSV_CHUNK_ROWS = 4096
 
 
 def _fmt(x) -> str:
@@ -57,12 +59,23 @@ def _round12(obj):
     return obj
 
 
-def _write_output(text: str, path: str | None):
+def _write_output(chunks, path: str | None):
+    """Write the text chunks in order to path (default stdout)."""
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+
+
+def _csv_chunks(head: str, rows):
+    """The head line(s), then each row of numbers as a line of comma-separated
+    `_fmt` values (an integer below 10^12 prints as it is), formatted
+    _CSV_CHUNK_ROWS rows per chunk so that a long table is never one string."""
+    yield head + "\n"
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
+        yield "".join(",".join(map(_fmt, row)) + "\n" for row in chunk)
 
 
 def _load_hamiltonian(args: argparse.Namespace) -> PauliSum:
@@ -158,7 +171,7 @@ def _cmd_sketch(args: argparse.Namespace) -> int:
         sketch = spectral_sketch(req, args.mode, args.seed)
     except DegreeTooLargeError:
         raise ValidationError(_degree_advice(req)) from None
-    _write_output(_sketch_csv(req, sketch, args.oracle), args.output)
+    _write_output([_sketch_csv(req, sketch, args.oracle)], args.output)
     return 0
 
 
@@ -169,7 +182,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         oracle = oracle_correlation(spec.hamiltonian, spec.observables, reduced_density(spec.state))
         payload["oracle_re"] = oracle.real
         payload["oracle_im"] = oracle.imag
-    _write_output(json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n", args.output)
+    _write_output([json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n"], args.output)
     return 0
 
 
@@ -184,8 +197,7 @@ def _cmd_kpm(args: argparse.Namespace) -> int:
         # Response moments are complex: reconstruct their imaginary parts too.
         header += ",f_kpm_im"
         columns.append(kpm_reconstruct([res.value.imag for res in sketch.values], grid))
-    lines = [header] + [",".join(_fmt(v) for v in row) for row in zip(*columns)]
-    _write_output("\n".join(lines) + "\n", args.output)
+    _write_output(_csv_chunks(header, zip(*columns)), args.output)
     return 0
 
 
@@ -206,13 +218,12 @@ def _cmd_window(args: argparse.Namespace) -> int:
     )
     sys.stdout.write(summary)
     if args.output is not None:
-        lines = [
+        head = (
             f"# a_bar={_fmt(a_bar)} b_bar={_fmt(b_bar)} eta={_fmt(eta)} "
-            f"n={w.jackson_degree} k={w.amplifier_order} tau={_fmt(w.tau)} d={w.degree}",
-            "k,coeff",
-        ]
-        lines += [f"{i},{_fmt(c)}" for i, c in enumerate(w.poly.coeffs)]
-        _write_output("\n".join(lines) + "\n", args.output)
+            f"n={w.jackson_degree} k={w.amplifier_order} tau={_fmt(w.tau)} d={w.degree}\n"
+            "k,coeff"
+        )
+        _write_output(_csv_chunks(head, enumerate(w.poly.coeffs)), args.output)
     return 0
 
 
@@ -224,7 +235,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
         report = complexity_report(_correlation_spec(args, h))
     else:
         report = complexity_report(_build_sketch_request(args, h))
-    _write_output(json.dumps(_round12(report), indent=2, sort_keys=True) + "\n", args.output)
+    _write_output([json.dumps(_round12(report), indent=2, sort_keys=True) + "\n"], args.output)
     return 0
 
 

@@ -33,6 +33,7 @@ import numpy as np
 from .block_encoding import (
     BlockEncoding,
     adjoint,
+    hermitian_block,
     identity_encoding,
     linear_combine,
     normalized,
@@ -40,7 +41,6 @@ from .block_encoding import (
 from .errors import (
     DimensionMismatchError,
     InvalidProjectorError,
-    NotHermitianError,
     NotNormalizedError,
     OutOfRangeError,
 )
@@ -267,10 +267,7 @@ def estimate_observable(
         raise DimensionMismatchError(
             f"encoding system {a.system_dim} != state system {rho.system_dim}"
         )
-    block = a.block
-    if not is_hermitian(block, 1e-8):
-        raise NotHermitianError("encoded block is not Hermitian within 1e-8")
-
+    hermitian_block(a)
     shifted = _shifted_encoding(a)
     density = reduced_density(rho)
     # Tr(rho S) = sum_ij conj(rho_ij) S_ij for a Hermitian rho: O(D^2), no product.

@@ -21,20 +21,25 @@ from functools import partial
 
 import numpy as np
 
-from .block_encoding import BlockEncoding, _by_rule
+from .block_encoding import BlockEncoding, _by_rule, _own_block, hermitian_block
 from .chebyshev import ChebyshevPoly, WindowPoly, sup_norm
 from .errors import (
     CostOverflowError,
     InexactInputError,
-    NotHermitianError,
     OutOfRangeError,
     PolyNotBoundedError,
     ValidationError,
 )
-from .linalg import embed_operator, hermitian_gap, unitary_dilation
+from .linalg import embed_operator, unitary_dilation
 from .pauli import PauliSum, pauli_sum_matrix
 
 _COST_LIMIT = 2**63 - 1
+
+
+def _checked_cost(cost, what: str):
+    """Raise CostOverflowError unless cost is finite and at most 2^63 - 1."""
+    if not cost <= _COST_LIMIT:
+        raise CostOverflowError(f"{what} is {cost:.6g}, not at most 2^63 - 1")
 
 
 def evolution_cost(num_terms: int, alpha: float, t: float, eps: float) -> float:
@@ -42,7 +47,8 @@ def evolution_cost(num_terms: int, alpha: float, t: float, eps: float) -> float:
 
         Q alpha |t| + Q log(1/eps) / log(e + log(1/eps) / (alpha |t|))
 
-    with the t = 0 limit taken as 0.
+    with the alpha |t| -> 0 limit taken as 0, also where alpha |t|
+    underflows to 0 for a nonzero t.
     """
     if num_terms < 1:
         raise OutOfRangeError(f"need at least one term, got {num_terms}")
@@ -50,7 +56,7 @@ def evolution_cost(num_terms: int, alpha: float, t: float, eps: float) -> float:
         raise OutOfRangeError(f"alpha must be positive, got {alpha}")
     if not 0.0 < eps <= 1.0:
         raise OutOfRangeError(f"eps must be in (0, 1], got {eps}")
-    if t == 0.0:
+    if alpha * abs(t) == 0.0:
         return 0.0
     log_eps = math.log(1.0 / eps)
     first = num_terms * alpha * abs(t)
@@ -63,29 +69,16 @@ def evolution_encoding(h: PauliSum, t: float, eps: float) -> BlockEncoding:
 
     The simulation is spectrally exact; the accuracy field records the
     requested eps so that downstream error bounds reproduce the composed
-    product budget, and the cost ledger evaluates the standard formula.
+    product budget, and the cost ledger evaluates the standard formula,
+    which must be finite and at most 2^63 - 1.
     """
     if not 0.0 < eps < 1.0:
         raise OutOfRangeError(f"eps must be in (0, 1), got {eps}")
+    cost = evolution_cost(len(h.terms), h.scale(), t, eps)
+    _checked_cost(cost, f"evolution cost at time {t!r}")
     energies, vecs = np.linalg.eigh(pauli_sum_matrix(h))
     u = (vecs * np.exp(1j * energies * t)) @ vecs.conj().T
-    cost = math.ceil(evolution_cost(len(h.terms), h.scale(), t, eps))
-    return BlockEncoding(u, 1, h.dim, scale=1.0, accuracy=eps, cost=cost)
-
-
-def _hermitian_gap(b: BlockEncoding) -> float:
-    """`hermitian_gap` of the block of b. An encoding is immutable, so the
-    gap is measured once and kept with it, as `.unitary` is."""
-    gap = b.__dict__.get("_hermitian_gap")
-    if gap is None:
-        gap = b.__dict__["_hermitian_gap"] = hermitian_gap(b.block)
-    return gap
-
-
-def _require_hermitian_block(b: BlockEncoding) -> np.ndarray:
-    if not _hermitian_gap(b) <= 1e-8:
-        raise NotHermitianError("encoded block is not Hermitian within 1e-8")
-    return b.block
+    return _own_block(u, eps, math.ceil(cost))
 
 
 def _alternating_word(b: BlockEncoding, n: int) -> np.ndarray:
@@ -122,15 +115,14 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
     (equal to its conjugate transpose bit for bit) with norm bound at most
     1 the bound of T_n is 1. A block Hermitian only within tolerance can
     give a T_n of norm above 1, so there the norm is measured by an SVD.
-    Both checks read the Hermitian gap of b, measured once per encoding.
+    Both checks read `b.hermitian_gap`, measured once per encoding.
     """
     if n < 0:
         raise OutOfRangeError("Chebyshev order must be nonnegative")
     if b.accuracy != 0.0:
         raise InexactInputError("alternating reflections require an exact encoding")
-    a = _require_hermitian_block(b)
-    if n * b.cost > _COST_LIMIT:
-        raise CostOverflowError(f"cost ledger {n} * {b.cost} exceeds 2^63 - 1")
+    a = hermitian_block(b)
+    _checked_cost(n * b.cost, f"cost ledger {n} * {b.cost}")
     previous = tuple(previous)
     expected = [(b.ancilla_dim, b.system_dim, k * b.cost) for k in range(n - 1, max(n - 3, -1), -1)]
     if previous and [(t.ancilla_dim, t.system_dim, t.cost) for t in previous] != expected:
@@ -156,9 +148,9 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
         cost=n * b.cost,
         circuit=partial(_alternating_word, b, n),
     )
-    if b.norm_bound <= 1.0 and _hermitian_gap(b) == 0.0:
+    if b.norm_bound <= 1.0 and b.hermitian_gap == 0.0:
         return _by_rule(block, 1.0, **ledger)
-    return BlockEncoding(block=block, **ledger)
+    return BlockEncoding(block, **ledger)
 
 
 def apply_polynomial(b: BlockEncoding, p: ChebyshevPoly | WindowPoly, delta: float) -> BlockEncoding:
@@ -182,9 +174,8 @@ def apply_polynomial(b: BlockEncoding, p: ChebyshevPoly | WindowPoly, delta: flo
     bound = sup_norm(p)
     if bound > 1.0 + 1e-9:
         raise PolyNotBoundedError(f"polynomial reaches {bound:.6g} > 1 on [-1, 1]")
-    block = _require_hermitian_block(b)
-    if p.degree * b.cost > _COST_LIMIT:
-        raise CostOverflowError(f"cost ledger {p.degree} * {b.cost} exceeds 2^63 - 1")
+    block = hermitian_block(b)
+    _checked_cost(p.degree * b.cost, f"cost ledger {p.degree} * {b.cost}")
 
     eigvals, vecs = np.linalg.eigh((block + block.conj().T) / 2.0)
     transformed = p(np.clip(eigvals, -1.0, 1.0))

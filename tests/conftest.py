@@ -1,6 +1,10 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from blocksketch.block_encoding import BlockEncoding
+from blocksketch.linalg import unitary_dilation
 from blocksketch.pauli import PauliSum
 
 PAULI_LETTERS = ("I", "X", "Y", "Z")
@@ -36,6 +40,14 @@ def random_hermitian_contraction(rng, dim: int, margin: float = 1.05) -> np.ndar
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     a = (a + a.conj().T) / 2.0
     return a / (np.linalg.norm(a, 2) * margin)
+
+
+def contraction_encoding(a: np.ndarray, accuracy: float = 0.0, cost: int = 1) -> BlockEncoding:
+    """A 1-scaled encoding of the contraction a (norm measured), whose
+    circuit is its single-qubit unitary dilation."""
+    return BlockEncoding(
+        a, 2, a.shape[0], scale=1.0, accuracy=accuracy, cost=cost, circuit=partial(unitary_dilation, a)
+    )
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

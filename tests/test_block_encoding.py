@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from blocksketch.block_encoding import (
-    BlockEncoding,
     adjoint,
     encode_pauli_sum,
     encode_unitary,
@@ -23,11 +22,10 @@ from blocksketch.linalg import (
     is_hermitian,
     is_unitary,
     spectral_norm,
-    unitary_dilation,
 )
 from blocksketch.pauli import PauliSum, pauli_sum_matrix
 
-from conftest import random_pauli_sum
+from conftest import contraction_encoding, random_pauli_sum
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -214,9 +212,7 @@ def test_empirical_error_within_bound(rng):
             a_wrong /= max(1.0, np.linalg.norm(a_wrong, 2))
             eps = float(np.linalg.norm(a - a_wrong, 2))
             blocks.append(a)
-            perturbed.append(
-                BlockEncoding(unitary_dilation(a_wrong), 2, dims, scale=1.0, accuracy=eps)
-            )
+            perturbed.append(contraction_encoding(a_wrong, accuracy=eps))
             errs.append(eps)
         pr = product(perturbed)
         exact = np.eye(dims)

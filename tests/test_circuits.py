@@ -5,17 +5,17 @@ ledgers, and builds its full unitary only when `.unitary` is read. These
 tests materialize each constructor's circuit on random inputs and check it
 against the stored value, check that each rule records the norm bound it
 proves and that the bound holds, and check that no pipeline reads a
-circuit, runs a contraction SVD or forms a reduced density twice.
+circuit, checks a unitary, runs a contraction SVD or forms a reduced
+density twice.
 """
 
 import math
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
 
-from blocksketch import block_encoding
+from blocksketch import block_encoding, state_prep
 from blocksketch.block_encoding import (
     CONTRACTION_TOL,
     BlockEncoding,
@@ -36,7 +36,7 @@ from blocksketch.estimation import (
     antihermitian_part_encoding,
     hermitian_part_encoding,
 )
-from blocksketch.linalg import is_unitary, spectral_norm, unitary_completion, unitary_dilation
+from blocksketch.linalg import is_unitary, spectral_norm, unitary_completion
 from blocksketch.spectral import apply_polynomial, chebyshev_encoding, evolution_encoding
 from blocksketch.state_prep import (
     PreparationUnitary,
@@ -45,7 +45,12 @@ from blocksketch.state_prep import (
     prepare_thermal,
 )
 
-from conftest import random_hermitian_contraction, random_pauli_sum, random_state_vector
+from conftest import (
+    contraction_encoding,
+    random_hermitian_contraction,
+    random_pauli_sum,
+    random_state_vector,
+)
 
 TOL = 1e-10
 
@@ -111,6 +116,11 @@ def _case_evolution_encoding(rng):
     return enc, (1, 8, 1.0, 0.05, enc.cost)
 
 
+def _case_encode_unitary(rng):
+    u = unitary_completion(random_state_vector(rng, 8))
+    return encode_unitary(u, cost=3), (1, 8, 1.0, 0.0, 3)
+
+
 def _case_shifted_encoding(rng):
     (b,) = _pauli_inputs(rng, count=1)
     return _shifted_encoding(b), (2 * b.ancilla_dim, 4, 1.0, 0.0, b.cost)
@@ -133,6 +143,7 @@ ENCODING_CASES = {
     "chebyshev_encoding": _case_chebyshev_encoding,
     "apply_polynomial": _case_apply_polynomial,
     "evolution_encoding": _case_evolution_encoding,
+    "encode_unitary": _case_encode_unitary,
     "_shifted_encoding": _case_shifted_encoding,
     "hermitian_part_encoding": _part_case(hermitian_part_encoding),
     "antihermitian_part_encoding": _part_case(antihermitian_part_encoding),
@@ -312,8 +323,7 @@ def test_chebyshev_of_a_nearly_hermitian_block_is_measured(rng):
     ball, so its norm is measured rather than taken to be 1."""
     a = np.array([[0.9, 5e-9], [0.0, 0.9]], dtype=complex)
     a *= (1.0 - 1e-12) / np.linalg.norm(a, 2)
-    enc = BlockEncoding(block=a, ancilla_dim=2, system_dim=2, scale=1.0,
-                        circuit=partial(unitary_dilation, a))
+    enc = contraction_encoding(a)
     assert enc.norm_bound <= 1.0 and not np.array_equal(enc.block, enc.block.conj().T)
     t_100 = chebyshev_encoding(enc, 100)
     assert t_100.norm_bound == pytest.approx(spectral_norm(t_100.block), rel=1e-12)
@@ -321,20 +331,24 @@ def test_chebyshev_of_a_nearly_hermitian_block_is_measured(rng):
         chebyshev_encoding(enc, 800)
 
     exact = random_hermitian_contraction(rng, 4)
-    exact_enc = BlockEncoding(block=exact, ancilla_dim=2, system_dim=4, scale=1.0,
-                              circuit=partial(unitary_dilation, exact))
-    assert chebyshev_encoding(exact_enc, 5).norm_bound == 1.0
+    assert chebyshev_encoding(contraction_encoding(exact), 5).norm_bound == 1.0
 
 
 @pytest.fixture
 def no_circuits(monkeypatch):
-    """Make reading any encoding's or preparation's circuit unitary fail."""
+    """Make reading any encoding's or preparation's circuit unitary, or
+    checking any unitary, fail."""
 
     def refuse(self):
         raise AssertionError(f"{type(self).__name__}.unitary was built on the execution path")
 
+    def refuse_check(u, full_dim):
+        raise AssertionError("a unitary was checked on the execution path")
+
     monkeypatch.setattr(BlockEncoding, "unitary", property(refuse))
     monkeypatch.setattr(PreparationUnitary, "unitary", property(refuse))
+    monkeypatch.setattr(block_encoding, "check_circuit_unitary", refuse_check)
+    monkeypatch.setattr(state_prep, "check_circuit_unitary", refuse_check)
 
 
 @pytest.fixture

@@ -339,6 +339,43 @@ def test_correlate_time_must_be_a_number(workdir, capsys):
 
 
 @pytest.mark.parametrize(
+    "time, message",
+    [
+        ("nan", "observable time must be finite, got nan"),
+        ("inf", "observable time must be finite, got inf"),
+        ("1e308", "evolution cost at time 1e+308 is inf, not at most 2^63 - 1"),
+    ],
+)
+def test_correlate_time_must_be_finite_with_a_finite_cost(workdir, capsys, time, message):
+    chain = workdir / "chain.txt"
+    chain.write_text("1.0 ZZ\n0.7 XI\n0.7 IX\n")
+    observable = workdir / "zi.txt"
+    observable.write_text("0.5 ZI\n")
+    rc = _run(
+        ["correlate", "--hamiltonian", chain, "--observable", observable, time,
+         "--state", workdir / "ket0.txt"]
+    )
+    assert rc == 2
+    assert f"error: {message}\n" in capsys.readouterr().err
+
+
+def test_correlate_at_an_underflowing_time_costs_nothing(workdir, capsys):
+    """alpha |t| underflows to 0 at t = 5e-324, alpha = 0.1: the cost is the
+    t = 0 limit, and the correlation is the one at t = 0."""
+    small = workdir / "small.txt"
+    small.write_text("0.1 Z\n")
+    outs = []
+    for time in ("5e-324", "0"):
+        rc = _run(
+            ["correlate", "--hamiltonian", small, "--observable", workdir / "hz.txt", time,
+             "--state", workdir / "ket0.txt"]
+        )
+        assert rc == 0
+        outs.append(json.loads(capsys.readouterr().out))
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
     "command", [["dos", "--moments", "2"], ["cost", "--kind", "dos-moments", "--moments", "2"]]
 )
 def test_non_integer_seed_env_var_names_the_variable(workdir, capsys, monkeypatch, command):

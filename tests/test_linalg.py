@@ -106,5 +106,7 @@ def test_circuit_unitary_check_stays_on_above_the_exact_limit(rng):
     assert not is_unitary(bad)
     with pytest.raises(NotUnitaryError):
         check_circuit_unitary(bad, n)
+    d = n // 2
+    enc = BlockEncoding(u[:d, :d], 2, d, scale=1.0, circuit=lambda: bad)
     with pytest.raises(NotUnitaryError):
-        BlockEncoding(unitary=bad, ancilla_dim=2, system_dim=n // 2, scale=1.0)
+        enc.unitary

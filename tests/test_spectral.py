@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
 
-from blocksketch.block_encoding import BlockEncoding, encode_pauli_sum
+from blocksketch.block_encoding import encode_pauli_sum
 from blocksketch.chebyshev import ChebyshevPoly, chebyshev_t, window_poly
 from blocksketch.errors import (
     CostOverflowError,
@@ -14,8 +14,8 @@ from blocksketch.errors import (
     OutOfRangeError,
     PolyNotBoundedError,
 )
-from blocksketch import spectral
-from blocksketch.linalg import is_unitary, unitary_dilation
+from blocksketch import block_encoding
+from blocksketch.linalg import is_unitary
 from blocksketch.pauli import PauliSum, pauli_sum_matrix
 from blocksketch.spectral import (
     apply_polynomial,
@@ -24,11 +24,7 @@ from blocksketch.spectral import (
     evolution_encoding,
 )
 
-from conftest import random_hermitian_contraction
-
-
-def _contraction_encoding(a: np.ndarray, cost: int = 1) -> BlockEncoding:
-    return BlockEncoding(unitary_dilation(a), 2, a.shape[0], scale=1.0, accuracy=0.0, cost=cost)
+from conftest import contraction_encoding, random_hermitian_contraction
 
 
 def _spectral_chebyshev(a: np.ndarray, n: int) -> np.ndarray:
@@ -97,7 +93,7 @@ def test_chebyshev_encoding_vs_spectral(rng):
     for dim in (4, 8):
         for _ in range(3):
             a = random_hermitian_contraction(rng, dim)
-            enc = _contraction_encoding(a)
+            enc = contraction_encoding(a)
             for n in range(17):
                 tn = chebyshev_encoding(enc, n)
                 assert np.max(np.abs(tn.block - _spectral_chebyshev(a, n))) <= 1e-8
@@ -106,7 +102,7 @@ def test_chebyshev_encoding_vs_spectral(rng):
 
 def test_chebyshev_recurrence_cross_check(rng):
     a = random_hermitian_contraction(rng, 4)
-    enc = _contraction_encoding(a)
+    enc = contraction_encoding(a)
     for n in (3, 7):
         t_prev = chebyshev_encoding(enc, n - 1).block
         t_n = chebyshev_encoding(enc, n).block
@@ -132,8 +128,8 @@ def test_chebyshev_encoding_validation():
 
 def test_chebyshev_encoding_measures_the_hermitian_gap_once_per_encoding(monkeypatch, rng):
     measured = []
-    gap = spectral.hermitian_gap
-    monkeypatch.setattr(spectral, "hermitian_gap", lambda m: measured.append(m) or gap(m))
+    gap = block_encoding.hermitian_gap
+    monkeypatch.setattr(block_encoding, "hermitian_gap", lambda m: measured.append(m) or gap(m))
     h = encode_pauli_sum(PauliSum.from_terms([(0.5, "ZZ"), (0.3, "XI"), (0.2, "IY")]))
     previous = ()
     for n in range(8):
@@ -146,8 +142,8 @@ def test_chebyshev_encoding_measures_the_hermitian_gap_once_per_encoding(monkeyp
     # every order still takes the SVD path; a non-Hermitian one fails at
     # every order.
     a = random_hermitian_contraction(rng, 4)
-    near = _contraction_encoding(a + 1e-12 * np.triu(np.ones((4, 4)), 1))
-    skew = _contraction_encoding(0.5 * a + 0.2j * np.eye(4))
+    near = contraction_encoding(a + 1e-12 * np.triu(np.ones((4, 4)), 1))
+    skew = contraction_encoding(0.5 * a + 0.2j * np.eye(4))
     measured.clear()
     for n in (1, 2, 3):
         assert chebyshev_encoding(near, n).norm_bound != 1.0
@@ -171,14 +167,14 @@ def test_apply_polynomial_examples():
     assert rw.ancilla_dim == 2 * b.ancilla_dim
 
     m = np.diag([0.5, -0.5]).astype(complex)
-    enc = _contraction_encoding(m)
+    enc = contraction_encoding(m)
     r3 = apply_polynomial(enc, chebyshev_t(3), 1e-4)
     assert np.max(np.abs(r3.block - np.diag([-0.5, 0.5]))) < 1e-10
 
 
 def test_apply_polynomial_linearity(rng):
     a = random_hermitian_contraction(rng, 4)
-    enc = _contraction_encoding(a)
+    enc = contraction_encoding(a)
     p = ChebyshevPoly(np.array([0.1, 0.2, 0.15]))
     q = ChebyshevPoly(np.array([0.05, -0.1, 0.0, 0.2]))
     sum_coeffs = np.zeros(4)
@@ -200,7 +196,7 @@ def test_apply_polynomial_validation():
 
 def test_chebyshev_encoding_continues_from_previous_orders(rng):
     a = random_hermitian_contraction(rng, 8)
-    enc = _contraction_encoding(a, cost=3)
+    enc = contraction_encoding(a, cost=3)
     previous = ()
     for n in range(12):
         step = chebyshev_encoding(enc, n, previous)
@@ -210,7 +206,7 @@ def test_chebyshev_encoding_continues_from_previous_orders(rng):
         previous = (step, *previous[:1])
 
     t3, t2 = chebyshev_encoding(enc, 3), chebyshev_encoding(enc, 2)
-    other = _contraction_encoding(a, cost=1)
+    other = contraction_encoding(a, cost=1)
     from blocksketch.errors import ValidationError
 
     with pytest.raises(ValidationError):
