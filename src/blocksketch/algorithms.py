@@ -25,7 +25,13 @@ from .chebyshev import MIN_ETA_REL, WindowPoly, kpm_reconstruct, window_paramete
 from .errors import BadIntervalError, EmptySumError, OutOfRangeError, ValidationError
 from .estimation import EstimationResult, estimate_complex, estimate_observable
 from .pauli import PauliSum
-from .spectral import apply_polynomial, chebyshev_encoding, evolution_cost, evolution_encoding
+from .spectral import (
+    _checked_cost,
+    apply_polynomial,
+    chebyshev_encoding,
+    evolution_cost,
+    evolution_encoding,
+)
 from .state_prep import PreparationUnitary, prepare_maximally_mixed, prepare_pure
 
 DOS = "dos"
@@ -112,26 +118,67 @@ class SketchRequest:
 class SketchResult:
     values: tuple
     chebyshev_orders: tuple
-    cost_report: dict = field(repr=False)
     window_meta: WindowPoly | None = field(default=None, repr=False)
 
 
-def _window_share(req: SketchRequest) -> float:
-    """eps / eta_rel of an integral sketch: the window gets a third of the
-    budget, relative to rho_max and, for response, to |B| |C|."""
-    share = 3.0 * req.rho_max
-    if req.kind == RESPONSE:
-        share = share * req.b_observable.scale() * req.c_observable.scale()
-    return share
+@dataclass(frozen=True)
+class _Budget:
+    """The split of a request's eps; a share the request does not spend is 0.
+
+    window_eta is the eta_rel handed to window_poly, polynomial the delta
+    handed to apply_polynomial, estimation the eps handed to estimate_*,
+    and evolution the eps of each evolution_encoding in correlate.
+    """
+
+    window_eta: float = 0.0
+    polynomial: float = 0.0
+    estimation: float = 0.0
+    evolution: float = 0.0
+
+
+def _budget(obj: SketchRequest | CorrelationSpec, eps: float | None = None) -> _Budget:
+    """The one place eps (default obj.eps) is split.
+
+    An integral sketch gives a third to each part. The window's share is
+    relative to rho_max and, for response, to |B| |C|. The polynomial's is
+    divided by the scale 2 |B| |C| of the estimated encoding (2 for dos
+    and ldos), so that its scale x accuracy is eps/3. A moments sketch
+    estimates each moment at eps.
+
+    correlate charges each of its n + 1 evolutions eps / (2 (n+1)^2), so
+    that their composed product error is eps/2, and estimates at eps/2.
+    """
+    eps = obj.eps if eps is None else eps
+    if isinstance(obj, CorrelationSpec):
+        n = len(obj.observables)
+        return _Budget(estimation=eps / 2.0, evolution=eps / (2.0 * (n + 1) ** 2))
+    if obj.interval is None:
+        return _Budget(estimation=eps)
+    window_share, weight = 3.0 * obj.rho_max, 1.0
+    if obj.kind == RESPONSE:
+        beta_b, beta_c = obj.b_observable.scale(), obj.c_observable.scale()
+        window_share, weight = window_share * beta_b * beta_c, beta_b * beta_c
+    return _Budget(
+        window_eta=eps / window_share,
+        polynomial=eps / 3.0 / (2.0 * weight),
+        estimation=eps / 3.0,
+    )
 
 
 def min_window_eps(req: SketchRequest) -> float:
     """The smallest eps whose integral window passes the degree guard of
     window_poly (eta_rel >= MIN_ETA_REL) without allow_large_degree."""
-    share = _window_share(req)
-    eps = MIN_ETA_REL * share
-    while eps / share < MIN_ETA_REL:
+    if req.interval is None:
+        raise ValidationError("min_window_eps requires an integral-mode request")
+
+    def passes(eps: float) -> bool:
+        return _budget(req, eps).window_eta >= MIN_ETA_REL
+
+    eps = MIN_ETA_REL / _budget(req, 1.0).window_eta
+    while not passes(eps):
         eps = math.nextafter(eps, math.inf)
+    while passes(math.nextafter(eps, 0.0)):
+        eps = math.nextafter(eps, 0.0)
     return eps
 
 
@@ -143,20 +190,19 @@ def correlate(spec: CorrelationSpec, mode: str = "exact", seed: int | None = Non
     """Estimate Tr(rho O_1(t_1) ... O_n(t_n)).
 
     Rewrites the Heisenberg product through consecutive time differences,
-    interleaves evolution encodings (each charged to eps / (2 (n+1)^2) to
-    control the composed product error) with the observable encodings, and
-    estimates the resulting non-Hermitian operator part by part at eps/2.
+    interleaves evolution encodings with the observable encodings, and
+    estimates the resulting non-Hermitian operator part by part; the
+    evolution and estimation shares of eps are read from `_budget`.
     """
-    n = len(spec.observables)
-    eps_evolution = spec.eps / (2.0 * (n + 1) ** 2)
+    h, budget = spec.hamiltonian, _budget(spec)
     taus = spec.time_differences()
 
-    factors: list[BlockEncoding] = [evolution_encoding(spec.hamiltonian, taus[0], eps_evolution)]
+    factors: list[BlockEncoding] = [evolution_encoding(h, taus[0], budget.evolution)]
     for j, (obs, _t) in enumerate(spec.observables, start=1):
         factors.append(encode_pauli_sum(obs))
-        factors.append(evolution_encoding(spec.hamiltonian, taus[j], eps_evolution))
+        factors.append(evolution_encoding(h, taus[j], budget.evolution))
     gamma_encoding = product(factors)
-    return estimate_complex(gamma_encoding, spec.state, spec.eps / 2.0, spec.delta, mode, seed)
+    return estimate_complex(gamma_encoding, spec.state, budget.estimation, spec.delta, mode, seed)
 
 
 def spectral_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = None) -> SketchResult:
@@ -170,10 +216,8 @@ def spectral_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = 
     seed + 2n.
 
     Integral mode takes f to be the certified window over the rescaled
-    interval, splitting the error budget evenly across window
-    construction, polynomial application, and estimation; the window
-    budget is relative to rho_max and, for response, to |B| |C|. Moments
-    mode takes f = T_n for n = 0..N.
+    interval; the window, polynomial and estimation shares of eps are
+    read from `_budget`. Moments mode takes f = T_n for n = 0..N.
     """
     h_enc = encode_pauli_sum(req.hamiltonian)
     alpha = h_enc.scale
@@ -196,18 +240,17 @@ def spectral_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = 
         def estimate(f_enc: BlockEncoding, eps: float, f_seed):
             return estimate_observable(f_enc, state, eps, req.delta, mode, f_seed)
 
-    report = complexity_report(req)
-
+    budget = _budget(req)
     if req.interval is not None:
         a, b = req.interval
         window = window_poly(
             a / alpha,
             b / alpha,
-            req.eps / _window_share(req),
+            budget.window_eta,
             allow_large_degree=req.allow_large_degree,
         )
-        w_enc = apply_polynomial(h_enc, window, delta=req.eps / 3.0)
-        return SketchResult((estimate(w_enc, req.eps / 3.0, seed),), (window.degree,), report, window)
+        w_enc = apply_polynomial(h_enc, window, delta=budget.polynomial)
+        return SketchResult((estimate(w_enc, budget.estimation, seed),), (window.degree,), window)
 
     values = []
     orders = list(range(req.num_moments + 1))
@@ -215,8 +258,8 @@ def spectral_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = 
     for n in orders:
         t_n = chebyshev_encoding(h_enc, n, previous)
         previous = (t_n, *previous[:1])
-        values.append(estimate(t_n, req.eps, _moment_seed(seed, stride, n)))
-    return SketchResult(tuple(values), tuple(orders), report, None)
+        values.append(estimate(t_n, budget.estimation, _moment_seed(seed, stride, n)))
+    return SketchResult(tuple(values), tuple(orders))
 
 
 def kpm_sketch(
@@ -235,10 +278,12 @@ def kpm_sketch(
 def _correlation_report(spec: CorrelationSpec) -> dict:
     n = len(spec.observables)
     h = spec.hamiltonian
-    eps0 = spec.eps / (2.0 * (n + 1) ** 2)
+    eps0 = _budget(spec).evolution
     taus = spec.time_differences()
     q, alpha = len(h.terms), h.scale()
     evolution = [evolution_cost(q, alpha, tau, eps0) for tau in taus]
+    for tau, cost in zip(taus, evolution):
+        _checked_cost(cost, f"evolution cost at time {tau!r}")
     loose = [q * alpha * abs(tau) + q * math.log(1.0 / eps0) for tau in taus]
     observable_costs = [len(obs.terms) for obs, _t in spec.observables]
     gamma = float(np.prod([obs.scale() for obs, _t in spec.observables]))
@@ -284,7 +329,7 @@ def _sketch_report(req: SketchRequest) -> dict:
     if req.interval is not None:
         ratio = req.rho_max * weight / req.eps
         d_formula = ratio * math.log(ratio)
-        kappa, n_jack, k_amp, tau = window_parameters(req.eps / (3.0 * req.rho_max * weight))
+        kappa, n_jack, k_amp, tau = window_parameters(_budget(req).window_eta)
         out.update(
             {
                 "mode": "integral",

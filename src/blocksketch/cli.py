@@ -17,6 +17,7 @@ import argparse
 import itertools
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -263,8 +264,20 @@ def _add_sketch_mode(parser: argparse.ArgumentParser):
     parser.add_argument("--oracle", action="store_true", help="emit exact oracle columns")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a negative number in exponent notation
+    (-1e3, -1.5e-2) as a value, as argparse already reads -1000 and -0.3,
+    rather than as an unknown option. argparse has no public hook for the
+    pattern it reads, so this sets its attribute; subparsers inherit the
+    class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blocksketch",
         description="Block-encoding based estimation of correlation functions, "
         "density of states, and linear response, simulated densely at desk scale.",

@@ -4,18 +4,22 @@ import math
 import numpy as np
 import pytest
 
+from blocksketch import algorithms
 from blocksketch.algorithms import (
     CorrelationSpec,
     SketchRequest,
+    _budget,
     complexity_report,
     correlate,
     kpm_sketch,
+    min_window_eps,
     spectral_sketch,
 )
 from blocksketch.block_encoding import encode_pauli_sum
-from blocksketch.chebyshev import chebyshev_t, window_poly
+from blocksketch.chebyshev import MIN_ETA_REL, chebyshev_t, window_poly
 from blocksketch.errors import (
     BadIntervalError,
+    DegreeTooLargeError,
     EmptySumError,
     OutOfRangeError,
     ValidationError,
@@ -286,7 +290,7 @@ def test_seeded_moments_use_distinct_streams():
     assert seeds == [100, 101, 102]
 
 
-# Values holding an ndarray (or, for SketchResult, a dict) compare and hash
+# Values holding an ndarray (or, for SketchResult, a window) compare and hash
 # by identity; the named lazy attribute is a cached_property, read before
 # hashing.
 ARRAY_VALUES = {
@@ -331,3 +335,83 @@ def test_correlation_spec_compares_by_fields():
     assert spec == same and hash(spec) == hash(same)
     assert spec != other_state
     assert len({spec, same, other_state}) == 2
+
+
+# Integral requests of each kind with non-dyadic rho_max, |B| and |C|.
+INTEGRAL_REQUESTS = {
+    "dos": dict(kind="dos", eps=0.3, rho_max=0.7),
+    "ldos": dict(kind="ldos", eps=0.45, rho_max=0.9, site_state=np.array([0.6, 0.8])),
+    "response": dict(
+        kind="response",
+        eps=0.3,
+        rho_max=0.7,
+        b_observable=PauliSum.from_terms([(1.1, "X")]),
+        c_observable=PauliSum.from_terms([(0.6, "Z")]),
+        state=KET0,
+    ),
+}
+
+
+def _integral_request(kind: str, **changes) -> SketchRequest:
+    kwargs = dict(INTEGRAL_REQUESTS[kind], delta=0.05, interval=(-0.2, 0.1))
+    kwargs.update(changes)
+    return SketchRequest(TILTED, **kwargs)
+
+
+def _weight(req: SketchRequest) -> float:
+    if req.kind != "response":
+        return 1.0
+    return req.b_observable.scale() * req.c_observable.scale()
+
+
+@pytest.mark.parametrize("kind", sorted(INTEGRAL_REQUESTS))
+def test_integral_budget_adds_up_in_value_units(kind, monkeypatch):
+    """The window's error (eta_rel rho_max |B| |C|), the estimated
+    encoding's scale x accuracy and the estimation eps sum to at most eps."""
+    req = _integral_request(kind)
+    seen = []
+    for name in ("estimate_observable", "estimate_complex"):
+        real = getattr(algorithms, name)
+
+        def spy(enc, state, eps, *rest, real=real):
+            seen.append((enc, eps))
+            return real(enc, state, eps, *rest)
+
+        monkeypatch.setattr(algorithms, name, spy)
+    sketch = spectral_sketch(req)
+    budget = _budget(req)
+    [(enc, eps)] = seen
+    assert eps == budget.estimation
+    assert sketch.window_meta.kappa == budget.window_eta / 4.0
+    window_error = budget.window_eta * req.rho_max * _weight(req)
+    assert window_error + enc.scale * enc.accuracy + eps <= req.eps * (1.0 + 1e-12)
+
+
+def test_moments_budget_estimates_at_eps():
+    budget = _budget(SketchRequest(TILTED, "dos", eps=0.3, delta=0.05, num_moments=2))
+    assert (budget.window_eta, budget.polynomial, budget.estimation) == (0.0, 0.0, 0.3)
+
+
+def test_cost_report_and_sketch_see_one_window():
+    req = _integral_request("response")
+    w = spectral_sketch(req).window_meta
+    window = complexity_report(req)["window"]
+    assert window == {
+        "kappa": w.kappa, "n": w.jackson_degree, "k": w.amplifier_order, "tau": w.tau, "d": w.degree
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(INTEGRAL_REQUESTS))
+def test_min_window_eps_is_the_smallest_eps_past_the_degree_guard(kind):
+    req = _integral_request(kind)
+    eps = min_window_eps(req)
+    assert _budget(req, eps).window_eta >= MIN_ETA_REL
+    below = math.nextafter(eps, 0.0)
+    assert _budget(req, below).window_eta < MIN_ETA_REL
+    with pytest.raises(DegreeTooLargeError):
+        spectral_sketch(_integral_request(kind, eps=below))
+
+
+def test_min_window_eps_requires_an_integral_request():
+    with pytest.raises(ValidationError):
+        min_window_eps(SketchRequest(TILTED, "dos", eps=0.1, delta=0.05, num_moments=2))

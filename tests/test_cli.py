@@ -338,6 +338,19 @@ def test_correlate_time_must_be_a_number(workdir, capsys):
     assert "time 'soon' is not a number" in capsys.readouterr().err
 
 
+def _run_chain_correlation(workdir, command, time) -> int:
+    """Run a correlate or cost command on a 2-qubit chain with one
+    observable at the given time."""
+    chain = workdir / "chain.txt"
+    chain.write_text("1.0 ZZ\n0.7 XI\n0.7 IX\n")
+    observable = workdir / "zi.txt"
+    observable.write_text("0.5 ZI\n")
+    return _run(
+        [*command, "--hamiltonian", chain, "--observable", observable, time,
+         "--state", workdir / "ket0.txt"]
+    )
+
+
 @pytest.mark.parametrize(
     "time, message",
     [
@@ -347,16 +360,39 @@ def test_correlate_time_must_be_a_number(workdir, capsys):
     ],
 )
 def test_correlate_time_must_be_finite_with_a_finite_cost(workdir, capsys, time, message):
-    chain = workdir / "chain.txt"
-    chain.write_text("1.0 ZZ\n0.7 XI\n0.7 IX\n")
-    observable = workdir / "zi.txt"
-    observable.write_text("0.5 ZI\n")
-    rc = _run(
-        ["correlate", "--hamiltonian", chain, "--observable", observable, time,
-         "--state", workdir / "ket0.txt"]
-    )
-    assert rc == 2
+    assert _run_chain_correlation(workdir, ["correlate"], time) == 2
     assert f"error: {message}\n" in capsys.readouterr().err
+
+
+def test_correlation_cost_at_an_overflowing_time_exits_2(workdir, capsys):
+    """The cost report refuses the time that correlate refuses, with the
+    same message, rather than print Infinity."""
+    assert _run_chain_correlation(workdir, ["cost", "--kind", "correlation"], "1e308") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: evolution cost at time 1e+308 is inf, not at most 2^63 - 1\n" in captured.err
+
+
+@pytest.mark.parametrize("time", ["-1e3", "-1.5e-2", "-1000", "-0.3"])
+@pytest.mark.parametrize("command", ["correlate", "cost"])
+def test_observable_time_may_be_negative(workdir, capsys, command, time):
+    argv = [command, "--hamiltonian", workdir / "hz.txt", "--observable", workdir / "hx.txt", time,
+            "--state", workdir / "ket0.txt"]
+    if command == "cost":
+        argv[1:1] = ["--kind", "correlation"]
+    assert _run(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    if command == "cost":
+        assert payload["taus"] == [float(time), -float(time)]
+
+
+@pytest.mark.parametrize("option", ["--bogus", "-x"])
+def test_unknown_option_still_errors(workdir, capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        _run(["correlate", "--hamiltonian", workdir / "hz.txt", "--observable",
+              workdir / "hx.txt", "0.5", "--state", workdir / "ket0.txt", option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
 
 def test_correlate_at_an_underflowing_time_costs_nothing(workdir, capsys):
