@@ -22,7 +22,13 @@ import numpy as np
 
 from .block_encoding import BlockEncoding, encode_pauli_sum, product
 from .chebyshev import MIN_ETA_REL, WindowPoly, kpm_reconstruct, window_parameters, window_poly
-from .errors import BadIntervalError, EmptySumError, OutOfRangeError, ValidationError
+from .errors import (
+    BadIntervalError,
+    CostOverflowError,
+    EmptySumError,
+    OutOfRangeError,
+    ValidationError,
+)
 from .estimation import EstimationResult, estimate_complex, estimate_observable
 from .pauli import PauliSum
 from .spectral import (
@@ -59,6 +65,11 @@ class CorrelationSpec:
                 raise ValidationError("observable and Hamiltonian qubit counts differ")
             if not math.isfinite(t):
                 raise OutOfRangeError(f"observable time must be finite, got {t!r}")
+        gamma = math.prod(obs.scale() for obs, _t in self.observables)
+        if not math.isfinite(gamma):
+            raise OutOfRangeError(
+                f"gamma, the product of the observable scales, overflows to {gamma}"
+            )
         if not (0.0 < self.eps < 1.0 and 0.0 < self.delta < 1.0):
             raise OutOfRangeError("eps and delta must lie in (0, 1)")
 
@@ -94,8 +105,8 @@ class SketchRequest:
             raise ValidationError(f"unknown sketch kind {self.kind!r}")
         if not (0.0 < self.eps < 1.0 and 0.0 < self.delta < 1.0):
             raise OutOfRangeError("eps and delta must lie in (0, 1)")
-        if self.rho_max <= 0:
-            raise OutOfRangeError("rho_max must be positive")
+        if not 0.0 < self.rho_max < math.inf:
+            raise OutOfRangeError(f"rho_max must be positive and finite, got {self.rho_max}")
         if (self.interval is None) == (self.num_moments is None):
             raise ValidationError("pass exactly one of interval or num_moments")
         if self.num_moments is not None and self.num_moments < 0:
@@ -112,6 +123,11 @@ class SketchRequest:
         if self.kind == RESPONSE:
             if self.b_observable is None or self.c_observable is None or self.state is None:
                 raise ValidationError("response requires B, C, and a state")
+            weight = self.b_observable.scale() * self.c_observable.scale()
+            if not math.isfinite(weight):
+                raise OutOfRangeError(
+                    f"|B| |C|, the product of the observable scales, overflows to {weight}"
+                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,6 +291,14 @@ def kpm_sketch(
     return sketch, kpm_reconstruct(moments, np.asarray(grid, dtype=float))
 
 
+def _checked_queries(queries: float) -> float:
+    """A report's query count, or CostOverflowError if it overflowed:
+    reports are printed as standard JSON, which has no Infinity."""
+    if not math.isfinite(queries):
+        raise CostOverflowError(f"the query count overflows to {queries}")
+    return queries
+
+
 def _correlation_report(spec: CorrelationSpec) -> dict:
     n = len(spec.observables)
     h = spec.hamiltonian
@@ -286,9 +310,9 @@ def _correlation_report(spec: CorrelationSpec) -> dict:
         _checked_cost(cost, f"evolution cost at time {tau!r}")
     loose = [q * alpha * abs(tau) + q * math.log(1.0 / eps0) for tau in taus]
     observable_costs = [len(obs.terms) for obs, _t in spec.observables]
-    gamma = float(np.prod([obs.scale() for obs, _t in spec.observables]))
+    gamma = math.prod(obs.scale() for obs, _t in spec.observables)
     w = sum(observable_costs) + sum(evolution)
-    total = (spec.state.cost + w) * gamma / spec.eps * math.log(1.0 / spec.delta)
+    total = _checked_queries((spec.state.cost + w) * gamma / spec.eps * math.log(1.0 / spec.delta))
     return {
         "kind": "correlation",
         "num_observables": n,
@@ -330,12 +354,13 @@ def _sketch_report(req: SketchRequest) -> dict:
         ratio = req.rho_max * weight / req.eps
         d_formula = ratio * math.log(ratio)
         kappa, n_jack, k_amp, tau = window_parameters(_budget(req).window_eta)
+        total = _checked_queries((q * d_formula + prep_term) * weight / req.eps * log_delta)
         out.update(
             {
                 "mode": "integral",
                 "degree_formula": d_formula,
                 "window": {"kappa": kappa, "n": n_jack, "k": k_amp, "tau": tau, "d": n_jack * k_amp},
-                "total_queries": (q * d_formula + prep_term) * weight / req.eps * log_delta,
+                "total_queries": total,
             }
         )
     else:
@@ -345,7 +370,8 @@ def _sketch_report(req: SketchRequest) -> dict:
                 "mode": "moments",
                 "orders": orders,
                 "per_moment_queries": [
-                    (q * n + prep_term) * weight / req.eps * log_delta for n in orders
+                    _checked_queries((q * n + prep_term) * weight / req.eps * log_delta)
+                    for n in orders
                 ],
             }
         )

@@ -132,8 +132,8 @@ class BlockEncoding:
 def _set_fields(enc, block, norm_bound, ancilla_dim, system_dim, scale, accuracy, cost, circuit):
     """Check the ledgers, the block's shape and its norm bound (measured by
     an SVD when None), and set the fields of a frozen encoding."""
-    if scale <= 0:
-        raise OutOfRangeError(f"scale must be positive, got {scale}")
+    if not 0.0 < scale < math.inf:
+        raise OutOfRangeError(f"scale must be positive and finite, got {scale}")
     if accuracy < 0:
         raise OutOfRangeError(f"accuracy must be nonnegative, got {accuracy}")
     if cost < 0:
@@ -361,7 +361,7 @@ def product(encodings) -> BlockEncoding:
         math.prod(b.norm_bound for b in encodings),
         ancilla_dim=int(np.prod([b.ancilla_dim for b in encodings])),
         system_dim=d,
-        scale=float(np.prod([b.scale for b in encodings])),
+        scale=math.prod(b.scale for b in encodings),
         accuracy=product_error_bound([b.accuracy for b in encodings]),
         cost=int(sum(b.cost for b in encodings)),
         circuit=partial(_product_circuit, encodings),

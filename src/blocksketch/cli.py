@@ -9,11 +9,17 @@ seeds produce byte-identical files.
 For integral sketches the optional oracle column reports the exact
 spectral value of the windowed estimand (the quantity being estimated);
 moment and correlation oracle columns are the sharp spectral sums.
+
+`main` builds the parser on its first call and reuses it on every later
+call in the process: argparse keeps no state between `parse_args` calls,
+and building the tree of subcommand parsers costs more than a small
+moments sketch.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -61,12 +67,25 @@ def _round12(obj):
 
 
 def _write_output(chunks, path: str | None):
-    """Write the text chunks in order to path (default stdout)."""
+    """Write the text chunks in order to path (default stdout).
+
+    Raises:
+        BlockSketchError: naming the path, if it cannot be written.
+    """
     if path is None:
         sys.stdout.writelines(chunks)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
+    except OSError as exc:
+        raise BlockSketchError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _json_chunk(payload: dict) -> str:
+    """The payload as indented JSON with 12-significant-digit floats; a
+    non-finite number raises rather than print non-standard JSON."""
+    return json.dumps(_round12(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _csv_chunks(head: str, rows):
@@ -183,7 +202,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         oracle = oracle_correlation(spec.hamiltonian, spec.observables, reduced_density(spec.state))
         payload["oracle_re"] = oracle.real
         payload["oracle_im"] = oracle.imag
-    _write_output([json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n"], args.output)
+    _write_output([_json_chunk(payload)], args.output)
     return 0
 
 
@@ -236,7 +255,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
         report = complexity_report(_correlation_spec(args, h))
     else:
         report = complexity_report(_build_sketch_request(args, h))
-    _write_output([json.dumps(_round12(report), indent=2, sort_keys=True) + "\n"], args.output)
+    _write_output([_json_chunk(report)], args.output)
     return 0
 
 
@@ -277,6 +296,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the blocksketch command line."""
     parser = _Parser(
         prog="blocksketch",
         description="Block-encoding based estimation of correlation functions, "
@@ -360,6 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads, built by `build_parser` on the first call."""
+    return build_parser()
+
+
 # Values of the arguments read by shared set-up code that some subcommands
 # do not define.
 _ABSENT = {"seed": None, "moments": None, "integral": None, "allow_large_degree": False}
@@ -387,7 +413,11 @@ def _normalize(args: argparse.Namespace) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv, argparse.Namespace(**_ABSENT))
+    """Run one command line (default sys.argv[1:]) and return its exit code.
+
+    The parser is built on the first call and reused by every later call
+    in the process; each call parses into a fresh namespace."""
+    args = _parser().parse_args(argv, argparse.Namespace(**_ABSENT))
     try:
         _normalize(args)
         if args.command != "window-poly":

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from blocksketch.block_encoding import (
+    BlockEncoding,
     adjoint,
     encode_pauli_sum,
     encode_unitary,
@@ -120,6 +123,14 @@ def test_product_scale_and_unitarity(rng):
         assert is_unitary(pr.unitary, 1e-9)
         expected = b1.block @ b2.block
         assert np.max(np.abs(pr.block - expected)) < 1e-9
+
+
+def test_product_refuses_an_overflowing_scale_without_a_warning():
+    big = encode_pauli_sum(PauliSum.from_terms([(1e200, "X")]))
+    with pytest.raises(OutOfRangeError, match="scale must be positive and finite, got inf"):
+        product([big, big])
+    with pytest.raises(OutOfRangeError, match="got nan"):
+        BlockEncoding(np.eye(2), 1, 2, math.nan, 0.0, 0, circuit=lambda: np.eye(2))
 
 
 def test_linear_combine_hermitian_parts():

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blocksketch import cli
 from blocksketch.algorithms import SketchRequest
 from blocksketch.chebyshev import kpm_reconstruct
 from blocksketch.cli import main
@@ -435,3 +436,160 @@ def test_overflowing_scale_names_the_file(workdir, capsys):
     assert f"error: {big}: the sum of |coefficients| (the scale alpha) overflows" in (
         capsys.readouterr().err
     )
+
+
+GAMMA_OVERFLOWS = "gamma, the product of the observable scales, overflows to inf"
+BC_OVERFLOWS = "|B| |C|, the product of the observable scales, overflows to inf"
+QUERIES_OVERFLOW = "the query count overflows to inf"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("correlate --observable {big_x} 0 --observable {big_z} 0.5", GAMMA_OVERFLOWS),
+        ("cost --kind correlation --observable {big_x} 0 --observable {big_z} 0.5",
+         GAMMA_OVERFLOWS),
+        ("cost --kind correlation --observable {huge_x} 0", QUERIES_OVERFLOW),
+        ("response --moments 1 --observable-b {big_x} --observable-c {big_x}", BC_OVERFLOWS),
+        ("cost --kind response-moments --moments 1 --observable-b {big_x} --observable-c {big_x}",
+         BC_OVERFLOWS),
+        ("cost --kind response-moments --moments 1 --observable-b {huge_x} --observable-c {hz}",
+         QUERIES_OVERFLOW),
+        ("cost --kind dos-integral --integral -0.5 0.5 --rho-max 1e303", QUERIES_OVERFLOW),
+    ],
+)
+def test_overflowing_scale_products_exit_2(workdir, capsys, command, message):
+    """An observable scale product or a query count that overflows is named,
+    rather than read as a non-Hermitian block or printed as Infinity."""
+    (workdir / "big_x.txt").write_text("1e200 X\n")
+    (workdir / "big_z.txt").write_text("1e200 Z\n")
+    (workdir / "huge_x.txt").write_text("1e307 X\n")
+    paths = {name: workdir / f"{name}.txt" for name in ("big_x", "big_z", "huge_x", "hz")}
+    argv = command.format(**paths).split()
+    assert _run(argv + ["--hamiltonian", workdir / "hz.txt", "--state", workdir / "ket0.txt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_json_writer_refuses_non_finite_numbers():
+    with pytest.raises(ValueError):
+        cli._json_chunk({"total_queries": math.inf})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [["dos"], ["cost", "--kind", "dos-integral"]])
+def test_non_finite_rho_max_is_named(workdir, capsys, command, value):
+    argv = [*command, "--hamiltonian", workdir / "hz.txt", "--integral", "-0.5", "0.5",
+            f"--rho-max={value}"]
+    assert _run(argv) == 2
+    assert f"error: rho_max must be positive and finite, got {value}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["dos", "--moments", "2"], ["cost", "--kind", "dos-moments", "--moments", "2"]]
+)
+def test_unwritable_output_exits_2(workdir, capsys, command):
+    target = workdir / "missing" / "out.txt"
+    assert _run([*command, "--hamiltonian", workdir / "hz.txt", "--output", target]) == 2
+    assert f"error: cannot write {target}: No such file or directory\n" in capsys.readouterr().err
+
+
+@pytest.fixture
+def counted_builds(monkeypatch):
+    """The parser builds made by `main` from now on: `main`'s cached parser
+    is dropped, and each `build_parser` call is recorded."""
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    yield builds
+    cli._parser.cache_clear()
+
+
+def _outcome(argv, output):
+    """The exit code of one `main` call and the bytes of its output file
+    (None if it wrote none)."""
+    try:
+        code = main([str(a) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    return code, output.read_bytes() if output.exists() else None
+
+
+def test_one_parser_serves_every_call_like_a_fresh_one(
+    workdir, capsys, monkeypatch, counted_builds
+):
+    """A sequence of calls, with failures between them, reads one parser and
+    gives what a parser built for each call alone gives."""
+    hz, hx, ket0, plus = (workdir / f for f in ("hz.txt", "hx.txt", "ket0.txt", "plus.txt"))
+    sampled = ["dos", "--hamiltonian", workdir / "tilted.txt", "--moments", "3", "--mode",
+               "sampled", "--eps", "0.1", "--delta", "0.1"]
+    steps = [
+        ("5", sampled),
+        (None, ["correlate", "--hamiltonian", hz, "--observable", hx, "0.3", "--observable", hz,
+                "-0.2", "--state", plus, "--oracle"]),
+        (None, ["dos", "--hamiltonian", hz, "--moments", "2", "--bogus"]),
+        (None, ["ldos", "--hamiltonian", hx, "--moments", "2", "--state", ket0, "--oracle"]),
+        (None, ["dos", "--hamiltonian", hz, "--moments", "2", "--eps", "2"]),
+        (None, ["correlate", "--hamiltonian", hz, "--observable", hx, "0.3", "--state", plus]),
+        (None, ["response", "--hamiltonian", hz, "--observable-b", hx, "--observable-c", hx,
+                "--state", ket0, "--moments", "1"]),
+        (None, ["dos", "--hamiltonian", workdir / "tilted.txt", "--integral", "0.2", "0.45",
+                "--eps", "0.3", "--allow-large-degree"]),
+        (None, ["kpm", "--hamiltonian", hz, "--moments", "4", "--grid-points", "5"]),
+        (None, ["window-poly", "--a", "-0.2", "--b", "0.2", "--eta", "0.4"]),
+        (None, ["cost", "--kind", "correlation", "--hamiltonian", hz, "--observable", hx, "0.5",
+                "--state", ket0]),
+        ("6", sampled),
+    ]
+
+    def run_steps(tag):
+        (workdir / tag).mkdir()
+        outcomes = []
+        for i, (seed, argv) in enumerate(steps):
+            if seed is None:
+                monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+            else:
+                monkeypatch.setenv(cli.SEED_ENV_VAR, seed)
+            output = workdir / tag / f"{i}.out"
+            outcomes.append((*_outcome([*argv, "--output", output], output), *capsys.readouterr()))
+        return outcomes
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = run_steps("fresh")
+    builds_for_fresh = len(counted_builds)
+    reused = run_steps("reused")
+
+    assert builds_for_fresh == len(steps)
+    assert len(counted_builds) - builds_for_fresh == 1
+    assert [o[0] for o in reused] == [0, 0, 2, 0, 2, 0, 0, 0, 0, 0, 0, 0]
+    assert reused == fresh
+    # The seed and the observable list are read per call.
+    assert reused[0][1] != reused[-1][1]
+    assert reused[1][1] != reused[5][1]
+
+
+def test_help_of_the_reused_parser_is_a_fresh_parsers(capsys, monkeypatch, counted_builds):
+    """Help is formatted when printed, at the terminal width of that moment,
+    not at the width the reused parser was built at."""
+    commands = ([], ["correlate"], ["dos"], ["ldos"], ["response"], ["kpm"], ["window-poly"],
+                ["cost"])
+    top_level = []
+    for columns in ("200", "60"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for command in commands:
+            texts = []
+            for parse in (main, cli.build_parser().parse_args):
+                capsys.readouterr()
+                with pytest.raises(SystemExit) as exc:
+                    parse([*command, "--help"])
+                assert exc.value.code == 0
+                texts.append(capsys.readouterr().out)
+            assert texts[0] == texts[1]
+            if not command:
+                top_level.append(texts[0])
+    assert top_level[0] != top_level[1]
+    assert len(counted_builds) == 1 + 2 * len(commands)
+    assert cli.build_parser() is not cli.build_parser()
