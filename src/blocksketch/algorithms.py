@@ -128,6 +128,19 @@ class SketchRequest:
                 raise OutOfRangeError(
                     f"|B| |C|, the product of the observable scales, overflows to {weight}"
                 )
+        # A window share too small for any degree is named by its factors;
+        # a share of 1 or more is left to window_poly.
+        eta = 1.0 if self.interval is None else _budget(self).window_eta
+        try:
+            window_parameters(min(eta, 0.5))
+        except OutOfRangeError:
+            named = f"rho_max {self.rho_max!r}"
+            if self.kind == RESPONSE:
+                named += f" with |B| |C| = {weight!r}"
+            raise OutOfRangeError(
+                f"{named} is too large for eps {self.eps!r}: its window share "
+                f"{eta!r} admits no finite window degree"
+            ) from None
 
 
 @dataclass(frozen=True, eq=False)

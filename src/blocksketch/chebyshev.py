@@ -427,11 +427,16 @@ class WindowPoly:
 
 
 def window_parameters(eta_rel: float) -> tuple[float, int, int, float]:
-    """The (kappa, n, k, tau) parameter chain for a relative budget eta_rel."""
+    """The (kappa, n, k, tau) parameter chain for a relative budget eta_rel
+    in (0, 1); OutOfRangeError outside it or if the degree n overflows."""
     if not 0.0 < eta_rel < 1.0:
         raise OutOfRangeError(f"eta must be in (0, 1), got {eta_rel}")
     kappa = eta_rel / 4.0
-    n = math.ceil(24.0 / kappa - 1e-9)
+    # A subnormal eta_rel can make kappa 0.0, where the division would raise.
+    degree = 24.0 / kappa - 1e-9 if kappa > 0.0 else math.inf
+    if degree == math.inf:
+        raise OutOfRangeError(f"eta {eta_rel!r} is too small: the window degree overflows")
+    n = math.ceil(degree)
     k = math.ceil(6.0 * math.log(4.0 / eta_rel) - 1e-9)
     tau = math.exp(-k / 6.0)
     return kappa, n, k, tau

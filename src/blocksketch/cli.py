@@ -53,7 +53,8 @@ _CSV_CHUNK_ROWS = 4096
 
 
 def _fmt(x) -> str:
-    return f"{float(x):.12g}"
+    """A Python int exactly, any other number to 12 significant digits."""
+    return str(x) if isinstance(x, int) else f"{float(x):.12g}"
 
 
 def _round12(obj):
@@ -90,8 +91,8 @@ def _json_chunk(payload: dict) -> str:
 
 def _csv_chunks(head: str, rows):
     """The head line(s), then each row of numbers as a line of comma-separated
-    `_fmt` values (an integer below 10^12 prints as it is), formatted
-    _CSV_CHUNK_ROWS rows per chunk so that a long table is never one string."""
+    `_fmt` values, formatted _CSV_CHUNK_ROWS rows per chunk so that a long
+    table is never one string."""
     yield head + "\n"
     rows = iter(rows)
     while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
@@ -156,20 +157,20 @@ def _correlation_spec(args: argparse.Namespace, h: PauliSum) -> CorrelationSpec:
     return CorrelationSpec(h, observables, state, args.eps, args.delta)
 
 
-def _sketch_csv(req: SketchRequest, sketch, emit_oracle: bool) -> str:
-    complex_oracle = req.kind == RESPONSE
+def _sketch_rows(req: SketchRequest, sketch, emit_oracle: bool):
+    """The header and rows of a sketch table, with the oracle column(s)
+    (complex for response) if asked for."""
     header = "n,value_re,value_im,queries"
-    if emit_oracle:
-        header += ",oracle_re,oracle_im" if complex_oracle else ",oracle"
-    lines = [header]
-    oracle_vals = oracle_sketch(req, sketch.window_meta) if emit_oracle else None
-    for i, (order, res) in enumerate(zip(sketch.chebyshev_orders, sketch.values)):
-        row = f"{order},{_fmt(res.value.real)},{_fmt(res.value.imag)},{res.grover_queries}"
-        if emit_oracle:
-            o = oracle_vals[i]
-            row += f",{_fmt(o.real)},{_fmt(o.imag)}" if complex_oracle else f",{_fmt(o.real)}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+    rows = [
+        (n, r.value.real, r.value.imag, r.grover_queries)
+        for n, r in zip(sketch.chebyshev_orders, sketch.values)
+    ]
+    if not emit_oracle:
+        return header, rows
+    oracle = oracle_sketch(req, sketch.window_meta)
+    if req.kind == RESPONSE:
+        return header + ",oracle_re,oracle_im", [r + (o.real, o.imag) for r, o in zip(rows, oracle)]
+    return header + ",oracle", [r + (o.real,) for r, o in zip(rows, oracle)]
 
 
 def _degree_advice(req: SketchRequest) -> str:
@@ -191,7 +192,7 @@ def _cmd_sketch(args: argparse.Namespace) -> int:
         sketch = spectral_sketch(req, args.mode, args.seed)
     except DegreeTooLargeError:
         raise ValidationError(_degree_advice(req)) from None
-    _write_output([_sketch_csv(req, sketch, args.oracle)], args.output)
+    _write_output(_csv_chunks(*_sketch_rows(req, sketch, args.oracle)), args.output)
     return 0
 
 

@@ -39,6 +39,7 @@ from .block_encoding import (
     normalized,
 )
 from .errors import (
+    CostOverflowError,
     DimensionMismatchError,
     InvalidProjectorError,
     NotNormalizedError,
@@ -79,8 +80,15 @@ class EstimationResult:
 
 
 def query_budget(eps: float, delta: float) -> int:
-    """Worst-case Grover applications for amplitude precision eps."""
-    return math.ceil(GROVER_QUERY_CONSTANT * math.log(1.0 / delta) / eps)
+    """Worst-case Grover applications for amplitude precision eps; raises
+    CostOverflowError if eps or delta is so small that the count overflows."""
+    budget = GROVER_QUERY_CONSTANT * math.log(1.0 / delta) / eps
+    if not math.isfinite(budget):
+        raise CostOverflowError(
+            f"the Grover query budget at amplitude precision {eps:.3g} and "
+            f"delta {delta:.3g} overflows to {budget}; raise eps or delta"
+        )
+    return math.ceil(budget)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,10 +223,14 @@ def _estimate(
 ) -> tuple[float, int]:
     """(estimate, Grover queries) of an amplitude: the amplitude itself at
     the worst-case budget in exact mode, the simulated iterative scheme in
-    sampled mode."""
+    sampled mode. Either mode refuses a budget that overflows, and sampled
+    mode a negative seed."""
+    budget = query_budget(eps, delta)
     if mode == EXACT:
-        return amplitude, query_budget(eps, delta)
+        return amplitude, budget
     if mode == SAMPLED:
+        if rng_seed is not None and rng_seed < 0:
+            raise OutOfRangeError(f"seed must be nonnegative, got {rng_seed}")
         return _simulate_amplitude(amplitude, eps, delta, np.random.default_rng(rng_seed))
     raise OutOfRangeError(f"mode must be 'exact' or 'sampled', got {mode!r}")
 

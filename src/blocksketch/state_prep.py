@@ -6,9 +6,9 @@ operator. Values are purification-first: a `PreparationUnitary` stores the
 purification vector, which is all `reduced_density` and the estimators
 read, and builds its circuit unitary only when `.unitary` is first read.
 Covers pure states (QR completion of the vector), the maximally mixed
-state (an exact Grover amplification with a flag qubit), and thermal
-states computed spectrally with the standard cost formula preserved for
-the ledger (QR completion of the purification).
+state on n qubits (n Bell pairs: a Hadamard layer and a CNOT layer), and
+thermal states computed spectrally with the standard cost formula
+preserved for the ledger (QR completion of the purification).
 
 Also defines the on-disk state format consumed by the CLI:
 ``pure <amplitudes>`` | ``mixed`` | ``thermal <beta>`` | ``basis <index>``.
@@ -130,78 +130,46 @@ def exact_amplification_params(beta: float) -> tuple[int, float]:
 
 def _bell_unitary(n_qubits: int) -> np.ndarray:
     """Unitary sending |0> to the maximally entangled pair state on
-    C^{2^n} (x) C^{2^n}, built from the Hadamard/CNOT structure."""
+    C^{2^n} (x) C^{2^n}: a Hadamard layer on the system qubits, then a
+    CNOT layer from each system qubit onto its mirror in the purifier."""
     dim = 1 << n_qubits
     had = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     h_all = np.array([[1.0]])
     for _ in range(n_qubits):
         h_all = np.kron(h_all, had)
-    u = np.kron(h_all, np.eye(dim)).astype(complex)
-    # CNOT layer |i>|j> -> |i>|j xor i>: an involutive row permutation.
-    idx = np.arange(dim * dim)
-    i, j = idx // dim, idx % dim
-    perm = i * dim + (j ^ i)
-    return u[perm]
-
-
-def _grover_preparation(d: int) -> np.ndarray:
-    """The flag-qubit amplitude-amplification circuit of
-    prepare_maximally_mixed(d)."""
-    n = max(0, (d - 1).bit_length())
-    dim = 1 << n
-    beta = math.sqrt(d / dim)
-    k, gamma = exact_amplification_params(beta)
-
-    u_bell = _bell_unitary(n)
-    full = dim * dim * 2
-    flag_rot = np.array([[gamma, -math.sqrt(1.0 - gamma**2)], [math.sqrt(1.0 - gamma**2), gamma]])
-    controlled = np.kron(u_bell, np.diag([1.0, 0.0])) + np.kron(
-        np.eye(dim * dim), np.diag([0.0, 1.0])
-    )
-    u_start = controlled @ np.kron(np.eye(dim * dim), flag_rot).astype(complex)
-
-    if k > 0:
-        good = np.zeros(full)
-        sys_index = np.arange(full) // (dim * 2)
-        flag_index = np.arange(full) % 2
-        good[(sys_index < d) & (flag_index == 0)] = 1.0
-        reflect_good = np.eye(full) - 2.0 * np.diag(good)
-        zero = np.zeros(full)
-        zero[0] = 1.0
-        reflect_zero = np.eye(full) - 2.0 * np.outer(zero, zero)
-        grover = u_start @ reflect_zero @ u_start.conj().T @ reflect_good
-        prep = np.linalg.matrix_power(grover, k) @ u_start
-    else:
-        prep = u_start
-    return prep
+    # The layers send |a>|b> to sum_i H[i, a] |i>|b xor i>, so the entry at
+    # row (i, j), column (a, b) is H[i, a] where b = i xor j and 0 elsewhere.
+    i, j = np.indices((dim, dim), sparse=True)
+    u = np.zeros((dim, dim, dim, dim), dtype=complex)
+    u[i, j, :, i ^ j] = h_all[i]
+    return u.reshape(dim * dim, dim * dim)
 
 
 def prepare_maximally_mixed(system_dim: int) -> PreparationUnitary:
-    """Exact preparation of I/D through flag-qubit amplitude amplification.
+    """Exact preparation of I/D on n = log2(D) qubits as n Bell pairs.
 
-    The system register is the qubit embedding space of dimension
-    2^ceil(log2 D); the purifier is a mirror register of the same size plus
-    a flag qubit. The purification is (1/sqrt D) sum_{i<D} |i>|i>|0>_flag,
-    so the reduced density equals I/D on the leading D-dimensional subspace
-    exactly. The circuit prepares it from |0> with a Bell-pair layer and a
-    flag rotation whose angle is shrunk so that k Grover steps land the
-    overlap exactly on 1; for power-of-two D the flag branch is degenerate
-    (gamma = 1, k = 0).
+    The purifier mirrors the system register, so the purification is
+    (1/sqrt D) sum_i |i>|i> and its reduced density is I/D. The circuit
+    prepares it from |0> with a Hadamard layer on the system qubits
+    followed by a CNOT layer onto the purifier, 2n gates.
+
+    Raises:
+        OutOfRangeError: if D is not a power of two (2^n for n qubits).
     """
-    if system_dim < 1:
-        raise OutOfRangeError("system dimension must be at least 1")
     d = int(system_dim)
-    n = max(0, (d - 1).bit_length())
-    dim = 1 << n
-    purification = np.zeros(dim * dim * 2, dtype=complex)
-    mirrored = np.arange(d)
-    purification[mirrored * (dim * 2) + mirrored * 2] = 1.0 / math.sqrt(d)
+    if d < 1 or d & (d - 1):
+        raise OutOfRangeError(
+            f"system dimension must be a power of two (2^n for n qubits), got {system_dim}"
+        )
+    n = d.bit_length() - 1
+    purification = np.zeros(d * d, dtype=complex)
+    purification[:: d + 1] = 1.0 / math.sqrt(d)
     return PreparationUnitary(
-        system_dim=dim,
-        purifier_dim=dim * 2,
+        system_dim=d,
+        purifier_dim=d,
         cost=2 * n,
         purification=purification,
-        circuit=partial(_grover_preparation, d),
+        circuit=partial(_bell_unitary, n),
     )
 
 

@@ -143,6 +143,14 @@ def test_window_parameters_eta_01():
     assert tau <= 0.1 / 4
 
 
+@pytest.mark.parametrize("eta", [1.7e-307, 1e-320, 5e-324, 0.0])
+def test_window_parameters_refuse_an_eta_whose_degree_overflows(eta):
+    """24/kappa is inf for a tiny eta, and kappa = eta/4 is 0.0 for the
+    smallest subnormals: both are refused as out of range."""
+    with pytest.raises(OutOfRangeError, match="eta"):
+        window_parameters(eta)
+
+
 def test_window_poly_metadata_and_guardrail():
     w = window_poly(-0.3, 0.4, 0.1)
     assert (w.jackson_degree, w.amplifier_order, w.degree) == (960, 23, 22080)

@@ -30,13 +30,19 @@ from blocksketch.block_encoding import (
 )
 from blocksketch.chebyshev import ChebyshevPoly, sup_norm
 from blocksketch.cli import main
-from blocksketch.errors import NormTooLargeError
+from blocksketch.errors import NormTooLargeError, OutOfRangeError
 from blocksketch.estimation import (
     _shifted_encoding,
     antihermitian_part_encoding,
     hermitian_part_encoding,
 )
-from blocksketch.linalg import is_unitary, spectral_norm, unitary_completion
+from blocksketch.linalg import (
+    EXACT_UNITARY_DIM,
+    is_unitary,
+    passes_isometry_probe,
+    spectral_norm,
+    unitary_completion,
+)
 from blocksketch.spectral import apply_polynomial, chebyshev_encoding, evolution_encoding
 from blocksketch.state_prep import (
     PreparationUnitary,
@@ -169,7 +175,8 @@ def _check_preparation(prep: PreparationUnitary, ledger: tuple):
     full = prep.system_dim * prep.purifier_dim
     u = prep.unitary
     assert u.shape == (full, full)
-    assert is_unitary(u, TOL)
+    # u u^dagger costs O(full^3): above EXACT_UNITARY_DIM, probe in O(full^2).
+    assert (is_unitary if full <= EXACT_UNITARY_DIM else passes_isometry_probe)(u, TOL)
     column = u[:, 0]
     stored = prep.purification
     phase = np.vdot(stored, column)
@@ -178,10 +185,30 @@ def _check_preparation(prep: PreparationUnitary, ledger: tuple):
     assert (prep.system_dim, prep.purifier_dim, prep.cost) == ledger
 
 
-@pytest.mark.parametrize("d", range(2, 17))
+@pytest.mark.parametrize("d", [*range(1, 17), 32, 64])
 def test_maximally_mixed_circuit_prepares_stored_purification(d):
-    dim = 1 << (d - 1).bit_length()
-    _check_preparation(prepare_maximally_mixed(d), (dim, 2 * dim, 2 * int(math.log2(dim))))
+    """D = 2^n for n = 0..6 gets n Bell pairs: a D-dimensional mirror
+    purifier and 2n gates. Any other D has no qubit register and raises."""
+    n = d.bit_length() - 1
+    if d != 1 << n:
+        with pytest.raises(OutOfRangeError, match="power of two"):
+            prepare_maximally_mixed(d)
+        return
+    _check_preparation(prepare_maximally_mixed(d), (d, d, 2 * n))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_bell_circuit_is_a_hadamard_layer_then_a_cnot_layer(n):
+    dim = 1 << n
+    hadamards = np.eye(1)
+    for _ in range(n):
+        hadamards = np.kron(hadamards, np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
+    # CNOT from each system qubit onto its purifier mirror: |i>|j> -> |i>|j xor i>.
+    cnots = np.zeros((dim * dim, dim * dim))
+    for i in range(dim):
+        for j in range(dim):
+            cnots[i * dim + (j ^ i), i * dim + j] = 1.0
+    assert np.array_equal(state_prep._bell_unitary(n), cnots @ np.kron(hadamards, np.eye(dim)))
 
 
 @pytest.mark.parametrize("d", range(2, 17))

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ from blocksketch import cli
 from blocksketch.algorithms import SketchRequest
 from blocksketch.chebyshev import kpm_reconstruct
 from blocksketch.cli import main
+from blocksketch.estimation import query_budget
 from blocksketch.oracle import oracle_sketch
 from blocksketch.pauli import PauliSum
 from blocksketch.state_prep import prepare_pure
@@ -593,3 +597,120 @@ def test_help_of_the_reused_parser_is_a_fresh_parsers(capsys, monkeypatch, count
     assert top_level[0] != top_level[1]
     assert len(counted_builds) == 1 + 2 * len(commands)
     assert cli.build_parser() is not cli.build_parser()
+
+
+BUDGET_OVERFLOWS = "error: the Grover query budget at amplitude precision"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "correlate --observable {huge_x} 0 --state {ket0}",
+        "response --moments 1 --observable-b {huge_x} --observable-c {hz} --state {ket0}",
+        "dos --moments 1 --eps 1e-310",
+        "dos --moments 1 --delta 1e-320 --eps 1e-300",
+    ],
+)
+def test_overflowing_query_budget_exits_2(workdir, capsys, command):
+    """An amplitude precision (eps / (2 scale)) or a delta so small that the
+    worst-case Grover budget is not finite is refused, not met by
+    math.ceil(inf)."""
+    (workdir / "huge_x.txt").write_text("1e307 X\n")
+    paths = {name: workdir / f"{name}.txt" for name in ("huge_x", "hz", "ket0")}
+    argv = command.format(**paths).split()
+    assert _run(argv + ["--hamiltonian", workdir / "hz.txt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(BUDGET_OVERFLOWS)
+    assert "overflows to inf" in captured.err
+
+
+def test_overflowing_query_budget_in_sampled_mode_exits_2(workdir):
+    """Sampled mode is refused before it simulates: without the budget check
+    the iterative scheme does not finish at this precision, so the command
+    runs in a child process under a timeout."""
+    (workdir / "huge_x.txt").write_text("1e307 X\n")
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    argv = ["correlate", "--hamiltonian", "hz.txt", "--observable", "huge_x.txt", "0",
+            "--state", "ket0.txt", "--mode", "sampled", "--seed", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "blocksketch.cli", *argv],
+        cwd=workdir, env=env, capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(BUDGET_OVERFLOWS)
+
+
+@pytest.mark.parametrize(
+    "command, named",
+    [
+        ("dos --integral -0.5 0.5 --rho-max 1e308", "rho_max 1e+308"),
+        ("dos --integral -0.5 0.5 --rho-max 1e305", "rho_max 1e+305"),
+        ("dos --integral -0.5 0.5 --rho-max 1e305 --allow-large-degree", "rho_max 1e+305"),
+        ("ldos --integral -0.5 0.5 --rho-max 1e305 --state {ket0}", "rho_max 1e+305"),
+        ("cost --kind dos-integral --integral -0.5 0.5 --rho-max 1e305", "rho_max 1e+305"),
+        ("response --integral -0.5 0.5 --observable-b {huge_x} --observable-c {hz} "
+         "--state {ket0}", "rho_max 1.0 with |B| |C| = 1e+307"),
+        ("cost --kind response-integral --integral -0.5 0.5 --observable-b {huge_x} "
+         "--observable-c {hz} --state {ket0}", "rho_max 1.0 with |B| |C| = 1e+307"),
+    ],
+)
+def test_underflowing_window_share_names_its_factor(workdir, capsys, command, named):
+    """A window share eps / (3 rho_max |B| |C|) that underflows to 0, or whose
+    window degree overflows, is refused naming rho_max (and |B| |C| for
+    response), not eta, and not by an OverflowError."""
+    (workdir / "huge_x.txt").write_text("1e307 X\n")
+    paths = {name: workdir / f"{name}.txt" for name in ("huge_x", "hz", "ket0")}
+    argv = command.format(**paths).split()
+    assert _run(argv + ["--hamiltonian", workdir / "hz.txt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {named} is too large for eps 0.05: its window share")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "dos --moments 2",
+        "correlate --observable {hz} 0 --state {ket0}",
+        "response --moments 1 --observable-b {hz} --observable-c {hx} --state {ket0}",
+    ],
+)
+@pytest.mark.parametrize("seed", [["--seed", "-1"], ["BLOCKSKETCH_SEED", "-2"]])
+def test_negative_seed_is_refused_in_sampled_mode(workdir, capsys, monkeypatch, command, seed):
+    paths = {name: workdir / f"{name}.txt" for name in ("hz", "hx", "ket0")}
+    argv = command.format(**paths).split() + ["--hamiltonian", workdir / "hz.txt"]
+    if seed[0] == "--seed":
+        argv += seed
+    else:
+        monkeypatch.setenv(*seed)
+    assert _run(argv + ["--mode", "sampled"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: seed must be nonnegative, got {seed[1]}\n"
+    # Exact mode never reads the seed.
+    assert _run(argv + ["--mode", "exact"]) == 0
+
+
+def test_queries_column_prints_an_exact_integer_above_1e12(workdir):
+    """Exact-mode query counts are printed as integers, however large: the
+    sketch table goes through the same writer as the kpm and window tables,
+    whose floats are rounded to 12 significant digits."""
+    (workdir / "b7.txt").write_text("1e7 Z\n")
+    (workdir / "c7.txt").write_text("1e7 X\n")
+    out = workdir / "r.csv"
+    rc = _run(["response", "--hamiltonian", workdir / "hz.txt", "--moments", "1",
+               "--observable-b", workdir / "b7.txt", "--observable-c", workdir / "c7.txt",
+               "--state", workdir / "ket0.txt", "--oracle", "--output", out])
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "n,value_re,value_im,queries,oracle_re,oracle_im"
+    # Re and Im parts each run at amplitude precision eps / (2 |B| |C|).
+    expected = 2 * query_budget(0.05 / (2.0 * 1e14), 0.05)
+    assert expected >= 10**12
+    for order, line in enumerate(lines[1:]):
+        fields = line.split(",")
+        assert fields[0] == str(order)
+        assert fields[3] == str(expected)

@@ -12,6 +12,7 @@ from blocksketch.block_encoding import (
     linear_combine,
 )
 from blocksketch.errors import (
+    CostOverflowError,
     InvalidProjectorError,
     NotHermitianError,
     NotNormalizedError,
@@ -89,6 +90,23 @@ def test_amplitude_problem_validation():
         AmplitudeProblem(psi, np.array([[0.5, 0], [0, 0]]))
     with pytest.raises(InvalidProjectorError):
         AmplitudeProblem(psi, np.array([[0, 1], [0, 0]]))
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+@pytest.mark.parametrize("eps, delta", [(1e-310, 0.05), (0.01, 1e-320)])
+def test_non_finite_query_budget_is_refused_in_both_modes(mode, eps, delta):
+    p = AmplitudeProblem(np.array([1.0, 0.0]), np.diag([1.0, 0.0]))
+    with pytest.raises(CostOverflowError, match="Grover query budget"):
+        estimate_amplitude(p, eps, delta, mode, 1)
+    with pytest.raises(CostOverflowError):
+        query_budget(eps, delta)
+
+
+def test_sampled_mode_refuses_a_negative_seed():
+    p = AmplitudeProblem(np.array([1.0, 0.0]), np.diag([1.0, 0.0]))
+    with pytest.raises(OutOfRangeError, match="seed must be nonnegative, got -1"):
+        estimate_amplitude(p, 0.05, 0.05, "sampled", -1)
+    assert estimate_amplitude(p, 0.05, 0.05, "exact", -1).value == 1.0
 
 
 def test_estimate_amplitude_edges():

@@ -3,18 +3,23 @@
 Every command at MAX_QUBITS works on D x D blocks, so its traced Python
 and NumPy allocations stay far below what one full circuit unitary of the
 pipeline would take (a 6-qubit shifted moment encoding is 8192 x 8192).
+The maximally mixed state is likewise formed from D x D arrays alone.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from blocksketch.chebyshev import window_poly
 from blocksketch.cli import MAX_QUBITS, main
+from blocksketch.state_prep import prepare_maximally_mixed
 
 PEAK_LIMIT_MB = 100.0
 # What `window-poly --output` may hold beyond the series it writes.
 WINDOW_WRITE_SLACK_MB = 4.0
+# What forming I/D may hold beyond its D x D complex arrays.
+MIXED_STATE_SLACK_MB = 4.0
 
 
 def _tfim_chain(qubits: int) -> str:
@@ -91,3 +96,13 @@ def test_window_poly_output_holds_little_beyond_its_series(tmp_path):
     code, peak = _traced_peak_mb(lambda: main(argv + ["--output", str(tmp_path / "w.csv")]))
     assert code == 0
     assert peak <= series_peak + WINDOW_WRITE_SLACK_MB
+
+
+def test_maximally_mixed_density_holds_three_d_squared_arrays():
+    """I/D at 10 qubits is formed from the D x D purification (a mirror
+    purifier, no flag qubit), its adjoint and the product: three D^2
+    complex arrays, 48 MB."""
+    d = 2**10
+    limit = 3 * d * d * np.dtype(complex).itemsize / 2**20 + MIXED_STATE_SLACK_MB
+    _, peak = _traced_peak_mb(lambda: prepare_maximally_mixed(d).density)
+    assert peak <= limit

@@ -74,30 +74,30 @@ def test_amplification_params_random(rng):
 
 
 def test_maximally_mixed_examples():
+    assert np.array_equal(reduced_density(prepare_maximally_mixed(1)), [[1.0]])
     assert np.allclose(reduced_density(prepare_maximally_mixed(2)), np.eye(2) / 2)
 
     p4 = prepare_maximally_mixed(4)
     assert np.allclose(reduced_density(p4), np.eye(4) / 4)
-    # power of two: degenerate flag branch
-    assert exact_amplification_params(1.0) == (0, 1.0)
-
-    p3 = prepare_maximally_mixed(3)
-    rho = reduced_density(p3)
+    # two Bell pairs: the purifier mirrors the system, 2 gates per qubit
+    assert (p4.system_dim, p4.purifier_dim, p4.cost) == (4, 4, 4)
     expected = np.zeros((4, 4))
-    expected[:3, :3] = np.eye(3) / 3
-    assert np.max(np.abs(rho - expected)) < 1e-9
-    assert p3.purifier_dim == 8
-    assert p3.cost == 4
+    np.fill_diagonal(expected, 0.5)
+    assert np.array_equal(p4.purification.reshape(4, 4), expected)
+
+    # no qubit register has dimension 3, 0 or -4
+    for d in (3, 0, -4):
+        with pytest.raises(OutOfRangeError, match=f"power of two .*got {d}"):
+            prepare_maximally_mixed(d)
 
 
 def test_maximally_mixed_all_small_dims():
-    for d in range(2, 17):
+    for n in range(7):
+        d = 1 << n
         p = prepare_maximally_mixed(d)
-        dim = p.system_dim
-        expected = np.zeros((dim, dim))
-        expected[:d, :d] = np.eye(d) / d
-        assert trace_distance(reduced_density(p), expected) <= 1e-9
-        assert p.purifier_dim == 2 * dim
+        assert (p.system_dim, p.purifier_dim, p.cost) == (d, d, 2 * n)
+        assert trace_distance(reduced_density(p), np.eye(d) / d) <= 1e-12
+        assert np.count_nonzero(p.purification) == d
 
 
 def test_thermal_examples():
