@@ -9,7 +9,6 @@ from .algorithms import (
     SketchResult,
     complexity_report,
     correlate,
-    kpm_sketch,
     spectral_sketch,
 )
 from .block_encoding import (
@@ -67,7 +66,6 @@ __all__ = [
     "SketchResult",
     "complexity_report",
     "correlate",
-    "kpm_sketch",
     "spectral_sketch",
     # block_encoding
     "BlockEncoding",

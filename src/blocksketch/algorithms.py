@@ -5,9 +5,9 @@
 Tr(rho B f(H/alpha) C) with f a certified interval window (integral mode)
 or the Chebyshev polynomials T_0..T_N (moments mode), which covers the
 density of states (B = C = I, rho = I/D), the local density of states
-(B = C = I, rho = |s><s|) and linear response. `kpm_sketch` adds the
-kernel-polynomial reconstruction, and `complexity_report` evaluates the
-cost formulas with unit constants.
+(B = C = I, rho = |s><s|) and linear response, with rho read from the one
+field `SketchRequest.state` (I/D for dos). `complexity_report` evaluates
+the cost formulas with unit constants.
 
 Moment jobs for different orders are independent; run them concurrently
 with distinct seeds and merge by index if needed.
@@ -18,27 +18,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .block_encoding import BlockEncoding, encode_pauli_sum, product
-from .chebyshev import MIN_ETA_REL, WindowPoly, kpm_reconstruct, window_parameters, window_poly
+from .chebyshev import MIN_ETA_REL, WindowPoly, window_parameters, window_poly
 from .errors import (
     BadIntervalError,
     CostOverflowError,
+    DimensionMismatchError,
     EmptySumError,
     OutOfRangeError,
     ValidationError,
+    _checked_cost,
 )
 from .estimation import EstimationResult, estimate_complex, estimate_observable
 from .pauli import PauliSum
 from .spectral import (
-    _checked_cost,
     apply_polynomial,
     chebyshev_encoding,
     evolution_cost,
     evolution_encoding,
 )
-from .state_prep import PreparationUnitary, prepare_maximally_mixed, prepare_pure
+from .state_prep import PreparationUnitary, prepare_maximally_mixed
 
 DOS = "dos"
 LDOS = "ldos"
@@ -83,8 +82,10 @@ class CorrelationSpec:
 class SketchRequest:
     """Inputs for a density-of-states or response sketch.
 
-    rho_max bounds the normalized dimension of the largest eigenspace
-    (1 is always valid; smaller values tighten the window degree).
+    `state` is rho for every kind: none for dos (rho = I/D), a pure state
+    (`prepare_pure`) for ldos, any preparation for response. rho_max
+    bounds the normalized dimension of the largest eigenspace (1 is always
+    valid; smaller values tighten the window degree).
     """
 
     hamiltonian: PauliSum
@@ -94,7 +95,6 @@ class SketchRequest:
     rho_max: float = 1.0
     interval: tuple[float, float] | None = None
     num_moments: int | None = None
-    site_state: np.ndarray | None = None
     b_observable: PauliSum | None = None
     c_observable: PauliSum | None = None
     state: PreparationUnitary | None = None
@@ -103,6 +103,17 @@ class SketchRequest:
     def __post_init__(self):
         if self.kind not in (DOS, LDOS, RESPONSE):
             raise ValidationError(f"unknown sketch kind {self.kind!r}")
+        if self.kind == DOS and self.state is not None:
+            raise ValidationError("dos takes no state: its state is I/D by definition")
+        if self.kind == LDOS and (self.state is None or self.state.purifier_dim != 1):
+            raise ValidationError("ldos requires a pure site state (pure or basis directive)")
+        if self.kind == RESPONSE and None in (self.b_observable, self.c_observable, self.state):
+            raise ValidationError("response requires B, C, and a state")
+        if self.state is not None and self.state.system_dim != self.hamiltonian.dim:
+            raise DimensionMismatchError(
+                f"state of dimension {self.state.system_dim} for a Hamiltonian "
+                f"of dimension {self.hamiltonian.dim}"
+            )
         if not (0.0 < self.eps < 1.0 and 0.0 < self.delta < 1.0):
             raise OutOfRangeError("eps and delta must lie in (0, 1)")
         if not 0.0 < self.rho_max < math.inf:
@@ -118,28 +129,28 @@ class SketchRequest:
                 raise BadIntervalError(
                     f"interval [{a}, {b}] must satisfy -alpha < a < b < alpha with alpha={alpha}"
                 )
-        if self.kind == LDOS and self.site_state is None:
-            raise ValidationError("ldos requires a site state vector")
         if self.kind == RESPONSE:
-            if self.b_observable is None or self.c_observable is None or self.state is None:
-                raise ValidationError("response requires B, C, and a state")
             weight = self.b_observable.scale() * self.c_observable.scale()
             if not math.isfinite(weight):
                 raise OutOfRangeError(
                     f"|B| |C|, the product of the observable scales, overflows to {weight}"
                 )
-        # A window share too small for any degree is named by its factors;
-        # a share of 1 or more is left to window_poly.
-        eta = 1.0 if self.interval is None else _budget(self).window_eta
+        if self.interval is None:
+            return
+        # A window share of 1 or more, or too small for any degree, is named
+        # by its factors.
+        eta = _budget(self).window_eta
         try:
-            window_parameters(min(eta, 0.5))
+            window_parameters(eta)
         except OutOfRangeError:
             named = f"rho_max {self.rho_max!r}"
             if self.kind == RESPONSE:
                 named += f" with |B| |C| = {weight!r}"
+            size, why = ("small", "is not below 1") if eta >= 1.0 else (
+                "large", "admits no finite window degree"
+            )
             raise OutOfRangeError(
-                f"{named} is too large for eps {self.eps!r}: its window share "
-                f"{eta!r} admits no finite window degree"
+                f"{named} is too {size} for eps {self.eps!r}: its window share {eta!r} {why}"
             ) from None
 
 
@@ -237,12 +248,11 @@ def correlate(spec: CorrelationSpec, mode: str = "exact", seed: int | None = Non
 def spectral_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = None) -> SketchResult:
     """Sketch Tr(rho B f(H/alpha) C) for the request's kind.
 
-    The density of states is B = C = I with rho = I/D, the local density
-    of states B = C = I with rho = |s><s|; both are estimated as one
-    Hermitian observable and moment n is seeded with seed + n. The
-    response estimates B f(H/alpha) C against the supplied state part by
-    part (any ground-energy shift is the caller's) and seeds moment n with
-    seed + 2n.
+    rho is I/D for the density of states and `req.state` for every other
+    kind. The density and local density of states are B = C = I, estimated
+    as one Hermitian observable, and moment n is seeded with seed + n. The
+    response estimates B f(H/alpha) C against the state part by part (any
+    ground-energy shift is the caller's) and seeds moment n with seed + 2n.
 
     Integral mode takes f to be the certified window over the rescaled
     interval; the window, polynomial and estimation shares of eps are
@@ -250,6 +260,7 @@ def spectral_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = 
     """
     h_enc = encode_pauli_sum(req.hamiltonian)
     alpha = h_enc.scale
+    state = prepare_maximally_mixed(req.hamiltonian.dim) if req.kind == DOS else req.state
     if req.kind == RESPONSE:
         b_enc = encode_pauli_sum(req.b_observable)
         c_enc = encode_pauli_sum(req.c_observable)
@@ -257,13 +268,9 @@ def spectral_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = 
 
         def estimate(f_enc: BlockEncoding, eps: float, f_seed):
             xi_enc = product([b_enc, f_enc, c_enc])
-            return estimate_complex(xi_enc, req.state, eps, req.delta, mode, f_seed)
+            return estimate_complex(xi_enc, state, eps, req.delta, mode, f_seed)
 
     else:
-        if req.kind == DOS:
-            state = prepare_maximally_mixed(req.hamiltonian.dim)
-        else:
-            state = prepare_pure(req.site_state)
         stride = 1
 
         def estimate(f_enc: BlockEncoding, eps: float, f_seed):
@@ -289,19 +296,6 @@ def spectral_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = 
         previous = (t_n, *previous[:1])
         values.append(estimate(t_n, budget.estimation, _moment_seed(seed, stride, n)))
     return SketchResult(tuple(values), tuple(orders))
-
-
-def kpm_sketch(
-    req: SketchRequest, grid, mode: str = "exact", seed: int | None = None
-) -> tuple[SketchResult, np.ndarray]:
-    """Moments plus kernel-polynomial reconstruction of their real parts on
-    the given grid (response moments are complex; `kpm_reconstruct` of the
-    imaginary parts gives the rest)."""
-    if req.num_moments is None:
-        raise ValidationError("kpm_sketch requires a moments-mode request")
-    sketch = spectral_sketch(req, mode, seed)
-    moments = np.array([v.value.real for v in sketch.values])
-    return sketch, kpm_reconstruct(moments, np.asarray(grid, dtype=float))
 
 
 def _checked_queries(queries: float) -> float:

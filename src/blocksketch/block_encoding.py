@@ -37,7 +37,7 @@ bookkeeping), so no rule runs an SVD:
 - `linear_combine`: sum_i w_i bound_i over the convex weights w_i;
 - `spectral.chebyshev_encoding`: 1 for an exactly Hermitian input block
   with bound at most 1 (else an SVD, see there);
-- `spectral.apply_polynomial`: sup_norm(p) / 2.
+- `spectral.apply_polynomial`: p.sup_norm_bound / 2, proven with p.
 
 ``norm_bound`` is not a constructor argument, so no caller can assert a
 bound for an arbitrary block.

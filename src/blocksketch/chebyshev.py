@@ -31,7 +31,7 @@ The amplifier is its binomial tail sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -49,8 +49,6 @@ from .errors import (
 # Extrema per degree of the second-order Bernstein certificate: M >= 8 n
 # gives n h <= pi / 16, so the slack factor (n h)^2 / 2 is at most 0.0193.
 CERT_EXTREMA_PER_DEGREE = 8
-# Points of the sampled sup-norm of a series with no recorded bound.
-SAMPLED_EXTREMA = 2**18
 # Refusing very small eta keeps the window degree n k at or below 787,200
 # (eta = 0.005: n = 19,200, k = 41); the composed series of that degree is
 # built only when `poly` is read.
@@ -63,21 +61,17 @@ EVAL_CHUNK_ENTRIES = 2**18
 
 @dataclass(frozen=True, eq=False)
 class ChebyshevPoly:
-    """Coefficients c_0..c_d in the T_k basis, with an optional certified
-    bound on sup |p(x)| over [-1, 1]."""
+    """Coefficients c_0..c_d in the T_k basis, with a proven bound
+    `sup_norm_bound` on sup |p(x)| over [-1, 1]: the constructor's is
+    min(sum_k |c_k|, the Bernstein bound of `certified_bounds`), and the
+    package's constructors record the bound their construction proves.
+    No caller can assert a bound."""
 
     coeffs: np.ndarray
-    sup_norm_bound: float | None = None
+    sup_norm_bound: float = field(init=False)
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coefficients must be a nonempty 1-d array")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        _set_coeffs(self, self.coeffs, None)
 
     @property
     def degree(self) -> int:
@@ -87,13 +81,36 @@ class ChebyshevPoly:
         return chebval(x, self.coeffs)
 
 
+def _set_coeffs(p: ChebyshevPoly, coeffs, bound: float | None):
+    """Check the coefficients, prove a sup-norm bound when bound is None,
+    and set the fields of a frozen series."""
+    c = np.array(coeffs, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("coefficients must be a nonempty 1-d array")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coefficients must be finite")
+    c.flags.writeable = False
+    if bound is None:
+        bound = min(float(np.sum(np.abs(c))), certified_bounds(c, np.zeros_like, (), 0.0)[0])
+    object.__setattr__(p, "coeffs", c)
+    object.__setattr__(p, "sup_norm_bound", bound)
+
+
+def _proven(coeffs, bound: float) -> ChebyshevPoly:
+    """A series whose construction proves sup |p| <= bound on [-1, 1],
+    recorded without a further certificate."""
+    p = object.__new__(ChebyshevPoly)
+    _set_coeffs(p, coeffs, bound)
+    return p
+
+
 def chebyshev_t(n: int) -> ChebyshevPoly:
     """The basis polynomial T_n."""
     if n < 0:
         raise OutOfRangeError("n must be nonnegative")
     c = np.zeros(n + 1)
     c[n] = 1.0
-    return ChebyshevPoly(c, sup_norm_bound=1.0)
+    return _proven(c, 1.0)
 
 
 def _dct1(x: np.ndarray) -> np.ndarray:
@@ -240,19 +257,6 @@ def certified_bounds(
     return sup, gap
 
 
-def sup_norm(p) -> float:
-    """The recorded sup-norm bound of p, or for a series with none the
-    largest |p| at the M + 1 extrema, M the smallest even 5-smooth number
-    at least SAMPLED_EXTREMA and 2 deg, and at the deg + 1 extrema of T_deg
-    (a sampled value, not a proof: it is exact for T_n)."""
-    if p.sup_norm_bound is not None:
-        return p.sup_norm_bound
-    m = _next_even_5_smooth(max(SAMPLED_EXTREMA, 2 * p.degree))
-    dense = np.max(np.abs(cheb_values_at_extrema(p.coeffs, m)))
-    own = np.max(np.abs(cheb_values_at_extrema(p.coeffs, max(p.degree, 1))))
-    return float(max(dense, own))
-
-
 def cheb_fit_at_nodes(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients interpolating values at the first-kind nodes.
 
@@ -325,7 +329,7 @@ def jackson_approx(a_bar: float, b_bar: float, kappa: float, n: int) -> Chebyshe
     if gap > 0.25:
         raise CertificationError(f"step approximation not proven within 1/4 (gap bound {gap:.6g})")
     # |step| <= 1, so 1 + gap is a second proven bound.
-    return ChebyshevPoly(coeffs, sup_norm_bound=min(sup, 1.0 + gap))
+    return _proven(coeffs, min(sup, 1.0 + gap))
 
 
 def amplifier_value(k: int, y):
@@ -353,7 +357,7 @@ def amplifying_poly(k: int) -> ChebyshevPoly:
     ends = chebval(np.array([-1.0, 1.0]), coeffs)
     if abs(ends[0]) > 1e-9 or abs(ends[1] - 1.0) > 1e-9:
         raise CertificationError(f"amplifier endpoints off: A({-1})={ends[0]}, A(1)={ends[1]}")
-    return ChebyshevPoly(coeffs, sup_norm_bound=1.0)
+    return _proven(coeffs, 1.0)
 
 
 def compose(outer: ChebyshevPoly, inner: ChebyshevPoly, scale_inner: float) -> ChebyshevPoly:
@@ -363,18 +367,18 @@ def compose(outer: ChebyshevPoly, inner: ChebyshevPoly, scale_inner: float) -> C
     domain); recovered by interpolation at deg(outer)*deg(inner) + 1
     Chebyshev nodes, which is exact for the composed polynomial.
     """
-    reach = abs(scale_inner) * sup_norm(inner)
+    reach = abs(scale_inner) * inner.sup_norm_bound
     if reach > 1.0 + 1e-9:
         raise RangeViolationError(
             f"scaled inner polynomial reaches {reach:.6g} > 1 on [-1, 1]"
         )
     if outer.degree == 0:
-        return ChebyshevPoly(outer.coeffs.copy(), sup_norm_bound=abs(float(outer.coeffs[0])))
+        return _proven(outer.coeffs, abs(float(outer.coeffs[0])))
     d = outer.degree * inner.degree
     inner_vals = cheb_values_at_nodes(inner.coeffs, d + 1) * scale_inner
     outer_vals = chebval(inner_vals, outer.coeffs)
     coeffs = cheb_fit_at_nodes(outer_vals)
-    return ChebyshevPoly(coeffs, sup_norm_bound=outer.sup_norm_bound)
+    return _proven(coeffs, outer.sup_norm_bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,9 +484,7 @@ def window_poly(
         raise CertificationError(f"tau={tau} exceeds eta/4={eta_rel / 4.0}")
 
     jackson = jackson_approx(a_bar, b_bar, kappa, n)
-    # Checks the endpoints of A_k; the series itself is rebuilt by `poly`.
-    amplifying_poly(k)
-    reach = AMPLIFIER_INNER_SCALE * sup_norm(jackson)
+    reach = AMPLIFIER_INNER_SCALE * jackson.sup_norm_bound
     if reach > 1.0 + 1e-9:
         raise RangeViolationError(f"scaled inner polynomial reaches {reach:.6g} > 1 on [-1, 1]")
 

@@ -36,7 +36,6 @@ from .algorithms import (
     SketchRequest,
     complexity_report,
     correlate,
-    kpm_sketch,
     min_window_eps,
     spectral_sketch,
 )
@@ -119,18 +118,14 @@ def _validate_common(args: argparse.Namespace):
 
 def _build_sketch_request(args: argparse.Namespace, h: PauliSum) -> SketchRequest:
     kwargs: dict = {}
-    if args.kind == LDOS:
-        if args.state is None:
-            raise ValidationError("ldos requires a --state file")
-        prep = parse_state_file(args.state, h.dim, h)
-        if prep.purifier_dim != 1:
-            raise ValidationError("ldos requires a pure site state (pure or basis directive)")
-        kwargs["site_state"] = prep.purification
+    if args.kind == LDOS and args.state is None:
+        raise ValidationError("ldos requires a --state file")
     if args.kind == RESPONSE:
         if args.observable_b is None or args.observable_c is None or args.state is None:
             raise ValidationError("response requires --observable-b, --observable-c, --state")
         kwargs["b_observable"] = parse_pauli_file(args.observable_b)
         kwargs["c_observable"] = parse_pauli_file(args.observable_c)
+    if args.kind != DOS:
         kwargs["state"] = parse_state_file(args.state, h.dim, h)
     return SketchRequest(
         hamiltonian=h,
@@ -212,12 +207,12 @@ def _cmd_kpm(args: argparse.Namespace) -> int:
         raise ValidationError(f"--grid-points must be at least 1, got {args.grid_points}")
     req = _build_sketch_request(args, _load_hamiltonian(args))
     grid = np.linspace(-0.99, 0.99, args.grid_points)
-    sketch, reconstruction = kpm_sketch(req, grid, args.mode, args.seed)
-    header, columns = "x,f_kpm", [grid, reconstruction]
+    moments = [res.value for res in spectral_sketch(req, args.mode, args.seed).values]
+    header, columns = "x,f_kpm", [grid, kpm_reconstruct([m.real for m in moments], grid)]
     if req.kind == RESPONSE:
         # Response moments are complex: reconstruct their imaginary parts too.
         header += ",f_kpm_im"
-        columns.append(kpm_reconstruct([res.value.imag for res in sketch.values], grid))
+        columns.append(kpm_reconstruct([m.imag for m in moments], grid))
     _write_output(_csv_chunks(header, zip(*columns)), args.output)
     return 0
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of a
+cost ledger."""
+
+_COST_LIMIT = 2**63 - 1
 
 
 class BlockSketchError(Exception):
@@ -67,6 +70,13 @@ class GridOutOfRangeError(BlockSketchError):
 
 class CostOverflowError(BlockSketchError, OverflowError):
     pass
+
+
+def _checked_cost(cost, what: str):
+    """Raise CostOverflowError unless cost is finite and at most 2^63 - 1,
+    the limit of every cost ledger."""
+    if not cost <= _COST_LIMIT:
+        raise CostOverflowError(f"{what} is {cost:.6g}, not at most 2^63 - 1")
 
 
 class CertificationError(BlockSketchError):

@@ -42,7 +42,9 @@ def oracle_correlation(h: PauliSum, observables, rho: np.ndarray) -> complex:
 
 def _sketch_weight_operator(req: SketchRequest) -> np.ndarray:
     """C rho B: the operator whose eigenstate expectations weight f(E_i/alpha)
-    in the sketched Tr(rho B f(H/alpha) C)."""
+    in the sketched Tr(rho B f(H/alpha) C). rho is I/D for dos, the outer
+    product |s><s| of the pure `req.state` for ldos and its reduced density
+    for response."""
     if req.kind == DOS:
         return np.eye(req.hamiltonian.dim) / req.hamiltonian.dim
     if req.kind == RESPONSE:
@@ -51,17 +53,18 @@ def _sketch_weight_operator(req: SketchRequest) -> np.ndarray:
             @ reduced_density(req.state)
             @ pauli_sum_matrix(req.b_observable)
         )
-    site = np.asarray(req.site_state, dtype=complex)
+    site = req.state.purification
     return np.outer(site, site.conj())
 
 
 def oracle_sketch(req: SketchRequest, window: WindowPoly | None = None) -> list[complex]:
     """Exact values of the quantities a sketch of `req` estimates.
 
-    Every value is sum_i f(E_i) <psi_i| C rho B |psi_i>, real for dos and
-    ldos. A moments request takes f = T_n(E/alpha), n = 0..N. An integral
-    request takes f = w(E/alpha) with the sketch's certified `window`, or,
-    with no window, the sharp indicator of the closed interval a <= E <= b.
+    Every value is sum_i f(E_i) <psi_i| C rho B |psi_i>, with rho = I/D for
+    dos and `req.state` otherwise, real for dos and ldos. A moments request
+    takes f = T_n(E/alpha), n = 0..N. An integral request takes
+    f = w(E/alpha) with the sketch's certified `window`, or, with no
+    window, the sharp indicator of the closed interval a <= E <= b.
     """
     h = req.hamiltonian
     energies, weights = eigen_expectations(h, _sketch_weight_operator(req))

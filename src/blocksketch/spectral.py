@@ -22,25 +22,16 @@ from functools import partial
 import numpy as np
 
 from .block_encoding import BlockEncoding, _by_rule, _own_block, hermitian_block
-from .chebyshev import ChebyshevPoly, WindowPoly, sup_norm
+from .chebyshev import ChebyshevPoly, WindowPoly
 from .errors import (
-    CostOverflowError,
     InexactInputError,
+    _checked_cost,
     OutOfRangeError,
     PolyNotBoundedError,
     ValidationError,
 )
 from .linalg import embed_operator, unitary_dilation
 from .pauli import PauliSum, pauli_sum_matrix
-
-_COST_LIMIT = 2**63 - 1
-
-
-def _checked_cost(cost, what: str):
-    """Raise CostOverflowError unless cost is finite and at most 2^63 - 1."""
-    if not cost <= _COST_LIMIT:
-        raise CostOverflowError(f"{what} is {cost:.6g}, not at most 2^63 - 1")
-
 
 def evolution_cost(num_terms: int, alpha: float, t: float, eps: float) -> float:
     """Gate cost of an eps-accurate encoding of exp(iHt), unit constants:
@@ -158,8 +149,8 @@ def apply_polynomial(b: BlockEncoding, p: ChebyshevPoly | WindowPoly, delta: flo
 
     p is a Chebyshev series or a certified window, which is evaluated in
     its factored form A_k(0.8 J(x)) rather than as the composed series of
-    degree n k. The bound on p is its recorded sup_norm_bound (or, for a
-    series with none, the sampled `chebyshev.sup_norm`).
+    degree n k. The bound on p is its sup_norm_bound, which every
+    ChebyshevPoly and WindowPoly carries proven.
 
     Realized spectrally: p is applied to the eigenvalues of the encoded
     block, so the new block is p(A)/2 and the recovery scale is 2; the
@@ -167,13 +158,13 @@ def apply_polynomial(b: BlockEncoding, p: ChebyshevPoly | WindowPoly, delta: flo
     ancilla qubit. The accuracy field records delta and the cost ledger
     charges degree * input cost, matching the interface of a
     singular-value-transformation circuit whose phase factors are out of
-    scope here. The norm ledger records sup_norm(p) / 2.
+    scope here. The norm ledger records p.sup_norm_bound / 2.
     """
     if delta < 0:
         raise OutOfRangeError(f"delta must be nonnegative, got {delta}")
-    bound = sup_norm(p)
+    bound = p.sup_norm_bound
     if bound > 1.0 + 1e-9:
-        raise PolyNotBoundedError(f"polynomial reaches {bound:.6g} > 1 on [-1, 1]")
+        raise PolyNotBoundedError(f"polynomial bound {bound:.6g} exceeds 1 on [-1, 1]")
     block = hermitian_block(b)
     _checked_cost(p.degree * b.cost, f"cost ledger {p.degree} * {b.cost}")
 

@@ -32,6 +32,7 @@ from .errors import (
     NotNormalizedError,
     OutOfRangeError,
     ParseError,
+    _checked_cost,
 )
 from .linalg import check_circuit_unitary, unitary_completion
 from .pauli import PauliSum, pauli_sum_matrix, read_input
@@ -202,7 +203,8 @@ def prepare_thermal(h: PauliSum, beta_inv_temp: float) -> tuple[PreparationUnita
     weights, and its circuit is a QR completion of that vector; the
     circuit-level construction is out of scope but its cost formula is
     evaluated (Q = number of terms, alpha = coefficient one-norm,
-    eps = 1e-3, unit constants) and rounded up into the cost ledger.
+    eps = 1e-3, unit constants) and rounded up into the cost ledger;
+    CostOverflowError if it exceeds 2^63 - 1, as for every ledger.
     """
     if not 0.0 <= beta_inv_temp < math.inf:
         raise OutOfRangeError(
@@ -223,11 +225,11 @@ def prepare_thermal(h: PauliSum, beta_inv_temp: float) -> tuple[PreparationUnita
     purification = (vecs * np.sqrt(weights)).reshape(-1)
 
     cost = thermal_cost_estimate(len(h.terms), h.scale(), beta_inv_temp, dim, log_z)
-    cost_int = int(min(math.ceil(cost), 2**62)) if math.isfinite(cost) else 2**62
+    _checked_cost(cost, f"thermal preparation cost at inverse temperature {beta_inv_temp!r}")
     prep = PreparationUnitary(
         system_dim=dim,
         purifier_dim=dim,
-        cost=cost_int,
+        cost=math.ceil(cost),
         purification=purification,
         circuit=partial(unitary_completion, purification),
     )

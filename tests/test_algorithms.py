@@ -11,15 +11,15 @@ from blocksketch.algorithms import (
     _budget,
     complexity_report,
     correlate,
-    kpm_sketch,
     min_window_eps,
     spectral_sketch,
 )
 from blocksketch.block_encoding import encode_pauli_sum
-from blocksketch.chebyshev import MIN_ETA_REL, chebyshev_t, window_poly
+from blocksketch.chebyshev import MIN_ETA_REL, chebyshev_t, kpm_reconstruct, window_poly
 from blocksketch.errors import (
     BadIntervalError,
     DegreeTooLargeError,
+    DimensionMismatchError,
     EmptySumError,
     OutOfRangeError,
     ValidationError,
@@ -88,9 +88,7 @@ def test_dos_moments_examples():
     assert np.allclose(got, [1, 0, 1, 0, 1], atol=1e-9)
     assert sketch.chebyshev_orders == (0, 1, 2, 3, 4)
 
-    req = SketchRequest(
-        X_SUM, "ldos", eps=0.05, delta=0.05, num_moments=1, site_state=np.array([1.0, 0.0])
-    )
+    req = SketchRequest(X_SUM, "ldos", eps=0.05, delta=0.05, num_moments=1, state=KET0)
     got = [v.value.real for v in spectral_sketch(req).values]
     assert np.allclose(got, [1, 0], atol=1e-9)
 
@@ -205,11 +203,16 @@ def test_response_identity_consistent_with_dos(rng):
         assert np.max(np.abs(dos_vals - resp_vals)) <= 2 * 0.05
 
 
+def _real_moments(req: SketchRequest) -> list[float]:
+    return [v.value.real for v in spectral_sketch(req).values]
+
+
 def test_kpm_sketch_symmetric():
     req = SketchRequest(Z_SUM, "dos", eps=0.05, delta=0.05, num_moments=32)
     grid = np.linspace(-0.99, 0.99, 199)
-    sketch, recon = kpm_sketch(req, grid)
-    assert len(sketch.values) == 33
+    moments = _real_moments(req)
+    assert len(moments) == 33
+    recon = kpm_reconstruct(moments, grid)
     assert np.max(np.abs(recon - recon[::-1])) <= 1e-6
     top_two = np.abs(grid[np.argsort(recon)[-2:]])
     assert np.all(top_two > 0.9)
@@ -218,16 +221,8 @@ def test_kpm_sketch_symmetric():
 def test_kpm_zero_order_flat():
     req = SketchRequest(Z_SUM, "dos", eps=0.05, delta=0.05, num_moments=0)
     grid = np.array([-0.4, 0.0, 0.6])
-    _sketch, recon = kpm_sketch(req, grid)
+    recon = kpm_reconstruct(_real_moments(req), grid)
     assert np.allclose(recon, 1.0 / (np.pi * np.sqrt(1 - grid**2)), atol=1e-9)
-
-
-def test_kpm_requires_moments_mode():
-    req = SketchRequest(
-        Z_SUM, "dos", eps=0.05, delta=0.05, interval=(-0.5, 0.5), allow_large_degree=True
-    )
-    with pytest.raises(ValidationError):
-        kpm_sketch(req, np.array([0.0]))
 
 
 def test_request_validation():
@@ -243,6 +238,48 @@ def test_request_validation():
         SketchRequest(Z_SUM, "response", eps=0.05, delta=0.05, num_moments=2)
     with pytest.raises(OutOfRangeError):
         SketchRequest(Z_SUM, "dos", eps=1.5, delta=0.05, num_moments=2)
+
+
+@pytest.mark.parametrize(
+    "kind, state, message",
+    [
+        ("dos", KET0, "dos takes no state: its state is I/D by definition"),
+        ("ldos", None, "ldos requires a pure site state (pure or basis directive)"),
+        ("ldos", prepare_maximally_mixed(2),
+         "ldos requires a pure site state (pure or basis directive)"),
+        ("response", None, "response requires B, C, and a state"),
+    ],
+)
+def test_state_field_rules_per_kind(kind, state, message):
+    with pytest.raises(ValidationError) as err:
+        SketchRequest(
+            Z_SUM, kind, eps=0.05, delta=0.05, num_moments=2,
+            b_observable=X_SUM, c_observable=X_SUM, state=state,
+        )
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("kind", ["ldos", "response"])
+def test_state_must_match_the_hamiltonian_dimension(kind):
+    message = "state of dimension 4 for a Hamiltonian of dimension 2"
+    with pytest.raises(DimensionMismatchError, match=message):
+        SketchRequest(
+            Z_SUM, kind, eps=0.05, delta=0.05, num_moments=2,
+            b_observable=X_SUM, c_observable=X_SUM, state=prepare_pure([1.0, 0.0, 0.0, 0.0]),
+        )
+
+
+def test_ldos_is_the_response_with_identity_observables_on_its_state():
+    site = prepare_pure([0.6, 0.8j])
+    req = SketchRequest(TILTED, "ldos", eps=0.05, delta=0.05, num_moments=3, state=site)
+    got = [v.value for v in spectral_sketch(req).values]
+    assert np.allclose(got, oracle_sketch(req), atol=1e-9)
+    ident = PauliSum.from_terms([(1.0, "I")])
+    resp = SketchRequest(
+        TILTED, "response", eps=0.05, delta=0.05, num_moments=3,
+        b_observable=ident, c_observable=ident, state=site,
+    )
+    assert np.allclose(got, [v.value for v in spectral_sketch(resp).values], atol=1e-9)
 
 
 def test_sampled_sketch_deterministic():
@@ -303,9 +340,7 @@ ARRAY_VALUES = {
         None,
     ),
     "SketchRequest": (
-        lambda: SketchRequest(
-            TILTED, "ldos", 0.05, 0.05, num_moments=2, site_state=np.array([1.0, 0.0])
-        ),
+        lambda: SketchRequest(TILTED, "ldos", 0.05, 0.05, num_moments=2, state=KET0),
         None,
     ),
     "SketchResult": (
@@ -340,7 +375,7 @@ def test_correlation_spec_compares_by_fields():
 # Integral requests of each kind with non-dyadic rho_max, |B| and |C|.
 INTEGRAL_REQUESTS = {
     "dos": dict(kind="dos", eps=0.3, rho_max=0.7),
-    "ldos": dict(kind="ldos", eps=0.45, rho_max=0.9, site_state=np.array([0.6, 0.8])),
+    "ldos": dict(kind="ldos", eps=0.45, rho_max=0.9, state=prepare_pure([0.6, 0.8])),
     "response": dict(
         kind="response",
         eps=0.3,

@@ -47,6 +47,6 @@ def test_traced_dos_jobs_match_untraced_and_record_the_window_degree(tmp_path):
     assert metrics["chebyshev.window_poly.degree"][0] == window_degree
     assert metrics["chebyshev.window_poly.calls"][0] == 0.5  # median over the two jobs
     assert "chebyshev.compose" not in jobs[0]
-    assert jobs[0]["chebyshev.amplifying_poly"]["calls"] == 1
+    assert "chebyshev.amplifying_poly" not in jobs[0]
     assert jobs[1]["spectral.chebyshev_encoding"]["calls"] == 4
     assert 0.0 < metrics["estimation.queries_over_budget"][0] <= 1.0

@@ -24,7 +24,6 @@ from blocksketch.chebyshev import (
     jackson_damping,
     kpm_reconstruct,
     soft_step,
-    sup_norm,
     window_parameters,
     window_poly,
 )
@@ -115,7 +114,7 @@ def test_compose_semigroup():
 
 
 def test_compose_identity_outer(rng):
-    inner = ChebyshevPoly(rng.normal(size=5) / 10.0, sup_norm_bound=None)
+    inner = ChebyshevPoly(rng.normal(size=5) / 10.0)
     out = compose(chebyshev_t(1), inner, 0.5)
     assert np.max(np.abs(out.coeffs - 0.5 * inner.coeffs)) < 1e-10
 
@@ -130,7 +129,7 @@ def test_compose_nested_agreement(rng):
 
 
 def test_compose_range_violation():
-    big = ChebyshevPoly(np.array([0.0, 2.0]), sup_norm_bound=2.0)
+    big = ChebyshevPoly(np.array([0.0, 2.0]))
     with pytest.raises(RangeViolationError):
         compose(chebyshev_t(2), big, 1.0)
 
@@ -384,12 +383,13 @@ def test_overdamped_step_approximant_fails_the_certificate(monkeypatch):
         jackson_approx(-0.3, 0.4, 0.025, 960)
 
 
-def test_sampled_sup_norm_is_exact_for_chebyshev_basis():
+def test_proven_sup_norm_of_the_chebyshev_basis_is_one():
+    # sum |c_k| = 1 is exact; the Bernstein bound exceeds 1 by its slack
     for n in (0, 1, 5, 1000, 70_001):
-        assert sup_norm(ChebyshevPoly(chebyshev_t(n).coeffs)) == pytest.approx(1.0, abs=1e-12)
+        assert ChebyshevPoly(chebyshev_t(n).coeffs).sup_norm_bound == 1.0
 
 
-def test_sampled_sup_norm_at_a_prime_degree_uses_a_5_smooth_grid(monkeypatch):
+def test_proven_sup_norm_is_the_smaller_proof_and_bounds_every_sample(monkeypatch):
     seen = []
     extrema = chebyshev.cheb_values_at_extrema
 
@@ -397,13 +397,20 @@ def test_sampled_sup_norm_at_a_prime_degree_uses_a_5_smooth_grid(monkeypatch):
         seen.append((np.asarray(coeffs).size - 1, m))
         return extrema(coeffs, m)
 
-    monkeypatch.setattr(chebyshev, "cheb_values_at_extrema", recording)
-    assert sup_norm(ChebyshevPoly(chebyshev_t(3847).coeffs)) == pytest.approx(1.0, abs=1e-12)
-    # 2^18 is the SAMPLED_EXTREMA grid; the series' own extrema keep T_n exact.
-    assert seen == [(3847, 2**18), (3847, 3847)]
+    # At the prime degree 3847 the certificate runs on its 5-smooth grid.
     coeffs = np.random.default_rng(3847).normal(size=3848)
-    want = max(np.max(np.abs(extrema(coeffs, m))) for m in (2**18, 3847))
-    assert sup_norm(ChebyshevPoly(coeffs)) == want
+    monkeypatch.setattr(chebyshev, "cheb_values_at_extrema", recording)
+    p = ChebyshevPoly(coeffs)
+    assert seen == [(3847, certificate_extrema(3847))]
+    bernstein, _gap = certified_bounds(coeffs, np.zeros_like, (), 0.0)
+    # For random coefficients the certificate (about sqrt(n)) beats sum |c_k|.
+    assert p.sup_norm_bound == bernstein < np.sum(np.abs(coeffs))
+    assert p.sup_norm_bound >= np.max(np.abs(extrema(coeffs, 2**18)))
+
+
+def test_sup_norm_bound_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        ChebyshevPoly(np.array([0.0, 3.0]), sup_norm_bound=0.9)
 
 
 def test_factored_window_application_matches_composed_series(rng):

@@ -28,7 +28,7 @@ from blocksketch.block_encoding import (
     product,
     product_error_bound,
 )
-from blocksketch.chebyshev import ChebyshevPoly, sup_norm
+from blocksketch.chebyshev import ChebyshevPoly
 from blocksketch.cli import main
 from blocksketch.errors import NormTooLargeError, OutOfRangeError
 from blocksketch.estimation import (
@@ -277,7 +277,7 @@ def _bound_apply_polynomial(rng):
     (b,) = _pauli_inputs(rng, count=1)
     coeffs = rng.normal(size=6)
     p = ChebyshevPoly(coeffs / (np.sum(np.abs(coeffs)) * 1.01))
-    return apply_polynomial(b, p, 1e-3), sup_norm(p) / 2.0
+    return apply_polynomial(b, p, 1e-3), p.sup_norm_bound / 2.0
 
 
 def _bound_evolution_encoding(rng):

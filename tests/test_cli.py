@@ -296,6 +296,38 @@ def test_cost_matches_golden(workdir, capsys, golden, hamiltonian, args):
     assert json.loads(capsys.readouterr().out) == json.loads((GOLDEN / golden).read_text())
 
 
+@pytest.fixture
+def golden_inputs(tmp_path):
+    """A 2-qubit Hamiltonian, a complex pure site state and response
+    observables, the inputs of the CSV goldens."""
+    (tmp_path / "h2.txt").write_text("0.5 ZI\n0.3 IX\n0.2 XX\n")
+    (tmp_path / "site.txt").write_text("pure 0.6 0 0.48j 0.64\n")
+    (tmp_path / "b.txt").write_text("0.5 XI\n0.5 IZ\n")
+    (tmp_path / "c.txt").write_text("1.0 IX\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "golden, args",
+    [
+        ("ldos_moments_exact.csv", ["ldos", "--moments", "6", "--oracle"]),
+        ("ldos_moments_sampled.csv",
+         ["ldos", "--moments", "4", "--mode", "sampled", "--seed", "7", "--oracle"]),
+        ("ldos_integral.csv", ["ldos", "--integral", "-0.4", "0.3", "--eps", "0.15", "--oracle"]),
+        ("kpm_ldos.csv", ["kpm", "--kind", "ldos", "--moments", "8", "--grid-points", "21"]),
+        ("kpm_response.csv",
+         ["kpm", "--kind", "response", "--observable-b", "{b}", "--observable-c", "{c}",
+          "--moments", "8", "--grid-points", "21"]),
+    ],
+)
+def test_site_state_sketch_matches_golden(golden_inputs, capsys, golden, args):
+    d = golden_inputs
+    argv = [a.format(b=d / "b.txt", c=d / "c.txt") for a in args]
+    argv += ["--hamiltonian", d / "h2.txt", "--state", d / "site.txt"]
+    assert _run(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -307,6 +339,21 @@ def test_cost_matches_golden(workdir, capsys, golden, hamiltonian, args):
 def test_ldos_without_state_names_the_flag(workdir, capsys, args):
     assert _run(args + ["--hamiltonian", workdir / "hz.txt"]) == 2
     assert "error: ldos requires a --state file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta", ["200", "3000"])
+def test_correlation_cost_of_an_overflowing_thermal_state_exits_2(workdir, capsys, beta):
+    (workdir / "h.txt").write_text("1.0 I\n0.5 Z\n")
+    (workdir / "thermal.txt").write_text(f"thermal {beta}\n")
+    rc = _run(
+        ["cost", "--kind", "correlation", "--hamiltonian", workdir / "h.txt", "--observable",
+         workdir / "hx.txt", "0", "--state", workdir / "thermal.txt"]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: thermal preparation cost at inverse temperature" in captured.err
+    assert "not at most 2^63 - 1" in captured.err
 
 
 @pytest.mark.parametrize("points", ["-1", "0"])
@@ -668,6 +715,30 @@ def test_underflowing_window_share_names_its_factor(workdir, capsys, command, na
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {named} is too large for eps 0.05: its window share")
+
+
+@pytest.mark.parametrize(
+    "command, named",
+    [
+        ("dos --integral -0.5 0.5 --rho-max 0.01", "rho_max 0.01"),
+        ("cost --kind dos-integral --integral -0.5 0.5 --rho-max 0.01", "rho_max 0.01"),
+        ("ldos --integral -0.5 0.5 --rho-max 0.01 --state {ket0}", "rho_max 0.01"),
+        ("cost --kind response-integral --integral -0.5 0.5 --rho-max 0.01 --observable-b {hz} "
+         "--observable-c {hx} --state {ket0}", "rho_max 0.01 with |B| |C| = 1.0"),
+    ],
+)
+def test_window_share_of_one_or_more_names_its_factor(workdir, capsys, command, named):
+    """A window share eps / (3 rho_max |B| |C|) of 1 or more is refused
+    naming rho_max (and |B| |C| for response), not eta."""
+    paths = {name: workdir / f"{name}.txt" for name in ("hz", "hx", "ket0")}
+    argv = command.format(**paths).split()
+    assert _run(argv + ["--hamiltonian", workdir / "hz.txt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {named} is too small for eps 0.05: its window share "
+        f"{0.05 / 0.03!r} is not below 1\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -79,10 +79,10 @@ def test_dos_integral_weights():
     # a one-hot site state picks out the local spectral mass: H = 0.3 X + 0.2 Y
     # has eigenvectors (1, +-e^{i phi})/sqrt 2, so site 0 carries half of each
     h = PauliSum.from_terms([(0.3, "X"), (0.2, "Y")])
-    site = np.array([1.0, 0.0])
+    site = prepare_pure([1.0, 0.0])
 
     def local_mass(a, b):
-        return oracle_sketch(_request(h, "ldos", interval=(a, b), site_state=site))[0].real
+        return oracle_sketch(_request(h, "ldos", interval=(a, b), state=site))[0].real
 
     assert local_mass(0.2, 0.45) == pytest.approx(0.5)
     assert local_mass(-0.45, 0.45) == pytest.approx(1.0)
@@ -211,7 +211,10 @@ def _sketch_cases(rng):
             yield _request(h, kind, interval=interval), np.eye(4) / 4
         elif kind == "ldos":
             site = random_state_vector(rng, 4)
-            yield _request(h, kind, interval=interval, site_state=site), np.outer(site, site.conj())
+            yield (
+                _request(h, kind, interval=interval, state=prepare_pure(site)),
+                np.outer(site, site.conj()),
+            )
         else:
             b, c = random_pauli_sum(rng, 2, 2), random_pauli_sum(rng, 2, 2)
             state = prepare_pure(random_state_vector(rng, 4))
@@ -244,6 +247,6 @@ def test_dos_and_ldos_values_are_real(rng):
                 continue
             alpha = req.hamiltonian.scale()
             window = window_poly(req.interval[0] / alpha, req.interval[1] / alpha, 0.1)
-            moments = _request(req.hamiltonian, req.kind, num_moments=5, site_state=req.site_state)
+            moments = _request(req.hamiltonian, req.kind, num_moments=5, state=req.state)
             values = oracle_sketch(req) + oracle_sketch(req, window) + oracle_sketch(moments)
             assert all(v.imag == 0.0 for v in values)

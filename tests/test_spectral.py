@@ -189,6 +189,9 @@ def test_apply_polynomial_validation():
     b = encode_pauli_sum(PauliSum.from_terms([(1.0, "Z")]))
     with pytest.raises(PolyNotBoundedError):
         apply_polynomial(b, ChebyshevPoly(np.array([0.0, 2.0])), 1e-3)
+    # 3 T_1 is proven bounded by 3 only, so no encoding of norm 1.5 is built
+    with pytest.raises(PolyNotBoundedError):
+        apply_polynomial(b, ChebyshevPoly(np.array([0.0, 3.0])), 0.0)
     with pytest.raises(CostOverflowError):
         apply_polynomial(replace(b, cost=2**62), chebyshev_t(4), 1e-3)
     assert is_unitary(apply_polynomial(b, chebyshev_t(2), 0.0).unitary, 1e-10)

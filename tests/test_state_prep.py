@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 from functools import partial
 
@@ -8,6 +9,7 @@ import pytest
 
 from blocksketch import state_prep
 from blocksketch.errors import (
+    CostOverflowError,
     DimensionMismatchError,
     NotNormalizedError,
     OutOfRangeError,
@@ -122,6 +124,16 @@ def test_thermal_examples():
 
     with pytest.raises(OutOfRangeError):
         prepare_thermal(h, -1.0)
+
+
+@pytest.mark.parametrize("beta, shown", [(200.0, "1.78108e+25"), (3000.0, "inf")])
+def test_thermal_cost_past_the_ledger_limit_is_refused_not_clamped(beta, shown):
+    h = PauliSum.from_terms([(1.0, "I"), (0.5, "Z")])
+    message = re.escape(f"inverse temperature {beta!r} is {shown}, not at most 2^63 - 1")
+    with pytest.raises(CostOverflowError, match=message):
+        prepare_thermal(h, beta)
+    with pytest.raises(CostOverflowError, match=message):
+        parse_state_text(f"thermal {beta}", 2, h)
 
 
 THERMAL_HAMILTONIANS = {
