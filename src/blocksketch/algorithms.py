@@ -64,6 +64,11 @@ class CorrelationSpec:
                 raise ValidationError("observable and Hamiltonian qubit counts differ")
             if not math.isfinite(t):
                 raise OutOfRangeError(f"observable time must be finite, got {t!r}")
+        if self.state.system_dim != self.hamiltonian.dim:
+            raise DimensionMismatchError(
+                f"state of dimension {self.state.system_dim} for a Hamiltonian "
+                f"of dimension {self.hamiltonian.dim}"
+            )
         gamma = math.prod(obs.scale() for obs, _t in self.observables)
         if not math.isfinite(gamma):
             raise OutOfRangeError(

@@ -39,8 +39,27 @@ bookkeeping), so no rule runs an SVD:
   with bound at most 1 (else an SVD, see there);
 - `spectral.apply_polynomial`: p.sup_norm_bound / 2, proven with p.
 
-``norm_bound`` is not a constructor argument, so no caller can assert a
-bound for an arbitrary block.
+The Hermitian ledger. ``hermitian`` is True only where a rule proves
+that the block equals its conjugate transpose entry for entry, so that
+`linalg.hermitian_gap` of it is exactly 0; False means unproven, and
+`hermitian_block` then measures the gap. The rules that prove it:
+
+- `encode_pauli_sum`: real coefficients scattered symmetrically (see
+  there);
+- `identity_encoding`: the identity;
+- `adjoint` and `normalized`: the input's ledger;
+- `linear_combine` with real coefficients over Hermitian inputs (as in
+  the shifted encoding (I + A)/2 of estimation): see there;
+- `estimation.hermitian_part_encoding` and
+  `estimation.antihermitian_part_encoding`: c G + conj(c) G^dagger, see
+  `_conjugate_pair_sum`.
+
+`product`, `encode_unitary`, `spectral.chebyshev_encoding` (matmul
+roundoff), `spectral.apply_polynomial` and every measured encoding stay
+unproven.
+
+``norm_bound`` and ``hermitian`` are not constructor arguments, so no
+caller can assert a bound or a symmetry for an arbitrary block.
 
 All values are immutable and all operations pure.
 """
@@ -49,7 +68,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -88,7 +107,8 @@ class BlockEncoding:
     1 + CONTRACTION_TOL and recorded as ``norm_bound``; ``circuit`` is the
     zero-argument callable building the unitary. The arithmetic of this
     module and of `spectral` builds its values by rule instead, recording
-    the bound the rule proves (see the module docstring) without an SVD.
+    the bound the rule proves (see the module docstring) without an SVD,
+    and ``hermitian`` where the rule proves the block Hermitian.
 
     `.unitary` and `.hermitian_gap` are computed on first access and
     cached with the value, which is immutable.
@@ -96,6 +116,7 @@ class BlockEncoding:
 
     block: np.ndarray
     norm_bound: float = field(init=False)
+    hermitian: bool = field(init=False)
     ancilla_dim: int
     system_dim: int
     scale: float
@@ -115,7 +136,9 @@ class BlockEncoding:
         circuit: Callable[[], np.ndarray],
     ):
         block = np.array(block, dtype=complex)
-        _set_fields(self, block, None, ancilla_dim, system_dim, scale, accuracy, cost, circuit)
+        _set_fields(
+            self, block, None, False, ancilla_dim, system_dim, scale, accuracy, cost, circuit
+        )
 
     @cached_property
     def unitary(self) -> np.ndarray:
@@ -129,7 +152,9 @@ class BlockEncoding:
         return hermitian_gap(self.block)
 
 
-def _set_fields(enc, block, norm_bound, ancilla_dim, system_dim, scale, accuracy, cost, circuit):
+def _set_fields(
+    enc, block, norm_bound, hermitian, ancilla_dim, system_dim, scale, accuracy, cost, circuit
+):
     """Check the ledgers, the block's shape and its norm bound (measured by
     an SVD when None), and set the fields of a frozen encoding."""
     if not 0.0 < scale < math.inf:
@@ -151,6 +176,7 @@ def _set_fields(enc, block, norm_bound, ancilla_dim, system_dim, scale, accuracy
     enc.__dict__.update(
         block=block,
         norm_bound=norm_bound,
+        hermitian=hermitian,
         ancilla_dim=ancilla_dim,
         system_dim=system_dim,
         scale=scale,
@@ -161,26 +187,39 @@ def _set_fields(enc, block, norm_bound, ancilla_dim, system_dim, scale, accuracy
 
 
 def _by_rule(
-    block, norm_bound: float, *, ancilla_dim, system_dim, scale, accuracy, cost, circuit
+    block,
+    norm_bound: float,
+    *,
+    hermitian: bool = False,
+    ancilla_dim,
+    system_dim,
+    scale,
+    accuracy,
+    cost,
+    circuit,
 ) -> BlockEncoding:
     """An encoding whose block an arithmetic rule computed, recorded with
-    the norm bound that rule proves and checked without an SVD.
+    the norm bound that rule proves and checked without an SVD, and
+    Hermitian where the rule proves it (see the module docstring).
 
     Package-private: the block is taken as it is (no copy) and must be a
     fresh array or an already read-only input block.
     """
     enc = object.__new__(BlockEncoding)
     block = np.asarray(block, dtype=complex)
-    _set_fields(enc, block, norm_bound, ancilla_dim, system_dim, scale, accuracy, cost, circuit)
+    _set_fields(
+        enc, block, norm_bound, hermitian, ancilla_dim, system_dim, scale, accuracy, cost, circuit
+    )
     return enc
 
 
-def _own_block(u: np.ndarray, accuracy: float, cost: int) -> BlockEncoding:
+def _own_block(u: np.ndarray, accuracy: float, cost: int, hermitian=False) -> BlockEncoding:
     """A unitary as its own encoding: no ancilla, scale 1, norm bound 1,
     and a circuit that returns u (a fresh array, made read-only here)."""
     return _by_rule(
         u,
         1.0,
+        hermitian=hermitian,
         ancilla_dim=1,
         system_dim=u.shape[0],
         scale=1.0,
@@ -199,12 +238,13 @@ def encode_unitary(u: np.ndarray, cost: int = 0) -> BlockEncoding:
 
 
 def hermitian_block(b: BlockEncoding) -> np.ndarray:
-    """The block of b, which must be Hermitian within 1e-8 in every entry.
+    """The block of b, which must be Hermitian within 1e-8 in every entry:
+    proven by its ledger, or else measured.
 
     Raises:
         NotHermitianError: if its Hermitian gap exceeds 1e-8.
     """
-    if not b.hermitian_gap <= 1e-8:
+    if not (b.hermitian or b.hermitian_gap <= 1e-8):
         raise NotHermitianError("encoded block is not Hermitian within 1e-8")
     return b.block
 
@@ -216,22 +256,29 @@ def identity_encoding(system_dim: int) -> BlockEncoding:
     One value per dimension, built on first use and shared while the
     dimension is among the last four asked for; its block, which is also
     its unitary, is read-only."""
-    return _own_block(np.eye(system_dim, dtype=complex), 0.0, 0)
+    return _own_block(np.eye(system_dim, dtype=complex), 0.0, 0, hermitian=True)
+
+
+def _relabeled(b: BlockEncoding, scale: float, hermitian: bool) -> BlockEncoding:
+    """b's block, norm bound, circuit and other ledgers under a new scale
+    and Hermitian ledger, which the caller's rule justifies."""
+    return _by_rule(
+        b.block,
+        b.norm_bound,
+        hermitian=hermitian,
+        ancilla_dim=b.ancilla_dim,
+        system_dim=b.system_dim,
+        scale=scale,
+        accuracy=b.accuracy,
+        cost=b.cost,
+        circuit=b.circuit,
+    )
 
 
 def normalized(b: BlockEncoding) -> BlockEncoding:
     """b read as a 1-scaled encoding of A/alpha: the same block, norm
     bound, circuit and other ledgers at scale 1."""
-    return _by_rule(
-        b.block,
-        b.norm_bound,
-        ancilla_dim=b.ancilla_dim,
-        system_dim=b.system_dim,
-        scale=1.0,
-        accuracy=b.accuracy,
-        cost=b.cost,
-        circuit=b.circuit,
-    )
+    return _relabeled(b, 1.0, b.hermitian)
 
 
 def _prepare_unitary(weights, dim: int) -> np.ndarray:
@@ -272,15 +319,27 @@ def encode_pauli_sum(s: PauliSum) -> BlockEncoding:
     sqrt(|beta_i| / alpha) on a power-of-two ancilla (zero padded), and the
     select unitary applies the sign-corrected Pauli word on branch i and
     the identity on padding branches.
+
+    Hermitian ledger: `pauli.pauli_sum_matrix` adds each real coefficient
+    times +-1 or +-i to the entries (j xor x, j) in term order. A Pauli
+    word is Hermitian, so entries (r, c) and (c, r) receive the same
+    real parts and negated imaginary parts, term by term and in the same
+    order; as rounding is symmetric under negation, the sums are
+    conjugates, and so are their quotients by the real alpha. Diagonal
+    entries come from words without X or Y and are real.
     """
     if not isinstance(s, PauliSum) or not s.terms:
         raise EmptySumError("encode_pauli_sum requires a nonempty PauliSum")
     m = len(s.terms)
     alpha = s.scale()
+    if not math.isfinite(1.0 / alpha):
+        # numpy divides a complex array by alpha through 1 / alpha.
+        raise OutOfRangeError(f"the scale alpha = {alpha!r} is too small to divide by")
     dim_anc = 1 << max(0, (m - 1).bit_length())
     return _by_rule(
         pauli_sum_matrix(s) / alpha,
         1.0,
+        hermitian=True,
         ancilla_dim=dim_anc,
         system_dim=s.dim,
         scale=alpha,
@@ -299,6 +358,7 @@ def adjoint(b: BlockEncoding) -> BlockEncoding:
     return _by_rule(
         b.block.conj().T,
         b.norm_bound,
+        hermitian=b.hermitian,
         ancilla_dim=b.ancilla_dim,
         system_dim=b.system_dim,
         scale=b.scale,
@@ -322,12 +382,10 @@ def product_error_bound(errors) -> float:
     return total
 
 
-def _shared_system_dim(encodings: list[BlockEncoding]) -> int:
-    """The system dimension of a nonempty list of encodings, which must agree."""
-    dims = {b.system_dim for b in encodings}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"system dimensions differ: {sorted(dims)}")
-    return dims.pop()
+def _dimension_mismatch(encodings: list[BlockEncoding]) -> DimensionMismatchError:
+    """The error for a list of encodings whose system dimensions differ."""
+    dims = sorted({b.system_dim for b in encodings})
+    return DimensionMismatchError(f"system dimensions differ: {dims}")
 
 
 def _product_circuit(encodings: list[BlockEncoding]) -> np.ndarray:
@@ -347,23 +405,34 @@ def product(encodings) -> BlockEncoding:
     Each factor keeps its own ancilla register (concatenated in list
     order, most significant first), so the blocks multiply; scales
     multiply, costs add, and the accuracy composes through
-    product_error_bound.
+    product_error_bound, whose fold step the ledger loop repeats.
     """
     encodings = list(encodings)
     if not encodings:
         raise LengthMismatchError("product requires at least one encoding")
-    d = _shared_system_dim(encodings)
-    if len(encodings) == 1:
-        return encodings[0]
-
+    first, *rest = encodings
+    if not rest:
+        return first
+    d = first.system_dim
+    block, bound, scale = first.block, first.norm_bound, first.scale
+    accuracy, cost, ancilla_dim = first.accuracy, first.cost, first.ancilla_dim
+    for b in rest:
+        if b.system_dim != d:
+            raise _dimension_mismatch(encodings)
+        block = block @ b.block
+        bound *= b.norm_bound
+        scale *= b.scale
+        accuracy = accuracy + b.accuracy + 2.0 * math.sqrt(accuracy * b.accuracy)
+        cost += b.cost
+        ancilla_dim *= b.ancilla_dim
     return _by_rule(
-        reduce(np.matmul, [b.block for b in encodings]),
-        math.prod(b.norm_bound for b in encodings),
-        ancilla_dim=int(np.prod([b.ancilla_dim for b in encodings])),
+        block,
+        bound,
+        ancilla_dim=ancilla_dim,
         system_dim=d,
-        scale=math.prod(b.scale for b in encodings),
-        accuracy=product_error_bound([b.accuracy for b in encodings]),
-        cost=int(sum(b.cost for b in encodings)),
+        scale=scale,
+        accuracy=accuracy,
+        cost=int(cost),
         circuit=partial(_product_circuit, encodings),
     )
 
@@ -388,6 +457,12 @@ def linear_combine(coeffs, encodings) -> BlockEncoding:
     input encodings share one ancilla register of the largest input
     ancilla dimension (each input embedded as a direct summand), so the
     ancilla dimension is prepare_dim * max_i ancilla_dim_i.
+
+    Hermitian ledger: for real beta_i each weight times phase has a zero
+    imaginary part, so each part of its product with an entry is one
+    rounded real product, and the scaling commutes with conjugation entry
+    by entry. Over Hermitian inputs every term is then Hermitian, and the
+    terms are added in the same order at (r, c) and (c, r).
     """
     coeffs = [complex(c) for c in coeffs]
     encodings = list(encodings)
@@ -395,29 +470,43 @@ def linear_combine(coeffs, encodings) -> BlockEncoding:
         raise LengthMismatchError("linear_combine requires at least one encoding")
     if len(coeffs) != len(encodings):
         raise LengthMismatchError(f"{len(coeffs)} coefficients for {len(encodings)} encodings")
-    d = _shared_system_dim(encodings)
-    m = len(encodings)
-    strengths = [b.scale * abs(c) for c, b in zip(coeffs, encodings)]
+    d = encodings[0].system_dim
+    strengths = []
+    for c, b in zip(coeffs, encodings):
+        if b.system_dim != d:
+            raise _dimension_mismatch(encodings)
+        strengths.append(b.scale * abs(c))
     # numpy's pairwise order, which differs from a left fold from 8 terms on.
-    total = float(np.sum(strengths))
+    total = float(np.add.reduce(strengths))
     if total <= 0:
         raise OutOfRangeError("all coefficients are zero; the combination has no scale")
-    weights = [s / total for s in strengths]
-    phases = [c / abs(c) if c != 0 else 1.0 for c in coeffs]
-    dim_prep = 1 << max(0, (m - 1).bit_length())
 
     # A running sum from +0, which also turns the first term's -0 entries
     # into +0 as sum() from 0 would.
     block = np.zeros((d, d), dtype=complex)
-    for w, p, b in zip(weights, phases, encodings):
+    weights, phases = [], []
+    bound = accuracy = 0.0
+    cost, ancilla_dim, hermitian = 0, 1, True
+    for c, s, b in zip(coeffs, strengths, encodings):
+        w = s / total
+        p = c / abs(c) if c != 0 else 1.0
         block += w * p * b.block
+        weights.append(w)
+        phases.append(p)
+        bound += w * b.norm_bound
+        accuracy += s * b.accuracy
+        cost += b.cost
+        ancilla_dim = max(ancilla_dim, b.ancilla_dim)
+        hermitian = hermitian and b.hermitian and c.imag == 0.0
+    dim_prep = 1 << max(0, (len(encodings) - 1).bit_length())
     return _by_rule(
         block,
-        sum(w * b.norm_bound for w, b in zip(weights, encodings)),
-        ancilla_dim=dim_prep * max(b.ancilla_dim for b in encodings),
+        bound,
+        hermitian=hermitian,
+        ancilla_dim=dim_prep * ancilla_dim,
         system_dim=d,
         scale=total,
-        accuracy=sum(s * b.accuracy for s, b in zip(strengths, encodings)) / total,
-        cost=int(sum(b.cost for b in encodings)),
+        accuracy=accuracy / total,
+        cost=int(cost),
         circuit=partial(_combine_circuit, phases, encodings, weights, dim_prep),
     )

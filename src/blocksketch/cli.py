@@ -116,8 +116,20 @@ def _validate_common(args: argparse.Namespace):
         raise ValidationError(f"moment count {args.moments} exceeds {MAX_MOMENTS}")
 
 
+# The inputs a sketch kind never reads. `kpm` and `cost` define every
+# input for every kind, so a flag given for such an input is refused.
+_UNREAD_INPUTS = {
+    DOS: ("state", "observable_b", "observable_c"),
+    LDOS: ("observable_b", "observable_c"),
+    RESPONSE: (),
+}
+
+
 def _build_sketch_request(args: argparse.Namespace, h: PauliSum) -> SketchRequest:
     kwargs: dict = {}
+    for dest in _UNREAD_INPUTS[args.kind]:
+        if getattr(args, dest, None) is not None:
+            raise ValidationError(f"{args.kind} does not read --{dest.replace('_', '-')}")
     if args.kind == LDOS and args.state is None:
         raise ValidationError("ldos requires a --state file")
     if args.kind == RESPONSE:

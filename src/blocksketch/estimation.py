@@ -32,6 +32,7 @@ import numpy as np
 
 from .block_encoding import (
     BlockEncoding,
+    _relabeled,
     adjoint,
     hermitian_block,
     identity_encoding,
@@ -181,6 +182,11 @@ def _simulate_amplitude(amplitude: float, eps: float, delta: float, rng) -> tupl
     pool_ones = 0
     pool_shots = 0
     queries = 0
+    # Hoisted out of the loop; every expression below keeps the operand
+    # order of delta_j's formula, so the draws and intervals do not move.
+    six_delta = 6.0 * delta
+    pi_squared = math.pi**2
+    binomial = rng.binomial
 
     for round_idx in range(_MAX_ROUNDS):
         if hi - lo <= 2.0 * eps:
@@ -190,18 +196,17 @@ def _simulate_amplitude(amplitude: float, eps: float, delta: float, rng) -> tupl
             k = k_new
             pool_ones = 0
             pool_shots = 0
-        delta_round = 6.0 * delta / (math.pi**2 * (round_idx + 1) ** 2)
-        shots = math.ceil(_SHOTS_LOG_FACTOR * math.log(2.0 / delta_round))
-        prob = math.sin((2 * k + 1) * theta) ** 2
-        pool_ones += int(rng.binomial(shots, prob))
+        log_term = math.log(2.0 / (six_delta / (pi_squared * (round_idx + 1) ** 2)))
+        shots = math.ceil(_SHOTS_LOG_FACTOR * log_term)
+        big_k = 2 * k + 1
+        pool_ones += int(binomial(shots, math.sin(big_k * theta) ** 2))
         pool_shots += shots
         queries += shots * k
 
-        half = math.sqrt(math.log(2.0 / delta_round) / (2.0 * pool_shots))
+        half = math.sqrt(log_term / (2.0 * pool_shots))
         p_hat = pool_ones / pool_shots
         p_lo = max(0.0, p_hat - half)
         p_hi = min(1.0, p_hat + half)
-        big_k = 2 * k + 1
         q = math.floor(big_k * lo / half_pi + 1e-12)
         x_lo, x_hi = _invert_quadrant(q, p_lo, p_hi)
         new_lo = max(lo, x_lo / big_k)
@@ -291,14 +296,33 @@ def estimate_observable(
     return EstimationResult(complex(value), eps, 1.0 - delta, queries, mode, rng_seed)
 
 
+def _conjugate_pair_sum(coeffs: list[complex], g: BlockEncoding) -> BlockEncoding:
+    """The encoding of c G + conj(c) G^dagger, for coeffs = [c, conj(c)]
+    with c real or imaginary, that `linear_combine` builds, with the
+    Hermitian ledger set.
+
+    Proof. Both strengths are |c| alpha, so both weights are one value w,
+    and the two terms scale G and G^dagger entrywise by s = w c / |c| and
+    by conj(s): f(z) = s z and h(z) = conj(s) z. As s is real or
+    imaginary, each part of s z is one rounded real product (the other
+    product is an exact zero), so conj(f(z)) = h(conj(z)) in value.
+    Entry (j, i) of the block is f(G_ji) + h(conj(G_ij)), and the conjugate
+    of entry (i, j) is conj(f(G_ij)) + conj(h(conj(G_ji))) =
+    h(conj(G_ij)) + f(G_ji): the same two numbers, and floating-point
+    addition commutes. So the block equals its conjugate transpose.
+    """
+    pair = linear_combine(coeffs, [g, adjoint(g)])
+    return _relabeled(pair, pair.scale, hermitian=True)
+
+
 def hermitian_part_encoding(g: BlockEncoding) -> BlockEncoding:
-    """Encoding of (G + G*)/2 at the scale of g."""
-    return linear_combine([0.5, 0.5], [g, adjoint(g)])
+    """Encoding of (G + G*)/2 at the scale of g, proven Hermitian."""
+    return _conjugate_pair_sum([0.5, 0.5], g)
 
 
 def antihermitian_part_encoding(g: BlockEncoding) -> BlockEncoding:
-    """Encoding of (G - G*)/(2i) at the scale of g."""
-    return linear_combine([-0.5j, 0.5j], [g, adjoint(g)])
+    """Encoding of (G - G*)/(2i) at the scale of g, proven Hermitian."""
+    return _conjugate_pair_sum([-0.5j, 0.5j], g)
 
 
 def estimate_complex(

@@ -106,7 +106,9 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
     (equal to its conjugate transpose bit for bit) with norm bound at most
     1 the bound of T_n is 1. A block Hermitian only within tolerance can
     give a T_n of norm above 1, so there the norm is measured by an SVD.
-    Both checks read `b.hermitian_gap`, measured once per encoding.
+    Both checks read the Hermitian ledger of b first and measure
+    `b.hermitian_gap`, once per encoding, only where it is unproven. T_n
+    itself stays unproven: the block products round asymmetrically.
     """
     if n < 0:
         raise OutOfRangeError("Chebyshev order must be nonnegative")
@@ -139,7 +141,7 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
         cost=n * b.cost,
         circuit=partial(_alternating_word, b, n),
     )
-    if b.norm_bound <= 1.0 and b.hermitian_gap == 0.0:
+    if b.norm_bound <= 1.0 and (b.hermitian or b.hermitian_gap == 0.0):
         return _by_rule(block, 1.0, **ledger)
     return BlockEncoding(block, **ledger)
 

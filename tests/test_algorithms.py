@@ -269,6 +269,22 @@ def test_state_must_match_the_hamiltonian_dimension(kind):
         )
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        correlate,
+        lambda spec: oracle_correlation(
+            spec.hamiltonian, spec.observables, reduced_density(spec.state)
+        ),
+    ],
+    ids=["correlate", "oracle_correlation"],
+)
+def test_correlation_state_must_match_the_hamiltonian_dimension(run):
+    message = "state of dimension 4 for a Hamiltonian of dimension 2"
+    with pytest.raises(DimensionMismatchError, match=message):
+        run(CorrelationSpec(Z_SUM, ((X_SUM, 0.5),), prepare_pure([1, 0, 0, 0]), 0.05, 0.05))
+
+
 def test_ldos_is_the_response_with_identity_observables_on_its_state():
     site = prepare_pure([0.6, 0.8j])
     req = SketchRequest(TILTED, "ldos", eps=0.05, delta=0.05, num_moments=3, state=site)

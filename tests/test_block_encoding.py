@@ -1,7 +1,10 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocksketch.block_encoding import (
     BlockEncoding,
@@ -10,9 +13,11 @@ from blocksketch.block_encoding import (
     encode_unitary,
     identity_encoding,
     linear_combine,
+    normalized,
     product,
     product_error_bound,
 )
+from blocksketch.chebyshev import chebyshev_t
 from blocksketch.errors import (
     DimensionMismatchError,
     EmptySumError,
@@ -20,13 +25,20 @@ from blocksketch.errors import (
     NotUnitaryError,
     OutOfRangeError,
 )
+from blocksketch.estimation import (
+    _shifted_encoding,
+    antihermitian_part_encoding,
+    hermitian_part_encoding,
+)
 from blocksketch.linalg import (
     check_circuit_unitary,
+    hermitian_gap,
     is_hermitian,
     is_unitary,
     spectral_norm,
 )
-from blocksketch.pauli import PauliSum, pauli_sum_matrix
+from blocksketch.pauli import PauliSum, PauliTerm, pauli_sum_matrix
+from blocksketch.spectral import apply_polynomial, chebyshev_encoding
 
 from conftest import contraction_encoding, random_pauli_sum
 
@@ -232,3 +244,92 @@ def test_empirical_error_within_bound(rng):
         empirical = np.linalg.norm(pr.block - exact, 2)
         assert empirical <= product_error_bound(errs) + 1e-12
         assert pr.accuracy == pytest.approx(product_error_bound(errs))
+
+
+# The Hermitian ledger: wherever a rule claims a Hermitian block, the block
+# equals its conjugate transpose entry for entry, at any magnitude.
+LEDGER = settings(max_examples=150, deadline=None)
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1e-300]),
+    st.floats(-1e150, 1e150, allow_nan=False),
+)
+
+
+@st.composite
+def complex_operators(draw):
+    """A BlockEncoding, built by measurement, of a random complex operator
+    G whose entries include signed zeros, subnormals and large values."""
+    dim = draw(st.sampled_from([1, 2, 4, 8]))
+    parts = draw(st.lists(ENTRIES, min_size=2 * dim * dim, max_size=2 * dim * dim))
+    g = (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(dim, dim)
+    norm = spectral_norm(g)
+    scale = 1.0 if norm <= 1.0 else 2.0 * norm
+    return BlockEncoding(g / scale, 1, dim, scale=scale, circuit=partial(np.eye, 2 * dim))
+
+
+@st.composite
+def real_pauli_sums(draw, qubits: int):
+    word = st.text(alphabet="IXYZ", min_size=qubits, max_size=qubits)
+    coeff = st.one_of(
+        st.floats(-10.0, 10.0).filter(lambda c: c != 0.0),
+        st.sampled_from([1.0, -1.0, 0.5, 1e-300, -3e300, 1e10]),
+    )
+    pairs = draw(st.lists(st.tuples(coeff, word), min_size=1, max_size=8, unique_by=lambda p: p[1]))
+    return PauliSum(tuple(PauliTerm(c, w) for c, w in pairs), qubits)
+
+
+def _assert_proven_hermitian(b: BlockEncoding):
+    assert b.hermitian
+    assert hermitian_gap(b.block) == 0.0
+
+
+@LEDGER
+@given(complex_operators())
+def test_hermitian_and_antihermitian_parts_are_hermitian_by_proof(g):
+    assert not g.hermitian
+    for part in (hermitian_part_encoding(g), antihermitian_part_encoding(g)):
+        _assert_proven_hermitian(part)
+        _assert_proven_hermitian(adjoint(part))
+        _assert_proven_hermitian(normalized(part))
+        _assert_proven_hermitian(_shifted_encoding(part))
+
+
+@LEDGER
+@given(
+    st.integers(1, 3).flatmap(lambda q: st.lists(real_pauli_sums(q), min_size=1, max_size=3)),
+    st.lists(
+        st.tuples(st.floats(1e-3, 1e6), st.sampled_from([1.0, -1.0])).map(lambda p: p[0] * p[1]),
+        min_size=3,
+        max_size=3,
+    ),
+)
+def test_pauli_sums_and_their_real_combinations_are_hermitian_by_proof(sums, coeffs):
+    encodings = [encode_pauli_sum(s) for s in sums]
+    for b in encodings:
+        _assert_proven_hermitian(b)
+        _assert_proven_hermitian(_shifted_encoding(b))
+    _assert_proven_hermitian(identity_encoding(encodings[0].system_dim))
+    combined = linear_combine(coeffs[: len(encodings)], encodings)
+    _assert_proven_hermitian(combined)
+    assert not linear_combine([1j] + coeffs[1 : len(encodings)], encodings).hermitian
+
+
+def test_a_pauli_sum_with_a_subnormal_scale_is_refused():
+    """Dividing by it would fill the block with inf and nan, which neither
+    ledger could then claim to bound or to be Hermitian."""
+    with pytest.raises(OutOfRangeError, match="the scale alpha = 1e-310 is too small"):
+        encode_pauli_sum(PauliSum.from_terms([(1e-310, "Z")]))
+    assert encode_pauli_sum(PauliSum.from_terms([(1e-300, "Z")])).block[1, 1] == pytest.approx(-1.0)
+
+
+def test_products_polynomials_unitaries_and_measurements_stay_unproven():
+    h = encode_pauli_sum(PauliSum.from_terms([(0.5, "ZZ"), (0.3, "XI"), (0.2, "IY")]))
+    assert not product([h, h]).hermitian
+    previous = ()
+    for n in range(5):
+        t_n = chebyshev_encoding(h, n, previous)
+        assert not t_n.hermitian
+        previous = (t_n, *previous[:1])
+    assert not apply_polynomial(h, chebyshev_t(2), 1e-3).hermitian
+    assert not encode_unitary(np.eye(2)).hermitian
+    assert not BlockEncoding(h.block, 4, 4, scale=1.0, circuit=h.circuit).hermitian

@@ -318,6 +318,9 @@ def golden_inputs(tmp_path):
         ("kpm_response.csv",
          ["kpm", "--kind", "response", "--observable-b", "{b}", "--observable-c", "{c}",
           "--moments", "8", "--grid-points", "21"]),
+        ("response_moments_sampled.csv",
+         ["response", "--moments", "4", "--mode", "sampled", "--seed", "7", "--oracle",
+          "--observable-b", "{b}", "--observable-c", "{c}"]),
     ],
 )
 def test_site_state_sketch_matches_golden(golden_inputs, capsys, golden, args):
@@ -339,6 +342,33 @@ def test_site_state_sketch_matches_golden(golden_inputs, capsys, golden, args):
 def test_ldos_without_state_names_the_flag(workdir, capsys, args):
     assert _run(args + ["--hamiltonian", workdir / "hz.txt"]) == 2
     assert "error: ldos requires a --state file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["kpm", "--kind", "dos", "--moments", "3", "--state", "{ket0}"],
+         "dos does not read --state"),
+        (["kpm", "--kind", "dos", "--moments", "3", "--observable-b", "{hx}"],
+         "dos does not read --observable-b"),
+        (["kpm", "--kind", "ldos", "--moments", "3", "--state", "{ket0}", "--observable-c", "{hx}"],
+         "ldos does not read --observable-c"),
+        (["cost", "--kind", "dos-moments", "--moments", "3", "--state", "{ket0}"],
+         "dos does not read --state"),
+        (["cost", "--kind", "dos-integral", "--integral", "-0.5", "0.5", "--observable-c", "{hx}"],
+         "dos does not read --observable-c"),
+        (["cost", "--kind", "ldos-moments", "--moments", "3", "--state", "{ket0}",
+          "--observable-b", "{hx}"],
+         "ldos does not read --observable-b"),
+    ],
+)
+def test_kpm_and_cost_refuse_a_flag_the_kind_never_reads(workdir, capsys, args, message):
+    files = {"hx": workdir / "hx.txt", "ket0": workdir / "ket0.txt"}
+    argv = [a.format(**files) for a in args] + ["--hamiltonian", workdir / "hz.txt"]
+    assert _run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("beta", ["200", "3000"])
@@ -516,8 +546,10 @@ def test_overflowing_scale_products_exit_2(workdir, capsys, command, message):
     (workdir / "big_z.txt").write_text("1e200 Z\n")
     (workdir / "huge_x.txt").write_text("1e307 X\n")
     paths = {name: workdir / f"{name}.txt" for name in ("big_x", "big_z", "huge_x", "hz")}
-    argv = command.format(**paths).split()
-    assert _run(argv + ["--hamiltonian", workdir / "hz.txt", "--state", workdir / "ket0.txt"]) == 2
+    argv = command.format(**paths).split() + ["--hamiltonian", workdir / "hz.txt"]
+    if "--kind dos-" not in command:  # a dos cost refuses --state
+        argv += ["--state", workdir / "ket0.txt"]
+    assert _run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

@@ -136,9 +136,10 @@ def test_chebyshev_encoding_measures_the_hermitian_gap_once_per_encoding(monkeyp
         t_n = chebyshev_encoding(h, n, previous)
         assert t_n.norm_bound == 1.0
         previous = (t_n, *previous[:1])
-    assert len(measured) == 1 and measured[0] is h.block
+    # The Pauli sum is Hermitian by its ledger, so nothing is measured.
+    assert h.hermitian and measured == []
 
-    # A block Hermitian only within tolerance is measured once too, and
+    # A block Hermitian only within tolerance is measured once, and
     # every order still takes the SVD path; a non-Hermitian one fails at
     # every order.
     a = random_hermitian_contraction(rng, 4)
