@@ -320,8 +320,9 @@ def encode_pauli_sum(s: PauliSum) -> BlockEncoding:
     select unitary applies the sign-corrected Pauli word on branch i and
     the identity on padding branches.
 
-    Hermitian ledger: `pauli.pauli_sum_matrix` adds each real coefficient
-    times +-1 or +-i to the entries (j xor x, j) in term order. A Pauli
+    Hermitian ledger: `pauli.pauli_sum_matrix` scatters every term in one
+    unbuffered add, in term order, so each entry (j xor x, j) sums its real
+    coefficients times +-1 or +-i in term order from +0.0. A Pauli
     word is Hermitian, so entries (r, c) and (c, r) receive the same
     real parts and negated imaginary parts, term by term and in the same
     order; as rounding is symmetric under negation, the sums are

@@ -5,8 +5,19 @@ soft step, the Bernoulli-tail amplifying polynomial, their composition into
 a certified window polynomial, and kernel-polynomial reconstruction from
 Chebyshev moments.
 
+A series is evaluated three ways. `ChebyshevPoly.__call__` and
+`kpm_reconstruct` run Clenshaw's recurrence (`chebval`). The window's
+Jackson series at P points, and at the certificate's kinks, is the cosine
+sum sum_m c_m cos(m theta) taken in blocks of w = ceil(sqrt(n + 1))
+orders (`_cosine_sum`): P (w + (n+1)/w) complex exponentials instead of
+P (n + 1) cosines. At the extrema cos(j pi / M) of an even M with
+M/2 >= n + 1, the odd j are the first-kind nodes of the half grid (a
+DCT-III) and the even j its extrema; the grid halves r times, until it
+is odd or below 2(n + 1), and one DCT-I finishes it, so the FFT lengths
+add up to M + M/2^r rather than 2M (`cheb_values_at_extrema`).
+
 Certification is a proof, not a sampled check. A degree-n series p is
-evaluated at the M + 1 extrema cos(j pi / M), M >= 8 n, by one DCT-I; in
+evaluated at the M + 1 extrema cos(j pi / M), M >= 8 n, as above; in
 theta they are a grid of covering radius h = pi / (2M). p(cos theta) is an
 even trigonometric polynomial of degree n, so Bernstein's inequality,
 applied twice, gives |d^2/dtheta^2 p| <= n^2 S with S = sup|p|. At a
@@ -54,8 +65,8 @@ CERT_EXTREMA_PER_DEGREE = 8
 # built only when `poly` is read.
 MIN_ETA_REL = 0.005
 AMPLIFIER_INNER_SCALE = 0.8
-# Matrix entries per chunk of the cosine product in `_cosine_sum`
-# (2 MB of float64), which bounds its memory at any number of points.
+# Complex exponentials per chunk of points in `_cosine_sum` (4 MB of
+# complex128), which bounds its memory at any number of points.
 EVAL_CHUNK_ENTRIES = 2**18
 
 
@@ -169,18 +180,33 @@ def cheb_values_at_nodes(coeffs: np.ndarray, m: int) -> np.ndarray:
 def cheb_values_at_extrema(coeffs: np.ndarray, m: int) -> np.ndarray:
     """Values of a Chebyshev series at the m + 1 extrema cos(pi j/m), j = 0..m.
 
-    Exact (up to roundoff) whenever m >= degree; computed with a DCT-I in
-    O(m log m).
+    Exact (up to roundoff) whenever m >= degree; computed in O(m log m) by
+    `_values_at_extrema`.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.size > m + 1:
         raise ValueError("need m at least the degree of the series")
-    work = np.zeros(m + 1)
-    work[: coeffs.size] = coeffs / 2.0
-    work[0] = coeffs[0]
-    if coeffs.size == m + 1:
-        work[m] = coeffs[m]
-    return _dct1(work)
+    return _values_at_extrema(coeffs, m)
+
+
+def _values_at_extrema(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """The values at cos(pi j/m). For even m with m/2 >= n + 1 the even j
+    are the extrema of the half grid, and the odd j = 2i + 1 its first-kind
+    nodes cos(pi (i + 1/2)/(m/2)), which a DCT-III of length m/2 gives; so
+    the grid halves until it is odd or too coarse for the nodes, and that
+    last grid takes one DCT-I."""
+    half = m // 2
+    if m % 2 or half < coeffs.size:
+        work = np.zeros(m + 1)
+        work[: coeffs.size] = coeffs / 2.0
+        work[0] = coeffs[0]
+        if coeffs.size == m + 1:
+            work[m] = coeffs[m]
+        return _dct1(work)
+    values = np.empty(m + 1)
+    values[::2] = _values_at_extrema(coeffs, half)
+    values[1::2] = cheb_values_at_nodes(coeffs, half)
+    return values
 
 
 def _next_even_5_smooth(m: int) -> int:
@@ -212,14 +238,28 @@ def certificate_extrema(n: int) -> int:
 
 def _cosine_sum(theta: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """sum_m c_m cos(m theta) at each point of the 1-d theta, that is the
-    series at cos theta, as a (points x (n+1)) cosine product taken at most
-    EVAL_CHUNK_ENTRIES entries at a time."""
-    orders = np.arange(coeffs.size)
-    rows = max(1, EVAL_CHUNK_ENTRIES // coeffs.size)
+    series at cos theta, in blocks of w = ceil(sqrt(n + 1)) orders.
+
+    With m = q w + r the sum is Re sum_q e^{i q w theta} sum_r c_{qw+r} e^{i r theta}:
+    P (w + Q) complex exponentials, Q = ceil((n+1)/w), and one (1 x w)(w x Q)
+    product per point, instead of P (n + 1) cosines. w = ceil(sqrt(n + 1))
+    minimises w + Q at every degree, with no constant to tune. Each point
+    runs its own product, so its value does not depend on the other points;
+    the points are taken at most EVAL_CHUNK_ENTRIES exponentials at a time."""
+    width = math.isqrt(max(coeffs.size - 1, 0)) + 1
+    blocks = -(-coeffs.size // width)
+    table = np.zeros(width * blocks)
+    table[: coeffs.size] = coeffs
+    table = table.reshape(blocks, width).T  # table[r, q] = c_{qw+r}
+    inner_orders = np.arange(width)
+    outer_orders = width * np.arange(blocks)
+    rows = max(1, EVAL_CHUNK_ENTRIES // (width + blocks))
     total = np.empty_like(theta)
     for start in range(0, theta.size, rows):
         chunk = theta[start : start + rows]
-        total[start : start + rows] = np.cos(np.multiply.outer(chunk, orders)) @ coeffs
+        inner = np.exp(1j * np.multiply.outer(chunk, inner_orders))[:, None, :] @ table
+        outer = np.exp(1j * np.multiply.outer(chunk, outer_orders))
+        total[start : start + rows] = (outer * inner[:, 0]).real.sum(axis=1)
     return total
 
 
@@ -420,7 +460,9 @@ class WindowPoly:
 
     def eval(self, x):
         """A_k(0.8 J(x)) at x clipped to [-1, 1], with
-        J(x) = sum_m c_m cos(m arccos x) summed by `_cosine_sum`."""
+        J(x) = sum_m c_m cos(m arccos x) summed by `_cosine_sum` in blocks
+        of ceil(sqrt(n + 1)) orders; each point's value is independent of
+        the other points."""
         x = np.asarray(x, dtype=float)
         theta = np.arccos(np.clip(x, -1.0, 1.0)).reshape(-1)
         jackson = _cosine_sum(theta, self.jackson_poly.coeffs)

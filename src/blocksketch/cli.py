@@ -116,20 +116,26 @@ def _validate_common(args: argparse.Namespace):
         raise ValidationError(f"moment count {args.moments} exceeds {MAX_MOMENTS}")
 
 
-# The inputs a sketch kind never reads. `kpm` and `cost` define every
-# input for every kind, so a flag given for such an input is refused.
+# The inputs a kind never reads. `kpm` and `cost` define every input for
+# every kind, so a flag given for such an input is refused. `--rho-max` is
+# not listed: its default cannot be told apart from an explicit 1.0.
 _UNREAD_INPUTS = {
-    DOS: ("state", "observable_b", "observable_c"),
-    LDOS: ("observable_b", "observable_c"),
-    RESPONSE: (),
+    DOS: ("state", "observable", "observable_b", "observable_c"),
+    LDOS: ("observable", "observable_b", "observable_c"),
+    RESPONSE: ("observable",),
+    "correlation": ("moments", "integral", "observable_b", "observable_c"),
 }
+
+
+def _refuse_unread_inputs(args: argparse.Namespace):
+    for dest in _UNREAD_INPUTS[args.kind]:
+        if getattr(args, dest, None) is not None:
+            raise ValidationError(f"{args.kind} does not read --{dest.replace('_', '-')}")
 
 
 def _build_sketch_request(args: argparse.Namespace, h: PauliSum) -> SketchRequest:
     kwargs: dict = {}
-    for dest in _UNREAD_INPUTS[args.kind]:
-        if getattr(args, dest, None) is not None:
-            raise ValidationError(f"{args.kind} does not read --{dest.replace('_', '-')}")
+    _refuse_unread_inputs(args)
     if args.kind == LDOS and args.state is None:
         raise ValidationError("ldos requires a --state file")
     if args.kind == RESPONSE:
@@ -258,6 +264,7 @@ def _cmd_window(args: argparse.Namespace) -> int:
 def _cmd_cost(args: argparse.Namespace) -> int:
     h = _load_hamiltonian(args)
     if args.kind == "correlation":
+        _refuse_unread_inputs(args)
         if not args.observable or args.state is None:
             raise ValidationError("correlation cost requires --observable and --state")
         report = complexity_report(_correlation_spec(args, h))

@@ -138,7 +138,12 @@ def _validate_eps_delta(eps: float, delta: float):
 
 def _next_power(k: int, lo: float, hi: float) -> int:
     """Largest Grover power at least doubling 2k+1 whose scaled interval
-    still fits inside a single quadrant of sin^2; keeps k if none fits."""
+    still fits inside a single quadrant of sin^2; keeps k if none fits.
+
+    The odd multipliers 2k'+1 are tested downwards from pi/(2 width). A
+    failing multiplier jumps past every smaller one that `_certified_jump`
+    proves to fail the same test, so the result is that of testing them
+    one by one."""
     width = hi - lo
     if width <= 0.0:
         return k
@@ -147,11 +152,68 @@ def _next_power(k: int, lo: float, hi: float) -> int:
     if cap % 2 == 0:
         cap -= 1
     target = 2 * (2 * k + 1)
-    for mult in range(cap, target - 1, -2):
-        q = math.floor(mult * lo / half_pi + 1e-12)
-        if mult * hi <= (q + 1) * half_pi + 1e-12:
-            return (mult - 1) // 2
+    mult = cap
+    while mult >= target:
+        # Test a run of _MIN_JUMP multipliers, then try one jump, so a
+        # descent whose jumps would be short costs no more than the tests.
+        stop = max(mult - 2 * _MIN_JUMP, target - 1)
+        for mult in range(mult, stop, -2):
+            q = math.floor(mult * lo / half_pi + 1e-12)
+            if mult * hi <= (q + 1) * half_pi + 1e-12:
+                return (mult - 1) // 2
+        if stop < target:
+            break
+        mult = min(mult - 2, _certified_jump(mult, lo, hi, q))
     return k
+
+
+# Every float is a multiple of 2^-1074, so x * _SCALE is an exact integer.
+_SCALE = 1 << 1074
+# The slack m(c) = c * 2^-49 + 2^-36 of `_certified_jump`, times _SCALE.
+_SLACK_PER_MULT = _SCALE >> 49
+_SLACK = _SCALE >> 36
+# A proof costs a few big-integer operations; a jump past fewer odd
+# multipliers is not tried.
+_MIN_JUMP = 256
+
+
+def _scaled(x: float) -> int:
+    num, den = x.as_integer_ratio()
+    return num * (_SCALE // den)
+
+
+def _certified_jump(mult: int, lo: float, hi: float, q: int) -> int:
+    """An odd multiplier below the failing mult such that every odd
+    multiplier between the two fails `_next_power`'s test; mult itself
+    when float guesses put both jumps short of _MIN_JUMP odd multipliers.
+
+    Let P be pi/2 as a float and 0 <= lo < hi <= P. If a quadrant boundary
+    j P lies inside [c lo, c hi] with room m(c) = c 2^-49 + 2^-36 on both
+    sides, the float test fails at c: its roundings move each side by at
+    most about 3 c P 2^-53 and its tolerance adds 1e-12, both below m(c).
+    As c falls, two such boundaries stay inside. The one just above
+    mult lo stays while c (hi - 2^-49) > j P + 2^-36. The one just below
+    mult hi, (c - j') P, is its mirror image under x -> P - x and stays
+    while c (P - lo - 2^-49) > j' P + 2^-36. Both are decided in exact
+    integer arithmetic on the floats."""
+    half_pi = math.pi / 2.0
+    if not (0.0 <= lo < hi <= half_pi and mult < 2**52):
+        return mult
+    # Float guesses of both jumps: only a long one is worth the proof.
+    mirror_guess = (mult - math.floor(mult * hi / half_pi)) * half_pi / (half_pi - lo)
+    guess = min((q + 1) * half_pi / hi, mirror_guess)
+    if guess > mult - 2 * _MIN_JUMP:
+        return mult
+    lo_s, hi_s, p_s = _scaled(lo), _scaled(hi), _scaled(half_pi)
+    slack = mult * _SLACK_PER_MULT + _SLACK
+    bound = mult
+    j = mult * lo_s // p_s + 1
+    if mult * lo_s < j * p_s - slack and hi_s > _SLACK_PER_MULT:
+        bound = min(bound, (j * p_s + _SLACK) // (hi_s - _SLACK_PER_MULT))
+    j_mirror = mult * (p_s - hi_s) // p_s + 1
+    if mult * (p_s - hi_s) + slack < j_mirror * p_s and p_s - lo_s > _SLACK_PER_MULT:
+        bound = min(bound, (j_mirror * p_s + _SLACK) // (p_s - lo_s - _SLACK_PER_MULT))
+    return bound if bound % 2 else bound - 1
 
 
 def _invert_quadrant(q: int, p_lo: float, p_hi: float) -> tuple[float, float]:

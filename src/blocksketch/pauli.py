@@ -106,30 +106,35 @@ class PauliSum:
         return 2**self.qubits
 
 
-def _add_word(out: np.ndarray, masks: tuple[int, int, int], coefficient: float, qubits: int):
-    """Add coefficient times the word with these masks to the complex
-    matrix out, in place: coefficient i^(#Y) (-1)^popcount(z & j) at row
-    j xor x of each column j. The parity is an xor fold of z & j (numpy
-    before 2.0 has no bitwise_count)."""
-    x, z, num_y = masks
-    cols = np.arange(out.shape[0])
+def _scatter(masks, coefficients, qubits: int) -> np.ndarray:
+    """The complex matrix of sum_t coefficients[t] times the word with
+    masks[t]: coefficient i^(#Y) (-1)^popcount(z & j) at row j xor x of
+    each column j. One unbuffered add scatters every term, in term order,
+    onto the real parts (even #Y) or the imaginary parts (odd #Y) seen as
+    one float array, so each entry sums its terms in order from +0.0. The
+    parity is an xor fold of z & j (numpy before 2.0 has no bitwise_count)."""
+    dim = 1 << qubits
+    x, z, num_y = (np.array(v, dtype=np.int64)[:, None] for v in zip(*masks))
+    cols = np.arange(dim)
     parity = cols & z
     shift = 1
     while shift < qubits:
         parity ^= parity >> shift
         shift *= 2
-    part = out.imag if num_y % 2 else out.real
-    value = coefficient if num_y % 4 < 2 else -coefficient
-    part[cols ^ x, cols] += value * (1 - 2 * (parity & 1))
+    signed = np.where(num_y % 4 < 2, 1.0, -1.0) * np.array(coefficients)[:, None]
+    values = signed * (1 - 2 * (parity & 1))
+    # Entry (r, c) holds its real part at 2 (r dim + c) and its imaginary part after it.
+    index = 2 * ((cols ^ x) * dim + cols) + num_y % 2
+    out = np.zeros((dim, dim), dtype=complex)
+    np.add.at(out.reshape(-1).view(np.float64), index.reshape(-1), values.reshape(-1))
+    return out
 
 
 def pauli_word_matrix(word: str) -> np.ndarray:
     """Dense matrix of the tensor product of the Pauli letters of word."""
     if not word or not set(word) <= _ALPHABET:
         raise ValueError(f"not a Pauli word: {word!r}")
-    out = np.zeros((2 ** len(word), 2 ** len(word)), dtype=complex)
-    _add_word(out, word_masks(word), 1.0, len(word))
-    return out
+    return _scatter([word_masks(word)], [1.0], len(word))
 
 
 def pauli_term_matrix(term: PauliTerm) -> np.ndarray:
@@ -139,10 +144,7 @@ def pauli_term_matrix(term: PauliTerm) -> np.ndarray:
 
 def pauli_sum_matrix(s: PauliSum) -> np.ndarray:
     """Dense Hermitian matrix of the full sum, the terms added in order."""
-    out = np.zeros((s.dim, s.dim), dtype=complex)
-    for t in s.terms:
-        _add_word(out, t.masks, t.coefficient, s.qubits)
-    return out
+    return _scatter([t.masks for t in s.terms], [t.coefficient for t in s.terms], s.qubits)
 
 
 def parse_pauli_text(text: str, source: str = "<string>") -> PauliSum:

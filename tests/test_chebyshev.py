@@ -636,3 +636,72 @@ def test_written_window_series_evaluates_to_the_factored_window(tmp_path, capsys
     assert coeffs.size == w.degree + 1
     xs = np.random.default_rng(13).uniform(-1.0, 1.0, 1000)
     assert np.max(np.abs(chebval(xs, coeffs) - w(xs))) <= 1e-12
+
+
+def _cosine_table_sum(theta, coeffs):
+    """The series at cos theta as a (points x (n+1)) cosine table times the
+    coefficients, chunked as `chebyshev._cosine_sum` once was: the reference
+    for the blocked sum."""
+    orders = np.arange(coeffs.size)
+    rows = max(1, chebyshev.EVAL_CHUNK_ENTRIES // coeffs.size)
+    total = np.empty_like(theta)
+    for start in range(0, theta.size, rows):
+        chunk = theta[start : start + rows]
+        total[start : start + rows] = np.cos(np.multiply.outer(chunk, orders)) @ coeffs
+    return total
+
+
+# n + 1 = 64 fills the 8 x 8 coefficient table of the blocked sum; n = 62
+# and n = 64 pad it. 3,840 and 19,200 are the Jackson degrees at eta 0.025
+# and at the degree guard.
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 3840, 19_200])
+def test_blocked_cosine_sum_matches_the_cosine_table(n):
+    rng = np.random.default_rng(n)
+    coeffs = rng.normal(size=n + 1)
+    theta = np.concatenate([[0.0, np.pi, np.pi / 2], rng.uniform(0.0, np.pi, 200)])
+    got = chebyshev._cosine_sum(theta, coeffs)
+    assert got.shape == theta.shape
+    assert np.max(np.abs(got - _cosine_table_sum(theta, coeffs))) <= 1e-13 * np.sum(np.abs(coeffs))
+    assert chebyshev._cosine_sum(np.array([]), coeffs).shape == (0,)
+
+
+def test_blocked_cosine_sum_of_a_point_does_not_depend_on_the_others(monkeypatch):
+    coeffs = window_poly(-0.3, 0.4, 0.1).jackson_poly.coeffs
+    theta = np.random.default_rng(5).uniform(0.0, np.pi, 300)
+    together = chebyshev._cosine_sum(theta, coeffs)
+    alone = [chebyshev._cosine_sum(theta[i : i + 1], coeffs)[0] for i in range(theta.size)]
+    assert together.tobytes() == np.array(alone).tobytes()
+    # Chunks of 2 or 3 points (62 exponentials per point at n = 960).
+    monkeypatch.setattr(chebyshev, "EVAL_CHUNK_ENTRIES", 150)
+    assert chebyshev._cosine_sum(theta, coeffs).tobytes() == together.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, m",
+    [
+        (40, 82),  # even m with m/2 = n + 1: one halving
+        (40, 320),  # m = 8 n: halves to 80, where m/2 = n takes the DCT-I
+        (40, 80),  # m/2 = n: the DCT-I directly
+        (40, 81),  # odd m
+        (0, 8),
+    ],
+)
+def test_values_at_extrema_on_both_paths_match_chebval(n, m):
+    coeffs = np.random.default_rng(m).normal(size=n + 1)
+    got = cheb_values_at_extrema(coeffs, m)
+    assert got.shape == (m + 1,)
+    want = chebval(_extrema(m), coeffs)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(coeffs))
+
+
+def test_values_at_extrema_on_the_certificate_grid_match_the_direct_sums():
+    # At n = 3,840 Clenshaw's own error near x = +-1 exceeds the transform's,
+    # so the reference is sum_k c_k cos(pi (k j mod 2m) / m) at sampled j.
+    n = 3840
+    m = certificate_extrema(n)
+    coeffs = np.random.default_rng(n).normal(size=n + 1)
+    got = cheb_values_at_extrema(coeffs, m)
+    j = np.concatenate([[0, 1, m // 2, m - 1, m], np.random.default_rng(1).integers(0, m + 1, 200)])
+    phases = np.multiply.outer(j, np.arange(n + 1)) % (2 * m)
+    want = np.cos(np.pi * phases / m) @ coeffs
+    assert np.max(np.abs(got[j] - want)) <= 1e-13 * np.sum(np.abs(coeffs))

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +370,62 @@ def test_kpm_and_cost_refuse_a_flag_the_kind_never_reads(workdir, capsys, args, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["cost", "--kind", "dos-moments", "--moments", "2", "--observable", "{hx}", "0"],
+         "dos does not read --observable"),
+        (["cost", "--kind", "ldos-integral", "--integral", "-0.5", "0.5", "--state", "{ket0}",
+          "--observable", "{hx}", "0"],
+         "ldos does not read --observable"),
+        (["cost", "--kind", "response-moments", "--moments", "2", "--state", "{ket0}",
+          "--observable-b", "{hx}", "--observable-c", "{hx}", "--observable", "{hx}", "0"],
+         "response does not read --observable"),
+        (["cost", "--kind", "correlation", "--observable", "{hx}", "0", "--state", "{ket0}",
+          "--moments", "3"],
+         "correlation does not read --moments"),
+        (["cost", "--kind", "correlation", "--observable", "{hx}", "0", "--state", "{ket0}",
+          "--integral", "-0.5", "0.5"],
+         "correlation does not read --integral"),
+        (["cost", "--kind", "correlation", "--observable", "{hx}", "0", "--state", "{ket0}",
+          "--observable-b", "{hx}"],
+         "correlation does not read --observable-b"),
+        (["cost", "--kind", "correlation", "--observable", "{hx}", "0", "--state", "{ket0}",
+          "--observable-c", "{hx}"],
+         "correlation does not read --observable-c"),
+    ],
+)
+def test_cost_refuses_an_observable_or_mode_flag_the_kind_never_reads(
+    workdir, capsys, args, message
+):
+    files = {"hx": workdir / "hx.txt", "ket0": workdir / "ket0.txt"}
+    argv = [a.format(**files) for a in args] + ["--hamiltonian", workdir / "hz.txt"]
+    assert _run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_kpm_has_no_observable_flag(workdir, capsys):
+    # argparse refuses it as an ambiguous prefix of --observable-b/-c.
+    with pytest.raises(SystemExit) as exc:
+        _run(["kpm", "--moments", "2", "--observable", workdir / "hx.txt", "0",
+              "--hamiltonian", workdir / "hz.txt"])
+    assert exc.value.code == 2
+    assert "kpm: error: ambiguous option: --observable " in capsys.readouterr().err
+
+
+def test_sampled_moment_at_amplitude_one_finishes_fast_at_tiny_eps(workdir, capsys):
+    # T_0 has amplitude 1 (theta = pi/2). The plain scan of Grover powers
+    # took 3.4 s at eps 1e-9 and about ten times that at 1e-10.
+    start = time.perf_counter()
+    rc = _run(["dos", "--hamiltonian", workdir / "hz.txt", "--moments", "0", "--mode",
+               "sampled", "--seed", "1", "--eps", "1e-10"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 0
+    assert capsys.readouterr().out == "n,value_re,value_im,queries\n0,1,0,2773035709708\n"
 
 
 @pytest.mark.parametrize("beta", ["200", "3000"])

@@ -169,3 +169,30 @@ def test_parse_file_reports_unreadable_path(tmp_path):
     binary.write_bytes(b"\xff\xfe Z\n")
     with pytest.raises(ParseError, match=f"cannot read {binary}: .*utf-8"):
         parse_pauli_file(binary)
+
+
+def _per_term_matrix(s):
+    """The matrix of s with one fancy-indexed add per term, as
+    `pauli_sum_matrix` once built it: the reference for the one-pass scatter."""
+    out = np.zeros((s.dim, s.dim), dtype=complex)
+    cols = np.arange(s.dim)
+    for t in s.terms:
+        x, z, num_y = t.masks
+        parity = cols & z
+        shift = 1
+        while shift < s.qubits:
+            parity ^= parity >> shift
+            shift *= 2
+        part = out.imag if num_y % 2 else out.real
+        value = t.coefficient if num_y % 4 < 2 else -t.coefficient
+        part[cols ^ x, cols] += value * (1 - 2 * (parity & 1))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(pauli_sums())
+def test_one_pass_scatter_is_bitwise_the_per_term_sum(s):
+    # Bytes, not values, so signed zeros count too: encode_pauli_sum's
+    # Hermitian proof rests on each entry's additions and their order.
+    assert pauli_sum_matrix(s).tobytes() == _per_term_matrix(s).tobytes()
+
