@@ -20,6 +20,7 @@ from .block_encoding import (
     linear_combine,
     product,
     product_error_bound,
+    spectral_norm,
 )
 from .chebyshev import (
     ChebyshevPoly,
@@ -31,15 +32,13 @@ from .chebyshev import (
     kpm_reconstruct,
     window_poly,
 )
+from .circuits import AmplitudeProblem, grover_operator, is_hermitian, is_unitary, unitary_dilation
 from .estimation import (
-    AmplitudeProblem,
     EstimationResult,
     estimate_amplitude,
     estimate_complex,
     estimate_observable,
-    grover_operator,
 )
-from .linalg import is_hermitian, is_unitary, spectral_norm, unitary_dilation
 from .oracle import oracle_correlation, oracle_sketch
 from .pauli import (
     PauliSum,
@@ -76,6 +75,7 @@ __all__ = [
     "linear_combine",
     "product",
     "product_error_bound",
+    "spectral_norm",
     # chebyshev
     "ChebyshevPoly",
     "WindowPoly",
@@ -85,18 +85,17 @@ __all__ = [
     "jackson_approx",
     "kpm_reconstruct",
     "window_poly",
-    # estimation
+    # circuits
     "AmplitudeProblem",
+    "grover_operator",
+    "is_hermitian",
+    "is_unitary",
+    "unitary_dilation",
+    # estimation
     "EstimationResult",
     "estimate_amplitude",
     "estimate_complex",
     "estimate_observable",
-    "grover_operator",
-    # linalg
-    "is_hermitian",
-    "is_unitary",
-    "spectral_norm",
-    "unitary_dilation",
     # oracle
     "oracle_correlation",
     "oracle_sketch",

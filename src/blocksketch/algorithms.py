@@ -76,6 +76,11 @@ class CorrelationSpec:
             )
         if not (0.0 < self.eps < 1.0 and 0.0 < self.delta < 1.0):
             raise OutOfRangeError("eps and delta must lie in (0, 1)")
+        if _budget(self).evolution == 0.0:
+            raise OutOfRangeError(
+                f"gamma, the product of the observable scales, is {gamma!r}: the share "
+                f"eps / (2 (n+1)^2 gamma) of each evolution underflows to 0 at eps {self.eps!r}"
+            )
 
     def time_differences(self) -> list[float]:
         """tau_j = t_{j+1} - t_j with the time list padded by zeros."""
@@ -190,13 +195,18 @@ def _budget(obj: SketchRequest | CorrelationSpec, eps: float | None = None) -> _
     and ldos), so that its scale x accuracy is eps/3. A moments sketch
     estimates each moment at eps.
 
-    correlate charges each of its n + 1 evolutions eps / (2 (n+1)^2), so
-    that their composed product error is eps/2, and estimates at eps/2.
+    correlate estimates at eps/2 and charges each of its n + 1 evolutions
+    eps / (2 (n+1)^2 gamma) for gamma = max(1, prod_j beta_j). The
+    estimated product has scale prod_j beta_j and accuracy at most
+    (n+1)^2 times that share, so its scale x accuracy is at most eps/2.
+    A product of scales below 1 keeps gamma = 1: its share could pass 1,
+    which no evolution accepts.
     """
     eps = obj.eps if eps is None else eps
     if isinstance(obj, CorrelationSpec):
         n = len(obj.observables)
-        return _Budget(estimation=eps / 2.0, evolution=eps / (2.0 * (n + 1) ** 2))
+        gamma = max(1.0, math.prod(o.scale() for o, _t in obj.observables))
+        return _Budget(estimation=eps / 2.0, evolution=eps / (2.0 * (n + 1) ** 2 * gamma))
     if obj.interval is None:
         return _Budget(estimation=eps)
     window_share, weight = 3.0 * obj.rho_max, 1.0

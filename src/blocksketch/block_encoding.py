@@ -7,10 +7,10 @@ register is the most significant tensor factor, so the encoded block is
 always the fixed top-left slice, stored read-only as ``.block``.
 
 Values are block-first. A `BlockEncoding` carries its D x D block with the
-scale, accuracy, cost and dimension ledgers, and its circuit recipe: a
-zero-argument callable building the full ancilla (x) system unitary
-(prepare/select/unprepare, ancilla-wise products, or the given matrix).
-The unitary is built, validated and cached only when `.unitary` is first
+scale, accuracy, cost and dimension ledgers, and its circuit recipe,
+``partial(circuits.<builder>, ...)``: the verification layer `circuits`
+builds the full ancilla (x) system unitary in the layout it states. The
+unitary is built, validated and cached only when `.unitary` is first
 read, which verification code does and the estimation pipelines never do.
 
 An encoding is built in one of two ways:
@@ -41,7 +41,7 @@ bookkeeping), so no rule runs an SVD:
 
 The Hermitian ledger. ``hermitian`` is True only where a rule proves
 that the block equals its conjugate transpose entry for entry, so that
-`linalg.hermitian_gap` of it is exactly 0; False means unproven, and
+`hermitian_gap` of it is exactly 0; False means unproven, and
 `hermitian_block` then measures the gap. The rules that prove it:
 
 - `encode_pauli_sum`: real coefficients scattered symmetrically (see
@@ -73,6 +73,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import circuits
+from .circuits import hermitian_gap
 from .errors import (
     DimensionMismatchError,
     EmptySumError,
@@ -82,18 +84,14 @@ from .errors import (
     NotUnitaryError,
     OutOfRangeError,
 )
-from .linalg import (
-    check_circuit_unitary,
-    embed_direct_sum,
-    embed_operator,
-    hermitian_gap,
-    is_unitary,
-    spectral_norm,
-    unitary_completion,
-)
 from .pauli import PauliSum, pauli_sum_matrix, pauli_word_matrix
 
 CONTRACTION_TOL = 1e-10
+
+
+def spectral_norm(m: np.ndarray) -> float:
+    """Largest singular value."""
+    return float(np.linalg.norm(circuits.as_complex_matrix(m), 2))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -143,12 +141,12 @@ class BlockEncoding:
     @cached_property
     def unitary(self) -> np.ndarray:
         """The full ancilla (x) system unitary, built from the circuit on
-        first access and validated by `check_circuit_unitary`."""
-        return check_circuit_unitary(self.circuit(), self.ancilla_dim * self.system_dim)
+        first access and validated by `circuits.check_circuit_unitary`."""
+        return circuits.check_circuit_unitary(self.circuit(), self.ancilla_dim * self.system_dim)
 
     @cached_property
     def hermitian_gap(self) -> float:
-        """`linalg.hermitian_gap` of the block, measured on first access."""
+        """`hermitian_gap` of the block, measured on first access."""
         return hermitian_gap(self.block)
 
 
@@ -225,14 +223,14 @@ def _own_block(u: np.ndarray, accuracy: float, cost: int, hermitian=False) -> Bl
         scale=1.0,
         accuracy=accuracy,
         cost=cost,
-        circuit=partial(np.asarray, u),
+        circuit=partial(circuits.own_circuit, u),
     )
 
 
 def encode_unitary(u: np.ndarray, cost: int = 0) -> BlockEncoding:
     """Trivial encoding of a unitary: scale 1, no ancilla, exact."""
     u = np.array(u, dtype=complex)
-    if not is_unitary(u, 1e-10):
+    if not circuits.is_unitary(u, 1e-10):
         raise NotUnitaryError("input is not unitary within 1e-10")
     return _own_block(u, 0.0, cost)
 
@@ -281,44 +279,12 @@ def normalized(b: BlockEncoding) -> BlockEncoding:
     return _relabeled(b, 1.0, b.hermitian)
 
 
-def _prepare_unitary(weights, dim: int) -> np.ndarray:
-    """Unitary sending |0> to the sqrt-weight superposition, zero padded."""
-    col = np.zeros(dim, dtype=complex)
-    col[: len(weights)] = np.sqrt(weights)
-    return unitary_completion(col)
-
-
-def _select_circuit(weights, branches: list[np.ndarray], dim_prep: int) -> np.ndarray:
-    """Prepare/select/unprepare unitary: the prepare register (dimension
-    dim_prep) loads sqrt(weights), and the select unitary applies branch i
-    on prepare state i and the identity on padding states."""
-    branch_dim = branches[0].shape[0]
-    v_prep = _prepare_unitary(weights, dim_prep)
-    v_select = np.zeros((dim_prep * branch_dim, dim_prep * branch_dim), dtype=complex)
-    for i in range(dim_prep):
-        lo = i * branch_dim
-        branch = branches[i] if i < len(branches) else np.eye(branch_dim)
-        v_select[lo : lo + branch_dim, lo : lo + branch_dim] = branch
-
-    eye = np.eye(branch_dim)
-    return np.kron(v_prep.conj().T, eye) @ v_select @ np.kron(v_prep, eye)
-
-
-def _pauli_sum_circuit(s: PauliSum, dim_anc: int) -> np.ndarray:
-    """Prepare/select/unprepare unitary of a Pauli sum (see encode_pauli_sum)."""
-    weights = np.array([abs(t.coefficient) for t in s.terms]) / s.scale()
-    branches = [(1.0 if t.coefficient > 0 else -1.0) * pauli_word_matrix(t.word) for t in s.terms]
-    return _select_circuit(weights, branches, dim_anc)
-
-
 def encode_pauli_sum(s: PauliSum) -> BlockEncoding:
     """Prepare/select/unprepare encoding of a weighted Pauli sum.
 
     The block is sum_i (beta_i / alpha) P_i with scale alpha = sum |beta_i|;
-    it is exact and the cost is the number of terms. The circuit loads
-    sqrt(|beta_i| / alpha) on a power-of-two ancilla (zero padded), and the
-    select unitary applies the sign-corrected Pauli word on branch i and
-    the identity on padding branches.
+    it is exact, the cost is the number of terms, and the ancilla is the
+    power-of-two prepare register of `circuits.pauli_sum_circuit`.
 
     Hermitian ledger: `pauli.pauli_sum_matrix` scatters every term in one
     unbuffered add, in term order, so each entry (j xor x, j) sums its real
@@ -346,12 +312,8 @@ def encode_pauli_sum(s: PauliSum) -> BlockEncoding:
         scale=alpha,
         accuracy=0.0,
         cost=m,
-        circuit=partial(_pauli_sum_circuit, s, dim_anc),
+        circuit=partial(circuits.pauli_sum_circuit, s, dim_anc, pauli_word_matrix),
     )
-
-
-def _adjoint_circuit(b: BlockEncoding) -> np.ndarray:
-    return b.unitary.conj().T
 
 
 def adjoint(b: BlockEncoding) -> BlockEncoding:
@@ -365,7 +327,7 @@ def adjoint(b: BlockEncoding) -> BlockEncoding:
         scale=b.scale,
         accuracy=b.accuracy,
         cost=b.cost,
-        circuit=partial(_adjoint_circuit, b),
+        circuit=partial(circuits.adjoint_circuit, b),
     )
 
 
@@ -389,23 +351,11 @@ def _dimension_mismatch(encodings: list[BlockEncoding]) -> DimensionMismatchErro
     return DimensionMismatchError(f"system dimensions differ: {dims}")
 
 
-def _product_circuit(encodings: list[BlockEncoding]) -> np.ndarray:
-    """Product of the factor unitaries, each on its own ancilla register."""
-    dim_sys = encodings[0].system_dim
-    dims = [b.ancilla_dim for b in encodings] + [dim_sys]
-    sys_pos = len(encodings)
-    u = np.eye(int(np.prod(dims)), dtype=complex)
-    for i, b in enumerate(encodings):
-        u = u @ embed_operator(b.unitary, dims, [i, sys_pos])
-    return u
-
-
 def product(encodings) -> BlockEncoding:
     """Encoding of the ordered product of the targets.
 
-    Each factor keeps its own ancilla register (concatenated in list
-    order, most significant first), so the blocks multiply; scales
-    multiply, costs add, and the accuracy composes through
+    Each factor keeps its own ancilla register, so the blocks multiply;
+    scales multiply, costs add, and the accuracy composes through
     product_error_bound, whose fold step the ledger loop repeats.
     """
     encodings = list(encodings)
@@ -434,30 +384,16 @@ def product(encodings) -> BlockEncoding:
         scale=scale,
         accuracy=accuracy,
         cost=int(cost),
-        circuit=partial(_product_circuit, encodings),
+        circuit=partial(circuits.product_circuit, encodings),
     )
-
-
-def _combine_circuit(
-    phases: list[complex], encodings: list[BlockEncoding], weights: list[float], dim_prep: int
-) -> np.ndarray:
-    """Prepare/select/unprepare unitary of a linear combination (see
-    linear_combine)."""
-    branch_dim = max(b.ancilla_dim for b in encodings) * encodings[0].system_dim
-    branches = [p * embed_direct_sum(b.unitary, branch_dim) for p, b in zip(phases, encodings)]
-    return _select_circuit(weights, branches, dim_prep)
 
 
 def linear_combine(coeffs, encodings) -> BlockEncoding:
     """Encoding of sum_i beta_i A_i for complex beta_i.
 
     The block is sum_i (alpha_i |beta_i| / total) phase_i block_i with
-    scale total = sum_i alpha_i |beta_i|; costs add. In the circuit the
-    coefficient magnitudes go into a new prepare register of power-of-two
-    dimension and the phases are absorbed into the select unitary. The
-    input encodings share one ancilla register of the largest input
-    ancilla dimension (each input embedded as a direct summand), so the
-    ancilla dimension is prepare_dim * max_i ancilla_dim_i.
+    scale total = sum_i alpha_i |beta_i|; costs add. The ancilla dimension
+    is prepare_dim * max_i ancilla_dim_i (see `circuits`).
 
     Hermitian ledger: for real beta_i each weight times phase has a zero
     imaginary part, so each part of its product with an entry is one
@@ -509,5 +445,5 @@ def linear_combine(coeffs, encodings) -> BlockEncoding:
         scale=total,
         accuracy=accuracy / total,
         cost=int(cost),
-        circuit=partial(_combine_circuit, phases, encodings, weights, dim_prep),
+        circuit=partial(circuits.combine_circuit, phases, encodings, weights, dim_prep),
     )

@@ -117,13 +117,14 @@ def _validate_common(args: argparse.Namespace):
 
 
 # The inputs a kind never reads. `kpm` and `cost` define every input for
-# every kind, so a flag given for such an input is refused. `--rho-max` is
-# not listed: its default cannot be told apart from an explicit 1.0.
+# every kind, so a flag given for such an input is refused. `--rho-max`
+# defaults to None, so that moments mode, which never reads it, can refuse
+# it too; an integral sketch without it takes SketchRequest's 1.0.
 _UNREAD_INPUTS = {
     DOS: ("state", "observable", "observable_b", "observable_c"),
     LDOS: ("observable", "observable_b", "observable_c"),
     RESPONSE: ("observable",),
-    "correlation": ("moments", "integral", "observable_b", "observable_c"),
+    "correlation": ("moments", "integral", "observable_b", "observable_c", "rho_max"),
 }
 
 
@@ -131,6 +132,8 @@ def _refuse_unread_inputs(args: argparse.Namespace):
     for dest in _UNREAD_INPUTS[args.kind]:
         if getattr(args, dest, None) is not None:
             raise ValidationError(f"{args.kind} does not read --{dest.replace('_', '-')}")
+    if args.moments is not None and args.rho_max is not None:
+        raise ValidationError(f"{args.kind} --moments does not read --rho-max")
 
 
 def _build_sketch_request(args: argparse.Namespace, h: PauliSum) -> SketchRequest:
@@ -145,12 +148,13 @@ def _build_sketch_request(args: argparse.Namespace, h: PauliSum) -> SketchReques
         kwargs["c_observable"] = parse_pauli_file(args.observable_c)
     if args.kind != DOS:
         kwargs["state"] = parse_state_file(args.state, h.dim, h)
+    if args.rho_max is not None:
+        kwargs["rho_max"] = args.rho_max
     return SketchRequest(
         hamiltonian=h,
         kind=args.kind,
         eps=args.eps,
         delta=args.delta,
-        rho_max=args.rho_max,
         interval=args.integral,
         num_moments=args.moments,
         allow_large_degree=args.allow_large_degree,
@@ -293,7 +297,7 @@ def _add_sketch_mode(parser: argparse.ArgumentParser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--moments", type=int, default=None, metavar="N")
     group.add_argument("--integral", type=float, nargs=2, default=None, metavar=("A", "B"))
-    parser.add_argument("--rho-max", type=float, default=1.0)
+    parser.add_argument("--rho-max", type=float, default=None, help="integral mode only (default 1)")
     parser.add_argument("--allow-large-degree", action="store_true")
     parser.add_argument("--oracle", action="store_true", help="emit exact oracle columns")
 
@@ -355,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=[DOS, LDOS, RESPONSE], default=DOS)
     p.add_argument("--moments", type=int, required=True, metavar="N")
     p.add_argument("--grid-points", type=int, default=201)
-    p.add_argument("--rho-max", type=float, default=1.0)
     p.add_argument("--state", default=None)
     p.add_argument("--observable-b", default=None)
     p.add_argument("--observable-c", default=None)
@@ -390,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", default=None)
     p.add_argument("--moments", type=int, default=None)
     p.add_argument("--integral", type=float, nargs=2, default=None)
-    p.add_argument("--rho-max", type=float, default=1.0)
+    p.add_argument("--rho-max", type=float, default=None, help="integral kinds only (default 1)")
 
     return parser
 
@@ -403,7 +406,7 @@ def _parser() -> argparse.ArgumentParser:
 
 # Values of the arguments read by shared set-up code that some subcommands
 # do not define.
-_ABSENT = {"seed": None, "moments": None, "integral": None, "allow_large_degree": False}
+_ABSENT = dict(seed=None, moments=None, integral=None, rho_max=None, allow_large_degree=False)
 
 
 def _normalize(args: argparse.Namespace) -> None:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,15 +40,11 @@ from .block_encoding import (
     linear_combine,
     normalized,
 )
-from .errors import (
-    CostOverflowError,
-    DimensionMismatchError,
-    InvalidProjectorError,
-    NotNormalizedError,
-    OutOfRangeError,
-)
-from .linalg import is_hermitian
+from .errors import CostOverflowError, DimensionMismatchError, OutOfRangeError
 from .state_prep import PreparationUnitary, reduced_density
+
+if TYPE_CHECKING:
+    from .circuits import AmplitudeProblem
 
 GROVER_QUERY_CONSTANT = 250
 _SHOTS_LOG_FACTOR = 40
@@ -90,43 +87,6 @@ def query_budget(eps: float, delta: float) -> int:
             f"delta {delta:.3g} overflows to {budget}; raise eps or delta"
         )
     return math.ceil(budget)
-
-
-@dataclass(frozen=True, eq=False)
-class AmplitudeProblem:
-    """A state vector and the projector whose image norm is estimated."""
-
-    psi: np.ndarray
-    projector: np.ndarray
-
-    def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=complex).reshape(-1)
-        proj = np.asarray(self.projector, dtype=complex)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "projector", proj)
-        nrm = float(np.linalg.norm(psi))
-        if not abs(nrm - 1.0) <= 1e-9:
-            raise NotNormalizedError(f"state norm {nrm:.12g} differs from 1")
-        if proj.shape != (psi.size, psi.size):
-            raise DimensionMismatchError(
-                f"projector shape {proj.shape} incompatible with state of size {psi.size}"
-            )
-        if not is_hermitian(proj, 1e-10):
-            raise InvalidProjectorError("projector is not Hermitian within 1e-10")
-        if float(np.max(np.abs(proj @ proj - proj))) > 1e-9:
-            raise InvalidProjectorError("projector is not idempotent within 1e-9")
-
-    def true_amplitude(self) -> float:
-        return float(np.clip(np.linalg.norm(self.projector @ self.psi), 0.0, 1.0))
-
-
-def grover_operator(p: AmplitudeProblem) -> np.ndarray:
-    """-(I - 2 Pi)(I - 2 |psi><psi|): a rotation by twice the Grover angle
-    on the plane spanned by Pi|psi> and its complement."""
-    eye = np.eye(p.psi.size)
-    reflect_state = eye - 2.0 * np.outer(p.psi, p.psi.conj())
-    reflect_proj = eye - 2.0 * p.projector
-    return -reflect_proj @ reflect_state
 
 
 def _validate_eps_delta(eps: float, delta: float):

@@ -1,17 +1,16 @@
 """Block encodings of functions of a Hamiltonian.
 
 Like every encoding in `block_encoding`, these are block-first values: the
-D x D block and its ledgers are computed directly, and the full circuit
-unitary is built only when `.unitary` is read.
+D x D block and its ledgers are computed directly, and the verification
+layer `circuits` builds the full unitary only when `.unitary` is read.
 
 Time evolution is realized by exact matrix exponentiation behind the
 standard cost formula. Chebyshev polynomials T_n(A) of an encoded
 Hermitian block follow the three-term recurrence on the block; their
-circuit alternates the encoding with ancilla reflections (qubitization),
-whose top-left block is exactly T_n(A). General bounded polynomials are
-applied spectrally under the standard interface (halved block, accuracy
-and cost ledgers from the degree); their circuit re-embeds the halved
-block through a unitary dilation.
+circuit is the qubitized alternating word. General bounded polynomials
+are applied spectrally under the standard interface (halved block,
+accuracy and cost ledgers from the degree); their circuit is a unitary
+dilation of the halved block.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from functools import partial
 
 import numpy as np
 
+from . import circuits
 from .block_encoding import BlockEncoding, _by_rule, _own_block, hermitian_block
 from .chebyshev import ChebyshevPoly, WindowPoly
 from .errors import (
@@ -30,7 +30,6 @@ from .errors import (
     PolyNotBoundedError,
     ValidationError,
 )
-from .linalg import embed_operator, unitary_dilation
 from .pauli import PauliSum, pauli_sum_matrix
 
 def evolution_cost(num_terms: int, alpha: float, t: float, eps: float) -> float:
@@ -72,21 +71,6 @@ def evolution_encoding(h: PauliSum, t: float, eps: float) -> BlockEncoding:
     return _own_block(u, eps, math.ceil(cost))
 
 
-def _alternating_word(b: BlockEncoding, n: int) -> np.ndarray:
-    """U R U^dagger R U ... (n factors of U or U^dagger) with the ancilla
-    reflection R = (2|0><0| - I) (x) I; the identity for n = 0."""
-    full = b.ancilla_dim * b.system_dim
-    if n == 0:
-        return np.eye(full, dtype=complex)
-    reflect = -np.eye(full, dtype=complex)
-    reflect[: b.system_dim, : b.system_dim] += 2.0 * np.eye(b.system_dim)
-    u_adj = b.unitary.conj().T
-    word = np.array(b.unitary)
-    for j in range(2, n + 1):
-        word = word @ reflect @ (u_adj if j % 2 == 0 else b.unitary)
-    return word
-
-
 def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
     """Exact encoding of T_n(A) for the Hermitian block A of b.
 
@@ -96,8 +80,7 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
     returned for the same b; then T_n takes one recurrence step instead of
     n - 1, so a loop over n = 0..N costs N block products in total.
 
-    The circuit interleaves the encoding unitary and its adjoint with the
-    ancilla reflection (2|0><0| - I) (x) I, whose top-left block is exactly
+    The circuit `circuits.alternating_word` has top-left block exactly
     T_n(A) (Low-Chuang qubitization; Gilyen-Su-Low-Wiebe, Lemma 9).
     Requires an exact input encoding; T_n is 1-scaled and costs n times
     the input.
@@ -139,7 +122,7 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
         scale=1.0,
         accuracy=0.0,
         cost=n * b.cost,
-        circuit=partial(_alternating_word, b, n),
+        circuit=partial(circuits.alternating_word, b, n),
     )
     if b.norm_bound <= 1.0 and (b.hermitian or b.hermitian_gap == 0.0):
         return _by_rule(block, 1.0, **ledger)
@@ -155,12 +138,12 @@ def apply_polynomial(b: BlockEncoding, p: ChebyshevPoly | WindowPoly, delta: flo
     ChebyshevPoly and WindowPoly carries proven.
 
     Realized spectrally: p is applied to the eigenvalues of the encoded
-    block, so the new block is p(A)/2 and the recovery scale is 2; the
-    circuit re-embeds the halved block with a unitary dilation on one more
-    ancilla qubit. The accuracy field records delta and the cost ledger
-    charges degree * input cost, matching the interface of a
-    singular-value-transformation circuit whose phase factors are out of
-    scope here. The norm ledger records p.sup_norm_bound / 2.
+    block, so the new block is p(A)/2 and the recovery scale is 2, on one
+    more ancilla qubit (`circuits.dilation_circuit`). The accuracy field
+    records delta and the cost ledger charges degree * input cost, matching
+    the interface of a singular-value-transformation circuit whose phase
+    factors are out of scope here. The norm ledger records
+    p.sup_norm_bound / 2.
     """
     if delta < 0:
         raise OutOfRangeError(f"delta must be nonnegative, got {delta}")
@@ -181,12 +164,6 @@ def apply_polynomial(b: BlockEncoding, p: ChebyshevPoly | WindowPoly, delta: flo
         scale=2.0,
         accuracy=delta,
         cost=p.degree * b.cost,
-        circuit=partial(_dilation_circuit, halved, b.ancilla_dim),
+        circuit=partial(circuits.dilation_circuit, halved, b.ancilla_dim),
     )
 
-
-def _dilation_circuit(halved: np.ndarray, ancilla_dim: int) -> np.ndarray:
-    """The unitary dilation of the halved block on a new qubit, acting as
-    the identity on the input ancilla register."""
-    dilated = unitary_dilation(halved)
-    return embed_operator(dilated, [2, ancilla_dim, halved.shape[0]], [0, 2])

@@ -1,14 +1,13 @@
 """Preparation unitaries: purifications of density operators.
 
-A preparation unitary acts on system (x) purifier (system most significant)
-and sends basis state zero to a purification of the target density
-operator. Values are purification-first: a `PreparationUnitary` stores the
-purification vector, which is all `reduced_density` and the estimators
-read, and builds its circuit unitary only when `.unitary` is first read.
-Covers pure states (QR completion of the vector), the maximally mixed
-state on n qubits (n Bell pairs: a Hadamard layer and a CNOT layer), and
-thermal states computed spectrally with the standard cost formula
-preserved for the ledger (QR completion of the purification).
+A preparation unitary sends basis state zero to a purification of the
+target density operator. Values are purification-first: a
+`PreparationUnitary` stores the purification vector, which is all
+`reduced_density` and the estimators read, and the verification layer
+`circuits` builds its unitary, in the layout stated there, only when
+`.unitary` is first read. Covers pure states, the maximally mixed state
+on n qubits (n Bell pairs), and thermal states computed spectrally with
+the standard cost formula preserved for the ledger.
 
 Also defines the on-disk state format consumed by the CLI:
 ``pure <amplitudes>`` | ``mixed`` | ``thermal <beta>`` | ``basis <index>``.
@@ -27,6 +26,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import circuits
 from .errors import (
     DimensionMismatchError,
     NotNormalizedError,
@@ -34,7 +34,6 @@ from .errors import (
     ParseError,
     _checked_cost,
 )
-from .linalg import check_circuit_unitary, unitary_completion
 from .pauli import PauliSum, pauli_sum_matrix, read_input
 
 THERMAL_COST_EPS = 1e-3
@@ -75,8 +74,8 @@ class PreparationUnitary:
     @cached_property
     def unitary(self) -> np.ndarray:
         """The full system (x) purifier unitary, built from the circuit on
-        first access and validated by `check_circuit_unitary`."""
-        return check_circuit_unitary(self.circuit(), self.system_dim * self.purifier_dim)
+        first access and validated by `circuits.check_circuit_unitary`."""
+        return circuits.check_circuit_unitary(self.circuit(), self.system_dim * self.purifier_dim)
 
     @cached_property
     def density(self) -> np.ndarray:
@@ -94,15 +93,14 @@ def reduced_density(p: PreparationUnitary) -> np.ndarray:
 
 
 def prepare_pure(v) -> PreparationUnitary:
-    """Trivial (purifier dimension 1) preparation of a normalized vector;
-    the circuit is a QR completion of the vector."""
+    """Trivial (purifier dimension 1) preparation of a normalized vector."""
     v = np.array(v, dtype=complex).reshape(-1)
     return PreparationUnitary(
         system_dim=v.size,
         purifier_dim=1,
         cost=v.size,
         purification=v,
-        circuit=partial(unitary_completion, v),
+        circuit=partial(circuits.unitary_completion, v),
     )
 
 
@@ -129,30 +127,12 @@ def exact_amplification_params(beta: float) -> tuple[int, float]:
     return k, min(gamma, 1.0)
 
 
-def _bell_unitary(n_qubits: int) -> np.ndarray:
-    """Unitary sending |0> to the maximally entangled pair state on
-    C^{2^n} (x) C^{2^n}: a Hadamard layer on the system qubits, then a
-    CNOT layer from each system qubit onto its mirror in the purifier."""
-    dim = 1 << n_qubits
-    had = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    h_all = np.array([[1.0]])
-    for _ in range(n_qubits):
-        h_all = np.kron(h_all, had)
-    # The layers send |a>|b> to sum_i H[i, a] |i>|b xor i>, so the entry at
-    # row (i, j), column (a, b) is H[i, a] where b = i xor j and 0 elsewhere.
-    i, j = np.indices((dim, dim), sparse=True)
-    u = np.zeros((dim, dim, dim, dim), dtype=complex)
-    u[i, j, :, i ^ j] = h_all[i]
-    return u.reshape(dim * dim, dim * dim)
-
-
 def prepare_maximally_mixed(system_dim: int) -> PreparationUnitary:
     """Exact preparation of I/D on n = log2(D) qubits as n Bell pairs.
 
     The purifier mirrors the system register, so the purification is
-    (1/sqrt D) sum_i |i>|i> and its reduced density is I/D. The circuit
-    prepares it from |0> with a Hadamard layer on the system qubits
-    followed by a CNOT layer onto the purifier, 2n gates.
+    (1/sqrt D) sum_i |i>|i> and its reduced density is I/D. Its circuit
+    (`circuits.bell_unitary`) is 2n gates.
 
     Raises:
         OutOfRangeError: if D is not a power of two (2^n for n qubits).
@@ -170,7 +150,7 @@ def prepare_maximally_mixed(system_dim: int) -> PreparationUnitary:
         purifier_dim=d,
         cost=2 * n,
         purification=purification,
-        circuit=partial(_bell_unitary, n),
+        circuit=partial(circuits.bell_unitary, n),
     )
 
 
@@ -200,11 +180,10 @@ def prepare_thermal(h: PauliSum, beta_inv_temp: float) -> tuple[PreparationUnita
     """Spectral purification of exp(-beta H)/Z plus its cost estimate.
 
     The purification is sum_i sqrt(p_i) |psi_i>|i> with p_i the Gibbs
-    weights, and its circuit is a QR completion of that vector; the
-    circuit-level construction is out of scope but its cost formula is
-    evaluated (Q = number of terms, alpha = coefficient one-norm,
-    eps = 1e-3, unit constants) and rounded up into the cost ledger;
-    CostOverflowError if it exceeds 2^63 - 1, as for every ledger.
+    weights; the circuit-level construction is out of scope but its cost
+    formula is evaluated (Q = number of terms, alpha = coefficient
+    one-norm, eps = 1e-3, unit constants) and rounded up into the cost
+    ledger; CostOverflowError if it exceeds 2^63 - 1, as for every ledger.
     """
     if not 0.0 <= beta_inv_temp < math.inf:
         raise OutOfRangeError(
@@ -231,7 +210,7 @@ def prepare_thermal(h: PauliSum, beta_inv_temp: float) -> tuple[PreparationUnita
         purifier_dim=dim,
         cost=math.ceil(cost),
         purification=purification,
-        circuit=partial(unitary_completion, purification),
+        circuit=partial(circuits.unitary_completion, purification),
     )
     return prep, cost
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from blocksketch.block_encoding import BlockEncoding
-from blocksketch.linalg import unitary_dilation
+from blocksketch.circuits import unitary_dilation
 from blocksketch.pauli import PauliSum
 
 PAULI_LETTERS = ("I", "X", "Y", "Z")

@@ -24,7 +24,7 @@ from blocksketch.errors import (
     OutOfRangeError,
     ValidationError,
 )
-from blocksketch.estimation import AmplitudeProblem
+from blocksketch.circuits import AmplitudeProblem
 from blocksketch.oracle import oracle_correlation, oracle_sketch
 from blocksketch.pauli import PauliSum, pauli_sum_matrix
 from blocksketch.state_prep import (
@@ -441,6 +441,44 @@ def test_integral_budget_adds_up_in_value_units(kind, monkeypatch):
 def test_moments_budget_estimates_at_eps():
     budget = _budget(SketchRequest(TILTED, "dos", eps=0.3, delta=0.05, num_moments=2))
     assert (budget.window_eta, budget.polynomial, budget.estimation) == (0.0, 0.0, 0.3)
+
+
+XZ_SUM = PauliSum.from_terms([(1.0, "XI"), (1.0, "ZI")])
+
+
+@pytest.mark.parametrize(
+    "observables",
+    [
+        ((XZ_SUM, 0.4), (XZ_SUM, -0.3)),
+        ((XZ_SUM, 0.4),),
+        ((PauliSum.from_terms([(0.25, "XI"), (0.25, "ZI")]), 0.4), (XZ_SUM, 1.1)),
+        ((PauliSum.from_terms([(0.1, "XI"), (0.1, "ZZ")]), 0.4), (XZ_SUM, -0.3)),
+    ],
+)
+def test_correlate_budget_bounds_the_estimated_product_by_half_eps(observables, monkeypatch):
+    """The product correlate estimates has scale gamma = prod_j beta_j and
+    scale x accuracy at most eps/2, whatever gamma is."""
+    h = PauliSum.from_terms([(1.0, "ZZ"), (0.7, "XI"), (0.7, "IX")])
+    spec = CorrelationSpec(h, observables, prepare_maximally_mixed(4), 0.1, 0.05)
+    seen = []
+    real = algorithms.estimate_complex
+
+    def spy(enc, state, eps, *rest):
+        seen.append((enc, eps))
+        return real(enc, state, eps, *rest)
+
+    monkeypatch.setattr(algorithms, "estimate_complex", spy)
+    correlate(spec)
+    [(enc, eps)] = seen
+    assert enc.scale == pytest.approx(math.prod(o.scale() for o, _t in observables), rel=1e-12)
+    assert eps == _budget(spec).estimation == spec.eps / 2.0
+    assert enc.scale * enc.accuracy <= spec.eps / 2.0 * (1.0 + 1e-12)
+
+
+def test_correlate_evolution_share_that_underflows_names_gamma():
+    huge = PauliSum.from_terms([(1e300, "X")])
+    with pytest.raises(OutOfRangeError, match=r"gamma, the product of the observable scales, is 1e\+300"):
+        CorrelationSpec(Z_SUM, ((huge, 0.5),), KET0, 1e-300, 0.05)
 
 
 def test_cost_report_and_sketch_see_one_window():

@@ -3,7 +3,8 @@
 Every encoding and preparation carries its block (or purification) and
 ledgers, and builds its full unitary only when `.unitary` is read. These
 tests materialize each constructor's circuit on random inputs and check it
-against the stored value, check that each rule records the norm bound it
+against the stored value, check that every circuit is a builder of
+`blocksketch.circuits`, check that each rule records the norm bound it
 proves and that the bound holds, and check that no pipeline reads a
 circuit, checks a unitary, runs a contraction SVD or forms a reduced
 density twice.
@@ -11,11 +12,12 @@ density twice.
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from blocksketch import block_encoding, state_prep
+from blocksketch import block_encoding, circuits
 from blocksketch.block_encoding import (
     CONTRACTION_TOL,
     BlockEncoding,
@@ -27,6 +29,7 @@ from blocksketch.block_encoding import (
     normalized,
     product,
     product_error_bound,
+    spectral_norm,
 )
 from blocksketch.chebyshev import ChebyshevPoly
 from blocksketch.cli import main
@@ -36,16 +39,16 @@ from blocksketch.estimation import (
     antihermitian_part_encoding,
     hermitian_part_encoding,
 )
-from blocksketch.linalg import (
+from blocksketch.circuits import (
     EXACT_UNITARY_DIM,
     is_unitary,
     passes_isometry_probe,
-    spectral_norm,
     unitary_completion,
 )
 from blocksketch.spectral import apply_polynomial, chebyshev_encoding, evolution_encoding
 from blocksketch.state_prep import (
     PreparationUnitary,
+    prepare_basis_state,
     prepare_maximally_mixed,
     prepare_pure,
     prepare_thermal,
@@ -208,7 +211,7 @@ def test_bell_circuit_is_a_hadamard_layer_then_a_cnot_layer(n):
     for i in range(dim):
         for j in range(dim):
             cnots[i * dim + (j ^ i), i * dim + j] = 1.0
-    assert np.array_equal(state_prep._bell_unitary(n), cnots @ np.kron(hadamards, np.eye(dim)))
+    assert np.array_equal(circuits.bell_unitary(n), cnots @ np.kron(hadamards, np.eye(dim)))
 
 
 @pytest.mark.parametrize("d", range(2, 17))
@@ -305,6 +308,27 @@ NORM_RULES = {
 }
 
 
+# Each preparation constructor on a small input.
+PREPARATIONS = {
+    "prepare_pure": lambda rng: prepare_pure(random_state_vector(rng, 4)),
+    "prepare_basis_state": lambda rng: prepare_basis_state(2, 4),
+    "prepare_maximally_mixed": lambda rng: prepare_maximally_mixed(4),
+    "prepare_thermal": lambda rng: prepare_thermal(random_pauli_sum(rng, 2, 3), 0.7)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORM_RULES) + sorted(PREPARATIONS))
+def test_every_circuit_is_a_builder_of_the_circuits_module(name):
+    """Each rule and preparation reaches the verification layer one way:
+    its circuit is a partial of a function defined in `circuits`."""
+    rng = np.random.default_rng(0)
+    value = NORM_RULES[name](rng)[0] if name in NORM_RULES else PREPARATIONS[name](rng)
+    assert isinstance(value.circuit, partial)
+    builder = value.circuit.func
+    assert builder.__module__ == "blocksketch.circuits"
+    assert getattr(circuits, builder.__name__) is builder
+
+
 @pytest.fixture
 def no_svd(monkeypatch):
     """Make the contraction SVD of `BlockEncoding(block=...)` fail."""
@@ -374,8 +398,7 @@ def no_circuits(monkeypatch):
 
     monkeypatch.setattr(BlockEncoding, "unitary", property(refuse))
     monkeypatch.setattr(PreparationUnitary, "unitary", property(refuse))
-    monkeypatch.setattr(block_encoding, "check_circuit_unitary", refuse_check)
-    monkeypatch.setattr(state_prep, "check_circuit_unitary", refuse_check)
+    monkeypatch.setattr(circuits, "check_circuit_unitary", refuse_check)
 
 
 @pytest.fixture

@@ -417,6 +417,54 @@ def test_kpm_has_no_observable_flag(workdir, capsys):
     assert "kpm: error: ambiguous option: --observable " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["dos", "--moments", "2"], "dos --moments does not read --rho-max"),
+        (["ldos", "--moments", "2", "--state", "{ket0}"], "ldos --moments does not read --rho-max"),
+        (["response", "--moments", "2", "--state", "{ket0}", "--observable-b", "{hx}",
+          "--observable-c", "{hx}"],
+         "response --moments does not read --rho-max"),
+        (["cost", "--kind", "dos-moments", "--moments", "2"],
+         "dos --moments does not read --rho-max"),
+        (["cost", "--kind", "response-moments", "--moments", "2", "--state", "{ket0}",
+          "--observable-b", "{hx}", "--observable-c", "{hx}"],
+         "response --moments does not read --rho-max"),
+        (["cost", "--kind", "correlation", "--observable", "{hx}", "0", "--state", "{ket0}"],
+         "correlation does not read --rho-max"),
+    ],
+)
+@pytest.mark.parametrize("rho_max", ["0.5", "1"])
+def test_rho_max_is_refused_where_it_is_never_read(workdir, capsys, args, message, rho_max):
+    files = {"hx": workdir / "hx.txt", "ket0": workdir / "ket0.txt"}
+    argv = [a.format(**files) for a in args] + ["--hamiltonian", workdir / "hz.txt"]
+    assert _run(argv + ["--rho-max", rho_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_kpm_has_no_rho_max_flag(workdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run(["kpm", "--moments", "2", "--rho-max", "0.5", "--hamiltonian", workdir / "hz.txt"])
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --rho-max 0.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command", [["dos"], ["cost", "--kind", "dos-integral"], ["ldos", "--state", "{ket0}"]]
+)
+def test_integral_mode_without_rho_max_reads_one(workdir, capsys, command):
+    argv = [a.format(ket0=workdir / "ket0.txt") for a in command]
+    argv += ["--hamiltonian", workdir / "tilted.txt", "--integral", "-0.2", "0.3", "--eps", "0.1"]
+    assert _run(argv) == 0
+    default = capsys.readouterr().out
+    assert _run(argv + ["--rho-max", "1.0"]) == 0
+    assert capsys.readouterr().out == default
+    assert _run(argv + ["--rho-max", "0.5"]) == 0
+    assert capsys.readouterr().out != default
+
+
 def test_sampled_moment_at_amplitude_one_finishes_fast_at_tiny_eps(workdir, capsys):
     # T_0 has amplitude 1 (theta = pi/2). The plain scan of Grover powers
     # took 3.4 s at eps 1e-9 and about ten times that at 1e-10.

@@ -13,6 +13,7 @@ from blocksketch.block_encoding import (
     identity_encoding,
     linear_combine,
 )
+from blocksketch.circuits import AmplitudeProblem, grover_operator, is_unitary
 from blocksketch.errors import (
     CostOverflowError,
     InvalidProjectorError,
@@ -21,7 +22,6 @@ from blocksketch.errors import (
     OutOfRangeError,
 )
 from blocksketch.estimation import (
-    AmplitudeProblem,
     GROVER_QUERY_CONSTANT,
     _next_power,
     _shifted_encoding,
@@ -29,10 +29,8 @@ from blocksketch.estimation import (
     estimate_amplitude,
     estimate_complex,
     estimate_observable,
-    grover_operator,
     query_budget,
 )
-from blocksketch.linalg import is_unitary
 from blocksketch.pauli import PauliSum, pauli_sum_matrix
 from blocksketch.state_prep import (
     prepare_maximally_mixed,

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from blocksketch.block_encoding import BlockEncoding
-from blocksketch.errors import NormTooLargeError, NotUnitaryError
-from blocksketch.linalg import (
+from blocksketch.block_encoding import BlockEncoding, spectral_norm
+from blocksketch.circuits import (
     EXACT_UNITARY_DIM,
     check_circuit_unitary,
     embed_operator,
     is_hermitian,
     is_unitary,
-    spectral_norm,
     unitary_completion,
     unitary_dilation,
 )
+from blocksketch.errors import NormTooLargeError, NotUnitaryError
 from blocksketch.pauli import PauliSum, pauli_sum_matrix
 
 from conftest import random_hermitian_contraction, random_pauli_sum

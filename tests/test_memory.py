@@ -6,7 +6,11 @@ pipeline would take (a 6-qubit shifted moment encoding is 8192 x 8192).
 The maximally mixed state is likewise formed from D x D arrays alone.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,23 @@ PEAK_LIMIT_MB = 100.0
 WINDOW_WRITE_SLACK_MB = 4.0
 # What forming I/D may hold beyond its D x D complex arrays.
 MIXED_STATE_SLACK_MB = 4.0
+# Peak RSS of a fresh interpreter running `window-poly --output` at the
+# degree guard eta = 0.005 (degree 787,200). `compose` allocates native
+# buffers that tracemalloc does not see: on an x86-64 Linux VM with one
+# BLAS thread the command peaked at 172 MB, and at 39 MB without --output.
+WINDOW_OUTPUT_MAX_RSS_MB = 256.0
+SRC = Path(__file__).resolve().parents[1] / "src"
+# The child reports VmHWM, the peak RSS of its own address space in kB.
+# Linux's ru_maxrss would not do: it keeps the RSS of the address space
+# replaced at exec, which for a vfork-spawned child is the test process's.
+_MAX_RSS_CHILD = """
+import sys
+from blocksketch.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    peak_kb = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+print(code, peak_kb)
+"""
 
 
 def _tfim_chain(qubits: int) -> str:
@@ -96,6 +117,23 @@ def test_window_poly_output_holds_little_beyond_its_series(tmp_path):
     code, peak = _traced_peak_mb(lambda: main(argv + ["--output", str(tmp_path / "w.csv")]))
     assert code == 0
     assert peak <= series_peak + WINDOW_WRITE_SLACK_MB
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_window_poly_output_max_rss_at_the_degree_guard(tmp_path):
+    """The process-wide peak, which includes what tracemalloc misses."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["window-poly", "--a=-0.3", "--b=0.2", "--eta=0.005", "--output", str(tmp_path / "w.csv")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAX_RSS_CHILD, *argv],
+        env=env, capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = proc.stdout.split()[-2:]
+    assert code == "0"
+    assert int(peak_kb) / 2**10 <= WINDOW_OUTPUT_MAX_RSS_MB
+    assert (tmp_path / "w.csv").read_text().count("\n") == 787_200 + 3
 
 
 def test_maximally_mixed_density_holds_three_d_squared_arrays():

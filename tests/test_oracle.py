@@ -8,7 +8,7 @@ from numpy.polynomial.chebyshev import chebval
 from blocksketch.algorithms import SketchRequest
 from blocksketch.chebyshev import window_poly
 from blocksketch.errors import BadIntervalError, ValidationError
-from blocksketch.linalg import psd_sqrt, unitary_completion
+from blocksketch.circuits import psd_sqrt, unitary_completion
 from blocksketch.oracle import eigen_expectations, oracle_correlation, oracle_sketch
 from blocksketch.pauli import PauliSum, pauli_sum_matrix
 from blocksketch.state_prep import (

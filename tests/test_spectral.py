@@ -15,7 +15,7 @@ from blocksketch.errors import (
     PolyNotBoundedError,
 )
 from blocksketch import block_encoding
-from blocksketch.linalg import is_unitary
+from blocksketch.circuits import is_unitary
 from blocksketch.pauli import PauliSum, pauli_sum_matrix
 from blocksketch.spectral import (
     apply_polynomial,

@@ -15,7 +15,7 @@ from blocksketch.errors import (
     OutOfRangeError,
     ParseError,
 )
-from blocksketch.linalg import unitary_completion
+from blocksketch.circuits import unitary_completion
 from blocksketch.pauli import PauliSum, pauli_sum_matrix
 from blocksketch.state_prep import (
     PreparationUnitary,
