@@ -35,8 +35,8 @@ bookkeeping), so no rule runs an SVD:
 - `adjoint` and `normalized`: the input's bound;
 - `product`: the product of the input bounds;
 - `linear_combine`: sum_i w_i bound_i over the convex weights w_i;
-- `spectral.chebyshev_encoding`: 1 for an exactly Hermitian input block
-  with bound at most 1 (else an SVD, see there);
+- `spectral.chebyshev_encoding`: 1 at n = 0, and for an exactly
+  Hermitian input block with bound at most 1 (else an SVD, see there);
 - `spectral.apply_polynomial`: p.sup_norm_bound / 2, proven with p.
 
 The Hermitian ledger. ``hermitian`` is True only where a rule proves
@@ -52,11 +52,14 @@ that the block equals its conjugate transpose entry for entry, so that
   the shifted encoding (I + A)/2 of estimation): see there;
 - `estimation.hermitian_part_encoding` and
   `estimation.antihermitian_part_encoding`: c G + conj(c) G^dagger, see
-  `_conjugate_pair_sum`.
+  `_conjugate_pair_sum`;
+- `spectral.chebyshev_encoding` at n = 0, whose block is the identity,
+  and at n = 1 the input's ledger, since its block is the input's own
+  array.
 
-`product`, `encode_unitary`, `spectral.chebyshev_encoding` (matmul
-roundoff), `spectral.apply_polynomial` and every measured encoding stay
-unproven.
+`product`, `encode_unitary`, `spectral.chebyshev_encoding` at n >= 2
+(matmul roundoff), `spectral.apply_polynomial` and every measured
+encoding stay unproven.
 
 ``norm_bound`` and ``hermitian`` are not constructor arguments, so no
 caller can assert a bound or a symmetry for an arbitrary block.

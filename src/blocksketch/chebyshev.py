@@ -32,6 +32,15 @@ point or of a kink of that piece; so sup|g| <= max(max_j |g|, max_c |g|) +
 h^2 (n^2 S + L) / 2. Constructors raise CertificationError rather than
 return a polynomial that misses its guarantees.
 
+The window is built and certified only where its step slopes: the soft
+step is -1 or +1 but on two strips of width kappa, under 1% of the grid.
+The fit reads `soft_step` only at the strips' nodes and forms only the
+n + 1 coefficients it keeps (`jackson_approx`); the certificate reads its
+target at the knots and on the sloped pieces, and checks a constant
+piece as max |p - c| (`certified_bounds`). Every grid value the proof
+needs is still compared with the target's value there, so bounds and
+coefficients are the whole-grid computation's bit for bit.
+
 The package needs numpy alone. The cosine transforms are numpy FFTs: a
 DCT-I is the real FFT of the even extension, and a DCT-II or DCT-III is
 one half-spectrum real FFT after Makhoul's reordering (J. Makhoul, "A fast
@@ -135,17 +144,24 @@ def _dct1(x: np.ndarray) -> np.ndarray:
 def _dct2(x: np.ndarray) -> np.ndarray:
     """DCT-II, y_k = 2 sum_j x_j cos(pi k (2j+1)/(2N)), by Makhoul's reordering.
 
-    With v = (x_0, x_2, ..., x_3, x_1) and V its FFT, z_k = e^{-i pi k/(2N)} V_k
-    gives y_k = 2 Re z_k and y_{N-k} = -2 Im z_k, so half the spectrum is enough.
+    With z_k = `_twiddled_spectrum` of x, y_k = 2 Re z_k and
+    y_{N-k} = -2 Im z_k, so half the spectrum is enough.
     """
     n = x.size
     half = n // 2
-    z = np.fft.rfft(np.concatenate([x[::2], x[1::2][::-1]]))
-    z *= np.exp(-0.5j * np.pi / n * np.arange(half + 1))
+    z = _twiddled_spectrum(x, half + 1)
     y = np.empty(n)
     y[: half + 1] = 2.0 * z.real
     y[half + 1 :] = -2.0 * z.imag[n - half - 1 : 0 : -1]
     return y
+
+
+def _twiddled_spectrum(x: np.ndarray, count: int) -> np.ndarray:
+    """z_k = e^{-i pi k/(2N)} V_k for k < count <= N/2 + 1, V the FFT of
+    Makhoul's reordering v = (x_0, x_2, ..., x_3, x_1) of x."""
+    z = np.fft.rfft(np.concatenate([x[::2], x[1::2][::-1]]))[:count]
+    z *= np.exp(-0.5j * np.pi / x.size * np.arange(count))
+    return z
 
 
 def _dct3(x: np.ndarray) -> np.ndarray:
@@ -154,7 +170,12 @@ def _dct3(x: np.ndarray) -> np.ndarray:
     n = x.size
     k = np.arange(n // 2 + 1)
     mirrored = np.concatenate([[0.0], x[:0:-1]])[k]  # x_{N-k}, with x_N = 0
-    u = (x[k] - 1j * mirrored) * np.exp(0.5j * np.pi / n * k)
+    return _undo_reordering((x[k] - 1j * mirrored) * np.exp(0.5j * np.pi / n * k), n)
+
+
+def _undo_reordering(u: np.ndarray, n: int) -> np.ndarray:
+    """The DCT-III of length n from its pre-twiddled half spectrum
+    u_k = (x_k - i x_{n-k}) e^{i pi k/(2n)}, k = 0..n/2."""
     v = np.fft.irfft(u, n, norm="forward")
     y = np.empty(n)
     y[::2] = v[: (n + 1) // 2]
@@ -166,15 +187,24 @@ def cheb_values_at_nodes(coeffs: np.ndarray, m: int) -> np.ndarray:
     """Values of a Chebyshev series at the m first-kind nodes cos(pi(i+1/2)/m).
 
     Exact (up to roundoff) whenever m >= len(coeffs); computed with a DCT-III
-    in O(m log m).
+    in O(m log m). When len(coeffs) <= m/2 the zero-padded input has
+    x_{m-k} = 0 for every k <= m/2, so only its nonzero entries are
+    pre-twiddled, by the operations `_dct3` applies to them.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.size > m:
         raise ValueError("need at least as many nodes as coefficients")
-    work = np.zeros(m)
-    work[0] = coeffs[0]
-    work[1 : coeffs.size] = coeffs[1:] / 2.0
-    return _dct3(work)
+    if 2 * coeffs.size > m:
+        work = np.zeros(m)
+        work[0] = coeffs[0]
+        work[1 : coeffs.size] = coeffs[1:] / 2.0
+        return _dct3(work)
+    head = np.empty(coeffs.size)
+    head[0] = coeffs[0]
+    head[1:] = coeffs[1:] / 2.0
+    u = np.zeros(m // 2 + 1, dtype=complex)
+    u[: coeffs.size] = head * np.exp(0.5j * np.pi / m * np.arange(coeffs.size))
+    return _undo_reordering(u, m)
 
 
 def cheb_values_at_extrema(coeffs: np.ndarray, m: int) -> np.ndarray:
@@ -273,6 +303,14 @@ def certified_bounds(
     module docstring). target must be linear in x between the kinks, and
     target_curvature must bound |d^2/dtheta^2 target(cos theta)| on each
     piece.
+
+    target is read once at the knots -1, kinks, 1 and the midpoints of
+    the pieces between them; a ValueError names a piece whose midpoint is
+    off its chord (`_knot_values`). A piece with equal end values is a
+    constant c, checked as max |p - c| over its extrema; only the sloped
+    pieces form extrema and read target (`_grid_error`). Every extremum is
+    still compared with the value target gives it, so the bounds, and the
+    proof, are the whole grid's.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     kinks = np.asarray(kinks, dtype=float).reshape(-1)
@@ -283,18 +321,79 @@ def certified_bounds(
     h = np.pi / (2.0 * m)
     values = cheb_values_at_extrema(coeffs, m)
     sup = float(np.max(np.abs(values))) / (1.0 - 0.5 * (n * h) ** 2)
-    # m is even: the upper half mirrors the lower, cos(pi (m-j)/m) = -cos(pi j/m).
-    half = m // 2
-    extrema = np.empty(m + 1)
-    extrema[: half + 1] = np.cos(np.pi * np.arange(half + 1) / m)
-    extrema[half + 1 :] = -extrema[half - 1 :: -1]
-    at_kinks = _cosine_sum(np.arccos(kinks), coeffs) - target(kinks)
+    knots = np.unique(np.concatenate([[-1.0], kinks, [1.0]]))
+    at_knots = _knot_values(target, knots)
+    is_kink = np.isin(knots, kinks)
+    at_kinks = _cosine_sum(np.arccos(knots[is_kink]), coeffs) - at_knots[is_kink]
     worst = max(
-        float(np.max(np.abs(values - target(extrema)))),
+        _grid_error(values, target, knots, at_knots),
         float(np.max(np.abs(at_kinks), initial=0.0)),
     )
     gap = worst + 0.5 * h**2 * (n**2 * sup + target_curvature)
     return sup, gap
+
+
+def _knot_values(target, knots: np.ndarray) -> np.ndarray:
+    """target at the sorted knots, once each piece's midpoint value is
+    within 1e-12 max(1, |y|) of the chord y, plus the largest slope times
+    eps: the target's own kink may sit half an ulp from its float knot."""
+    lo, hi = knots[:-1], knots[1:]
+    mids = 0.5 * (lo + hi)
+    y = np.asarray(target(np.concatenate([knots, mids])), dtype=float)
+    at_knots, at_mids = y[: knots.size], y[knots.size :]
+    slopes = (at_knots[1:] - at_knots[:-1]) / (hi - lo)
+    chord = at_knots[:-1] + slopes * (mids - lo)
+    slack = 1e-12 * np.maximum(1.0, np.abs(chord)) + np.finfo(float).eps * np.max(np.abs(slopes))
+    off = np.flatnonzero(np.abs(at_mids - chord) > slack)
+    if off.size:
+        i = off[0]
+        raise ValueError(
+            f"target is not linear on the piece [{lo[i]:.17g}, {hi[i]:.17g}] between its "
+            f"kinks: at its midpoint {mids[i]:.17g} it is {at_mids[i]:.17g}, the chord gives "
+            f"{chord[i]:.17g}"
+        )
+    return at_knots
+
+
+def _grid_error(values: np.ndarray, target, knots: np.ndarray, at_knots: np.ndarray) -> float:
+    """max_j |p(x_j) - target(x_j)| over the extrema x_j = cos(pi j/m) of
+    the values p(x_j), reading target only on the sloped pieces.
+
+    Knot x sits at j = m arccos(x)/pi, and j grows as x falls. A sloped
+    piece takes the extrema within one index of it and reads target
+    there. A constant piece takes its own extrema, less the one index
+    next to a sloped neighbour, and compares them with its constant: there
+    target is that constant, and next to a constant neighbour it is the
+    same one. So every extremum, the ends j = 0 and m included, is
+    compared with the value target gives it."""
+    m = values.size - 1
+    at = m * np.arccos(knots) / np.pi
+    at[0], at[-1] = m, 0
+    sloped = at_knots[:-1] != at_knots[1:]
+    last = sloped.size - 1
+    worst = 0.0
+    rows = []
+    for i in range(sloped.size):
+        if sloped[i]:
+            rows.append(np.arange(max(math.floor(at[i + 1]) - 1, 0), min(math.ceil(at[i]) + 1, m) + 1))
+            continue
+        lo = math.ceil(at[i + 1]) + int(i < last and sloped[i + 1])
+        hi = math.floor(at[i]) - int(i > 0 and sloped[i - 1])
+        if lo <= hi:
+            worst = max(worst, float(np.max(np.abs(values[lo : hi + 1] - at_knots[i]))))
+    if rows:
+        j = np.concatenate(rows)
+        worst = max(worst, float(np.max(np.abs(values[j] - target(_extrema_at(j, m))))))
+    return worst
+
+
+def _extrema_at(j: np.ndarray, m: int) -> np.ndarray:
+    """The extrema cos(pi j/m) at the indices j of an even m, the upper half
+    mirrored from the lower as -cos(pi (m - j)/m), so the grid is
+    antisymmetric bit for bit."""
+    x = np.cos(np.pi * np.minimum(j, m - j) / m)
+    np.negative(x, out=x, where=j > m // 2)
+    return x
 
 
 def cheb_fit_at_nodes(values: np.ndarray) -> np.ndarray:
@@ -311,7 +410,12 @@ def cheb_fit_at_nodes(values: np.ndarray) -> np.ndarray:
 
 
 def first_kind_nodes(m: int) -> np.ndarray:
-    return np.cos(np.pi * (np.arange(m) + 0.5) / m)
+    return _nodes_at(np.arange(m), m)
+
+
+def _nodes_at(i: np.ndarray, m: int) -> np.ndarray:
+    """The first-kind nodes cos(pi (i + 1/2)/m) at the indices i."""
+    return np.cos(np.pi * (i + 0.5) / m)
 
 
 def jackson_damping(n: int) -> np.ndarray:
@@ -330,6 +434,30 @@ def soft_step(x, a_bar: float, b_bar: float, kappa: float):
     ramp_left = 2.0 * (x - (a_bar - kappa)) / kappa - 1.0
     ramp_right = 2.0 * ((b_bar + kappa) - x) / kappa - 1.0
     return np.clip(np.minimum(ramp_left, ramp_right), -1.0, 1.0)
+
+
+def _step_at_nodes(a_bar: float, b_bar: float, kappa: float, m: int) -> np.ndarray:
+    """soft_step at the m first-kind nodes, computed only on the strips.
+
+    Node x sits at i = m arccos(x)/pi - 1/2, and i grows as x falls. Each
+    strip takes the nodes within one index of it, where soft_step is
+    called; a node farther out lies at least one node spacing from every
+    kink, where soft_step clips to exactly -1 (outside the strips) or +1
+    (between them), and takes that value."""
+
+    def strip(lo: float, hi: float) -> tuple[int, int]:
+        first = math.floor(m * math.acos(hi) / math.pi - 0.5) - 1
+        last = math.ceil(m * math.acos(lo) / math.pi - 0.5) + 1
+        return max(first, 0), min(last, m - 1)
+
+    values = np.full(m, -1.0)
+    right = strip(b_bar, b_bar + kappa)
+    left = strip(a_bar - kappa, a_bar)
+    values[right[1] + 1 : left[0]] = 1.0
+    for first, last in (right, left):
+        x = _nodes_at(np.arange(first, last + 1), m)
+        values[first : last + 1] = soft_step(x, a_bar, b_bar, kappa)
+    return values
 
 
 def _validate_window_interval(a_bar, b_bar, kappa):
@@ -351,14 +479,20 @@ def jackson_approx(a_bar: float, b_bar: float, kappa: float, n: int) -> Chebyshe
     b_bar, b_bar + kappa and curvature in theta at most its slope 2/kappa;
     raises CertificationError if the proven gap exceeds 1/4. The
     proven sup-norm bound (at most 5/4) is recorded on the result.
+
+    The fit reads the step at the 4 n first-kind nodes only on its strips
+    (`_step_at_nodes`) and forms only the first n + 1 twiddled entries of
+    the DCT-II, by the operations `cheb_fit_at_nodes` applies to them: the
+    coefficients are the whole fit's bit for bit, proven as before.
     """
     _validate_window_interval(a_bar, b_bar, kappa)
     n = int(n)
     if n < 24.0 / kappa - 1e-9:
         raise OutOfRangeError(f"degree n={n} below 24/kappa={24.0 / kappa:.6g}")
-    nodes = first_kind_nodes(4 * n)
-    raw = cheb_fit_at_nodes(soft_step(nodes, a_bar, b_bar, kappa))
-    coeffs = raw[: n + 1] * jackson_damping(n)
+    raw = 2.0 * _twiddled_spectrum(_step_at_nodes(a_bar, b_bar, kappa, 4 * n), n + 1).real
+    raw /= 4 * n
+    raw[0] /= 2.0
+    coeffs = raw * jackson_damping(n)
 
     sup, gap = certified_bounds(
         coeffs,

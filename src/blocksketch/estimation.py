@@ -79,7 +79,14 @@ class EstimationResult:
 
 def query_budget(eps: float, delta: float) -> int:
     """Worst-case Grover applications for amplitude precision eps; raises
-    CostOverflowError if eps or delta is so small that the count overflows."""
+    CostOverflowError if eps or delta is so small that the count overflows,
+    and if eps is not positive (a precision eps / (2 scale) that underflowed
+    to 0), where no count meets it."""
+    if not eps > 0.0:
+        raise CostOverflowError(
+            f"the Grover query budget at amplitude precision {eps:.3g} is unbounded: "
+            "the precision is not positive; raise eps"
+        )
     budget = GROVER_QUERY_CONSTANT * math.log(1.0 / delta) / eps
     if not math.isfinite(budget):
         raise CostOverflowError(

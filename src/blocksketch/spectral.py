@@ -87,11 +87,15 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
 
     Norm ledger: |T_n| <= 1 on [-1, 1], so for an exactly Hermitian block
     (equal to its conjugate transpose bit for bit) with norm bound at most
-    1 the bound of T_n is 1. A block Hermitian only within tolerance can
-    give a T_n of norm above 1, so there the norm is measured by an SVD.
+    1 the bound of T_n is 1, and T_0 = I has bound 1 for any input. A
+    block Hermitian only within tolerance can give a T_n of norm above 1,
+    so there the norm is measured by an SVD.
     Both checks read the Hermitian ledger of b first and measure
-    `b.hermitian_gap`, once per encoding, only where it is unproven. T_n
-    itself stays unproven: the block products round asymmetrically.
+    `b.hermitian_gap`, once per encoding, only where it is unproven.
+
+    Hermitian ledger: T_0 is proven Hermitian, its block is the identity.
+    T_1 is proven where b is, its block is b's own array. T_n for n >= 2
+    stays unproven: the block products round asymmetrically.
     """
     if n < 0:
         raise OutOfRangeError("Chebyshev order must be nonnegative")
@@ -124,8 +128,8 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
         cost=n * b.cost,
         circuit=partial(circuits.alternating_word, b, n),
     )
-    if b.norm_bound <= 1.0 and (b.hermitian or b.hermitian_gap == 0.0):
-        return _by_rule(block, 1.0, **ledger)
+    if n == 0 or (b.norm_bound <= 1.0 and (b.hermitian or b.hermitian_gap == 0.0)):
+        return _by_rule(block, 1.0, hermitian=n == 0 or (n == 1 and b.hermitian), **ledger)
     return BlockEncoding(block, **ledger)
 
 

@@ -705,3 +705,125 @@ def test_values_at_extrema_on_the_certificate_grid_match_the_direct_sums():
     phases = np.multiply.outer(j, np.arange(n + 1)) % (2 * m)
     want = np.cos(np.pi * phases / m) @ coeffs
     assert np.max(np.abs(got[j] - want)) <= 1e-13 * np.sum(np.abs(coeffs))
+
+
+def _whole_grid_jackson(a_bar, b_bar, kappa, n):
+    """The step fit on every one of the 4 n nodes with the whole DCT-II,
+    kept here as the reference for the strip-only fit."""
+    nodes = chebyshev.first_kind_nodes(4 * n)
+    return cheb_fit_at_nodes(soft_step(nodes, a_bar, b_bar, kappa))[: n + 1] * jackson_damping(n)
+
+
+def _whole_grid_bounds(coeffs, target, kinks, target_curvature):
+    """The certificate with target read at all M + 1 extrema, kept here as
+    the reference for the piecewise one."""
+    kinks = np.asarray(kinks, dtype=float).reshape(-1)
+    n = coeffs.size - 1
+    m = certificate_extrema(n)
+    h = np.pi / (2.0 * m)
+    values = cheb_values_at_extrema(coeffs, m)
+    sup = float(np.max(np.abs(values))) / (1.0 - 0.5 * (n * h) ** 2)
+    half = m // 2
+    extrema = np.empty(m + 1)
+    extrema[: half + 1] = np.cos(np.pi * np.arange(half + 1) / m)
+    extrema[half + 1 :] = -extrema[half - 1 :: -1]
+    at_kinks = chebyshev._cosine_sum(np.arccos(kinks), coeffs) - target(kinks)
+    worst = max(
+        float(np.max(np.abs(values - target(extrema)))),
+        float(np.max(np.abs(at_kinks), initial=0.0)),
+    )
+    return sup, worst + 0.5 * h**2 * (n**2 * sup + target_curvature)
+
+
+def _seeded_window(eta, seed):
+    kappa, n, _, _ = window_parameters(eta)
+    rng = np.random.default_rng(seed)
+    a_bar = rng.uniform(-1.0 + kappa + 1e-3, 0.5)
+    return a_bar, rng.uniform(a_bar + 1e-3, 1.0 - kappa - 1e-3), kappa, n
+
+
+def _window_cases():
+    kappa, n, _, _ = window_parameters(0.025)
+    cases = [(lo / 5.8, (lo + 1) / 5.8, kappa, n) for lo in range(-5, 5)]
+    cases += [_seeded_window(eta, seed) for eta in (0.4, 0.1, 0.025, 0.005) for seed in (1, 2, 3)]
+    # The prime degree 3847, certified on M = 31,104 != 8 n.
+    cases.append((-0.3, 0.45, *window_parameters(96.0 / 3846.5)[:2]))
+    # Strips a few nodes from -1 and from +1: node i of 4 n sits at
+    # cos(pi (i + 1/2) / (4 n)).
+    kappa, n, _, _ = window_parameters(0.1)
+    near_one = math.cos(np.pi * 3.0 / (4 * n))
+    cases.append((-near_one + kappa, near_one - kappa, kappa, n))
+    cases.append((-near_one + kappa, 0.2, kappa, n))
+    # A plateau narrower than one node spacing (pi / (4 n) at x = 0).
+    cases.append((0.01, 0.01 + 0.2 * np.pi / (4 * n), kappa, n))
+    return cases
+
+
+@pytest.mark.parametrize("a_bar, b_bar, kappa, n", _window_cases())
+def test_strip_fit_and_piecewise_certificate_match_the_whole_grid_bit_for_bit(a_bar, b_bar, kappa, n):
+    j = jackson_approx(a_bar, b_bar, kappa, n)
+    reference = _whole_grid_jackson(a_bar, b_bar, kappa, n)
+    assert np.array_equal(j.coeffs, reference)
+    step = lambda x: soft_step(x, a_bar, b_bar, kappa)  # noqa: E731
+    kinks = (a_bar - kappa, a_bar, b_bar, b_bar + kappa)
+    sup, gap = _whole_grid_bounds(reference, step, kinks, 2.0 / kappa)
+    assert certified_bounds(reference, step, kinks, 2.0 / kappa) == (sup, gap)
+    assert j.sup_norm_bound == min(sup, 1.0 + gap)
+
+
+def test_piecewise_certificate_matches_the_whole_grid_on_other_targets():
+    rng = np.random.default_rng(29)
+    for d in (0, 1, 2, 17, 64, 3847):
+        coeffs = rng.normal(size=d + 1)
+        assert certified_bounds(coeffs, np.zeros_like, (), 0.0) == _whole_grid_bounds(
+            coeffs, np.zeros_like, (), 0.0
+        )
+        # A kink at an end of [-1, 1] and a repeated one.
+        kinks = (-1.0, -0.2, 0.3, 0.3, 0.8)
+        tent = lambda x: np.maximum(0.0, 0.5 - np.abs(np.asarray(x) - 0.3))  # noqa: E731
+        assert certified_bounds(coeffs, tent, kinks, 1.0) == _whole_grid_bounds(
+            coeffs, tent, kinks, 1.0
+        )
+
+
+def test_certificate_refuses_a_target_that_is_not_linear_between_its_kinks():
+    coeffs = np.random.default_rng(2).normal(size=9)
+    with pytest.raises(ValueError, match=r"not linear on the piece \[-1, 1\]"):
+        certified_bounds(coeffs, np.square, (), 2.0)
+    a_bar, b_bar, kappa = -0.3, 0.4, 0.025
+    step = lambda x: soft_step(x, a_bar, b_bar, kappa)  # noqa: E731
+    with pytest.raises(ValueError, match=r"not linear on the piece \[-0.325\d*, 0.4\d*\]"):
+        certified_bounds(coeffs, step, (a_bar - kappa, b_bar, b_bar + kappa), 2.0 / kappa)
+    # The full kink list passes, at every window size down to tiny kappa.
+    for kappa in (0.025, 0.00125, 2.5e-5):
+        kinks = (a_bar - kappa, a_bar, b_bar, b_bar + kappa)
+        chebyshev._knot_values(step, np.array([-1.0, *kinks, 1.0]))
+
+
+@pytest.mark.parametrize("m", [*TRANSFORM_SIZES, 15_360])
+def test_padded_node_values_skip_the_zero_padding_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    for size in sorted({1, 2, m // 4 + 1, m // 2, 3841} & set(range(1, m // 2 + 1))):
+        coeffs = rng.normal(size=size)
+        padded = np.zeros(m)
+        padded[0] = coeffs[0]
+        padded[1:size] = coeffs[1:] / 2.0
+        assert np.array_equal(cheb_values_at_nodes(coeffs, m), chebyshev._dct3(padded))
+
+
+def test_piecewise_grid_error_compares_every_extremum():
+    # A spike at one extremum must show in the error wherever it sits:
+    # on a constant piece, on a sloped one, at a knot on the grid, or at
+    # the ends. Knots are drawn on and off the grid, with repeated values.
+    rng = np.random.default_rng(4)
+    for m in (8, 30, 128):
+        for _ in range(30):
+            kinks = rng.uniform(-1.0, 1.0, 4)
+            kinks[:2] = chebyshev._extrema_at(rng.integers(0, m + 1, 2), m)
+            knots = np.unique(np.concatenate([[-1.0], kinks, [1.0]]))
+            y = rng.choice([-1.0, 0.5, 1.0], knots.size)
+            target = lambda x: np.interp(x, knots, y)  # noqa: E731
+            for j in range(m + 1):
+                spike = np.zeros(m + 1)
+                spike[j] = 1e6
+                assert chebyshev._grid_error(spike, target, knots, y) >= 1e6 - 1.0

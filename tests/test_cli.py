@@ -332,6 +332,14 @@ def test_site_state_sketch_matches_golden(golden_inputs, capsys, golden, args):
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
 
 
+def test_dos_integral_matches_golden(golden_inputs, capsys):
+    # dos reads no --state; the value carries the window's leakage.
+    argv = ["dos", "--hamiltonian", golden_inputs / "h2.txt", "--integral", "-0.7", "0.05",
+            "--eps", "0.15", "--oracle"]
+    assert _run(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / "dos_integral.csv").read_text()
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -807,6 +815,23 @@ def test_overflowing_query_budget_exits_2(workdir, capsys, command):
     assert captured.out == ""
     assert captured.err.startswith(BUDGET_OVERFLOWS)
     assert "overflows to inf" in captured.err
+
+
+def test_underflowing_amplitude_precision_exits_2(workdir, capsys):
+    """|B| |C| = 1e300 is finite, so the request is accepted, but the
+    amplitude precision eps / (2 |B| |C|) underflows to 0 at eps 1e-300,
+    where no query count meets it."""
+    (workdir / "h2.txt").write_text("1.0 ZZ\n0.7 XI\n0.7 IX\n")
+    (workdir / "b.txt").write_text("1e200 XI\n")
+    (workdir / "c.txt").write_text("1e100 XI\n")
+    rc = _run(["response", "--hamiltonian", workdir / "h2.txt", "--moments", "1",
+               "--observable-b", workdir / "b.txt", "--observable-c", workdir / "c.txt",
+               "--state", workdir / "ket0.txt", "--eps", "1e-300"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{BUDGET_OVERFLOWS} 0 is unbounded")
+    assert "raise eps" in captured.err
 
 
 def test_overflowing_query_budget_in_sampled_mode_exits_2(workdir):

@@ -103,6 +103,12 @@ def test_non_finite_query_budget_is_refused_in_both_modes(mode, eps, delta):
         query_budget(eps, delta)
 
 
+def test_query_budget_refuses_an_amplitude_precision_that_is_not_positive():
+    for eps in (0.0, -0.0, -0.01):
+        with pytest.raises(CostOverflowError, match="amplitude precision .* raise eps"):
+            query_budget(eps, 0.05)
+
+
 def test_sampled_mode_refuses_a_negative_seed():
     p = AmplitudeProblem(np.array([1.0, 0.0]), np.diag([1.0, 0.0]))
     with pytest.raises(OutOfRangeError, match="seed must be nonnegative, got -1"):

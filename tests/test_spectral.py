@@ -16,6 +16,7 @@ from blocksketch.errors import (
 )
 from blocksketch import block_encoding
 from blocksketch.circuits import is_unitary
+from blocksketch.estimation import estimate_observable
 from blocksketch.pauli import PauliSum, pauli_sum_matrix
 from blocksketch.spectral import (
     apply_polynomial,
@@ -23,6 +24,7 @@ from blocksketch.spectral import (
     evolution_cost,
     evolution_encoding,
 )
+from blocksketch.state_prep import prepare_maximally_mixed
 
 from conftest import contraction_encoding, random_hermitian_contraction
 
@@ -151,6 +153,22 @@ def test_chebyshev_encoding_measures_the_hermitian_gap_once_per_encoding(monkeyp
         with pytest.raises(NotHermitianError):
             chebyshev_encoding(skew, n)
     assert len(measured) == 2
+
+
+def test_t0_and_t1_are_hermitian_by_proof_and_estimated_without_a_measured_gap(rng):
+    h = encode_pauli_sum(PauliSum.from_terms([(0.5, "ZZ"), (0.3, "XI"), (0.2, "IY")]))
+    rho = prepare_maximally_mixed(4)
+    for n in (0, 1):
+        t = chebyshev_encoding(h, n)
+        assert t.hermitian
+        estimate_observable(t, rho, 0.05, 0.05)
+        assert "hermitian_gap" not in vars(t)
+    assert not chebyshev_encoding(h, 2).hermitian
+    # T_0 is the identity whatever the input; T_1 carries the input's ledger.
+    measured = contraction_encoding(random_hermitian_contraction(rng, 4))
+    assert not measured.hermitian
+    assert chebyshev_encoding(measured, 0).hermitian
+    assert not chebyshev_encoding(measured, 1).hermitian
 
 
 def test_apply_polynomial_examples():
