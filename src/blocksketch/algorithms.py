@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
     _checked_cost,
 )
-from .estimation import EstimationResult, estimate_complex, estimate_observable
+from .estimation import EstimationResult, _validate_eps_delta, estimate_complex, estimate_observable
 from .pauli import PauliSum
 from .spectral import (
     apply_polynomial,
@@ -42,6 +42,27 @@ from .state_prep import PreparationUnitary, prepare_maximally_mixed
 DOS = "dos"
 LDOS = "ldos"
 RESPONSE = "response"
+
+
+def _check_common(obj: CorrelationSpec | SketchRequest, observables, product_name: str) -> float:
+    """The checks a correlation spec and a sketch request share, which
+    leave them with the product of the observable scales: the observables
+    act on the Hamiltonian's qubits, the state (if any) has its dimension,
+    eps and delta lie in (0, 1), and the product is finite."""
+    h = obj.hamiltonian
+    if any(obs.qubits != h.qubits for obs in observables):
+        raise ValidationError("observable and Hamiltonian qubit counts differ")
+    if obj.state is not None and obj.state.system_dim != h.dim:
+        raise DimensionMismatchError(
+            f"state of dimension {obj.state.system_dim} for a Hamiltonian of dimension {h.dim}"
+        )
+    _validate_eps_delta(obj.eps, obj.delta)
+    scales = math.prod(obs.scale() for obs in observables)
+    if not math.isfinite(scales):
+        raise OutOfRangeError(
+            f"{product_name}, the product of the observable scales, overflows to {scales}"
+        )
+    return scales
 
 
 @dataclass(frozen=True)
@@ -59,23 +80,10 @@ class CorrelationSpec:
         object.__setattr__(self, "observables", tuple(self.observables))
         if not self.observables:
             raise EmptySumError("at least one observable is required")
-        for obs, t in self.observables:
-            if obs.qubits != self.hamiltonian.qubits:
-                raise ValidationError("observable and Hamiltonian qubit counts differ")
+        gamma = _check_common(self, [obs for obs, _t in self.observables], "gamma")
+        for _obs, t in self.observables:
             if not math.isfinite(t):
                 raise OutOfRangeError(f"observable time must be finite, got {t!r}")
-        if self.state.system_dim != self.hamiltonian.dim:
-            raise DimensionMismatchError(
-                f"state of dimension {self.state.system_dim} for a Hamiltonian "
-                f"of dimension {self.hamiltonian.dim}"
-            )
-        gamma = math.prod(obs.scale() for obs, _t in self.observables)
-        if not math.isfinite(gamma):
-            raise OutOfRangeError(
-                f"gamma, the product of the observable scales, overflows to {gamma}"
-            )
-        if not (0.0 < self.eps < 1.0 and 0.0 < self.delta < 1.0):
-            raise OutOfRangeError("eps and delta must lie in (0, 1)")
         if _budget(self).evolution == 0.0:
             raise OutOfRangeError(
                 f"gamma, the product of the observable scales, is {gamma!r}: the share "
@@ -119,13 +127,8 @@ class SketchRequest:
             raise ValidationError("ldos requires a pure site state (pure or basis directive)")
         if self.kind == RESPONSE and None in (self.b_observable, self.c_observable, self.state):
             raise ValidationError("response requires B, C, and a state")
-        if self.state is not None and self.state.system_dim != self.hamiltonian.dim:
-            raise DimensionMismatchError(
-                f"state of dimension {self.state.system_dim} for a Hamiltonian "
-                f"of dimension {self.hamiltonian.dim}"
-            )
-        if not (0.0 < self.eps < 1.0 and 0.0 < self.delta < 1.0):
-            raise OutOfRangeError("eps and delta must lie in (0, 1)")
+        given = [obs for obs in (self.b_observable, self.c_observable) if obs is not None]
+        weight = _check_common(self, given, "|B| |C|")
         if not 0.0 < self.rho_max < math.inf:
             raise OutOfRangeError(f"rho_max must be positive and finite, got {self.rho_max}")
         if (self.interval is None) == (self.num_moments is None):
@@ -138,12 +141,6 @@ class SketchRequest:
             if not (-alpha < a < b < alpha):
                 raise BadIntervalError(
                     f"interval [{a}, {b}] must satisfy -alpha < a < b < alpha with alpha={alpha}"
-                )
-        if self.kind == RESPONSE:
-            weight = self.b_observable.scale() * self.c_observable.scale()
-            if not math.isfinite(weight):
-                raise OutOfRangeError(
-                    f"|B| |C|, the product of the observable scales, overflows to {weight}"
                 )
         if self.interval is None:
             return

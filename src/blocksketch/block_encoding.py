@@ -359,7 +359,7 @@ def product(encodings) -> BlockEncoding:
 
     Each factor keeps its own ancilla register, so the blocks multiply;
     scales multiply, costs add, and the accuracy composes through
-    product_error_bound, whose fold step the ledger loop repeats.
+    product_error_bound.
     """
     encodings = list(encodings)
     if not encodings:
@@ -369,14 +369,13 @@ def product(encodings) -> BlockEncoding:
         return first
     d = first.system_dim
     block, bound, scale = first.block, first.norm_bound, first.scale
-    accuracy, cost, ancilla_dim = first.accuracy, first.cost, first.ancilla_dim
+    cost, ancilla_dim = first.cost, first.ancilla_dim
     for b in rest:
         if b.system_dim != d:
             raise _dimension_mismatch(encodings)
         block = block @ b.block
         bound *= b.norm_bound
         scale *= b.scale
-        accuracy = accuracy + b.accuracy + 2.0 * math.sqrt(accuracy * b.accuracy)
         cost += b.cost
         ancilla_dim *= b.ancilla_dim
     return _by_rule(
@@ -385,7 +384,7 @@ def product(encodings) -> BlockEncoding:
         ancilla_dim=ancilla_dim,
         system_dim=d,
         scale=scale,
-        accuracy=accuracy,
+        accuracy=product_error_bound([b.accuracy for b in encodings]),
         cost=int(cost),
         circuit=partial(circuits.product_circuit, encodings),
     )

@@ -34,12 +34,12 @@ return a polynomial that misses its guarantees.
 
 The window is built and certified only where its step slopes: the soft
 step is -1 or +1 but on two strips of width kappa, under 1% of the grid.
-The fit reads `soft_step` only at the strips' nodes and forms only the
-n + 1 coefficients it keeps (`jackson_approx`); the certificate reads its
-target at the knots and on the sloped pieces, and checks a constant
-piece as max |p - c| (`certified_bounds`). Every grid value the proof
-needs is still compared with the target's value there, so bounds and
-coefficients are the whole-grid computation's bit for bit.
+One reader, `_on_grid`, gives a piecewise-linear target on either grid:
+it reads the target within one index of a sloped piece and fills each
+flat piece with its value (for the certificate, its midpoint value). The
+fit takes the nodes and forms only the n + 1 coefficients it keeps
+(`jackson_approx`), the certificate the extrema (`certified_bounds`), and
+bounds and coefficients are the whole-grid computation's bit for bit.
 
 The package needs numpy alone. The cosine transforms are numpy FFTs: a
 DCT-I is the real FFT of the even extension, and a DCT-II or DCT-III is
@@ -305,10 +305,8 @@ def certified_bounds(
     piece.
 
     target is read once at the knots -1, kinks, 1 and the midpoints of
-    the pieces between them; a ValueError names a piece whose midpoint is
-    off its chord (`_knot_values`). A piece with equal end values is a
-    constant c, checked as max |p - c| over its extrema; only the sloped
-    pieces form extrema and read target (`_grid_error`). Every extremum is
+    the pieces between them (`_knot_values`), and on the extrema only
+    within one index of a sloped piece (`_on_grid`). Every extremum is
     still compared with the value target gives it, so the bounds, and the
     proof, are the whole grid's.
     """
@@ -322,21 +320,24 @@ def certified_bounds(
     values = cheb_values_at_extrema(coeffs, m)
     sup = float(np.max(np.abs(values))) / (1.0 - 0.5 * (n * h) ** 2)
     knots = np.unique(np.concatenate([[-1.0], kinks, [1.0]]))
-    at_knots = _knot_values(target, knots)
+    at_knots, levels = _knot_values(target, knots)
     is_kink = np.isin(knots, kinks)
     at_kinks = _cosine_sum(np.arccos(knots[is_kink]), coeffs) - at_knots[is_kink]
     worst = max(
-        _grid_error(values, target, knots, at_knots),
+        _grid_error(values, target, knots, levels),
         float(np.max(np.abs(at_kinks), initial=0.0)),
     )
     gap = worst + 0.5 * h**2 * (n**2 * sup + target_curvature)
     return sup, gap
 
 
-def _knot_values(target, knots: np.ndarray) -> np.ndarray:
-    """target at the sorted knots, once each piece's midpoint value is
-    within 1e-12 max(1, |y|) of the chord y, plus the largest slope times
-    eps: the target's own kink may sit half an ulp from its float knot."""
+def _knot_values(target, knots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """target at the sorted knots, and each piece's level: its midpoint
+    value where both its ends lie within the slack of it, NaN where the
+    piece slopes. The slack is 1e-12 max(1, |y|) for the chord y plus the
+    largest slope times eps, as the target's own kink may sit half an ulp
+    from its float knot; a ValueError names a piece whose midpoint value
+    is farther than that from its chord."""
     lo, hi = knots[:-1], knots[1:]
     mids = 0.5 * (lo + hi)
     y = np.asarray(target(np.concatenate([knots, mids])), dtype=float)
@@ -352,39 +353,44 @@ def _knot_values(target, knots: np.ndarray) -> np.ndarray:
             f"kinks: at its midpoint {mids[i]:.17g} it is {at_mids[i]:.17g}, the chord gives "
             f"{chord[i]:.17g}"
         )
-    return at_knots
+    flat = (np.abs(at_knots[:-1] - at_mids) <= slack) & (np.abs(at_knots[1:] - at_mids) <= slack)
+    return at_knots, np.where(flat, at_mids, np.nan)
 
 
-def _grid_error(values: np.ndarray, target, knots: np.ndarray, at_knots: np.ndarray) -> float:
+def _grid_error(values: np.ndarray, target, knots: np.ndarray, levels: np.ndarray) -> float:
     """max_j |p(x_j) - target(x_j)| over the extrema x_j = cos(pi j/m) of
-    the values p(x_j), reading target only on the sloped pieces.
+    the values p(x_j), taken in place: a second temporary of the grid's
+    size would fault its pages in on every call."""
+    error = _on_grid(target, knots, levels, values.size - 1, nodes=False)
+    np.subtract(values, error, out=error)
+    return float(np.max(np.abs(error, out=error)))
 
-    Knot x sits at j = m arccos(x)/pi, and j grows as x falls. A sloped
-    piece takes the extrema within one index of it and reads target
-    there. A constant piece takes its own extrema, less the one index
-    next to a sloped neighbour, and compares them with its constant: there
-    target is that constant, and next to a constant neighbour it is the
-    same one. So every extremum, the ends j = 0 and m included, is
-    compared with the value target gives it."""
-    m = values.size - 1
-    at = m * np.arccos(knots) / np.pi
-    at[0], at[-1] = m, 0
-    sloped = at_knots[:-1] != at_knots[1:]
-    last = sloped.size - 1
-    worst = 0.0
+
+def _on_grid(target, knots: np.ndarray, levels: np.ndarray, m: int, nodes: bool) -> np.ndarray:
+    """target at the m first-kind nodes cos(pi (i + 1/2)/m) if nodes, else
+    at the m + 1 extrema cos(pi j/m) of an even m. target is linear between
+    the sorted knots -1, ..., 1, and levels[i] is its value on the piece
+    from knot i to i + 1, NaN if that piece slopes.
+
+    Knot x sits at m arccos(x)/pi on the extrema, less 1/2 on the nodes;
+    the index grows as x falls. Points within one index of a sloped piece
+    read target; every other point lies in a flat piece, where target is
+    the piece's level."""
+    size, shift, points = (m, 0.5, _nodes_at) if nodes else (m + 1, 0.0, _extrema_at)
+    at = m * np.arccos(knots) / np.pi - shift
+    at[0], at[-1] = m - shift, -shift
+    grid = np.empty(size)
     rows = []
-    for i in range(sloped.size):
-        if sloped[i]:
-            rows.append(np.arange(max(math.floor(at[i + 1]) - 1, 0), min(math.ceil(at[i]) + 1, m) + 1))
-            continue
-        lo = math.ceil(at[i + 1]) + int(i < last and sloped[i + 1])
-        hi = math.floor(at[i]) - int(i > 0 and sloped[i - 1])
-        if lo <= hi:
-            worst = max(worst, float(np.max(np.abs(values[lo : hi + 1] - at_knots[i]))))
+    for i, level in enumerate(levels):
+        if math.isnan(level):
+            first, last = max(math.floor(at[i + 1]) - 1, 0), min(math.ceil(at[i]) + 1, size - 1)
+            rows.append(np.arange(first, last + 1))
+        else:
+            grid[math.ceil(at[i + 1]) : math.floor(at[i]) + 1] = level
     if rows:
         j = np.concatenate(rows)
-        worst = max(worst, float(np.max(np.abs(values[j] - target(_extrema_at(j, m))))))
-    return worst
+        grid[j] = target(points(j, m))
+    return grid
 
 
 def _extrema_at(j: np.ndarray, m: int) -> np.ndarray:
@@ -436,30 +442,6 @@ def soft_step(x, a_bar: float, b_bar: float, kappa: float):
     return np.clip(np.minimum(ramp_left, ramp_right), -1.0, 1.0)
 
 
-def _step_at_nodes(a_bar: float, b_bar: float, kappa: float, m: int) -> np.ndarray:
-    """soft_step at the m first-kind nodes, computed only on the strips.
-
-    Node x sits at i = m arccos(x)/pi - 1/2, and i grows as x falls. Each
-    strip takes the nodes within one index of it, where soft_step is
-    called; a node farther out lies at least one node spacing from every
-    kink, where soft_step clips to exactly -1 (outside the strips) or +1
-    (between them), and takes that value."""
-
-    def strip(lo: float, hi: float) -> tuple[int, int]:
-        first = math.floor(m * math.acos(hi) / math.pi - 0.5) - 1
-        last = math.ceil(m * math.acos(lo) / math.pi - 0.5) + 1
-        return max(first, 0), min(last, m - 1)
-
-    values = np.full(m, -1.0)
-    right = strip(b_bar, b_bar + kappa)
-    left = strip(a_bar - kappa, a_bar)
-    values[right[1] + 1 : left[0]] = 1.0
-    for first, last in (right, left):
-        x = _nodes_at(np.arange(first, last + 1), m)
-        values[first : last + 1] = soft_step(x, a_bar, b_bar, kappa)
-    return values
-
-
 def _validate_window_interval(a_bar, b_bar, kappa):
     if kappa <= 0:
         raise BadIntervalError(f"kappa must be positive, got {kappa}")
@@ -480,26 +462,26 @@ def jackson_approx(a_bar: float, b_bar: float, kappa: float, n: int) -> Chebyshe
     raises CertificationError if the proven gap exceeds 1/4. The
     proven sup-norm bound (at most 5/4) is recorded on the result.
 
-    The fit reads the step at the 4 n first-kind nodes only on its strips
-    (`_step_at_nodes`) and forms only the first n + 1 twiddled entries of
-    the DCT-II, by the operations `cheb_fit_at_nodes` applies to them: the
-    coefficients are the whole fit's bit for bit, proven as before.
+    The fit reads the step at the 4 n first-kind nodes only on its strips,
+    where it slopes, and takes its levels -1, 1, -1 elsewhere (`_on_grid`);
+    it forms only the first n + 1 twiddled entries of the DCT-II, by the
+    operations `cheb_fit_at_nodes` applies to them: the coefficients are
+    the whole fit's bit for bit, proven as before.
     """
     _validate_window_interval(a_bar, b_bar, kappa)
     n = int(n)
     if n < 24.0 / kappa - 1e-9:
         raise OutOfRangeError(f"degree n={n} below 24/kappa={24.0 / kappa:.6g}")
-    raw = 2.0 * _twiddled_spectrum(_step_at_nodes(a_bar, b_bar, kappa, 4 * n), n + 1).real
+    kinks = (a_bar - kappa, a_bar, b_bar, b_bar + kappa)
+    step = lambda x: soft_step(x, a_bar, b_bar, kappa)  # noqa: E731
+    levels = np.array([-1.0, np.nan, 1.0, np.nan, -1.0])
+    at_nodes = _on_grid(step, np.array([-1.0, *kinks, 1.0]), levels, 4 * n, nodes=True)
+    raw = 2.0 * _twiddled_spectrum(at_nodes, n + 1).real
     raw /= 4 * n
     raw[0] /= 2.0
     coeffs = raw * jackson_damping(n)
 
-    sup, gap = certified_bounds(
-        coeffs,
-        lambda x: soft_step(x, a_bar, b_bar, kappa),
-        (a_bar - kappa, a_bar, b_bar, b_bar + kappa),
-        2.0 / kappa,
-    )
+    sup, gap = certified_bounds(coeffs, step, kinks, 2.0 / kappa)
     if gap > 0.25:
         raise CertificationError(f"step approximation not proven within 1/4 (gap bound {gap:.6g})")
     # |step| <= 1, so 1 + gap is a second proven bound.

@@ -47,6 +47,10 @@ from .state_prep import parse_state_file, reduced_density
 
 MAX_QUBITS = 6
 MAX_MOMENTS = 4096
+# kpm holds the grid, each reconstructed column and the Clenshaw
+# recurrence's temporaries, about ten float64 arrays of the grid's length:
+# 2^20 points keep each at 8 MiB, under 100 MiB in all.
+MAX_GRID_POINTS = 2**20
 SEED_ENV_VAR = "BLOCKSKETCH_SEED"
 _CSV_CHUNK_ROWS = 4096
 
@@ -108,10 +112,6 @@ def _load_hamiltonian(args: argparse.Namespace) -> PauliSum:
 
 
 def _validate_common(args: argparse.Namespace):
-    if not 0.0 < args.eps < 1.0:
-        raise ValidationError(f"eps must be in (0, 1), got {args.eps}")
-    if not 0.0 < args.delta < 1.0:
-        raise ValidationError(f"delta must be in (0, 1), got {args.delta}")
     if args.moments is not None and args.moments > MAX_MOMENTS:
         raise ValidationError(f"moment count {args.moments} exceeds {MAX_MOMENTS}")
 
@@ -227,6 +227,8 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 def _cmd_kpm(args: argparse.Namespace) -> int:
     if args.grid_points < 1:
         raise ValidationError(f"--grid-points must be at least 1, got {args.grid_points}")
+    if args.grid_points > MAX_GRID_POINTS:
+        raise ValidationError(f"--grid-points {args.grid_points} exceeds {MAX_GRID_POINTS}")
     req = _build_sketch_request(args, _load_hamiltonian(args))
     grid = np.linspace(-0.99, 0.99, args.grid_points)
     moments = [res.value for res in spectral_sketch(req, args.mode, args.seed).values]
@@ -415,11 +417,15 @@ def _normalize(args: argparse.Namespace) -> None:
     if args.command in (DOS, LDOS, RESPONSE):
         args.kind = args.command
     elif args.command == "cost" and args.kind != "correlation":
-        args.kind, mode_name = args.kind.rsplit("-", 1)
+        kind, mode_name = args.kind.rsplit("-", 1)
         if mode_name == "integral" and args.integral is None:
             raise ValidationError("cost --kind *-integral requires --integral A B")
         if mode_name == "moments" and args.moments is None:
             raise ValidationError("cost --kind *-moments requires --moments N")
+        unread = "moments" if mode_name == "integral" else "integral"
+        if getattr(args, unread) is not None:
+            raise ValidationError(f"{args.kind} does not read --{unread}")
+        args.kind = kind
     if args.seed is None:
         raw = os.environ.get(SEED_ENV_VAR)
         try:

@@ -240,6 +240,23 @@ def test_request_validation():
         SketchRequest(Z_SUM, "dos", eps=1.5, delta=0.05, num_moments=2)
 
 
+@pytest.mark.parametrize("b_qubits, c_qubits", [(2, 1), (1, 2), (1, 16)])
+def test_sketch_request_refuses_observables_on_other_qubits(b_qubits, c_qubits):
+    with pytest.raises(ValidationError, match="observable and Hamiltonian qubit counts differ"):
+        SketchRequest(
+            Z_SUM, "response", eps=0.05, delta=0.05, num_moments=1,
+            b_observable=PauliSum.from_terms([(1.0, "Z" * b_qubits)]),
+            c_observable=PauliSum.from_terms([(1.0, "Z" * c_qubits)]), state=KET0,
+        )
+
+
+def test_requests_name_eps_and_delta_apart():
+    with pytest.raises(OutOfRangeError, match=r"^eps must be in \(0, 1\), got 1.5$"):
+        SketchRequest(Z_SUM, "dos", eps=1.5, delta=0.05, num_moments=2)
+    with pytest.raises(OutOfRangeError, match=r"^delta must be in \(0, 1\), got 0.0$"):
+        CorrelationSpec(Z_SUM, ((X_SUM, 0.5),), KET0, 0.05, 0.0)
+
+
 @pytest.mark.parametrize(
     "kind, state, message",
     [

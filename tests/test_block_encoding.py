@@ -132,6 +132,13 @@ def test_product_scale_and_unitarity(rng):
         assert np.max(np.abs(pr.block - expected)) < 1e-9
 
 
+def test_product_accuracy_is_the_product_error_bound(rng):
+    for size in (2, 3, 7):
+        accuracies = rng.uniform(0.0, 0.1, size)
+        encs = [BlockEncoding(np.eye(2), 1, 2, 1.0, e, 0, circuit=lambda: np.eye(2)) for e in accuracies]
+        assert product(encs).accuracy == product_error_bound(list(accuracies))
+
+
 def test_product_refuses_an_overflowing_scale_without_a_warning():
     big = encode_pauli_sum(PauliSum.from_terms([(1e200, "X")]))
     with pytest.raises(OutOfRangeError, match="scale must be positive and finite, got inf"):

@@ -771,6 +771,25 @@ def test_strip_fit_and_piecewise_certificate_match_the_whole_grid_bit_for_bit(a_
     assert j.sup_norm_bound == min(sup, 1.0 + gap)
 
 
+@pytest.mark.parametrize("lo", range(-5, 5))
+def test_certificate_reads_the_step_only_on_its_strips(lo):
+    # The unit bins of the 4-qubit chain (alpha = 5.8) at eta = 0.025: the
+    # knots and midpoints take 11 reads, and the M + 1 = 30,721 extrema at
+    # most 220, however far soft_step(a_bar) sits from the 1.0 inside.
+    kappa, n, _, _ = window_parameters(0.025)
+    a_bar, b_bar = lo / 5.8, (lo + 1) / 5.8
+    reads = []
+
+    def step(x):
+        reads.append(np.size(x))
+        return soft_step(x, a_bar, b_bar, kappa)
+
+    coeffs = jackson_approx(a_bar, b_bar, kappa, n).coeffs
+    certified_bounds(coeffs, step, (a_bar - kappa, a_bar, b_bar, b_bar + kappa), 2.0 / kappa)
+    assert reads[0] == 11
+    assert sum(reads[1:]) <= 220
+
+
 def test_piecewise_certificate_matches_the_whole_grid_on_other_targets():
     rng = np.random.default_rng(29)
     for d in (0, 1, 2, 17, 64, 3847):
@@ -823,7 +842,8 @@ def test_piecewise_grid_error_compares_every_extremum():
             knots = np.unique(np.concatenate([[-1.0], kinks, [1.0]]))
             y = rng.choice([-1.0, 0.5, 1.0], knots.size)
             target = lambda x: np.interp(x, knots, y)  # noqa: E731
+            levels = chebyshev._knot_values(target, knots)[1]
             for j in range(m + 1):
                 spike = np.zeros(m + 1)
                 spike[j] = 1e6
-                assert chebyshev._grid_error(spike, target, knots, y) >= 1e6 - 1.0
+                assert chebyshev._grid_error(spike, target, knots, levels) >= 1e6 - 1.0

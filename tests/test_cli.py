@@ -506,6 +506,50 @@ def test_kpm_grid_points_guard(workdir, capsys, points):
     assert f"--grid-points must be at least 1, got {points}" in capsys.readouterr().err
 
 
+def test_kpm_grid_points_limit_is_checked_before_any_allocation(workdir, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(cli, "spectral_sketch", refuse)
+    monkeypatch.setattr(cli.np, "linspace", refuse)
+    points = cli.MAX_GRID_POINTS + 1
+    rc = _run(["kpm", "--hamiltonian", workdir / "hz.txt", "--moments", "2", "--grid-points", points])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: --grid-points {points} exceeds {cli.MAX_GRID_POINTS}\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["response", "--moments", "1"],
+        ["kpm", "--kind", "response", "--moments", "1"],
+        ["cost", "--kind", "response-moments", "--moments", "1"],
+    ],
+)
+def test_observables_on_other_qubits_exit_2_before_any_matrix(workdir, capsys, args):
+    (workdir / "chain.txt").write_text("1.0 ZZ\n0.7 XI\n0.7 IX\n")
+    (workdir / "wide.txt").write_text("1.0 " + "Z" * 16 + "\n")
+    argv = args + ["--hamiltonian", workdir / "chain.txt", "--state", workdir / "ket0.txt",
+                   "--observable-b", workdir / "wide.txt", "--observable-c", workdir / "chain.txt"]
+    assert _run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: observable and Hamiltonian qubit counts differ\n"
+
+
+@pytest.mark.parametrize(
+    "mode, other",
+    [
+        (["--kind", "dos-integral", "--integral", "-1", "1"], ["--moments", "3"]),
+        (["--kind", "dos-moments", "--moments", "3"], ["--integral", "-1", "1"]),
+    ],
+)
+def test_cost_refuses_the_other_mode_flag_by_name(workdir, capsys, mode, other):
+    assert _run(["cost", "--hamiltonian", workdir / "hz.txt", *mode, *other]) == 2
+    kind, flag = mode[1], other[0]
+    assert capsys.readouterr().err == f"error: {kind} does not read {flag}\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [
