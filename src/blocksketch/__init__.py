@@ -28,7 +28,6 @@ from .chebyshev import (
     amplifying_poly,
     chebyshev_t,
     compose,
-    jackson_approx,
     kpm_reconstruct,
     window_poly,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "amplifying_poly",
     "chebyshev_t",
     "compose",
-    "jackson_approx",
     "kpm_reconstruct",
     "window_poly",
     # circuits

@@ -2,7 +2,7 @@
 
 `correlate` estimates Heisenberg-picture n-time correlation functions.
 `spectral_sketch` is the one kernel-polynomial pipeline: it estimates
-Tr(rho B f(H/alpha) C) with f a certified interval window (integral mode)
+Tr(rho B f(H/alpha) C) with f a proven interval window (integral mode)
 or the Chebyshev polynomials T_0..T_N (moments mode), which covers the
 density of states (B = C = I, rho = I/D), the local density of states
 (B = C = I, rho = |s><s|) and linear response, with rho read from the one
@@ -266,7 +266,7 @@ def spectral_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = 
     response estimates B f(H/alpha) C against the state part by part (any
     ground-energy shift is the caller's) and seeds moment n with seed + 2n.
 
-    Integral mode takes f to be the certified window over the rescaled
+    Integral mode takes f to be the proven window over the rescaled
     interval; the window, polynomial and estimation shares of eps are
     read from `_budget`. Moments mode takes f = T_n for n = 0..N.
     """
@@ -370,15 +370,18 @@ def _sketch_report(req: SketchRequest) -> dict:
         out["state_term"] = prep_term
 
     if req.interval is not None:
+        # degree_formula is the paper's window degree law (the Jackson-times-
+        # amplifier window); the window block is the erf window the sketch
+        # builds, whose degree follows a different law (`window_poly`).
         ratio = req.rho_max * weight / req.eps
         d_formula = ratio * math.log(ratio)
-        kappa, n_jack, k_amp, tau = window_parameters(_budget(req).window_eta)
+        kappa, tau, s, degree = window_parameters(_budget(req).window_eta)
         total = _checked_queries((q * d_formula + prep_term) * weight / req.eps * log_delta)
         out.update(
             {
                 "mode": "integral",
                 "degree_formula": d_formula,
-                "window": {"kappa": kappa, "n": n_jack, "k": k_amp, "tau": tau, "d": n_jack * k_amp},
+                "window": {"kappa": kappa, "tau": tau, "s": s, "d": degree},
                 "total_queries": total,
             }
         )

@@ -1,58 +1,61 @@
 """Chebyshev-basis polynomials and the window-polynomial construction.
 
-Provides Clenshaw evaluation, a constructive Jackson approximation of the
-soft step, the Bernoulli-tail amplifying polynomial, their composition into
-a certified window polynomial, and kernel-polynomial reconstruction from
-Chebyshev moments.
+Provides Clenshaw evaluation, proven sup-norm bounds, a proven Chebyshev
+interpolant of an entire function, the error-function window built on it,
+the Bernoulli-tail amplifying polynomial and series composition, and
+kernel-polynomial reconstruction from Chebyshev moments.
 
 A series is evaluated three ways. `ChebyshevPoly.__call__` and
 `kpm_reconstruct` run Clenshaw's recurrence (`chebval`). The window's
-Jackson series at P points, and at the certificate's kinks, is the cosine
-sum sum_m c_m cos(m theta) taken in blocks of w = ceil(sqrt(n + 1))
-orders (`_cosine_sum`): P (w + (n+1)/w) complex exponentials instead of
-P (n + 1) cosines. At the extrema cos(j pi / M) of an even M with
-M/2 >= n + 1, the odd j are the first-kind nodes of the half grid (a
-DCT-III) and the even j its extrema; the grid halves r times, until it
-is odd or below 2(n + 1), and one DCT-I finishes it, so the FFT lengths
-add up to M + M/2^r rather than 2M (`cheb_values_at_extrema`).
+series at P points is the cosine sum sum_m c_m cos(m theta) taken in
+blocks of w = ceil(sqrt(n + 1)) orders (`_cosine_sum`): 2 P (w + (n+1)/w)
+cosines and sines instead of P (n + 1) cosines. At the extrema
+cos(j pi / M) of an even M with M/2 >= n + 1, the odd j are the
+first-kind nodes of the half grid (a DCT-III) and the even j its extrema;
+the grid halves r times, until it is odd or below 2(n + 1), and one DCT-I
+finishes it, so the FFT lengths add up to M + M/2^r rather than 2M
+(`cheb_values_at_extrema`).
 
-Certification is a proof, not a sampled check. A degree-n series p is
-evaluated at the M + 1 extrema cos(j pi / M), M >= 8 n, as above; in
-theta they are a grid of covering radius h = pi / (2M). p(cos theta) is an
-even trigonometric polynomial of degree n, so Bernstein's inequality,
-applied twice, gives |d^2/dtheta^2 p| <= n^2 S with S = sup|p|. At a
-maximiser of |p| the derivative vanishes (at 0 and pi by evenness), and a
-second-order Taylor step to the nearest grid point gives
-S <= max_j |p| / (1 - (n h)^2 / 2). For a target f, piecewise linear in x
-with kinks x_c in [-1, 1], the error g = p - f(cos theta) has
-|g''| <= n^2 S + L on every piece, where L bounds |d^2/dtheta^2 f(cos theta)|
-(the largest slope of f will do). A maximiser of |g| is either a kink or a
-critical point of its piece, and a critical point lies within h of a grid
-point or of a kink of that piece; so sup|g| <= max(max_j |g|, max_c |g|) +
-h^2 (n^2 S + L) / 2. Constructors raise CertificationError rather than
-return a polynomial that misses its guarantees.
+Two proofs are made here, neither a sampled check.
 
-The window is built and certified only where its step slopes: the soft
-step is -1 or +1 but on two strips of width kappa, under 1% of the grid.
-One reader, `_on_grid`, gives a piecewise-linear target on either grid:
-it reads the target within one index of a sloped piece and fills each
-flat piece with its value (for the certificate, its midpoint value). The
-fit takes the nodes and forms only the n + 1 coefficients it keeps
-(`jackson_approx`), the certificate the extrema (`certified_bounds`), and
-bounds and coefficients are the whole-grid computation's bit for bit.
+The sup norm of a caller's series (`certified_sup`). A degree-n series p
+is evaluated at the M + 1 extrema cos(j pi / M), M >= 8 n; in theta they
+are a grid of covering radius h = pi / (2M). p(cos theta) is an even
+trigonometric polynomial of degree n, so Bernstein's inequality, applied
+twice, gives |d^2/dtheta^2 p| <= n^2 S with S = sup|p|. At a maximiser of
+|p| the derivative vanishes (at 0 and pi by evenness), and a second-order
+Taylor step to the nearest grid point gives S <= max_j |p| / (1 - (n h)^2 / 2).
+
+The error of an interpolant (`_proven_interpolant`). If f is analytic in
+the open Bernstein ellipse E_rho (foci +-1, semi-axes cosh r and sinh r for
+rho = e^r) and |f| <= M(rho) there, its interpolant p_n in the n + 1
+extrema satisfies ||f - p_n|| <= 4 M rho^-n / (rho - 1) on [-1, 1]
+(L. N. Trefethen, Approximation Theory and Approximation Practice, SIAM
+2013, Thm 8.2). The degree is the smallest n that some rho of a grid
+proves, so it is known before anything is allocated; the roundoff of the
+fit is bounded and added to the error, so the bound stays a proof.
+Constructors raise CertificationError rather than return a polynomial that
+misses its guarantees.
+
+The window (`window_poly`) is one such interpolant, of the difference of
+two error functions. The source paper builds its window as a
+Jackson-damped soft step of degree 24/kappa composed with an order-k
+amplifier, degree n k = 119,040 at eta = 0.025; this construction meets
+the same (kappa, tau) guarantee at a proven degree of 5,120. The `cost`
+report keeps the paper's degree formula.
 
 The package needs numpy alone. The cosine transforms are numpy FFTs: a
 DCT-I is the real FFT of the even extension, and a DCT-II or DCT-III is
 one half-spectrum real FFT after Makhoul's reordering (J. Makhoul, "A fast
 cosine transform in one and two dimensions", IEEE Trans. ASSP 28, 1980).
-The amplifier is its binomial tail sum.
+The error function is `math.erf`, and the amplifier is its binomial tail
+sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
@@ -69,21 +72,28 @@ from .errors import (
 # Extrema per degree of the second-order Bernstein certificate: M >= 8 n
 # gives n h <= pi / 16, so the slack factor (n h)^2 / 2 is at most 0.0193.
 CERT_EXTREMA_PER_DEGREE = 8
-# Refusing very small eta keeps the window degree n k at or below 787,200
-# (eta = 0.005: n = 19,200, k = 41); the composed series of that degree is
-# built only when `poly` is read.
+# Refusing eta below 0.005 unless asked keeps the window degree at or below
+# 32,768, its value at eta = 0.005.
 MIN_ETA_REL = 0.005
-AMPLIFIER_INNER_SCALE = 0.8
-# Complex exponentials per chunk of points in `_cosine_sum` (4 MB of
-# complex128), which bounds its memory at any number of points.
+# No window is built above this degree, even when asked. Its fit holds a few
+# float64 arrays of n + 1 or 2 n entries, about 40 bytes per degree: 21 MB
+# traced at n = 2^19 (eta = 4.2e-4), where `window-poly` peaks at 69 MB RSS.
+# There the roundoff bound of `window_poly` is a tenth of its tau^2 / 2
+# margin, which it would pass near n = 1.3e6.
+MAX_WINDOW_DEGREE = 2**19
+# Pairs of angles per chunk of points in `_cosine_sum` (4 MB of their
+# cosines and sines), which bounds its memory at any number of points.
 EVAL_CHUNK_ENTRIES = 2**18
+# The unit roundoff of float64.
+_U = 2.0**-53
+_ERF = np.frompyfunc(math.erf, 1, 1)
 
 
 @dataclass(frozen=True, eq=False)
 class ChebyshevPoly:
     """Coefficients c_0..c_d in the T_k basis, with a proven bound
     `sup_norm_bound` on sup |p(x)| over [-1, 1]: the constructor's is
-    min(sum_k |c_k|, the Bernstein bound of `certified_bounds`), and the
+    min(sum_k |c_k|, the Bernstein bound of `certified_sup`), and the
     package's constructors record the bound their construction proves.
     No caller can assert a bound."""
 
@@ -111,7 +121,7 @@ def _set_coeffs(p: ChebyshevPoly, coeffs, bound: float | None):
         raise ValueError("coefficients must be finite")
     c.flags.writeable = False
     if bound is None:
-        bound = min(float(np.sum(np.abs(c))), certified_bounds(c, np.zeros_like, (), 0.0)[0])
+        bound = min(float(np.sum(np.abs(c))), certified_sup(c))
     object.__setattr__(p, "coeffs", c)
     object.__setattr__(p, "sup_norm_bound", bound)
 
@@ -144,24 +154,18 @@ def _dct1(x: np.ndarray) -> np.ndarray:
 def _dct2(x: np.ndarray) -> np.ndarray:
     """DCT-II, y_k = 2 sum_j x_j cos(pi k (2j+1)/(2N)), by Makhoul's reordering.
 
-    With z_k = `_twiddled_spectrum` of x, y_k = 2 Re z_k and
-    y_{N-k} = -2 Im z_k, so half the spectrum is enough.
+    With z_k = e^{-i pi k/(2N)} V_k, V the FFT of the reordering
+    v = (x_0, x_2, ..., x_3, x_1), y_k = 2 Re z_k and y_{N-k} = -2 Im z_k,
+    so half the spectrum is enough.
     """
     n = x.size
     half = n // 2
-    z = _twiddled_spectrum(x, half + 1)
+    z = np.fft.rfft(np.concatenate([x[::2], x[1::2][::-1]]))[: half + 1]
+    z *= np.exp(-0.5j * np.pi / n * np.arange(half + 1))
     y = np.empty(n)
     y[: half + 1] = 2.0 * z.real
     y[half + 1 :] = -2.0 * z.imag[n - half - 1 : 0 : -1]
     return y
-
-
-def _twiddled_spectrum(x: np.ndarray, count: int) -> np.ndarray:
-    """z_k = e^{-i pi k/(2N)} V_k for k < count <= N/2 + 1, V the FFT of
-    Makhoul's reordering v = (x_0, x_2, ..., x_3, x_1) of x."""
-    z = np.fft.rfft(np.concatenate([x[::2], x[1::2][::-1]]))[:count]
-    z *= np.exp(-0.5j * np.pi / x.size * np.arange(count))
-    return z
 
 
 def _dct3(x: np.ndarray) -> np.ndarray:
@@ -270,12 +274,16 @@ def _cosine_sum(theta: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """sum_m c_m cos(m theta) at each point of the 1-d theta, that is the
     series at cos theta, in blocks of w = ceil(sqrt(n + 1)) orders.
 
-    With m = q w + r the sum is Re sum_q e^{i q w theta} sum_r c_{qw+r} e^{i r theta}:
-    P (w + Q) complex exponentials, Q = ceil((n+1)/w), and one (1 x w)(w x Q)
-    product per point, instead of P (n + 1) cosines. w = ceil(sqrt(n + 1))
-    minimises w + Q at every degree, with no constant to tune. Each point
-    runs its own product, so its value does not depend on the other points;
-    the points are taken at most EVAL_CHUNK_ENTRIES exponentials at a time."""
+    With m = q w + r, cos(m theta) = cos(q w theta) cos(r theta) -
+    sin(q w theta) sin(r theta), so the sum is
+    sum_q [cos(q w theta) C_q - sin(q w theta) S_q] with
+    (C_q, S_q) = sum_r c_{qw+r} (cos(r theta), sin(r theta)):
+    2 P (w + Q) cosines and sines, Q = ceil((n+1)/w), and one real
+    (2 x w)(w x Q) product per point, instead of P (n + 1) cosines.
+    w = ceil(sqrt(n + 1)) minimises w + Q at every degree, with no constant
+    to tune. Each point runs its own product, so its value does not depend
+    on the other points; the points are taken at most EVAL_CHUNK_ENTRIES
+    pairs of angles at a time."""
     width = math.isqrt(max(coeffs.size - 1, 0)) + 1
     blocks = -(-coeffs.size // width)
     table = np.zeros(width * blocks)
@@ -287,119 +295,69 @@ def _cosine_sum(theta: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     total = np.empty_like(theta)
     for start in range(0, theta.size, rows):
         chunk = theta[start : start + rows]
-        inner = np.exp(1j * np.multiply.outer(chunk, inner_orders))[:, None, :] @ table
-        outer = np.exp(1j * np.multiply.outer(chunk, outer_orders))
-        total[start : start + rows] = (outer * inner[:, 0]).real.sum(axis=1)
+        inner = np.multiply.outer(chunk, inner_orders)
+        cos_sin = np.stack([np.cos(inner), np.sin(inner)], axis=1) @ table
+        outer = np.multiply.outer(chunk, outer_orders)
+        total[start : start + rows] = (
+            np.cos(outer) * cos_sin[:, 0] - np.sin(outer) * cos_sin[:, 1]
+        ).sum(axis=1)
     return total
 
 
-def certified_bounds(
-    coeffs: np.ndarray, target, kinks, target_curvature: float
-) -> tuple[float, float]:
-    """Proven bounds (sup |p|, sup |p - target|) over [-1, 1] for the series p.
-
-    From the values at the M + 1 extrema, M = `certificate_extrema(n)`, the
-    values at the kinks, and the second-order Bernstein bound (see the
-    module docstring). target must be linear in x between the kinks, and
-    target_curvature must bound |d^2/dtheta^2 target(cos theta)| on each
-    piece.
-
-    target is read once at the knots -1, kinks, 1 and the midpoints of
-    the pieces between them (`_knot_values`), and on the extrema only
-    within one index of a sloped piece (`_on_grid`). Every extremum is
-    still compared with the value target gives it, so the bounds, and the
-    proof, are the whole grid's.
-    """
+def certified_sup(coeffs: np.ndarray) -> float:
+    """A proven bound on sup |p| over [-1, 1] for the series p, from its
+    values at the M + 1 extrema, M = `certificate_extrema(n)`, and the
+    second-order Bernstein bound (see the module docstring)."""
     coeffs = np.asarray(coeffs, dtype=float)
-    kinks = np.asarray(kinks, dtype=float).reshape(-1)
-    if not np.all(np.abs(kinks) <= 1.0):
-        raise ValueError("kinks must lie in [-1, 1]")
     n = coeffs.size - 1
     m = certificate_extrema(n)
     h = np.pi / (2.0 * m)
     values = cheb_values_at_extrema(coeffs, m)
-    sup = float(np.max(np.abs(values))) / (1.0 - 0.5 * (n * h) ** 2)
-    knots = np.unique(np.concatenate([[-1.0], kinks, [1.0]]))
-    at_knots, levels = _knot_values(target, knots)
-    is_kink = np.isin(knots, kinks)
-    at_kinks = _cosine_sum(np.arccos(knots[is_kink]), coeffs) - at_knots[is_kink]
-    worst = max(
-        _grid_error(values, target, knots, levels),
-        float(np.max(np.abs(at_kinks), initial=0.0)),
-    )
-    gap = worst + 0.5 * h**2 * (n**2 * sup + target_curvature)
-    return sup, gap
+    return float(np.max(np.abs(values))) / (1.0 - 0.5 * (n * h) ** 2)
 
 
-def _knot_values(target, knots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """target at the sorted knots, and each piece's level: its midpoint
-    value where both its ends lie within the slack of it, NaN where the
-    piece slopes. The slack is 1e-12 max(1, |y|) for the chord y plus the
-    largest slope times eps, as the target's own kink may sit half an ulp
-    from its float knot; a ValueError names a piece whose midpoint value
-    is farther than that from its chord."""
-    lo, hi = knots[:-1], knots[1:]
-    mids = 0.5 * (lo + hi)
-    y = np.asarray(target(np.concatenate([knots, mids])), dtype=float)
-    at_knots, at_mids = y[: knots.size], y[knots.size :]
-    slopes = (at_knots[1:] - at_knots[:-1]) / (hi - lo)
-    chord = at_knots[:-1] + slopes * (mids - lo)
-    slack = 1e-12 * np.maximum(1.0, np.abs(chord)) + np.finfo(float).eps * np.max(np.abs(slopes))
-    off = np.flatnonzero(np.abs(at_mids - chord) > slack)
-    if off.size:
-        i = off[0]
-        raise ValueError(
-            f"target is not linear on the piece [{lo[i]:.17g}, {hi[i]:.17g}] between its "
-            f"kinks: at its midpoint {mids[i]:.17g} it is {at_mids[i]:.17g}, the chord gives "
-            f"{chord[i]:.17g}"
-        )
-    flat = (np.abs(at_knots[:-1] - at_mids) <= slack) & (np.abs(at_knots[1:] - at_mids) <= slack)
-    return at_knots, np.where(flat, at_mids, np.nan)
+def _proven_degree(log_m, target: float):
+    """The smallest n that 4 M rho^-n / (rho - 1) <= target proves for some
+    rho = e^r of a grid, rounded up to an even 5-smooth number (a larger n
+    only lowers the bound), or inf if no rho of the grid proves any.
+
+    log_m(r) is log M(e^r) for an array of r > 0. The grid's 256 values of
+    r run geometrically from 1e-7, where the degree would pass 10^7, to 8."""
+    r = 1e-7 * np.exp(np.arange(256) * (math.log(8e7) / 255))
+    with np.errstate(over="ignore"):
+        need = (math.log(4.0 / target) + log_m(r) - np.log(np.expm1(r))) / r
+    best = float(np.min(need))
+    return _next_even_5_smooth(math.floor(best) + 1) if math.isfinite(best) else math.inf
 
 
-def _grid_error(values: np.ndarray, target, knots: np.ndarray, levels: np.ndarray) -> float:
-    """max_j |p(x_j) - target(x_j)| over the extrema x_j = cos(pi j/m) of
-    the values p(x_j), taken in place: a second temporary of the grid's
-    size would fault its pages in on every call."""
-    error = _on_grid(target, knots, levels, values.size - 1, nodes=False)
-    np.subtract(values, error, out=error)
-    return float(np.max(np.abs(error, out=error)))
+def _proven_interpolant(f, log_m, target: float, sample_error: float) -> tuple[np.ndarray, float]:
+    """Chebyshev coefficients of the interpolant of f in the n + 1 extrema,
+    n = `_proven_degree(log_m, target)`, and a proven bound on the sup
+    error of their series against f on [-1, 1].
 
-
-def _on_grid(target, knots: np.ndarray, levels: np.ndarray, m: int, nodes: bool) -> np.ndarray:
-    """target at the m first-kind nodes cos(pi (i + 1/2)/m) if nodes, else
-    at the m + 1 extrema cos(pi j/m) of an even m. target is linear between
-    the sorted knots -1, ..., 1, and levels[i] is its value on the piece
-    from knot i to i + 1, NaN if that piece slopes.
-
-    Knot x sits at m arccos(x)/pi on the extrema, less 1/2 on the nodes;
-    the index grows as x falls. Points within one index of a sloped piece
-    read target; every other point lies in a flat piece, where target is
-    the piece's level."""
-    size, shift, points = (m, 0.5, _nodes_at) if nodes else (m + 1, 0.0, _extrema_at)
-    at = m * np.arccos(knots) / np.pi - shift
-    at[0], at[-1] = m - shift, -shift
-    grid = np.empty(size)
-    rows = []
-    for i, level in enumerate(levels):
-        if math.isnan(level):
-            first, last = max(math.floor(at[i + 1]) - 1, 0), min(math.ceil(at[i]) + 1, size - 1)
-            rows.append(np.arange(first, last + 1))
-        else:
-            grid[math.ceil(at[i + 1]) : math.floor(at[i]) + 1] = level
-    if rows:
-        j = np.concatenate(rows)
-        grid[j] = target(points(j, m))
-    return grid
-
-
-def _extrema_at(j: np.ndarray, m: int) -> np.ndarray:
-    """The extrema cos(pi j/m) at the indices j of an even m, the upper half
-    mirrored from the lower as -cos(pi (m - j)/m), so the grid is
-    antisymmetric bit for bit."""
-    x = np.cos(np.pi * np.minimum(j, m - j) / m)
-    np.negative(x, out=x, where=j > m // 2)
-    return x
+    f maps an array of points of [-1, 1] to its values, and sample_error
+    bounds the error of each value f gives at a computed extremum against f
+    at the exact one: the extrema, formed as sin(pi (n - 2j) / (2n)), are
+    within 6u of cos(pi j / n) (an argument within 2.5u relative, which
+    moves sin by at most 0.57 of that, and 4 ulp for sin). The bound is
+    target plus the roundoff, with u the unit roundoff:
+    - The sample errors add at most the Lebesgue constant of the extrema,
+      (2/pi) ln(n + 1) + 1 (Trefethen, Thm 15.2), times sample_error.
+    - The real FFT of length 2n errs by at most 8 log2(2n) u in relative
+      2-norm (N. J. Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., Thm 24.2). Its output has 2-norm at most 2n
+      max |f|, so the coefficients, divided by n, err by at most
+      16 sqrt(n + 1) log2(2n) u max |f| in sum |c_k|.
+    - The division by n adds u sum |c_k|.
+    The caller checks the degree first: nothing here bounds it."""
+    n = _proven_degree(log_m, target)
+    values = f(np.sin(np.pi / (2 * n) * np.arange(n, -n - 1, -2)))
+    coeffs = _dct1(values) / n
+    coeffs[[0, -1]] /= 2.0
+    lebesgue = 2.0 / math.pi * math.log(n + 1) + 1.0
+    transform = 16.0 * math.sqrt(n + 1) * math.log2(2 * n) * float(np.max(np.abs(values)))
+    roundoff = lebesgue * sample_error + (transform + float(np.sum(np.abs(coeffs)))) * _U
+    return coeffs, target + roundoff
 
 
 def cheb_fit_at_nodes(values: np.ndarray) -> np.ndarray:
@@ -416,12 +374,8 @@ def cheb_fit_at_nodes(values: np.ndarray) -> np.ndarray:
 
 
 def first_kind_nodes(m: int) -> np.ndarray:
-    return _nodes_at(np.arange(m), m)
-
-
-def _nodes_at(i: np.ndarray, m: int) -> np.ndarray:
-    """The first-kind nodes cos(pi (i + 1/2)/m) at the indices i."""
-    return np.cos(np.pi * (i + 0.5) / m)
+    """The first-kind nodes cos(pi (i + 1/2)/m), i = 0..m-1."""
+    return np.cos(np.pi * (np.arange(m) + 0.5) / m)
 
 
 def jackson_damping(n: int) -> np.ndarray:
@@ -431,61 +385,6 @@ def jackson_damping(n: int) -> np.ndarray:
     m = np.arange(n + 1)
     big = n + 1
     return ((big - m) * np.cos(np.pi * m / big) + np.sin(np.pi * m / big) / np.tan(np.pi / big)) / big
-
-
-def soft_step(x, a_bar: float, b_bar: float, kappa: float):
-    """The piecewise-linear target: 1 on [a_bar, b_bar], -1 outside the
-    kappa-strips, linear in between."""
-    x = np.asarray(x, dtype=float)
-    ramp_left = 2.0 * (x - (a_bar - kappa)) / kappa - 1.0
-    ramp_right = 2.0 * ((b_bar + kappa) - x) / kappa - 1.0
-    return np.clip(np.minimum(ramp_left, ramp_right), -1.0, 1.0)
-
-
-def _validate_window_interval(a_bar, b_bar, kappa):
-    if kappa <= 0:
-        raise BadIntervalError(f"kappa must be positive, got {kappa}")
-    if not a_bar < b_bar:
-        raise BadIntervalError(f"need a_bar < b_bar, got [{a_bar}, {b_bar}]")
-    if not (-1.0 < a_bar - kappa and b_bar + kappa < 1.0):
-        raise BadIntervalError(
-            f"window [{a_bar}, {b_bar}] with margin {kappa} does not fit inside (-1, 1)"
-        )
-
-
-def jackson_approx(a_bar: float, b_bar: float, kappa: float, n: int) -> ChebyshevPoly:
-    """Degree-n polynomial proven within 1/4 of the soft step on [-1, 1].
-
-    The Jackson-damped Chebyshev interpolant of the soft step, certified
-    by `certified_bounds` against the step, with kinks a_bar - kappa, a_bar,
-    b_bar, b_bar + kappa and curvature in theta at most its slope 2/kappa;
-    raises CertificationError if the proven gap exceeds 1/4. The
-    proven sup-norm bound (at most 5/4) is recorded on the result.
-
-    The fit reads the step at the 4 n first-kind nodes only on its strips,
-    where it slopes, and takes its levels -1, 1, -1 elsewhere (`_on_grid`);
-    it forms only the first n + 1 twiddled entries of the DCT-II, by the
-    operations `cheb_fit_at_nodes` applies to them: the coefficients are
-    the whole fit's bit for bit, proven as before.
-    """
-    _validate_window_interval(a_bar, b_bar, kappa)
-    n = int(n)
-    if n < 24.0 / kappa - 1e-9:
-        raise OutOfRangeError(f"degree n={n} below 24/kappa={24.0 / kappa:.6g}")
-    kinks = (a_bar - kappa, a_bar, b_bar, b_bar + kappa)
-    step = lambda x: soft_step(x, a_bar, b_bar, kappa)  # noqa: E731
-    levels = np.array([-1.0, np.nan, 1.0, np.nan, -1.0])
-    at_nodes = _on_grid(step, np.array([-1.0, *kinks, 1.0]), levels, 4 * n, nodes=True)
-    raw = 2.0 * _twiddled_spectrum(at_nodes, n + 1).real
-    raw /= 4 * n
-    raw[0] /= 2.0
-    coeffs = raw * jackson_damping(n)
-
-    sup, gap = certified_bounds(coeffs, step, kinks, 2.0 / kappa)
-    if gap > 0.25:
-        raise CertificationError(f"step approximation not proven within 1/4 (gap bound {gap:.6g})")
-    # |step| <= 1, so 1 + gap is a second proven bound.
-    return _proven(coeffs, min(sup, 1.0 + gap))
 
 
 def amplifier_value(k: int, y):
@@ -539,69 +438,95 @@ def compose(outer: ChebyshevPoly, inner: ChebyshevPoly, scale_inner: float) -> C
 
 @dataclass(frozen=True, eq=False)
 class WindowPoly:
-    """A certified polynomial approximation of the indicator of
-    [a_bar, b_bar]: within tau of 1 inside, within tau of 0 outside the
-    kappa-strips, and bounded by 1 everywhere on [-1, 1].
+    """A proven polynomial approximation of the indicator of [a_bar, b_bar]:
+    at least 1 - tau inside, at most tau outside the kappa-strips, and
+    within [0, 1] everywhere on [-1, 1].
 
-    Called on x, it evaluates the factored form A_k(0.8 J(x)), which equals
-    the composed series `poly` of degree n k up to roundoff. That series is
-    built lazily, on the first read of `poly`; `degree` is n k without it.
+    `poly` is the series (p + e)/(1 + 2e), p the interpolant of the erf
+    window of `window_poly` and e = `fit_error` its proven sup error;
+    `steepness` is the s of that window. Called on x, it evaluates `poly`
+    at x clipped to [-1, 1] by its cosine sum.
     """
 
-    # Proven by the certificate: 0.8 |J| <= 1, and A_k maps [-1, 1] to [0, 1].
+    # Proven by the construction: |p - f| <= e and 0 <= f <= 1.
     sup_norm_bound = 1.0
 
     a_bar: float
     b_bar: float
     kappa: float
     tau: float
-    jackson_degree: int
-    amplifier_order: int
-    jackson_poly: ChebyshevPoly
-    cert_max_violation: float
+    steepness: float
+    fit_error: float
+    poly: ChebyshevPoly
 
     @property
     def degree(self) -> int:
-        return self.jackson_degree * self.amplifier_order
-
-    @cached_property
-    def poly(self) -> ChebyshevPoly:
-        """The composed series A_k(0.8 J(x)) in the T_k basis, built on first
-        read; raises CertificationError if its degree is not n k."""
-        amplifier = amplifying_poly(self.amplifier_order)
-        composed = compose(amplifier, self.jackson_poly, AMPLIFIER_INNER_SCALE)
-        if composed.degree != self.degree:
-            raise CertificationError(f"composed degree {composed.degree} != n*k = {self.degree}")
-        return composed
+        return self.poly.degree
 
     def eval(self, x):
-        """A_k(0.8 J(x)) at x clipped to [-1, 1], with
-        J(x) = sum_m c_m cos(m arccos x) summed by `_cosine_sum` in blocks
-        of ceil(sqrt(n + 1)) orders; each point's value is independent of
-        the other points."""
+        """The series at x clipped to [-1, 1], as sum_m c_m cos(m arccos x)
+        summed by `_cosine_sum` in blocks of ceil(sqrt(n + 1)) orders; each
+        point's value is independent of the other points."""
         x = np.asarray(x, dtype=float)
         theta = np.arccos(np.clip(x, -1.0, 1.0)).reshape(-1)
-        jackson = _cosine_sum(theta, self.jackson_poly.coeffs)
-        inner = AMPLIFIER_INNER_SCALE * jackson.reshape(x.shape)
-        return amplifier_value(self.amplifier_order, inner)
+        return _cosine_sum(theta, self.poly.coeffs).reshape(x.shape)[()]
 
     __call__ = eval
 
 
-def window_parameters(eta_rel: float) -> tuple[float, int, int, float]:
-    """The (kappa, n, k, tau) parameter chain for a relative budget eta_rel
-    in (0, 1); OutOfRangeError outside it or if the degree n overflows."""
+def _steepness(kappa: float, tau: float) -> float:
+    """The smallest float s found by bisection with erfc(s kappa / 2) <= tau / 2,
+    inf when kappa is too small for a finite one."""
+    lo, hi = 0.0, 60.0 / kappa
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if math.erfc(mid * kappa / 2.0) <= tau / 2.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _erf_log_bound(s: float):
+    """log M(e^r) for the window of steepness s: on E_rho, |Im z| <= sinh r,
+    and integrating e^{-t^2} from the real axis gives
+    |erf(s (z - c))| <= 1 + (2/sqrt(pi)) y e^{y^2}, y = s sinh r, for real
+    c, so the half difference of two such erf obeys the same bound. In
+    logs, so that a large y gives inf rather than an overflow."""
+
+    def log_m(r):
+        y = s * np.sinh(r)
+        return np.logaddexp(0.0, math.log(2.0 / math.sqrt(math.pi)) + np.log(y) + y * y)
+
+    return log_m
+
+
+def _erf_edge(x: np.ndarray, s: float, centre: float) -> np.ndarray:
+    """erf(s (x - centre)) at the points x: `math.erf` where
+    |s (x - centre)| < 6, and +-1 elsewhere, which is its float value
+    there (math.erf(6.0) == 1.0)."""
+    t = s * (x - centre)
+    out = np.sign(t)
+    band = np.abs(t) < 6.0
+    out[band] = _ERF(t[band])
+    return out
+
+
+def window_parameters(eta_rel: float) -> tuple[float, float, float, float]:
+    """The (kappa, tau, s, degree) of the window for a relative budget
+    eta_rel in (0, 1): kappa = tau = eta_rel / 4, the steepness s, and the
+    degree `_proven_degree` proves for the error tau / 4. Nothing of the
+    size of the degree is allocated. OutOfRangeError outside (0, 1) or if
+    no finite degree is proven (the degree may still pass
+    MAX_WINDOW_DEGREE, which `window_poly` refuses)."""
     if not 0.0 < eta_rel < 1.0:
         raise OutOfRangeError(f"eta must be in (0, 1), got {eta_rel}")
-    kappa = eta_rel / 4.0
-    # A subnormal eta_rel can make kappa 0.0, where the division would raise.
-    degree = 24.0 / kappa - 1e-9 if kappa > 0.0 else math.inf
-    if degree == math.inf:
+    kappa = tau = eta_rel / 4.0
+    # A subnormal eta_rel can make tau / 4 0.0, where no degree is proven.
+    s = _steepness(kappa, tau) if tau / 4.0 > 0.0 else math.inf
+    degree = _proven_degree(_erf_log_bound(s), tau / 4.0) if math.isfinite(s) else math.inf
+    if not math.isfinite(degree):
         raise OutOfRangeError(f"eta {eta_rel!r} is too small: the window degree overflows")
-    n = math.ceil(degree)
-    k = math.ceil(6.0 * math.log(4.0 / eta_rel) - 1e-9)
-    tau = math.exp(-k / 6.0)
-    return kappa, n, k, tau
+    return kappa, tau, s, degree
 
 
 def window_poly(
@@ -610,61 +535,72 @@ def window_poly(
     eta_rel: float,
     allow_large_degree: bool = False,
 ) -> WindowPoly:
-    """Construct and certify the window polynomial A_k(0.8 J(x)) for [a_bar, b_bar].
+    """Construct and prove the window polynomial for [a_bar, b_bar].
 
     eta_rel is the error budget relative to the bound on the integrand:
     the windowed integral of any measure bounded (in the running-integral
     sense) by f_max deviates from the sharp integral by at most
-    eta_rel * f_max. Degree is n*k with n = ceil(24/kappa),
-    k = ceil(6 ln(4/eta_rel)), kappa = eta_rel/4.
+    eta_rel * f_max. With kappa = tau = eta_rel / 4 (`window_parameters`),
+    the window is fitted to
 
-    The certificate is a proof: `jackson_approx` proves J within 1/4 of the
-    soft step, and the amplifier lemma (A_k monotone, A_k(3/5) >= 1 - tau,
-    A_k(-3/5) <= tau) carries that to the window regions. Evaluation goes
-    through the factored form; the composed series `poly` is built only
-    when read, and the degree n k needs no series.
+        f(x) = [erf(s (x - a_bar + kappa/2)) - erf(s (x - b_bar - kappa/2))] / 2,
+
+    with s set so that erfc(s kappa / 2) <= tau / 2. Then f >= 1 - tau/2 on
+    [a_bar, b_bar], f <= tau/4 outside the kappa-strips, and 0 < f < 1.
+    Its interpolant p is proven within tau/4 of f by the Bernstein-ellipse
+    bound, with M(rho) = 1 + (2/sqrt(pi)) s b e^{(s b)^2}, b = sinh r
+    (`_erf_log_bound`); the roundoff of the fit and of the map below is
+    added, giving e. The series (p + e)/(1 + 2e) lies in [0, 1], is at least
+    (1 - tau/2)/(1 + 2e) inside and at most (tau/4 + 2e)/(1 + 2e) outside
+    the strips, which are 1 - tau and tau within the margin checked below. The paper's window, a Jackson-damped soft
+    step composed with an amplifier of degree n k, meets the same contract
+    at about 23 times this degree.
+
+    Each sample errs by at most 4 (s + 4) u, u the unit roundoff: the
+    extremum errs by 6u and f has slope at most s/sqrt(pi); the argument
+    s (x - c), under 6 in the band, takes two roundings of at most 6u each,
+    erf having slope at most 2/sqrt(pi); math.erf and the +-1 outside the
+    band err by under u, and the half difference adds u. The affine map
+    rounds each coefficient at most twice, which the 4u (sum |c_k| + 2)
+    added to e covers.
 
     Raises:
-        DegreeTooLargeError: for eta_rel below MIN_ETA_REL unless allow_large_degree
-            is set (the composed degree grows like (1/eta) ln(1/eta)).
+        DegreeTooLargeError: for a degree above MAX_WINDOW_DEGREE, and for
+            eta_rel below MIN_ETA_REL unless allow_large_degree is set (the
+            degree grows like (1/eta) sqrt(ln(1/eta))).
         BadIntervalError: if the window plus margin does not fit in (-1, 1).
-        CertificationError: if the step gap is not proven within 1/4 or the
-            amplifier misses tau at +-3/5.
-        RangeViolationError: if 0.8 J is not proven within [-1, 1], the
-            amplifier's domain.
+        CertificationError: if the roundoff leaves the window no margin:
+            the float centres shift f by up to 2 (s + 1) u, and the contract
+            needs 2 (s + 1) u + 2 (e - tau/4) <= tau^2 / 2.
     """
-    kappa, n, k, tau = window_parameters(eta_rel)
+    kappa, tau, s, degree = window_parameters(eta_rel)
+    if degree > MAX_WINDOW_DEGREE:
+        raise DegreeTooLargeError(
+            f"eta={eta_rel:.4g} gives degree {degree}, above the ceiling {MAX_WINDOW_DEGREE}"
+        )
     if eta_rel < MIN_ETA_REL and not allow_large_degree:
         raise DegreeTooLargeError(
-            f"eta={eta_rel:.4g} gives degree ~{n * k}; pass allow_large_degree=True to proceed"
+            f"eta={eta_rel:.4g} gives degree {degree}; pass allow_large_degree=True to proceed"
         )
-    if tau > eta_rel / 4.0 + 1e-15:
-        raise CertificationError(f"tau={tau} exceeds eta/4={eta_rel / 4.0}")
+    if not a_bar < b_bar:
+        raise BadIntervalError(f"need a_bar < b_bar, got [{a_bar}, {b_bar}]")
+    if not (-1.0 < a_bar - kappa and b_bar + kappa < 1.0):
+        raise BadIntervalError(
+            f"window [{a_bar}, {b_bar}] with margin {kappa} does not fit inside (-1, 1)"
+        )
+    left, right = a_bar - kappa / 2.0, b_bar + kappa / 2.0
 
-    jackson = jackson_approx(a_bar, b_bar, kappa, n)
-    reach = AMPLIFIER_INNER_SCALE * jackson.sup_norm_bound
-    if reach > 1.0 + 1e-9:
-        raise RangeViolationError(f"scaled inner polynomial reaches {reach:.6g} > 1 on [-1, 1]")
+    def window(x):
+        return 0.5 * (_erf_edge(x, s, left) - _erf_edge(x, s, right))
 
-    # Region check by the amplifier lemma. The proven gap is at most 1/4,
-    # so 0.8 J lies in [3/5, 1] inside the window and in [-1, -3/5] outside
-    # the strips; A_k is monotone with values in [0, 1] on [-1, 1], so its
-    # values at +-3/5 bound the window on both regions.
-    ends = amplifier_value(k, np.array([-0.6, 0.6]))
-    violation = max(float(ends[0]) - tau, (1.0 - tau) - float(ends[1]))
-    if violation > 1e-12:
-        raise CertificationError(f"window region check failed by {violation:.3g}")
-
-    return WindowPoly(
-        a_bar=a_bar,
-        b_bar=b_bar,
-        kappa=kappa,
-        tau=tau,
-        jackson_degree=n,
-        amplifier_order=k,
-        jackson_poly=jackson,
-        cert_max_violation=max(violation, 0.0),
-    )
+    coeffs, fit_error = _proven_interpolant(window, _erf_log_bound(s), tau / 4.0, 4.0 * (s + 4.0) * _U)
+    error = fit_error + 4.0 * _U * (float(np.sum(np.abs(coeffs))) + 2.0)
+    slack = 2.0 * (s + 1.0) * _U + 2.0 * (error - tau / 4.0)
+    if slack > tau * tau / 2.0:
+        raise CertificationError(f"window roundoff {slack:.3g} exceeds its margin tau^2/2")
+    coeffs[0] += error
+    coeffs /= 1.0 + 2.0 * error
+    return WindowPoly(a_bar, b_bar, kappa, tau, s, error, _proven(coeffs, 1.0))
 
 
 def kpm_reconstruct(moments, grid) -> np.ndarray:

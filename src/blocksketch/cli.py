@@ -34,12 +34,19 @@ from .algorithms import (
     RESPONSE,
     CorrelationSpec,
     SketchRequest,
+    _budget,
     complexity_report,
     correlate,
     min_window_eps,
     spectral_sketch,
 )
-from .chebyshev import MIN_ETA_REL, kpm_reconstruct, window_poly
+from .chebyshev import (
+    MAX_WINDOW_DEGREE,
+    MIN_ETA_REL,
+    kpm_reconstruct,
+    window_parameters,
+    window_poly,
+)
 from .errors import BlockSketchError, DegreeTooLargeError, ValidationError
 from .oracle import oracle_correlation, oracle_sketch
 from .pauli import PauliSum, parse_pauli_file
@@ -190,17 +197,33 @@ def _sketch_rows(req: SketchRequest, sketch, emit_oracle: bool):
     return header + ",oracle", [r + (o.real,) for r, o in zip(rows, oracle)]
 
 
+def _degree_refusal(option: str, value: float, eta: float, floor: str | None) -> str:
+    """Error text for a window of share eta that trips the degree guard or
+    the ceiling. option and value name the input to change (--eps or --eta)
+    and floor, as text, the smallest value that passes the guard, or None
+    if none below 1 does. Above MAX_WINDOW_DEGREE --allow-large-degree does
+    not help, so it is not offered."""
+    degree = window_parameters(eta)[3]
+    if degree > MAX_WINDOW_DEGREE:
+        head = (
+            f"{option} {_fmt(value)} needs a window polynomial of degree {degree:.3g}, above "
+            f"the ceiling {MAX_WINDOW_DEGREE} that no flag lifts; "
+        )
+        return head + (f"pass {option} {floor} or larger" if floor else f"raise {option}")
+    head = f"{option} {_fmt(value)} needs a window polynomial above the degree limit; "
+    if floor is None:
+        return head + f"no {option} below 1 passes it, so pass --allow-large-degree"
+    return head + f"pass {option} {floor} or larger, or --allow-large-degree"
+
+
 def _degree_advice(req: SketchRequest) -> str:
     """Error text for an integral sketch whose eps trips the window degree
-    guard: the smallest --eps that passes, or --allow-large-degree."""
+    guard or the ceiling, naming the smallest --eps that passes the guard."""
     eps = min_window_eps(req)
-    head = f"--eps {_fmt(req.eps)} needs a window polynomial above the degree limit; "
-    if eps >= 1.0:
-        return head + "no --eps below 1 passes it, so pass --allow-large-degree"
     shown = f"{eps:.6g}"
     if float(shown) < eps:
         shown = repr(eps)
-    return head + f"pass --eps {shown} or larger, or --allow-large-degree"
+    return _degree_refusal("--eps", req.eps, _budget(req).window_eta, shown if eps < 1.0 else None)
 
 
 def _cmd_sketch(args: argparse.Namespace) -> int:
@@ -246,23 +269,13 @@ def _cmd_window(args: argparse.Namespace) -> int:
     try:
         w = window_poly(a_bar, b_bar, eta, allow_large_degree=args.allow_large_degree)
     except DegreeTooLargeError:
-        raise ValidationError(
-            f"--eta {_fmt(eta)} needs a window polynomial above the degree limit; "
-            f"pass --eta {MIN_ETA_REL} or larger, or --allow-large-degree"
-        ) from None
-    summary = (
-        f"a_bar={_fmt(a_bar)} b_bar={_fmt(b_bar)} eta={_fmt(eta)}\n"
-        f"kappa={_fmt(w.kappa)} n={w.jackson_degree} k={w.amplifier_order} "
-        f"d={w.degree} tau={_fmt(w.tau)}\n"
-        f"grid_max_violation={_fmt(w.cert_max_violation)}\n"
-    )
-    sys.stdout.write(summary)
+        raise ValidationError(_degree_refusal("--eta", eta, eta, f"{MIN_ETA_REL}")) from None
+    inputs = f"a_bar={_fmt(a_bar)} b_bar={_fmt(b_bar)} eta={_fmt(eta)}"
+    window = f"kappa={_fmt(w.kappa)} tau={_fmt(w.tau)} s={_fmt(w.steepness)} d={w.degree}"
+    proof = f"fit_error={_fmt(w.fit_error)}"
+    sys.stdout.write(f"{inputs}\n{window}\n{proof}\n")
     if args.output is not None:
-        head = (
-            f"# a_bar={_fmt(a_bar)} b_bar={_fmt(b_bar)} eta={_fmt(eta)} "
-            f"n={w.jackson_degree} k={w.amplifier_order} tau={_fmt(w.tau)} d={w.degree}\n"
-            "k,coeff"
-        )
+        head = f"# {inputs} {window} {proof}\nk,coeff"
         _write_output(_csv_chunks(head, enumerate(w.poly.coeffs)), args.output)
     return 0
 
@@ -365,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observable-b", default=None)
     p.add_argument("--observable-c", default=None)
 
-    p = sub.add_parser("window-poly", help="build and certify a window polynomial")
+    p = sub.add_parser("window-poly", help="build and prove a window polynomial")
     p.set_defaults(run=_cmd_window)
     p.add_argument("--a", type=float, required=True, dest="a_bar")
     p.add_argument("--b", type=float, required=True, dest="b_bar")

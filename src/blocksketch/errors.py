@@ -80,7 +80,7 @@ def _checked_cost(cost, what: str):
 
 
 class CertificationError(BlockSketchError):
-    """A polynomial failed its sup-norm or region certificate."""
+    """A polynomial failed its sup-norm certificate or its window proof."""
 
 
 class ParseError(BlockSketchError):

@@ -63,7 +63,7 @@ def oracle_sketch(req: SketchRequest, window: WindowPoly | None = None) -> list[
     Every value is sum_i f(E_i) <psi_i| C rho B |psi_i>, with rho = I/D for
     dos and `req.state` otherwise, real for dos and ldos. A moments request
     takes f = T_n(E/alpha), n = 0..N. An integral request takes
-    f = w(E/alpha) with the sketch's certified `window`, or, with no
+    f = w(E/alpha) with the sketch's proven `window`, or, with no
     window, the sharp indicator of the closed interval a <= E <= b.
     """
     h = req.hamiltonian

@@ -136,10 +136,10 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
 def apply_polynomial(b: BlockEncoding, p: ChebyshevPoly | WindowPoly, delta: float) -> BlockEncoding:
     """Encoding of p(A) for a polynomial bounded by 1 on [-1, 1].
 
-    p is a Chebyshev series or a certified window, which is evaluated in
-    its factored form A_k(0.8 J(x)) rather than as the composed series of
-    degree n k. The bound on p is its sup_norm_bound, which every
-    ChebyshevPoly and WindowPoly carries proven.
+    p is a Chebyshev series, evaluated by Clenshaw's recurrence, or a
+    proven window, evaluated by its blocked cosine sum. The bound on p is
+    its sup_norm_bound, which every ChebyshevPoly and WindowPoly carries
+    proven.
 
     Realized spectrally: p is applied to the eigenvalues of the encoded
     block, so the new block is p(A)/2 and the recovery scale is 2, on one

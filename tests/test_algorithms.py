@@ -502,9 +502,7 @@ def test_cost_report_and_sketch_see_one_window():
     req = _integral_request("response")
     w = spectral_sketch(req).window_meta
     window = complexity_report(req)["window"]
-    assert window == {
-        "kappa": w.kappa, "n": w.jackson_degree, "k": w.amplifier_order, "tau": w.tau, "d": w.degree
-    }
+    assert window == {"kappa": w.kappa, "tau": w.tau, "s": w.steepness, "d": w.degree}
 
 
 @pytest.mark.parametrize("kind", sorted(INTEGRAL_REQUESTS))
@@ -521,3 +519,25 @@ def test_min_window_eps_is_the_smallest_eps_past_the_degree_guard(kind):
 def test_min_window_eps_requires_an_integral_request():
     with pytest.raises(ValidationError):
         min_window_eps(SketchRequest(TILTED, "dos", eps=0.1, delta=0.05, num_moments=2))
+
+
+def _tfim_chain(qubits):
+    """The open transverse-field Ising chain of the benchmark: ZZ = 1.0, X = 0.7."""
+    terms = [(1.0, "I" * i + "ZZ" + "I" * (qubits - i - 2)) for i in range(qubits - 1)]
+    terms += [(0.7, "I" * i + "X" + "I" * (qubits - i - 1)) for i in range(qubits)]
+    return PauliSum.from_terms(terms)
+
+
+@pytest.mark.parametrize("kind", ["dos", "ldos"])
+@pytest.mark.parametrize("lo", range(-5, 5))
+def test_exact_integrals_on_unit_bins_lie_within_eps_of_the_sharp_oracle(kind, lo):
+    """The 10 unit energy bins of the 4-qubit chain (alpha = 5.8) at eps 0.075:
+    the windowed value differs from the sharp one by eigenvalues in the
+    strips and by the window's tau, all within eps."""
+    h = _tfim_chain(4)
+    state = {"ldos": prepare_pure(random_state_vector(np.random.default_rng(lo + 5), 16))}
+    req = SketchRequest(
+        h, kind, eps=0.075, delta=0.05, interval=(float(lo), float(lo + 1)), state=state.get(kind)
+    )
+    value = spectral_sketch(req).values[0].value
+    assert abs(value - oracle_sketch(req)[0]) <= req.eps

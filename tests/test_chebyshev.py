@@ -10,6 +10,7 @@ from numpy.polynomial.chebyshev import cheb2poly, chebval
 from blocksketch import chebyshev
 from blocksketch.block_encoding import encode_pauli_sum
 from blocksketch.chebyshev import (
+    MAX_WINDOW_DEGREE,
     ChebyshevPoly,
     amplifier_value,
     amplifying_poly,
@@ -17,13 +18,11 @@ from blocksketch.chebyshev import (
     cheb_values_at_extrema,
     cheb_values_at_nodes,
     certificate_extrema,
-    certified_bounds,
+    certified_sup,
     chebyshev_t,
     compose,
-    jackson_approx,
     jackson_damping,
     kpm_reconstruct,
-    soft_step,
     window_parameters,
     window_poly,
 )
@@ -31,6 +30,7 @@ from blocksketch.cli import main
 from blocksketch.errors import (
     BadIntervalError,
     CertificationError,
+    DegreeTooLargeError,
     GridOutOfRangeError,
     OutOfRangeError,
     RangeViolationError,
@@ -53,32 +53,6 @@ def test_poly_call_matches_monomials(rng):
         xs = rng.uniform(-1, 1, size=40)
         mono = np.polynomial.polynomial.polyval(xs, cheb2poly(p.coeffs))
         assert np.max(np.abs(p(xs) - mono)) < 1e-9
-
-
-def test_jackson_approx_bounds():
-    kappa = 0.1
-    n = 240
-    j = jackson_approx(-0.2, 0.3, kappa, n)
-    assert j.degree == n
-    mid = 0.05
-    assert abs(j(mid) - 1.0) <= 0.25
-    for x in (-0.9, 0.8, -0.5):
-        assert abs(j(x) + 1.0) <= 0.25
-    assert j.sup_norm_bound <= 1.25
-
-
-def test_jackson_symmetric_window_even():
-    j = jackson_approx(-0.2, 0.2, 0.05, 480)
-    assert np.max(np.abs(j.coeffs[1::2])) < 1e-9
-
-
-def test_jackson_validation():
-    with pytest.raises(BadIntervalError):
-        jackson_approx(-0.99, 0.5, 0.1, 240)  # left margin pokes out
-    with pytest.raises(BadIntervalError):
-        jackson_approx(0.5, -0.5, 0.1, 240)
-    with pytest.raises(OutOfRangeError):
-        jackson_approx(-0.2, 0.2, 0.1, 100)  # n below 24/kappa
 
 
 def test_amplifier_examples():
@@ -120,7 +94,7 @@ def test_compose_identity_outer(rng):
 
 
 def test_compose_nested_agreement(rng):
-    j = jackson_approx(-0.3, 0.2, 0.1, 240)
+    j = window_poly(-0.3, 0.2, 0.1).poly
     a1 = amplifying_poly(1)
     w = compose(a1, j, 0.8)
     xs = rng.uniform(-1, 1, size=1000)
@@ -135,11 +109,11 @@ def test_compose_range_violation():
 
 
 def test_window_parameters_eta_01():
-    kappa, n, k, tau = window_parameters(0.1)
-    assert kappa == pytest.approx(0.025)
-    assert (n, k) == (960, 23)
-    assert tau == pytest.approx(math.exp(-23 / 6), rel=1e-12)
-    assert tau <= 0.1 / 4
+    kappa, tau, s, degree = window_parameters(0.1)
+    assert kappa == tau == 0.1 / 4
+    # s is the bisection's smallest float with erfc(s kappa / 2) <= tau / 2.
+    assert math.erfc(s * kappa / 2) <= tau / 2 < math.erfc(math.nextafter(s, 0.0) * kappa / 2)
+    assert degree == 960
 
 
 @pytest.mark.parametrize("eta", [1.7e-307, 1e-320, 5e-324, 0.0])
@@ -152,8 +126,8 @@ def test_window_parameters_refuse_an_eta_whose_degree_overflows(eta):
 
 def test_window_poly_metadata_and_guardrail():
     w = window_poly(-0.3, 0.4, 0.1)
-    assert (w.jackson_degree, w.amplifier_order, w.degree) == (960, 23, 22080)
-    assert w.tau == pytest.approx(math.exp(-23 / 6))
+    assert (w.kappa, w.tau, w.steepness, w.degree) == window_parameters(0.1)
+    assert w.degree == w.poly.degree == 960
     with pytest.raises(OutOfRangeError):
         window_poly(-0.3, 0.4, 0.004)
     with pytest.raises(BadIntervalError):
@@ -178,12 +152,12 @@ def test_window_regions_on_grid():
 
 
 def test_window_degree_growth_ratio():
-    # d should grow like (1/eta) ln(1/eta): the normalized ratio stays bounded
+    # d should grow like (1/eta) sqrt(ln(1/eta)): the normalized ratio stays bounded
     ratios = []
-    for eta in (0.4, 0.2, 0.1, 0.05):
-        _, n, k, _ = window_parameters(eta)
-        ratios.append(n * k * eta / math.log(1.0 / eta))
-    assert max(ratios) / min(ratios) < 8.0
+    for eta in (0.4, 0.2, 0.1, 0.05, 0.01, 0.005):
+        degree = window_parameters(eta)[3]
+        ratios.append(degree * eta / math.sqrt(math.log(1.0 / eta)))
+    assert max(ratios) / min(ratios) < 2.0
 
 
 def test_window_quadrature():
@@ -194,13 +168,6 @@ def test_window_quadrature():
     width = 0.7
     slack = 2 * w.tau + 2 * w.kappa
     assert width - slack <= integral <= width + slack
-
-
-def test_soft_step_shape():
-    xs = np.array([-1.0, -0.35, -0.3, 0.0, 0.4, 0.45, 1.0])
-    vals = soft_step(xs, -0.3, 0.4, 0.05)
-    assert np.allclose(vals, [-1, -1, 1, 1, 1, -1, -1])
-    assert soft_step(np.array([-0.325]), -0.3, 0.4, 0.05)[0] == pytest.approx(0.0)
 
 
 def test_jackson_damping_normalization():
@@ -258,8 +225,8 @@ def test_kpm_grid_validation():
 
 
 # SHA-256 of `window-poly --a=-0.5 --b=0.5 --eta 0.1 --output`; a change to
-# the certificate or the evaluation must not move a coefficient.
-WINDOW_SHA256 = "0f2d8525d5c806321ad0bf3479411467fc8987adfdf618962f09a187fd4ab1d7"
+# the fit or the evaluation must not move a coefficient.
+WINDOW_SHA256 = "c01ad54d9ccd686d942754c66e7e9843d4a1b44b5741db35c2a09411707fcd7e"
 
 
 def _extrema(m):
@@ -280,83 +247,7 @@ def test_proven_sup_bound_covers_a_dense_uniform_sample(rng):
     xs = np.linspace(-1.0, 1.0, 10**6)
     for d in (1, 2, 3, 5, 8, 13, 21, 34, 55, 64):
         coeffs = rng.normal(size=d + 1)
-        sup, gap = certified_bounds(coeffs, np.zeros_like, (), 0.0)
-        assert sup == pytest.approx(gap, rel=1e-12)
-        assert sup >= np.max(np.abs(chebval(xs, coeffs)))
-
-
-def test_proven_step_gap_covers_the_sampled_gap_on_workload_bins():
-    # The 10 unit energy bins of the 4-qubit TFIM chain (alpha = 5.8) at eta 0.025.
-    kappa, n, _, _ = window_parameters(0.025)
-    fine = 256 * n
-    for lo in range(-5, 5):
-        a_bar, b_bar = lo / 5.8, (lo + 1) / 5.8
-        j = jackson_approx(a_bar, b_bar, kappa, n)
-        step = lambda x: soft_step(x, a_bar, b_bar, kappa)  # noqa: E731
-        kinks = (a_bar - kappa, a_bar, b_bar, b_bar + kappa)
-        sup, gap = certified_bounds(j.coeffs, step, kinks, 2.0 / kappa)
-        assert j.sup_norm_bound == min(sup, 1.0 + gap)
-        sampled = cheb_values_at_extrema(j.coeffs, fine)
-        assert np.max(np.abs(sampled)) <= sup <= 1.25
-        assert np.max(np.abs(sampled - step(_extrema(fine)))) <= gap <= 0.25
-        first_sup, first_gap = _first_order_bounds(j.coeffs, step, 2.0 / kappa)
-        assert sup < first_sup and gap <= first_gap
-
-
-def _first_order_bounds(coeffs, target, slope):
-    """The first-order Bernstein certificate on M = 32 n extrema, kept here
-    as a reference: sup <= max |p| / (1 - n h) and
-    gap <= max |p - f| + h (n sup + slope)."""
-    n = coeffs.size - 1
-    m = 32 * n
-    h = np.pi / (2.0 * m)
-    values = cheb_values_at_extrema(coeffs, m)
-    sup = np.max(np.abs(values)) / (1.0 - n * h)
-    return sup, np.max(np.abs(values - target(_extrema(m)))) + h * (n * sup + slope)
-
-
-@pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("eta", [0.4, 0.1, 0.025, 0.005])
-def test_second_order_bounds_cover_a_dense_sample_on_seeded_windows(eta, seed):
-    kappa, n, _, _ = window_parameters(eta)
-    rng = np.random.default_rng(seed)
-    a_bar = rng.uniform(-1.0 + kappa + 1e-3, 0.5)
-    b_bar = rng.uniform(a_bar + 1e-3, 1.0 - kappa - 1e-3)
-    j = jackson_approx(a_bar, b_bar, kappa, n)
-    step = lambda x: soft_step(x, a_bar, b_bar, kappa)  # noqa: E731
-    kinks = (a_bar - kappa, a_bar, b_bar, b_bar + kappa)
-    sup, gap = certified_bounds(j.coeffs, step, kinks, 2.0 / kappa)
-    dense = cheb_values_at_extrema(j.coeffs, 64 * n)
-    assert np.max(np.abs(dense)) <= sup <= 1.02
-    assert np.max(np.abs(dense - step(_extrema(64 * n)))) <= gap <= 0.25
-    first_sup, first_gap = _first_order_bounds(j.coeffs, step, 2.0 / kappa)
-    assert sup < first_sup and gap <= first_gap
-
-
-def test_kink_between_grid_points_is_covered_by_the_kink_term():
-    # p = T_16 / 2 is certified on M = 128 extrema. The target is a tent of
-    # height 2 and half-width 0.004 with its apex midway between the grid
-    # angles 64 pi / 128 and 65 pi / 128, so it vanishes at every grid point
-    # and the worst error |p - f| sits at the apex kink.
-    coeffs = np.zeros(17)
-    coeffs[16] = 0.5
-    m = certificate_extrema(16)
-    assert m == 128
-    apex, half_width = np.cos(np.pi / 2 + np.pi / (2 * m)), 0.004
-
-    def tent(x):
-        return 2.0 * np.maximum(0.0, 1.0 - np.abs(np.asarray(x) - apex) / half_width)
-
-    assert np.all(tent(_extrema(m)) == 0.0)
-    kinks = (apex - half_width, apex, apex + half_width)
-    sup, gap = certified_bounds(coeffs, tent, kinks, 2.0 / half_width)
-    worst = abs(chebval(apex, coeffs) - 2.0)
-    assert worst > 1.5
-    dense = np.concatenate([_extrema(64 * 16), kinks])
-    assert np.max(np.abs(chebval(dense, coeffs) - tent(dense))) == pytest.approx(worst)
-    assert worst <= gap and sup >= 0.5
-    with pytest.raises(ValueError):
-        certified_bounds(coeffs, tent, (1.5,), 0.0)
+        assert certified_sup(coeffs) >= np.max(np.abs(chebval(xs, coeffs)))
 
 
 def test_window_at_the_degree_guard_has_a_pinned_memory_ceiling():
@@ -366,21 +257,9 @@ def test_window_at_the_degree_guard_has_a_pinned_memory_ceiling():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert w.degree == 787_200
-    # Measured 8.4 MB; a certificate on 32 n extrema would take 29.4 MB.
-    assert peak / 2**20 <= 10.0
-
-
-def test_overdamped_step_approximant_fails_the_certificate(monkeypatch):
-    # A Jackson kernel of an eighth of the degree smooths the step over a
-    # width far beyond kappa. (An undamped series passes: the soft step is
-    # continuous, so truncation has no Gibbs overshoot.)
-    def overdamped(n):
-        return np.concatenate([jackson_damping(n // 8), np.zeros(n - n // 8)])
-
-    monkeypatch.setattr(chebyshev, "jackson_damping", overdamped)
-    with pytest.raises(CertificationError):
-        jackson_approx(-0.3, 0.4, 0.025, 960)
+    assert w.degree == 32_768
+    # Measured 1.4 MB.
+    assert peak / 2**20 <= 2.0
 
 
 def test_proven_sup_norm_of_the_chebyshev_basis_is_one():
@@ -402,7 +281,7 @@ def test_proven_sup_norm_is_the_smaller_proof_and_bounds_every_sample(monkeypatc
     monkeypatch.setattr(chebyshev, "cheb_values_at_extrema", recording)
     p = ChebyshevPoly(coeffs)
     assert seen == [(3847, certificate_extrema(3847))]
-    bernstein, _gap = certified_bounds(coeffs, np.zeros_like, (), 0.0)
+    bernstein = certified_sup(coeffs)
     # For random coefficients the certificate (about sqrt(n)) beats sum |c_k|.
     assert p.sup_norm_bound == bernstein < np.sum(np.abs(coeffs))
     assert p.sup_norm_bound >= np.max(np.abs(extrema(coeffs, 2**18)))
@@ -427,16 +306,15 @@ def test_factored_window_application_matches_composed_series(rng):
 def test_window_poly_coefficients_are_pinned(tmp_path, capsys):
     out = tmp_path / "w.csv"
     assert main(["window-poly", "--a=-0.5", "--b=0.5", "--eta", "0.1", "--output", str(out)]) == 0
-    assert "grid_max_violation=0\n" in capsys.readouterr().out
+    assert "\nfit_error=0.00625" in capsys.readouterr().out
     assert hashlib.sha256(out.read_bytes()).hexdigest() == WINDOW_SHA256
 
 
 @pytest.mark.parametrize("eta", [0.2, 0.1, 0.025, 0.02])
-def test_window_eval_matches_the_clenshaw_factored_form(eta):
+def test_window_eval_matches_clenshaw_on_its_series(eta):
     w = window_poly(-0.3, 0.4, eta)
     xs = np.random.default_rng(7).uniform(-1.0, 1.0, 10**4)
-    clenshaw = amplifier_value(w.amplifier_order, 0.8 * chebval(xs, w.jackson_poly.coeffs))
-    assert np.max(np.abs(w(xs) - clenshaw)) <= 1e-12
+    assert np.max(np.abs(w(xs) - chebval(xs, w.poly.coeffs))) <= 1e-12
 
 
 def test_window_eval_keeps_the_input_shape():
@@ -459,13 +337,6 @@ def test_window_eval_memory_is_bounded_by_chunks():
         tracemalloc.stop()
     # An unchunked 10^5 x 961 cosine matrix alone would take 769 MB.
     assert peak / 2**20 <= 16.0
-
-
-def test_window_series_is_built_once_on_first_read():
-    w = window_poly(-0.3, 0.4, 0.1)
-    assert "poly" not in vars(w)
-    assert w.poly is w.poly
-    assert w.poly.degree == w.jackson_degree * w.amplifier_order == w.degree
 
 
 INTEGRAL_JOBS = {
@@ -497,20 +368,6 @@ def test_integral_sketches_never_compose_the_window_series(job, flags, tmp_path,
     out = tmp_path / "out.csv"
     assert main(argv + flags.split() + ["--output", str(out)]) == 0
     assert out.read_text().count("\n") == 2
-
-
-def test_window_poly_output_composes_the_series_once(tmp_path, monkeypatch, capsys):
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return compose(*args, **kwargs)
-
-    monkeypatch.setattr(chebyshev, "compose", counted)
-    out = tmp_path / "w.csv"
-    assert main(["window-poly", "--a=-0.5", "--b=0.5", "--eta", "0.1", "--output", str(out)]) == 0
-    assert len(calls) == 1
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == WINDOW_SHA256
 
 
 TRANSFORM_SIZES = (2, 3, 4, 5, 8, 31, 32, 33, 257)
@@ -552,21 +409,6 @@ def test_node_values_and_node_fit_invert_each_other(n):
         assert np.max(np.abs(fitted[n:]), initial=0.0) <= 1e-13 * np.max(np.abs(coeffs))
 
 
-def test_window_with_a_prime_jackson_degree():
-    # n = 967 is prime, so the DCT-I at 32 n + 1 extrema and the DCT-II at
-    # 4 n nodes run FFTs whose length has a large prime factor.
-    eta = 96.0 / 966.5
-    w = window_poly(-0.3, 0.45, eta)
-    assert w.jackson_degree == 967
-    xs = np.random.default_rng(5).uniform(-1.0, 1.0, 1000)
-    clenshaw = amplifier_value(w.amplifier_order, 0.8 * chebval(xs, w.jackson_poly.coeffs))
-    assert np.max(np.abs(w(xs) - clenshaw)) <= 1e-12
-    m = 32 * 967
-    picks = np.arange(0, m + 1, 97)
-    values = cheb_values_at_extrema(w.jackson_poly.coeffs, m)[picks]
-    assert np.max(np.abs(values - chebval(_extrema(m)[picks], w.jackson_poly.coeffs))) <= 1e-12
-
-
 def _is_5_smooth(m):
     for p in (2, 3, 5):
         while m % p == 0:
@@ -579,28 +421,8 @@ def test_certificate_extrema_is_the_next_even_5_smooth_number():
         m = certificate_extrema(n)
         assert m >= 8 * max(n, 1) and m % 2 == 0 and _is_5_smooth(m)
         assert not any(_is_5_smooth(c) for c in range(8 * max(n, 1), m, 2))
-    # The benchmark's n = 3840 keeps M = 8 n.
+    # n = 3840 = 2^8 * 3 * 5 keeps M = 8 n.
     assert certificate_extrema(3840) == 8 * 3840
-
-
-def test_window_with_a_prime_jackson_degree_certifies_on_a_5_smooth_grid(monkeypatch):
-    seen = []
-    extrema = chebyshev.cheb_values_at_extrema
-
-    def recording(coeffs, m):
-        seen.append((np.asarray(coeffs).size - 1, m))
-        return extrema(coeffs, m)
-
-    monkeypatch.setattr(chebyshev, "cheb_values_at_extrema", recording)
-    # a = -0.3, b = 0.45 at this eta gives the prime Jackson degree 3847.
-    w = window_poly(-0.3, 0.45, 96.0 / 3846.5)
-    assert w.jackson_degree == 3847
-    assert seen == [(3847, 31_104)]
-    assert _is_5_smooth(31_104) and 31_104 >= 8 * 3847
-    assert w.jackson_poly.sup_norm_bound <= 1.25
-    xs = np.random.default_rng(6).uniform(-1.0, 1.0, 200)
-    clenshaw = amplifier_value(w.amplifier_order, 0.8 * chebval(xs, w.jackson_poly.coeffs))
-    assert np.max(np.abs(w(xs) - clenshaw)) <= 1e-12
 
 
 def _exact_binomial_tail(k, p):
@@ -652,8 +474,8 @@ def _cosine_table_sum(theta, coeffs):
 
 
 # n + 1 = 64 fills the 8 x 8 coefficient table of the blocked sum; n = 62
-# and n = 64 pad it. 3,840 and 19,200 are the Jackson degrees at eta 0.025
-# and at the degree guard.
+# and n = 64 pad it, as do the large degrees 3,840 (62 x 62) and 19,200
+# (139 x 139).
 @pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 3840, 19_200])
 def test_blocked_cosine_sum_matches_the_cosine_table(n):
     rng = np.random.default_rng(n)
@@ -666,7 +488,7 @@ def test_blocked_cosine_sum_matches_the_cosine_table(n):
 
 
 def test_blocked_cosine_sum_of_a_point_does_not_depend_on_the_others(monkeypatch):
-    coeffs = window_poly(-0.3, 0.4, 0.1).jackson_poly.coeffs
+    coeffs = window_poly(-0.3, 0.4, 0.1).poly.coeffs
     theta = np.random.default_rng(5).uniform(0.0, np.pi, 300)
     together = chebyshev._cosine_sum(theta, coeffs)
     alone = [chebyshev._cosine_sum(theta[i : i + 1], coeffs)[0] for i in range(theta.size)]
@@ -707,118 +529,6 @@ def test_values_at_extrema_on_the_certificate_grid_match_the_direct_sums():
     assert np.max(np.abs(got[j] - want)) <= 1e-13 * np.sum(np.abs(coeffs))
 
 
-def _whole_grid_jackson(a_bar, b_bar, kappa, n):
-    """The step fit on every one of the 4 n nodes with the whole DCT-II,
-    kept here as the reference for the strip-only fit."""
-    nodes = chebyshev.first_kind_nodes(4 * n)
-    return cheb_fit_at_nodes(soft_step(nodes, a_bar, b_bar, kappa))[: n + 1] * jackson_damping(n)
-
-
-def _whole_grid_bounds(coeffs, target, kinks, target_curvature):
-    """The certificate with target read at all M + 1 extrema, kept here as
-    the reference for the piecewise one."""
-    kinks = np.asarray(kinks, dtype=float).reshape(-1)
-    n = coeffs.size - 1
-    m = certificate_extrema(n)
-    h = np.pi / (2.0 * m)
-    values = cheb_values_at_extrema(coeffs, m)
-    sup = float(np.max(np.abs(values))) / (1.0 - 0.5 * (n * h) ** 2)
-    half = m // 2
-    extrema = np.empty(m + 1)
-    extrema[: half + 1] = np.cos(np.pi * np.arange(half + 1) / m)
-    extrema[half + 1 :] = -extrema[half - 1 :: -1]
-    at_kinks = chebyshev._cosine_sum(np.arccos(kinks), coeffs) - target(kinks)
-    worst = max(
-        float(np.max(np.abs(values - target(extrema)))),
-        float(np.max(np.abs(at_kinks), initial=0.0)),
-    )
-    return sup, worst + 0.5 * h**2 * (n**2 * sup + target_curvature)
-
-
-def _seeded_window(eta, seed):
-    kappa, n, _, _ = window_parameters(eta)
-    rng = np.random.default_rng(seed)
-    a_bar = rng.uniform(-1.0 + kappa + 1e-3, 0.5)
-    return a_bar, rng.uniform(a_bar + 1e-3, 1.0 - kappa - 1e-3), kappa, n
-
-
-def _window_cases():
-    kappa, n, _, _ = window_parameters(0.025)
-    cases = [(lo / 5.8, (lo + 1) / 5.8, kappa, n) for lo in range(-5, 5)]
-    cases += [_seeded_window(eta, seed) for eta in (0.4, 0.1, 0.025, 0.005) for seed in (1, 2, 3)]
-    # The prime degree 3847, certified on M = 31,104 != 8 n.
-    cases.append((-0.3, 0.45, *window_parameters(96.0 / 3846.5)[:2]))
-    # Strips a few nodes from -1 and from +1: node i of 4 n sits at
-    # cos(pi (i + 1/2) / (4 n)).
-    kappa, n, _, _ = window_parameters(0.1)
-    near_one = math.cos(np.pi * 3.0 / (4 * n))
-    cases.append((-near_one + kappa, near_one - kappa, kappa, n))
-    cases.append((-near_one + kappa, 0.2, kappa, n))
-    # A plateau narrower than one node spacing (pi / (4 n) at x = 0).
-    cases.append((0.01, 0.01 + 0.2 * np.pi / (4 * n), kappa, n))
-    return cases
-
-
-@pytest.mark.parametrize("a_bar, b_bar, kappa, n", _window_cases())
-def test_strip_fit_and_piecewise_certificate_match_the_whole_grid_bit_for_bit(a_bar, b_bar, kappa, n):
-    j = jackson_approx(a_bar, b_bar, kappa, n)
-    reference = _whole_grid_jackson(a_bar, b_bar, kappa, n)
-    assert np.array_equal(j.coeffs, reference)
-    step = lambda x: soft_step(x, a_bar, b_bar, kappa)  # noqa: E731
-    kinks = (a_bar - kappa, a_bar, b_bar, b_bar + kappa)
-    sup, gap = _whole_grid_bounds(reference, step, kinks, 2.0 / kappa)
-    assert certified_bounds(reference, step, kinks, 2.0 / kappa) == (sup, gap)
-    assert j.sup_norm_bound == min(sup, 1.0 + gap)
-
-
-@pytest.mark.parametrize("lo", range(-5, 5))
-def test_certificate_reads_the_step_only_on_its_strips(lo):
-    # The unit bins of the 4-qubit chain (alpha = 5.8) at eta = 0.025: the
-    # knots and midpoints take 11 reads, and the M + 1 = 30,721 extrema at
-    # most 220, however far soft_step(a_bar) sits from the 1.0 inside.
-    kappa, n, _, _ = window_parameters(0.025)
-    a_bar, b_bar = lo / 5.8, (lo + 1) / 5.8
-    reads = []
-
-    def step(x):
-        reads.append(np.size(x))
-        return soft_step(x, a_bar, b_bar, kappa)
-
-    coeffs = jackson_approx(a_bar, b_bar, kappa, n).coeffs
-    certified_bounds(coeffs, step, (a_bar - kappa, a_bar, b_bar, b_bar + kappa), 2.0 / kappa)
-    assert reads[0] == 11
-    assert sum(reads[1:]) <= 220
-
-
-def test_piecewise_certificate_matches_the_whole_grid_on_other_targets():
-    rng = np.random.default_rng(29)
-    for d in (0, 1, 2, 17, 64, 3847):
-        coeffs = rng.normal(size=d + 1)
-        assert certified_bounds(coeffs, np.zeros_like, (), 0.0) == _whole_grid_bounds(
-            coeffs, np.zeros_like, (), 0.0
-        )
-        # A kink at an end of [-1, 1] and a repeated one.
-        kinks = (-1.0, -0.2, 0.3, 0.3, 0.8)
-        tent = lambda x: np.maximum(0.0, 0.5 - np.abs(np.asarray(x) - 0.3))  # noqa: E731
-        assert certified_bounds(coeffs, tent, kinks, 1.0) == _whole_grid_bounds(
-            coeffs, tent, kinks, 1.0
-        )
-
-
-def test_certificate_refuses_a_target_that_is_not_linear_between_its_kinks():
-    coeffs = np.random.default_rng(2).normal(size=9)
-    with pytest.raises(ValueError, match=r"not linear on the piece \[-1, 1\]"):
-        certified_bounds(coeffs, np.square, (), 2.0)
-    a_bar, b_bar, kappa = -0.3, 0.4, 0.025
-    step = lambda x: soft_step(x, a_bar, b_bar, kappa)  # noqa: E731
-    with pytest.raises(ValueError, match=r"not linear on the piece \[-0.325\d*, 0.4\d*\]"):
-        certified_bounds(coeffs, step, (a_bar - kappa, b_bar, b_bar + kappa), 2.0 / kappa)
-    # The full kink list passes, at every window size down to tiny kappa.
-    for kappa in (0.025, 0.00125, 2.5e-5):
-        kinks = (a_bar - kappa, a_bar, b_bar, b_bar + kappa)
-        chebyshev._knot_values(step, np.array([-1.0, *kinks, 1.0]))
-
-
 @pytest.mark.parametrize("m", [*TRANSFORM_SIZES, 15_360])
 def test_padded_node_values_skip_the_zero_padding_bit_for_bit(m):
     rng = np.random.default_rng(m)
@@ -830,20 +540,123 @@ def test_padded_node_values_skip_the_zero_padding_bit_for_bit(m):
         assert np.array_equal(cheb_values_at_nodes(coeffs, m), chebyshev._dct3(padded))
 
 
-def test_piecewise_grid_error_compares_every_extremum():
-    # A spike at one extremum must show in the error wherever it sits:
-    # on a constant piece, on a sloped one, at a knot on the grid, or at
-    # the ends. Knots are drawn on and off the grid, with repeated values.
-    rng = np.random.default_rng(4)
-    for m in (8, 30, 128):
-        for _ in range(30):
-            kinks = rng.uniform(-1.0, 1.0, 4)
-            kinks[:2] = chebyshev._extrema_at(rng.integers(0, m + 1, 2), m)
-            knots = np.unique(np.concatenate([[-1.0], kinks, [1.0]]))
-            y = rng.choice([-1.0, 0.5, 1.0], knots.size)
-            target = lambda x: np.interp(x, knots, y)  # noqa: E731
-            levels = chebyshev._knot_values(target, knots)[1]
-            for j in range(m + 1):
-                spike = np.zeros(m + 1)
-                spike[j] = 1e6
-                assert chebyshev._grid_error(spike, target, knots, levels) >= 1e6 - 1.0
+def _erf_window(x, a_bar, b_bar, kappa, s):
+    """The window's target f at x, with math.erf at every point and the
+    edge centres `window_poly` uses."""
+    erf = np.frompyfunc(math.erf, 1, 1)
+    left, right = a_bar - kappa / 2.0, b_bar + kappa / 2.0
+    return 0.5 * (erf(s * (x - left)).astype(float) - erf(s * (x - right)).astype(float))
+
+
+def _seeded_windows():
+    cases = [(lo / 5.8, (lo + 1) / 5.8, 0.025) for lo in range(-5, 5)]  # the workload bins
+    for eta in (0.4, 0.1, 0.05, 0.025, 0.01, 0.005):
+        kappa = eta / 4.0
+        for seed in range(15):
+            rng = np.random.default_rng(seed)
+            a_bar = rng.uniform(-1.0 + kappa + 1e-3, 0.5)
+            cases.append((a_bar, rng.uniform(a_bar + 1e-3, 1.0 - kappa - 1e-3), eta))
+    return cases
+
+
+PROOF_POINTS = 2**16
+
+
+@pytest.mark.parametrize("a_bar, b_bar, eta", _seeded_windows())
+def test_window_fit_error_and_contract_hold_on_dense_extrema(a_bar, b_bar, eta):
+    w = window_poly(a_bar, b_bar, eta, allow_large_degree=True)
+    x = np.concatenate([_extrema(PROOF_POINTS), [a_bar, b_bar, a_bar - w.kappa, b_bar + w.kappa]])
+    values = np.concatenate([cheb_values_at_extrema(w.poly.coeffs, PROOF_POINTS), w(x[-4:])])
+    # The interpolant before the affine map is (1 + 2e) w - e.
+    fitted = values * (1.0 + 2.0 * w.fit_error) - w.fit_error
+    assert np.max(np.abs(fitted - _erf_window(x, a_bar, b_bar, w.kappa, w.steepness))) <= w.fit_error
+    inside = (x >= a_bar) & (x <= b_bar)
+    outside = (x < a_bar - w.kappa) | (x > b_bar + w.kappa)
+    assert np.min(values[inside]) >= 1.0 - w.tau
+    assert np.max(values[outside]) <= w.tau
+    assert 0.0 <= np.min(values) and np.max(values) <= 1.0
+
+
+def _bessel_j(z, count):
+    """J_0(z)..J_{count-1}(z) by Miller's downward recurrence
+    J_{k-1} = (2k/z) J_k - J_{k+1}, started well above count and z and
+    normalised by J_0 + 2 sum_k J_{2k} = 1."""
+    top = count + int(z) + 60
+    values = np.zeros(count)
+    above, here, total = 0.0, 1.0, 0.0  # here is J_k, up to a common factor
+    for k in range(top, 0, -1):
+        if k % 2 == 0:
+            total += 2.0 * here
+        if k < count:
+            values[k] = here
+        above, here = here, 2.0 * k / z * here - above
+        if abs(here) > 1e200:
+            above, here, total = above / 1e200, here / 1e200, total / 1e200
+            values /= 1e200
+    values[0] = here
+    return values / (total + here)
+
+
+@pytest.mark.parametrize("z", [1.0, 10.0, 100.0])
+def test_proven_interpolant_of_a_cosine_matches_jacobi_anger(z):
+    """cos(z x) = J_0(z) + 2 sum_k (-1)^k J_2k(z) T_2k(x), and on E_rho
+    |cos(z w)| <= cosh(z sinh r). The coefficients' distance from the
+    closed form, aliasing included, and the error at dense extrema both
+    stay within the proven bound."""
+    u = np.finfo(float).eps / 2.0
+
+    def log_m(r):
+        y = z * np.sinh(r)
+        return np.logaddexp(y, -y) - math.log(2.0)
+
+    coeffs, error = chebyshev._proven_interpolant(
+        lambda x: np.cos(z * x), log_m, 1e-10, 8.0 * (z + 1.0) * u
+    )
+    n = coeffs.size - 1
+    assert n <= 2 * z + 60
+    exact = np.zeros(n + 1)
+    j = _bessel_j(z, n + 1)
+    exact[0::2] = 2.0 * j[0::2] * (-1.0) ** np.arange(n // 2 + 1)
+    exact[0] = j[0]
+    assert 1e-10 <= error <= 2e-10
+    assert np.sum(np.abs(coeffs - exact)) <= error
+    x = _extrema(PROOF_POINTS)
+    assert np.max(np.abs(cheb_values_at_extrema(coeffs, PROOF_POINTS) - np.cos(z * x))) <= error
+
+
+def test_symmetric_window_is_even():
+    coeffs = window_poly(-0.2, 0.2, 0.05).poly.coeffs
+    assert np.max(np.abs(coeffs[1::2])) <= 1e-15
+
+
+def test_window_above_the_ceiling_is_refused_before_any_allocation():
+    eta = 1e-4
+    degree = window_parameters(eta)[3]
+    assert degree > MAX_WINDOW_DEGREE
+    tracemalloc.start()
+    try:
+        with pytest.raises(DegreeTooLargeError, match=f"degree {degree}, above the ceiling"):
+            window_poly(-0.3, 0.2, eta, allow_large_degree=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 <= 0.5
+
+
+def test_window_at_the_ceiling_keeps_its_roundoff_far_inside_the_margin():
+    lo, hi = 1e-4, 0.005
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if window_parameters(mid)[3] <= MAX_WINDOW_DEGREE else (mid, hi)
+    w = window_poly(-0.3, 0.2, hi, allow_large_degree=True)
+    assert w.degree == MAX_WINDOW_DEGREE
+    u = np.finfo(float).eps / 2.0
+    slack = 2.0 * (w.steepness + 1.0) * u + 2.0 * (w.fit_error - w.tau / 4.0)
+    assert slack <= w.tau**2 / 20.0
+
+
+def test_window_without_a_roundoff_margin_fails_its_proof(monkeypatch):
+    # A unit roundoff of 1e-7 makes the proven roundoff exceed tau^2 / 2.
+    monkeypatch.setattr(chebyshev, "_U", 1e-7)
+    with pytest.raises(CertificationError, match="margin"):
+        window_poly(-0.3, 0.4, 0.1)

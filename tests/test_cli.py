@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +57,8 @@ def test_window_poly_summary(workdir, capsys):
     rc = _run(["window-poly", "--a", "-0.3", "--b", "0.4", "--eta", "0.1"])
     assert rc == 0
     text = capsys.readouterr().out
-    assert "n=960" in text and "k=23" in text and "d=22080" in text
-    assert f"tau={math.exp(-23 / 6):.12g}" in text
+    assert "kappa=0.025 tau=0.025 s=141.291558269 d=960\n" in text
+    assert "\nfit_error=0.00625" in text
 
 
 def test_window_poly_coefficients_file(workdir):
@@ -67,8 +68,8 @@ def test_window_poly_coefficients_file(workdir):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# a_bar=-0.2 b_bar=0.2 eta=0.4")
     assert lines[1] == "k,coeff"
-    # degree d = n k rows plus the constant coefficient
-    assert len(lines) == 2 + 240 * 14 + 1
+    # degree d = 162 rows plus the constant coefficient
+    assert len(lines) == 2 + 162 + 1
 
 
 def test_correlate_json(workdir, capsys):
@@ -270,6 +271,36 @@ def test_response_integral_eps_advice_scales_with_observables(workdir, capsys):
     assert rc == 2
     # 3 * 0.005 * rho_max * |B| |C| = 3 * 0.005 * 0.5 * 1.0 * 1.5
     assert "--eps 0.01125 or larger, or --allow-large-degree" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [[], ["--allow-large-degree"]])
+@pytest.mark.parametrize(
+    "command, named",
+    [
+        ("window-poly --a -0.3 --b 0.2 --eta 1e-300", "error: eta 1e-300 is too small"),
+        ("window-poly --a -0.3 --b 0.2 --eta 1e-4", "error: --eta 0.0001 needs a window"),
+        ("dos --hamiltonian {h} --integral -1 1 --eps 1e-12", "error: --eps 1e-12 needs a window"),
+    ],
+)
+def test_window_degree_past_the_ceiling_exits_2_without_allocating(
+    workdir, capsys, command, named, flag
+):
+    """A window degree that overflows, or passes MAX_WINDOW_DEGREE, is
+    refused before the window is built, with or without the flag, naming
+    eta or eps and never advising the flag."""
+    (workdir / "h.txt").write_text("1.0 ZZ\n0.7 XI\n0.7 IX\n")
+    argv = command.format(h=workdir / "h.txt").split() + flag
+    tracemalloc.start()
+    try:
+        assert _run(argv) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 <= 4.0
+    err = capsys.readouterr().err
+    assert err.startswith(named) and "--allow-large-degree" not in err
+    if "overflows" not in err:
+        assert f"above the ceiling {cli.MAX_WINDOW_DEGREE} that no flag lifts" in err
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -693,7 +724,8 @@ QUERIES_OVERFLOW = "the query count overflows to inf"
          BC_OVERFLOWS),
         ("cost --kind response-moments --moments 1 --observable-b {huge_x} --observable-c {hz}",
          QUERIES_OVERFLOW),
-        ("cost --kind dos-integral --integral -0.5 0.5 --rho-max 1e303", QUERIES_OVERFLOW),
+        ("cost --kind dos-integral --integral -0.5 0.5 --eps 1e-306 --rho-max 1e-304",
+         QUERIES_OVERFLOW),
     ],
 )
 def test_overflowing_scale_products_exit_2(workdir, capsys, command, message):
