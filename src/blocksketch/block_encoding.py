@@ -13,11 +13,20 @@ builds the full ancilla (x) system unitary in the layout it states. The
 unitary is built, validated and cached only when `.unitary` is first
 read, which verification code does and the estimation pipelines never do.
 
-An encoding is built in one of two ways:
+An encoding is built in one of three ways:
 
-- by a rule: every operation here and in `spectral` computes the new
-  block from its inputs' blocks and records the norm bound the rule
-  proves;
+- by a rule that forms its block: `encode_pauli_sum`, `product`,
+  `identity_encoding`, `encode_unitary` and the rules of `spectral`
+  compute the new block from their inputs' blocks and record the norm
+  bound the rule proves;
+- by a rule that records itself: `linear_combine`, `adjoint` and the
+  relabels (`normalized`, `_relabeled`) check and record every ledger
+  from their inputs' ledgers, but form the block only when `.block` is
+  first read (by tests, `hermitian_gap`, `repr`, `dataclasses.replace`,
+  or a rule of the first kind taking the value as input), with the same
+  arithmetic in the same order, and cache it read-only. The estimators
+  do not read it: `_density_trace` reads Tr(rho B) through the rule,
+  from the traces of the formed blocks at its leaves;
 - by measurement: ``BlockEncoding(block, ancilla_dim, system_dim, scale,
   accuracy, cost, circuit=...)`` for a block with no rule behind it, whose
   spectral norm is measured by an SVD. `dataclasses.replace`, which passes
@@ -70,6 +79,7 @@ All values are immutable and all operations pure.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Callable
@@ -111,11 +121,14 @@ class BlockEncoding:
     the bound the rule proves (see the module docstring) without an SVD,
     and ``hermitian`` where the rule proves the block Hermitian.
 
-    `.unitary` and `.hermitian_gap` are computed on first access and
-    cached with the value, which is immutable.
+    `.unitary` and `.hermitian_gap`, and `.block` where a rule was
+    recorded, are computed on first access and cached with the value,
+    which is immutable.
     """
 
-    block: np.ndarray
+    # The block of a recorded rule is formed on first access (see the
+    # module docstring); every other encoding sets it at construction.
+    block: np.ndarray = cached_property(lambda self: _form_block(self))
     norm_bound: float = field(init=False)
     hermitian: bool = field(init=False)
     ancilla_dim: int
@@ -124,6 +137,11 @@ class BlockEncoding:
     accuracy: float = 0.0
     cost: int = 0
     circuit: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    # The recorded rule (None for a formed block) and the (weak reference
+    # to the density, trace) that `_density_trace` last read from a formed
+    # block.
+    _rule = None
+    _trace_memo = None
 
     def __init__(
         self,
@@ -153,11 +171,95 @@ class BlockEncoding:
         return hermitian_gap(self.block)
 
 
+class _Sum:
+    """The recorded rule sum_i w_i p_i B_i over weights w_i, phases p_i
+    and encodings B_i. Every rule has `form`, its block from the inputs'
+    blocks, and `trace`, Tr(rho B) from the inputs' (`_density_trace`)."""
+
+    __slots__ = ("weights", "phases", "encodings")
+
+    def __init__(self, weights, phases, encodings):
+        self.weights, self.phases, self.encodings = weights, phases, encodings
+
+    def form(self) -> np.ndarray:
+        d = self.encodings[0].system_dim
+        # A running sum from +0, which also turns the first term's -0
+        # entries into +0 as sum() from 0 would.
+        block = np.zeros((d, d), dtype=complex)
+        for w, p, b in zip(self.weights, self.phases, self.encodings):
+            block += w * p * b.block
+        return block
+
+    def trace(self, density) -> complex:
+        total = 0j
+        for w, p, b in zip(self.weights, self.phases, self.encodings):
+            total += w * p * _density_trace(b, density)
+        return total
+
+
+class _Adjoint:
+    """The recorded rule B^dagger: Tr(rho B^dagger) = conj Tr(rho B) for a
+    Hermitian rho."""
+
+    __slots__ = ("b",)
+
+    def __init__(self, b):
+        self.b = b
+
+    def form(self) -> np.ndarray:
+        return self.b.block.conj().T
+
+    def trace(self, density) -> complex:
+        return _density_trace(self.b, density).conjugate()
+
+
+class _Relabel:
+    """The recorded rule B under new ledgers: B's own block and trace."""
+
+    __slots__ = ("b",)
+
+    def __init__(self, b):
+        self.b = b
+
+    def form(self) -> np.ndarray:
+        return self.b.block
+
+    def trace(self, density) -> complex:
+        return _density_trace(self.b, density)
+
+
+def _form_block(enc: BlockEncoding) -> np.ndarray:
+    """The block of a recorded rule, formed from its inputs' blocks and
+    made read-only; `.block` calls this once and caches the result."""
+    block = enc._rule.form()
+    block.setflags(write=False)
+    return block
+
+
+def _density_trace(b: BlockEncoding, density: np.ndarray) -> complex:
+    """Tr(rho B) = sum_ij conj(rho_ij) B_ij for the Hermitian density rho:
+    read through b's recorded rule, and from a formed block by one
+    np.vdot, which is remembered for the last (read-only) density it was
+    read for. The memo holds that density by a weak reference, so a
+    long-lived encoding such as a cached identity does not keep it alive.
+
+    It agrees with np.vdot(density, b.block) up to roundoff, not bit for
+    bit: a rule adds its inputs' traces where the block adds entries."""
+    if b._rule is not None:
+        return b._rule.trace(density)
+    memo = b._trace_memo
+    if memo is None or memo[0]() is not density:
+        memo = (weakref.ref(density), complex(np.vdot(density, b.block)))
+        b.__dict__["_trace_memo"] = memo
+    return memo[1]
+
+
 def _set_fields(
     enc, block, norm_bound, hermitian, ancilla_dim, system_dim, scale, accuracy, cost, circuit
 ):
     """Check the ledgers, the block's shape and its norm bound (measured by
-    an SVD when None), and set the fields of a frozen encoding."""
+    an SVD when None), and set the fields of a frozen encoding. A None
+    block is a recorded rule's, formed on first access."""
     if not 0.0 < scale < math.inf:
         raise OutOfRangeError(f"scale must be positive and finite, got {scale}")
     if accuracy < 0:
@@ -166,25 +268,29 @@ def _set_fields(
         raise OutOfRangeError(f"cost must be nonnegative, got {cost}")
     if ancilla_dim < 1:
         raise DimensionMismatchError(f"ancilla dimension must be positive, got {ancilla_dim}")
-    if block.shape != (system_dim, system_dim):
-        raise DimensionMismatchError(f"block shape {block.shape} != ({system_dim}, {system_dim})")
-    if norm_bound is None:
-        norm_bound = spectral_norm(block)
+    if block is not None:
+        if block.shape != (system_dim, system_dim):
+            raise DimensionMismatchError(
+                f"block shape {block.shape} != ({system_dim}, {system_dim})"
+            )
+        if norm_bound is None:
+            norm_bound = spectral_norm(block)
     if norm_bound > 1.0 + CONTRACTION_TOL:
         raise NormTooLargeError(f"encoded block has spectral norm bound {norm_bound:.12g} > 1")
-    block.setflags(write=False)
-    # Frozen dataclass: fields are set through the instance dict.
-    enc.__dict__.update(
-        block=block,
-        norm_bound=norm_bound,
-        hermitian=hermitian,
-        ancilla_dim=ancilla_dim,
-        system_dim=system_dim,
-        scale=scale,
-        accuracy=accuracy,
-        cost=cost,
-        circuit=circuit,
-    )
+    # Frozen dataclass: fields are set through the instance dict, one item
+    # at a time (update(**fields) would build a dict first).
+    fields = enc.__dict__
+    if block is not None:
+        block.setflags(write=False)
+        fields["block"] = block
+    fields["norm_bound"] = norm_bound
+    fields["hermitian"] = hermitian
+    fields["ancilla_dim"] = ancilla_dim
+    fields["system_dim"] = system_dim
+    fields["scale"] = scale
+    fields["accuracy"] = accuracy
+    fields["cost"] = cost
+    fields["circuit"] = circuit
 
 
 def _by_rule(
@@ -199,15 +305,20 @@ def _by_rule(
     cost,
     circuit,
 ) -> BlockEncoding:
-    """An encoding whose block an arithmetic rule computed, recorded with
-    the norm bound that rule proves and checked without an SVD, and
-    Hermitian where the rule proves it (see the module docstring).
+    """An encoding whose block an arithmetic rule computed, or whose
+    recorded rule (`_Sum`, `_Adjoint`, `_Relabel`) forms it on first
+    access, with the norm bound that rule proves, checked without an SVD,
+    and Hermitian where the rule proves it (see the module docstring).
 
-    Package-private: the block is taken as it is (no copy) and must be a
-    fresh array or an already read-only input block.
+    Package-private: a computed block is taken as it is (no copy) and must
+    be a fresh array or an already read-only input block.
     """
     enc = object.__new__(BlockEncoding)
-    block = np.asarray(block, dtype=complex)
+    if isinstance(block, np.ndarray):
+        block = np.asarray(block, dtype=complex)
+    else:
+        enc.__dict__["_rule"] = block
+        block = None
     _set_fields(
         enc, block, norm_bound, hermitian, ancilla_dim, system_dim, scale, accuracy, cost, circuit
     )
@@ -238,15 +349,21 @@ def encode_unitary(u: np.ndarray, cost: int = 0) -> BlockEncoding:
     return _own_block(u, 0.0, cost)
 
 
-def hermitian_block(b: BlockEncoding) -> np.ndarray:
-    """The block of b, which must be Hermitian within 1e-8 in every entry:
-    proven by its ledger, or else measured.
+def _require_hermitian(b: BlockEncoding):
+    """Check that b's block is Hermitian within 1e-8 in every entry:
+    proven by its ledger, which reads no block, or else measured.
 
     Raises:
         NotHermitianError: if its Hermitian gap exceeds 1e-8.
     """
     if not (b.hermitian or b.hermitian_gap <= 1e-8):
         raise NotHermitianError("encoded block is not Hermitian within 1e-8")
+
+
+def hermitian_block(b: BlockEncoding) -> np.ndarray:
+    """The block of b, which must be Hermitian within 1e-8 in every entry
+    (`_require_hermitian`)."""
+    _require_hermitian(b)
     return b.block
 
 
@@ -262,9 +379,10 @@ def identity_encoding(system_dim: int) -> BlockEncoding:
 
 def _relabeled(b: BlockEncoding, scale: float, hermitian: bool) -> BlockEncoding:
     """b's block, norm bound, circuit and other ledgers under a new scale
-    and Hermitian ledger, which the caller's rule justifies."""
+    and Hermitian ledger, which the caller's rule justifies. The block is
+    b's own array, read when first asked for."""
     return _by_rule(
-        b.block,
+        _Relabel(b),
         b.norm_bound,
         hermitian=hermitian,
         ancilla_dim=b.ancilla_dim,
@@ -320,9 +438,10 @@ def encode_pauli_sum(s: PauliSum) -> BlockEncoding:
 
 
 def adjoint(b: BlockEncoding) -> BlockEncoding:
-    """Encoding of the conjugate transpose of the target; same ledger."""
+    """Encoding of the conjugate transpose of the target; same ledger. The
+    block b.block.conj().T is formed when first asked for."""
     return _by_rule(
-        b.block.conj().T,
+        _Adjoint(b),
         b.norm_bound,
         hermitian=b.hermitian,
         ancilla_dim=b.ancilla_dim,
@@ -394,7 +513,8 @@ def linear_combine(coeffs, encodings) -> BlockEncoding:
     """Encoding of sum_i beta_i A_i for complex beta_i.
 
     The block is sum_i (alpha_i |beta_i| / total) phase_i block_i with
-    scale total = sum_i alpha_i |beta_i|; costs add. The ancilla dimension
+    scale total = sum_i alpha_i |beta_i|; costs add. The rule is recorded
+    and the block formed when first asked for. The ancilla dimension
     is prepare_dim * max_i ancilla_dim_i (see `circuits`).
 
     Hermitian ledger: for real beta_i each weight times phase has a zero
@@ -415,21 +535,18 @@ def linear_combine(coeffs, encodings) -> BlockEncoding:
         if b.system_dim != d:
             raise _dimension_mismatch(encodings)
         strengths.append(b.scale * abs(c))
-    # numpy's pairwise order, which differs from a left fold from 8 terms on.
-    total = float(np.add.reduce(strengths))
+    total = 0.0
+    for s in strengths:
+        total += s
     if total <= 0:
         raise OutOfRangeError("all coefficients are zero; the combination has no scale")
 
-    # A running sum from +0, which also turns the first term's -0 entries
-    # into +0 as sum() from 0 would.
-    block = np.zeros((d, d), dtype=complex)
     weights, phases = [], []
     bound = accuracy = 0.0
     cost, ancilla_dim, hermitian = 0, 1, True
     for c, s, b in zip(coeffs, strengths, encodings):
         w = s / total
         p = c / abs(c) if c != 0 else 1.0
-        block += w * p * b.block
         weights.append(w)
         phases.append(p)
         bound += w * b.norm_bound
@@ -439,7 +556,7 @@ def linear_combine(coeffs, encodings) -> BlockEncoding:
         hermitian = hermitian and b.hermitian and c.imag == 0.0
     dim_prep = 1 << max(0, (len(encodings) - 1).bit_length())
     return _by_rule(
-        block,
+        _Sum(weights, phases, encodings),
         bound,
         hermitian=hermitian,
         ancilla_dim=dim_prep * ancilla_dim,

@@ -330,10 +330,11 @@ def _proven_degree(log_m, target: float):
     return _next_even_5_smooth(math.floor(best) + 1) if math.isfinite(best) else math.inf
 
 
-def _proven_interpolant(f, log_m, target: float, sample_error: float) -> tuple[np.ndarray, float]:
+def _proven_interpolant(f, n: int, target: float, sample_error: float) -> tuple[np.ndarray, float]:
     """Chebyshev coefficients of the interpolant of f in the n + 1 extrema,
-    n = `_proven_degree(log_m, target)`, and a proven bound on the sup
-    error of their series against f on [-1, 1].
+    and a proven bound on the sup error of their series against f on
+    [-1, 1], for a degree n = `_proven_degree(log_m, target)` that the
+    caller has found (for the window, `window_parameters`).
 
     f maps an array of points of [-1, 1] to its values, and sample_error
     bounds the error of each value f gives at a computed extremum against f
@@ -350,7 +351,6 @@ def _proven_interpolant(f, log_m, target: float, sample_error: float) -> tuple[n
       16 sqrt(n + 1) log2(2n) u max |f| in sum |c_k|.
     - The division by n adds u sum |c_k|.
     The caller checks the degree first: nothing here bounds it."""
-    n = _proven_degree(log_m, target)
     values = f(np.sin(np.pi / (2 * n) * np.arange(n, -n - 1, -2)))
     coeffs = _dct1(values) / n
     coeffs[[0, -1]] /= 2.0
@@ -593,7 +593,7 @@ def window_poly(
     def window(x):
         return 0.5 * (_erf_edge(x, s, left) - _erf_edge(x, s, right))
 
-    coeffs, fit_error = _proven_interpolant(window, _erf_log_bound(s), tau / 4.0, 4.0 * (s + 4.0) * _U)
+    coeffs, fit_error = _proven_interpolant(window, degree, tau / 4.0, 4.0 * (s + 4.0) * _U)
     error = fit_error + 4.0 * _U * (float(np.sum(np.abs(coeffs))) + 2.0)
     slack = 2.0 * (s + 1.0) * _U + 2.0 * (error - tau / 4.0)
     if slack > tau * tau / 2.0:

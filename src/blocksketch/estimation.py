@@ -19,6 +19,13 @@ alpha-scaled encoding runs the amplitude routine at precision
 eps / (2 alpha), so its budget carries the extra 2 alpha factor; the
 complex-valued variant doubles it (one run per Hermitian part).
 
+Observable estimation needs one number per run, the amplitude
+Tr(rho (I + A/alpha)/2). It is read through the rules that built the
+shifted encoding (`block_encoding._density_trace`): linear over a
+combination, conjugated over an adjoint, and one np.vdot per density at a
+formed block. The shifted, part and adjoint encodings keep every ledger,
+but their blocks are never formed here.
+
 Everything is pure given an explicit seed; concurrent jobs should use
 distinct seeds.
 """
@@ -33,9 +40,10 @@ import numpy as np
 
 from .block_encoding import (
     BlockEncoding,
+    _density_trace,
     _relabeled,
+    _require_hermitian,
     adjoint,
-    hermitian_block,
     identity_encoding,
     linear_combine,
     normalized,
@@ -307,17 +315,19 @@ def estimate_observable(
     composite state with the ancilla-zero/purification projector equals the
     shifted trace; estimates that amplitude to precision eps/(2 alpha) and
     returns (2 xi_0 - 1) alpha.
+
+    The Hermitian check reads a's ledger, and the shifted trace is read
+    through the rules that built the shifted encoding (`_density_trace`),
+    so no block of a or of its shift is formed where a rule records it.
     """
     _validate_eps_delta(eps, delta)
     if a.system_dim != rho.system_dim:
         raise DimensionMismatchError(
             f"encoding system {a.system_dim} != state system {rho.system_dim}"
         )
-    hermitian_block(a)
+    _require_hermitian(a)
     shifted = _shifted_encoding(a)
-    density = reduced_density(rho)
-    # Tr(rho S) = sum_ij conj(rho_ij) S_ij for a Hermitian rho: O(D^2), no product.
-    overlap = min(max(float(np.vdot(density, shifted.block).real), 0.0), 1.0)
+    overlap = min(max(_density_trace(shifted, reduced_density(rho)).real, 0.0), 1.0)
 
     amp_eps = min(eps / (2.0 * a.scale), 0.5)
     xi0, queries = _estimate(overlap, amp_eps, delta, mode, rng_seed)
@@ -325,10 +335,17 @@ def estimate_observable(
     return EstimationResult(complex(value), eps, 1.0 - delta, queries, mode, rng_seed)
 
 
-def _conjugate_pair_sum(coeffs: list[complex], g: BlockEncoding) -> BlockEncoding:
+# The coefficients [c, conj(c)] of the Hermitian and anti-Hermitian parts.
+_HERMITIAN_PART = [0.5, 0.5]
+_ANTIHERMITIAN_PART = [-0.5j, 0.5j]
+
+
+def _conjugate_pair_sum(
+    coeffs: list[complex], g: BlockEncoding, g_adjoint: BlockEncoding
+) -> BlockEncoding:
     """The encoding of c G + conj(c) G^dagger, for coeffs = [c, conj(c)]
-    with c real or imaginary, that `linear_combine` builds, with the
-    Hermitian ledger set.
+    with c real or imaginary and g_adjoint = adjoint(g), that
+    `linear_combine` builds, with the Hermitian ledger set.
 
     Proof. Both strengths are |c| alpha, so both weights are one value w,
     and the two terms scale G and G^dagger entrywise by s = w c / |c| and
@@ -340,18 +357,18 @@ def _conjugate_pair_sum(coeffs: list[complex], g: BlockEncoding) -> BlockEncodin
     h(conj(G_ij)) + f(G_ji): the same two numbers, and floating-point
     addition commutes. So the block equals its conjugate transpose.
     """
-    pair = linear_combine(coeffs, [g, adjoint(g)])
+    pair = linear_combine(coeffs, [g, g_adjoint])
     return _relabeled(pair, pair.scale, hermitian=True)
 
 
 def hermitian_part_encoding(g: BlockEncoding) -> BlockEncoding:
     """Encoding of (G + G*)/2 at the scale of g, proven Hermitian."""
-    return _conjugate_pair_sum([0.5, 0.5], g)
+    return _conjugate_pair_sum(_HERMITIAN_PART, g, adjoint(g))
 
 
 def antihermitian_part_encoding(g: BlockEncoding) -> BlockEncoding:
     """Encoding of (G - G*)/(2i) at the scale of g, proven Hermitian."""
-    return _conjugate_pair_sum([-0.5j, 0.5j], g)
+    return _conjugate_pair_sum(_ANTIHERMITIAN_PART, g, adjoint(g))
 
 
 def estimate_complex(
@@ -366,12 +383,17 @@ def estimate_complex(
 
     Real and imaginary parts come from separate observable estimations of
     the Hermitian and anti-Hermitian parts, each to precision eps with
-    confidence 1 - delta. The imaginary run uses seed + 1.
+    confidence 1 - delta. The imaginary run uses seed + 1. The two parts
+    share one adjoint of g, and both runs read their traces through the
+    rules down to Tr(rho G), so no part or adjoint block is formed.
     """
     _validate_eps_delta(eps, delta)
     seed_im = None if rng_seed is None else rng_seed + 1
-    re = estimate_observable(hermitian_part_encoding(g), rho, eps, delta, mode, rng_seed)
-    im = estimate_observable(antihermitian_part_encoding(g), rho, eps, delta, mode, seed_im)
+    g_adjoint = adjoint(g)
+    re_part = _conjugate_pair_sum(_HERMITIAN_PART, g, g_adjoint)
+    re = estimate_observable(re_part, rho, eps, delta, mode, rng_seed)
+    im_part = _conjugate_pair_sum(_ANTIHERMITIAN_PART, g, g_adjoint)
+    im = estimate_observable(im_part, rho, eps, delta, mode, seed_im)
     return EstimationResult(
         complex(re.value.real, im.value.real),
         eps,

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from blocksketch.block_encoding import (
     BlockEncoding,
+    _density_trace,
+    _relabeled,
     adjoint,
     encode_pauli_sum,
     encode_unitary,
@@ -35,7 +37,14 @@ from blocksketch.circuits import check_circuit_unitary, is_hermitian, is_unitary
 from blocksketch.pauli import PauliSum, PauliTerm, pauli_sum_matrix
 from blocksketch.spectral import apply_polynomial, chebyshev_encoding
 
-from conftest import contraction_encoding, random_pauli_sum
+from blocksketch.state_prep import prepare_maximally_mixed, prepare_pure
+
+from conftest import (
+    contraction_encoding,
+    random_density_matrix,
+    random_pauli_sum,
+    random_state_vector,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -342,3 +351,125 @@ def test_products_polynomials_unitaries_and_measurements_stay_unproven():
     assert not apply_polynomial(h, chebyshev_t(2), 1e-3).hermitian
     assert not encode_unitary(np.eye(2)).hermitian
     assert not BlockEncoding(h.block, 4, 4, scale=1.0, circuit=h.circuit).hermitian
+
+
+# The trace evaluator and the blocks formed on demand.
+#
+# A drawn tree records, for every node, the encoding and the reference
+# block that the eager formulas (copied below) give from the reference
+# blocks of its inputs. `linear_combine`, `adjoint` and the relabels
+# record their rule and form the block on first access; products and
+# Chebyshev encodings form theirs at once and are leaves of the evaluator.
+
+U = np.finfo(float).eps / 2.0
+
+
+def _eager_combination(coeffs, encodings, blocks):
+    """The block `linear_combine` formed eagerly, from the input blocks.
+    Its pairwise np.add.reduce total equals the left fold `linear_combine`
+    sums below 8 terms, and the trees here draw at most 3."""
+    coeffs = [complex(c) for c in coeffs]
+    strengths = [b.scale * abs(c) for c, b in zip(coeffs, encodings)]
+    total = float(np.add.reduce(strengths))
+    d = encodings[0].system_dim
+    block = np.zeros((d, d), dtype=complex)
+    for c, s, inner in zip(coeffs, strengths, blocks):
+        w = s / total
+        p = c / abs(c) if c != 0 else 1.0
+        block += w * p * inner
+    return block
+
+
+def _eager_chebyshev(a, n):
+    """The recurrence `chebyshev_encoding` runs on the block a."""
+    if n == 0:
+        return np.eye(a.shape[0], dtype=complex)
+    t_1, t_2 = a, np.eye(a.shape[0], dtype=complex)
+    for _ in range(1, n):
+        t_1, t_2 = 2.0 * (a @ t_1) - t_2, t_1
+    return t_1
+
+
+COEFFICIENTS = st.floats(0.05, 2.0).flatmap(
+    lambda x: st.sampled_from([x, -x, 1j * x, -1j * x, x * complex(0.6, 0.8), x * complex(-0.28, 0.96)])
+)
+
+
+@st.composite
+def rule_trees(draw):
+    """(nodes, dim): a list of (encoding, reference block, size), the last
+    node the root; size counts the leaf reads and rule steps below it."""
+    qubits = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = 2**qubits
+    h = encode_pauli_sum(random_pauli_sum(rng, qubits, 4))
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    general = contraction_encoding(g / (1.1 * np.linalg.norm(g, 2)))
+    leaves = [h, general, identity_encoding(d), chebyshev_encoding(h, draw(st.integers(2, 3)))]
+    nodes = [(b, np.array(b.block), 1) for b in leaves]
+    for _ in range(draw(st.integers(1, 7))):
+        op = draw(st.sampled_from(["combine", "adjoint", "normalized", "relabel", "product", "chebyshev"]))
+        picks = draw(st.lists(st.integers(0, len(nodes) - 1), min_size=1, max_size=3))
+        inputs = [nodes[i] for i in picks]
+        first, ref, size = inputs[0]
+        if op == "chebyshev" and not (first.hermitian and first.accuracy == 0.0):
+            op = "adjoint"
+        if op == "combine":
+            coeffs = [draw(COEFFICIENTS) for _ in inputs]
+            encodings = [b for b, _, _ in inputs]
+            node = (
+                linear_combine(coeffs, encodings),
+                _eager_combination(coeffs, encodings, [r for _, r, _ in inputs]),
+                1 + sum(s for _, _, s in inputs),
+            )
+        elif op == "adjoint":
+            node = (adjoint(first), ref.conj().T, size + 1)
+        elif op == "normalized":
+            node = (normalized(first), ref, size + 1)
+        elif op == "relabel":
+            node = (_relabeled(first, draw(st.floats(0.5, 4.0)), first.hermitian), ref, size + 1)
+        elif op == "product":
+            other, other_ref, _ = inputs[-1]
+            node = (product([first, other]), ref @ other_ref, 1)
+        else:
+            n = draw(st.integers(0, 3))
+            node = (chebyshev_encoding(first, n), _eager_chebyshev(ref, n), 1)
+        nodes.append(node)
+    return nodes, d
+
+
+def _densities(d, rng):
+    return {
+        "pure": prepare_pure(random_state_vector(rng, d)).density,
+        "mixed": random_density_matrix(rng, d),
+        "maximally mixed": prepare_maximally_mixed(d).density,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(rule_trees(), st.integers(0, 2**32 - 1))
+def test_the_trace_evaluator_reads_tr_rho_b_through_the_rules(tree, seed):
+    """Roundoff bound: each np.vdot of a block of norm at most 1 against a
+    density (sum_ij |rho_ij| <= D) errs by at most about D^2 u D, and each
+    combination step adds a few u per entry or per trace, so every one of
+    the `size` leaf reads and rule steps below a node contributes at most
+    4 D^3 u to the distance of the two readings."""
+    nodes, d = tree
+    for name, density in _densities(d, np.random.default_rng(seed)).items():
+        traces = [_density_trace(b, density) for b, _, _ in nodes]
+        for (b, _, size), trace in zip(nodes, traces):
+            bound = 4.0 * size * d**3 * U
+            assert abs(trace - np.vdot(density, b.block)) <= bound, name
+
+
+@settings(max_examples=150, deadline=None)
+@given(rule_trees())
+def test_blocks_formed_on_demand_equal_the_eager_formulas_bit_for_bit(tree):
+    nodes, _ = tree
+    root, root_ref, _ = nodes[-1]
+    # Form the root first, so that its rule forms whatever lies below it.
+    assert np.array_equal(root.block, root_ref)
+    for b, ref, _ in nodes:
+        assert np.array_equal(b.block, ref)
+        assert not b.block.flags.writeable
+        assert b.block is b.block

@@ -609,8 +609,9 @@ def test_proven_interpolant_of_a_cosine_matches_jacobi_anger(z):
         y = z * np.sinh(r)
         return np.logaddexp(y, -y) - math.log(2.0)
 
+    degree = chebyshev._proven_degree(log_m, 1e-10)
     coeffs, error = chebyshev._proven_interpolant(
-        lambda x: np.cos(z * x), log_m, 1e-10, 8.0 * (z + 1.0) * u
+        lambda x: np.cos(z * x), degree, 1e-10, 8.0 * (z + 1.0) * u
     )
     n = coeffs.size - 1
     assert n <= 2 * z + 60
@@ -622,6 +623,21 @@ def test_proven_interpolant_of_a_cosine_matches_jacobi_anger(z):
     assert np.sum(np.abs(coeffs - exact)) <= error
     x = _extrema(PROOF_POINTS)
     assert np.max(np.abs(cheb_values_at_extrema(coeffs, PROOF_POINTS) - np.cos(z * x))) <= error
+
+
+def test_a_window_build_searches_the_degree_grid_once(monkeypatch):
+    """`window_poly` fits at the degree `window_parameters` proved."""
+    calls = []
+    search = chebyshev._proven_degree
+
+    def counting_search(log_m, target):
+        calls.append(target)
+        return search(log_m, target)
+
+    monkeypatch.setattr(chebyshev, "_proven_degree", counting_search)
+    w = window_poly(-0.2, 0.3, 0.1)
+    assert len(calls) == 1
+    assert w.degree == window_parameters(0.1)[3]
 
 
 def test_symmetric_window_is_even():

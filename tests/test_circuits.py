@@ -376,6 +376,23 @@ def test_a_block_without_a_rule_has_its_norm_measured(rng):
                       system_dim=4, scale=1.0, circuit=enc.circuit)
 
 
+def test_replace_forms_a_recorded_rule_block_and_measures_its_norm(rng):
+    """`linear_combine` records its rule; `replace` reads the block, which
+    forms it, and measures its norm as it does for an eager encoding."""
+    a = encode_pauli_sum(random_pauli_sum(rng, 2, 4))
+    lazy = linear_combine([0.5, 0.5j], [a, adjoint(a)])
+    assert "block" not in lazy.__dict__
+    same = replace(lazy, scale=2.0)
+    assert "block" in lazy.__dict__
+    assert np.array_equal(same.block, lazy.block)
+    assert same.norm_bound == pytest.approx(spectral_norm(lazy.block), rel=1e-12)
+    assert same.norm_bound <= lazy.norm_bound + 1e-12
+    assert (same.scale, same.ancilla_dim, same.cost) == (2.0, lazy.ancilla_dim, lazy.cost)
+    assert not same.hermitian
+    with pytest.raises(NormTooLargeError):
+        replace(adjoint(a), block=1.01 * np.eye(4))
+
+
 def test_chebyshev_of_a_nearly_hermitian_block_is_measured(rng):
     """T_n of a block that is Hermitian only within 1e-8 can leave the unit
     ball, so its norm is measured rather than taken to be 1."""

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocksketch import block_encoding, cli
 from blocksketch.block_encoding import (
     encode_pauli_sum,
     encode_unitary,
     identity_encoding,
     linear_combine,
+    product,
 )
 from blocksketch.circuits import AmplitudeProblem, grover_operator, is_unitary
 from blocksketch.errors import (
@@ -29,6 +31,7 @@ from blocksketch.estimation import (
     estimate_amplitude,
     estimate_complex,
     estimate_observable,
+    hermitian_part_encoding,
     query_budget,
 )
 from blocksketch.pauli import PauliSum, pauli_sum_matrix
@@ -306,8 +309,6 @@ def test_estimate_complex_examples():
     w, v = np.linalg.eigh(h)
     t = np.pi / 4
     evolve = (v * np.exp(1j * w * t)) @ v.conj().T
-    from blocksketch.block_encoding import product
-
     gamma = product(
         [encode_unitary(evolve), encode_unitary(X), encode_unitary(evolve.conj().T), encode_unitary(X)]
     )
@@ -323,6 +324,42 @@ def test_estimate_complex_sampled_budget():
     amp_eps = 0.05 / (2 * 0.5)
     assert r.grover_queries <= 2 * query_budget(amp_eps, 0.1)
     assert GROVER_QUERY_CONSTANT == 250
+
+
+def test_a_response_sketch_forms_no_part_adjoint_or_shifted_block(tmp_path, monkeypatch):
+    """At MAX_QUBITS, `response --moments 4` reads every Tr(rho .) through
+    the rules: no block of a pair sum, an adjoint, a relabel or a shifted
+    encoding is formed. Formations are counted through the one helper that
+    forms a recorded rule's block."""
+    q = cli.MAX_QUBITS
+    terms = [f"1.0 {'I' * i}ZZ{'I' * (q - i - 2)}" for i in range(q - 1)]
+    terms += [f"0.7 {'I' * i}X{'I' * (q - i - 1)}" for i in range(q)]
+    (tmp_path / "h.txt").write_text("\n".join(terms) + "\n")
+    (tmp_path / "b.txt").write_text(f"1.0 Z{'I' * (q - 1)}\n")
+    (tmp_path / "c.txt").write_text(f"1.0 X{'I' * (q - 1)}\n")
+    (tmp_path / "rho.txt").write_text("basis 0\n")
+    formed = []
+    form = block_encoding._form_block
+
+    def counting_form(enc):
+        formed.append(enc)
+        return form(enc)
+
+    monkeypatch.setattr(block_encoding, "_form_block", counting_form)
+    argv = ["response", "--hamiltonian", str(tmp_path / "h.txt"), "--moments", "4",
+            "--mode", "sampled", "--seed", "1",
+            "--observable-b", str(tmp_path / "b.txt"), "--observable-c", str(tmp_path / "c.txt"),
+            "--state", str(tmp_path / "rho.txt"), "--output", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 0
+    assert len((tmp_path / "out.csv").read_text().splitlines()) == 1 + 5
+    assert formed == []
+
+    # The count sees formations: a part's block forms its relabel, the pair
+    # sum and the adjoint below it.
+    g = product([encode_pauli_sum(PauliSum.from_terms([(1.0, "Z")])), encode_unitary(X)])
+    part = hermitian_part_encoding(g)
+    assert np.array_equal(part.block, (g.block + g.block.conj().T) / 2)
+    assert len(formed) == 3
 
 
 def test_result_json_shape():

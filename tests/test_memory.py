@@ -77,9 +77,9 @@ def inputs(tmp_path):
 COMMANDS = {
     "dos-moments": "dos --hamiltonian h.txt --moments 4",
     "dos-integral": "dos --hamiltonian h.txt --integral -2 2 --eps 0.1",
-    # The default eps 0.05 gives eta = 0.0167 (degree 190,080).
+    # The default eps 0.05 gives eta = 0.0167 (window degree 8,192).
     "dos-integral-default-eps": "dos --hamiltonian h.txt --integral -2 2",
-    # eta = 0.025 (degree 119,040): pins the window certificate's arrays.
+    # eta = 0.025 (window degree 5,120), the benchmark's dos-integral eta.
     "dos-integral-eps-0.075": "dos --hamiltonian h.txt --integral -2 2 --eps 0.075",
     "ldos-moments": "ldos --hamiltonian h.txt --moments 4 --state basis.txt",
     "ldos-integral": "ldos --hamiltonian h.txt --integral -2 2 --eps 0.1 --state basis.txt",
