@@ -265,6 +265,10 @@ def spectral_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = 
     as one Hermitian observable, and moment n is seeded with seed + n. The
     response estimates B f(H/alpha) C against the state part by part (any
     ground-energy shift is the caller's) and seeds moment n with seed + 2n.
+    Its product is a recorded rule whose block is never formed here: each
+    moment reads Tr(rho B f C) as one np.vdot of f's block against
+    B^dagger rho C^dagger, which is formed once for the sketch
+    (`block_encoding.product`).
 
     Integral mode takes f to be the proven window over the rescaled
     interval; the window, polynomial and estimation shares of eps are

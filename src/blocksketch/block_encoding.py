@@ -15,18 +15,26 @@ read, which verification code does and the estimation pipelines never do.
 
 An encoding is built in one of three ways:
 
-- by a rule that forms its block: `encode_pauli_sum`, `product`,
+- by a rule that forms its block: `encode_pauli_sum`,
   `identity_encoding`, `encode_unitary` and the rules of `spectral`
   compute the new block from their inputs' blocks and record the norm
   bound the rule proves;
-- by a rule that records itself: `linear_combine`, `adjoint` and the
-  relabels (`normalized`, `_relabeled`) check and record every ledger
-  from their inputs' ledgers, but form the block only when `.block` is
-  first read (by tests, `hermitian_gap`, `repr`, `dataclasses.replace`,
-  or a rule of the first kind taking the value as input), with the same
-  arithmetic in the same order, and cache it read-only. The estimators
-  do not read it: `_density_trace` reads Tr(rho B) through the rule,
-  from the traces of the formed blocks at its leaves;
+- by a rule that records itself: `product`, `linear_combine`, `adjoint`
+  and the relabels (`normalized`, `_relabeled`) check and record every
+  ledger from their inputs' ledgers, but form the block only when
+  `.block` is first read (by tests, `hermitian_gap`, `repr`,
+  `dataclasses.replace`, or a rule of the first kind taking the value as
+  input), with the same arithmetic in the same order, and cache it
+  read-only. The estimators do not read it: `_density_trace` reads
+  Tr(rho B) through the rule, from the traces of the formed blocks at
+  its leaves. A product of k >= 3 factors is read as one np.vdot,
+  Tr(rho P_1 M P_k) = vdot(P_1^dagger rho P_k^dagger, M) with
+  M = P_2 ... P_{k-1}; the sandwich P_1^dagger rho P_k^dagger is
+  remembered on the first factor for the last density and last factor
+  (weakly held), so the products B T_n C of a response sketch, which
+  share B, C and rho, form it once. Two factors are read as
+  vdot(P_1^dagger rho, P_2), and every product remembers its own trace
+  for the last density;
 - by measurement: ``BlockEncoding(block, ancilla_dim, system_dim, scale,
   accuracy, cost, circuit=...)`` for a block with no rule behind it, whose
   spectral norm is measured by an SVD. `dataclasses.replace`, which passes
@@ -137,11 +145,14 @@ class BlockEncoding:
     accuracy: float = 0.0
     cost: int = 0
     circuit: Callable[[], np.ndarray] = field(repr=False, compare=False)
-    # The recorded rule (None for a formed block) and the (weak reference
+    # The recorded rule (None for a formed block), the (weak reference
     # to the density, trace) that `_density_trace` last read from a formed
-    # block.
+    # block, and the (weak references to the density and last factor,
+    # sandwich) of the last product read with this value first
+    # (`_sandwich`).
     _rule = None
     _trace_memo = None
+    _sandwich_memo = None
 
     def __init__(
         self,
@@ -228,6 +239,53 @@ class _Relabel:
         return _density_trace(self.b, density)
 
 
+class _Product:
+    """The recorded rule P_1 ... P_k over k >= 2 encodings: its block is
+    the left fold of theirs, and its trace one np.vdot (module docstring),
+    remembered for the last density read."""
+
+    __slots__ = ("encodings", "memo")
+
+    def __init__(self, encodings):
+        self.encodings, self.memo = encodings, None
+
+    def form(self) -> np.ndarray:
+        return _fold(self.encodings)
+
+    def trace(self, density) -> complex:
+        memo = self.memo
+        if memo is None or memo[0]() is not density:
+            first, *middle, last = self.encodings
+            if middle:
+                value = np.vdot(_sandwich(first, density, last), _fold(middle))
+            else:
+                value = np.vdot(first.block.conj().T @ density, last.block)
+            memo = self.memo = (weakref.ref(density), complex(value))
+        return memo[1]
+
+
+def _fold(encodings) -> np.ndarray:
+    """The left fold of the blocks, ((B_1 B_2) B_3) ...; a lone block is
+    returned as it is."""
+    block = encodings[0].block
+    for b in encodings[1:]:
+        block = block @ b.block
+    return block
+
+
+def _sandwich(first: BlockEncoding, density: np.ndarray, last: BlockEncoding) -> np.ndarray:
+    """S = F^dagger rho L^dagger, so that Tr(rho F M L) = vdot(S, M) for
+    every M. It is remembered on `first` for the last (density, last)
+    pair, both held by weak reference: a response sketch, whose products
+    share their first and last factors, forms it once for all moments."""
+    memo = first._sandwich_memo
+    if memo is None or memo[0]() is not density or memo[1]() is not last:
+        s = first.block.conj().T @ density @ last.block.conj().T
+        memo = (weakref.ref(density), weakref.ref(last), s)
+        first.__dict__["_sandwich_memo"] = memo
+    return memo[2]
+
+
 def _form_block(enc: BlockEncoding) -> np.ndarray:
     """The block of a recorded rule, formed from its inputs' blocks and
     made read-only; `.block` calls this once and caches the result."""
@@ -306,9 +364,9 @@ def _by_rule(
     circuit,
 ) -> BlockEncoding:
     """An encoding whose block an arithmetic rule computed, or whose
-    recorded rule (`_Sum`, `_Adjoint`, `_Relabel`) forms it on first
-    access, with the norm bound that rule proves, checked without an SVD,
-    and Hermitian where the rule proves it (see the module docstring).
+    recorded rule (`_Product`, `_Sum`, `_Adjoint`, `_Relabel`) forms it on
+    first access, with the norm bound that rule proves, checked without an
+    SVD, and Hermitian where the rule proves it (see the module docstring).
 
     Package-private: a computed block is taken as it is (no copy) and must
     be a fresh array or an already read-only input block.
@@ -478,7 +536,8 @@ def product(encodings) -> BlockEncoding:
 
     Each factor keeps its own ancilla register, so the blocks multiply;
     scales multiply, costs add, and the accuracy composes through
-    product_error_bound.
+    product_error_bound. The rule is recorded and the block, the left
+    fold of the factors' blocks, formed when first asked for.
     """
     encodings = list(encodings)
     if not encodings:
@@ -487,18 +546,17 @@ def product(encodings) -> BlockEncoding:
     if not rest:
         return first
     d = first.system_dim
-    block, bound, scale = first.block, first.norm_bound, first.scale
+    bound, scale = first.norm_bound, first.scale
     cost, ancilla_dim = first.cost, first.ancilla_dim
     for b in rest:
         if b.system_dim != d:
             raise _dimension_mismatch(encodings)
-        block = block @ b.block
         bound *= b.norm_bound
         scale *= b.scale
         cost += b.cost
         ancilla_dim *= b.ancilla_dim
     return _by_rule(
-        block,
+        _Product(encodings),
         bound,
         ancilla_dim=ancilla_dim,
         system_dim=d,

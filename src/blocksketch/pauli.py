@@ -193,13 +193,14 @@ def parse_pauli_text(text: str, source: str = "<string>") -> PauliSum:
 
 
 def read_input(path) -> str:
-    """The text of an input file.
+    """The text of an input file, read as UTF-8; a leading byte-order mark,
+    which some editors write, is dropped.
 
     Raises:
         ParseError: naming the path, if the file cannot be read as UTF-8.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from None

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from functools import partial
 
 import numpy as np
@@ -33,11 +35,12 @@ from blocksketch.estimation import (
     hermitian_part_encoding,
 )
 from blocksketch.block_encoding import hermitian_gap, spectral_norm
+from blocksketch import circuits
 from blocksketch.circuits import check_circuit_unitary, is_hermitian, is_unitary
 from blocksketch.pauli import PauliSum, PauliTerm, pauli_sum_matrix
 from blocksketch.spectral import apply_polynomial, chebyshev_encoding
 
-from blocksketch.state_prep import prepare_maximally_mixed, prepare_pure
+from blocksketch.state_prep import prepare_maximally_mixed, prepare_pure, prepare_thermal
 
 from conftest import (
     contraction_encoding,
@@ -473,3 +476,117 @@ def test_blocks_formed_on_demand_equal_the_eager_formulas_bit_for_bit(tree):
         assert np.array_equal(b.block, ref)
         assert not b.block.flags.writeable
         assert b.block is b.block
+
+
+def _factor_pool(qubits: int, rng):
+    """(a Pauli sum S, encodings): encodings of every kind a product reads,
+    on 2^qubits dimensions. The first is the encoding of S, then another
+    Pauli sum, a unitary, an adjoint, a combination and a Chebyshev word."""
+    d = 2**qubits
+    hamiltonian = random_pauli_sum(rng, qubits, 4)
+    h = encode_pauli_sum(hamiltonian)
+    g = encode_pauli_sum(random_pauli_sum(rng, qubits, 3))
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    general = contraction_encoding(q[:, ::-1] / 1.1, accuracy=1e-3)
+    return hamiltonian, [
+        h,
+        g,
+        encode_unitary(q, cost=3),
+        adjoint(general),
+        linear_combine([0.4, -0.7j], [h, general]),
+        chebyshev_encoding(h, 3),
+    ]
+
+
+def _eager_fold(encodings):
+    """The left fold of the blocks that `product` once formed eagerly."""
+    block = encodings[0].block
+    for b in encodings[1:]:
+        block = block @ b.block
+    return block
+
+
+@pytest.mark.parametrize("qubits", [1, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_a_recorded_product_keeps_the_eager_block_ledgers_and_circuit(qubits, k):
+    rng = np.random.default_rng(100 * qubits + k)
+    _, pool = _factor_pool(qubits, rng)
+    for _ in range(6):
+        factors = [pool[i] for i in rng.integers(0, len(pool), size=k)]
+        p = product(factors)
+        if k == 1:
+            assert p is factors[0]
+            continue
+        assert np.array_equal(p.block, _eager_fold(factors))
+        assert not p.block.flags.writeable
+        assert p.norm_bound == math.prod(b.norm_bound for b in factors)
+        assert p.scale == math.prod(b.scale for b in factors)
+        assert p.cost == sum(b.cost for b in factors)
+        assert p.ancilla_dim == math.prod(b.ancilla_dim for b in factors)
+        assert p.system_dim == 2**qubits
+        assert p.accuracy == product_error_bound([b.accuracy for b in factors])
+        assert p.hermitian is False
+        assert p.circuit.func is circuits.product_circuit
+        assert p.circuit.args == (factors,)
+
+
+@pytest.mark.parametrize("qubits", [1, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_a_product_trace_is_one_vdot_through_the_rule(qubits, k):
+    """Roundoff bound: every factor is a contraction and the density has
+    sum_ij |rho_ij| <= D, so each of the k - 1 matrix products of either
+    reading (the eager fold, or the sandwich and the middle fold) errs by
+    at most about D u per entry, and each np.vdot adds about D^2 u D; the
+    two readings differ by at most 4 k D^3 u."""
+    rng = np.random.default_rng(7 * qubits + k)
+    hamiltonian, pool = _factor_pool(qubits, rng)
+    d = 2**qubits
+    thermal, _ = prepare_thermal(hamiltonian, 0.8)
+    densities = {
+        "pure": prepare_pure(random_state_vector(rng, d)).density,
+        "thermal": thermal.density,
+        "maximally mixed": prepare_maximally_mixed(d).density,
+    }
+    for _ in range(6):
+        factors = [pool[i] for i in rng.integers(0, len(pool), size=k)]
+        for name, density in densities.items():
+            trace = _density_trace(product(factors), density)
+            reference = np.vdot(density, _eager_fold(factors))
+            assert abs(trace - reference) <= 4.0 * k * d**3 * U, name
+
+
+def test_a_shared_first_factor_reads_each_product_and_density_afresh():
+    """The sandwich B^dagger rho C^dagger is remembered on B for one
+    (density, last factor) pair: a new last factor or a new density forms
+    a new one, and the products' own memos never hand back another
+    reading. Per response sketch this is one extra live D^2 array (the
+    sandwich, on the sketch's B), where each moment's product once held
+    its own D^2 block."""
+    rng = np.random.default_rng(5)
+    _, pool = _factor_pool(2, rng)
+    b, c, c_prime = pool[1], pool[2], pool[4]
+    t = chebyshev_encoding(pool[0], 2)
+    rho = prepare_pure(random_state_vector(rng, 4)).density
+    sigma = random_density_matrix(rng, 4)
+    btc, btc_prime = product([b, t, c]), product([b, t, c_prime])
+    bound = 4.0 * 3 * 4**3 * U
+    for density in (rho, rho, sigma, rho):
+        for p in (btc, btc_prime, btc, product([b, t, c])):
+            assert abs(_density_trace(p, density) - np.vdot(density, p.block)) <= bound
+        sandwich = b._sandwich_memo[2]
+        assert np.array_equal(sandwich, b.block.conj().T @ density @ c.block.conj().T)
+
+
+def test_a_cached_first_factor_does_not_keep_the_density_or_last_factor_alive():
+    rng = np.random.default_rng(6)
+    _, pool = _factor_pool(2, rng)
+    eye = identity_encoding(4)
+    c = encode_unitary(np.linalg.qr(rng.normal(size=(4, 4)))[0])
+    density = random_density_matrix(rng, 4)
+    p = product([eye, chebyshev_encoding(pool[0], 2), c])
+    assert abs(_density_trace(p, density) - np.vdot(density, p.block)) <= 12 * 4**3 * U
+    assert identity_encoding(4) is eye and eye._sandwich_memo is not None
+    dead_density, dead_factor = weakref.ref(density), weakref.ref(c)
+    del density, c, p
+    gc.collect()
+    assert dead_density() is None and dead_factor() is None

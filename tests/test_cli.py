@@ -599,6 +599,15 @@ def test_missing_input_file(workdir, capsys, args):
     assert f"error: cannot read {missing}: No such file or directory" in capsys.readouterr().err
 
 
+def test_input_files_may_start_with_a_utf8_byte_order_mark(workdir):
+    (workdir / "bom_h.txt").write_text("\ufeff1.0 ZZ\n", encoding="utf-8")
+    (workdir / "bom_state.txt").write_text("\ufeffbasis 0\n", encoding="utf-8")
+    assert _run(["dos", "--hamiltonian", workdir / "bom_h.txt", "--moments", "2",
+                 "--output", workdir / "dos.csv"]) == 0
+    assert _run(["ldos", "--hamiltonian", workdir / "bom_h.txt", "--moments", "2",
+                 "--state", workdir / "bom_state.txt", "--output", workdir / "ldos.csv"]) == 0
+
+
 def test_correlate_time_must_be_a_number(workdir, capsys):
     rc = _run(
         ["correlate", "--hamiltonian", workdir / "hz.txt", "--observable", workdir / "hx.txt",

@@ -328,9 +328,11 @@ def test_estimate_complex_sampled_budget():
 
 def test_a_response_sketch_forms_no_part_adjoint_or_shifted_block(tmp_path, monkeypatch):
     """At MAX_QUBITS, `response --moments 4` reads every Tr(rho .) through
-    the rules: no block of a pair sum, an adjoint, a relabel or a shifted
-    encoding is formed. Formations are counted through the one helper that
-    forms a recorded rule's block."""
+    the rules: no block of a product B T_n C, a pair sum, an adjoint, a
+    relabel or a shifted encoding is formed. Formations are counted
+    through the one helper that forms a recorded rule's block. The
+    sandwich B^dagger rho C^dagger that reads the products' traces is
+    formed once for the sketch, not once per moment."""
     q = cli.MAX_QUBITS
     terms = [f"1.0 {'I' * i}ZZ{'I' * (q - i - 2)}" for i in range(q - 1)]
     terms += [f"0.7 {'I' * i}X{'I' * (q - i - 1)}" for i in range(q)]
@@ -346,6 +348,14 @@ def test_a_response_sketch_forms_no_part_adjoint_or_shifted_block(tmp_path, monk
         return form(enc)
 
     monkeypatch.setattr(block_encoding, "_form_block", counting_form)
+    sandwiches = []
+    sandwich = block_encoding._sandwich
+
+    def recording_sandwich(*args):
+        sandwiches.append(sandwich(*args))
+        return sandwiches[-1]
+
+    monkeypatch.setattr(block_encoding, "_sandwich", recording_sandwich)
     argv = ["response", "--hamiltonian", str(tmp_path / "h.txt"), "--moments", "4",
             "--mode", "sampled", "--seed", "1",
             "--observable-b", str(tmp_path / "b.txt"), "--observable-c", str(tmp_path / "c.txt"),
@@ -353,13 +363,18 @@ def test_a_response_sketch_forms_no_part_adjoint_or_shifted_block(tmp_path, monk
     assert cli.main(argv) == 0
     assert len((tmp_path / "out.csv").read_text().splitlines()) == 1 + 5
     assert formed == []
+    # One read per moment (each product remembers its trace), all of one
+    # array: the recorded list keeps every returned array alive, so a
+    # sandwich formed per moment would show distinct ids.
+    assert len(sandwiches) == 5
+    assert len({id(s) for s in sandwiches}) == 1
 
     # The count sees formations: a part's block forms its relabel, the pair
-    # sum and the adjoint below it.
+    # sum, the adjoint below it and the product g.
     g = product([encode_pauli_sum(PauliSum.from_terms([(1.0, "Z")])), encode_unitary(X)])
     part = hermitian_part_encoding(g)
     assert np.array_equal(part.block, (g.block + g.block.conj().T) / 2)
-    assert len(formed) == 3
+    assert len(formed) == 4
 
 
 def test_result_json_shape():

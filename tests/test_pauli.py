@@ -171,6 +171,14 @@ def test_parse_file_reports_unreadable_path(tmp_path):
         parse_pauli_file(binary)
 
 
+def test_parse_file_drops_a_utf8_byte_order_mark(tmp_path):
+    """Some editors start a UTF-8 file with U+FEFF; it is not part of the
+    first coefficient."""
+    bom = tmp_path / "bom.txt"
+    bom.write_text("\ufeff1.0 ZZ\n0.5 XI\n", encoding="utf-8")
+    assert parse_pauli_file(bom) == parse_pauli_text("1.0 ZZ\n0.5 XI\n")
+
+
 def _per_term_matrix(s):
     """The matrix of s with one fancy-indexed add per term, as
     `pauli_sum_matrix` once built it: the reference for the one-pass scatter."""

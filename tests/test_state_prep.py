@@ -20,6 +20,7 @@ from blocksketch.pauli import PauliSum, pauli_sum_matrix
 from blocksketch.state_prep import (
     PreparationUnitary,
     exact_amplification_params,
+    parse_state_file,
     parse_state_text,
     prepare_basis_state,
     prepare_maximally_mixed,
@@ -204,6 +205,12 @@ def test_parse_state_text():
         parse_state_text("squeezed 1", 2)
     with pytest.raises(ParseError):
         parse_state_text("basis 7", 4)
+
+
+def test_parse_state_file_drops_a_utf8_byte_order_mark(tmp_path):
+    bom = tmp_path / "bom.txt"
+    bom.write_text("\ufeffbasis 1\n", encoding="utf-8")
+    assert np.array_equal(reduced_density(parse_state_file(bom, 2)), np.diag([0.0, 1.0]))
 
 
 def test_parse_state_complex_amplitudes():
