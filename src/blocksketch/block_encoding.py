@@ -19,22 +19,23 @@ An encoding is built in one of three ways:
   `identity_encoding`, `encode_unitary` and the rules of `spectral`
   compute the new block from their inputs' blocks and record the norm
   bound the rule proves;
-- by a rule that records itself: `product`, `linear_combine`, `adjoint`
-  and the relabels (`normalized`, `_relabeled`) check and record every
-  ledger from their inputs' ledgers, but form the block only when
-  `.block` is first read (by tests, `hermitian_gap`, `repr`,
-  `dataclasses.replace`, or a rule of the first kind taking the value as
-  input), with the same arithmetic in the same order, and cache it
-  read-only. The estimators do not read it: `_density_trace` reads
-  Tr(rho B) through the rule, from the traces of the formed blocks at
-  its leaves. A product of k >= 3 factors is read as one np.vdot,
+- by a rule that records itself: `product`, `linear_combine` and
+  `adjoint` check and record every ledger from their inputs' ledgers, but
+  form the block only when `.block` is first read (by tests,
+  `hermitian_gap`, `repr`, `dataclasses.replace`, or a rule of the first
+  kind taking the value as input), with the same arithmetic in the same
+  order, and cache it read-only. The estimators do not read it:
+  `_density_trace` reads Tr(rho B) through the rule, from the traces of
+  the formed blocks at its leaves. A product of k >= 3 factors is read as one np.vdot,
   Tr(rho P_1 M P_k) = vdot(P_1^dagger rho P_k^dagger, M) with
   M = P_2 ... P_{k-1}; the sandwich P_1^dagger rho P_k^dagger is
   remembered on the first factor for the last density and last factor
   (weakly held), so the products B T_n C of a response sketch, which
   share B, C and rho, form it once. Two factors are read as
   vdot(P_1^dagger rho, P_2), and every product remembers its own trace
-  for the last density;
+  for the last density. The relabels (`normalized`, `_relabeled`) add no
+  rule of their own: they record new ledgers over their input's rule, or
+  over its formed block when it has none;
 - by measurement: ``BlockEncoding(block, ancilla_dim, system_dim, scale,
   accuracy, cost, circuit=...)`` for a block with no rule behind it, whose
   spectral norm is measured by an SVD. `dataclasses.replace`, which passes
@@ -224,21 +225,6 @@ class _Adjoint:
         return _density_trace(self.b, density).conjugate()
 
 
-class _Relabel:
-    """The recorded rule B under new ledgers: B's own block and trace."""
-
-    __slots__ = ("b",)
-
-    def __init__(self, b):
-        self.b = b
-
-    def form(self) -> np.ndarray:
-        return self.b.block
-
-    def trace(self, density) -> complex:
-        return _density_trace(self.b, density)
-
-
 class _Product:
     """The recorded rule P_1 ... P_k over k >= 2 encodings: its block is
     the left fold of theirs, and its trace one np.vdot (module docstring),
@@ -364,7 +350,7 @@ def _by_rule(
     circuit,
 ) -> BlockEncoding:
     """An encoding whose block an arithmetic rule computed, or whose
-    recorded rule (`_Product`, `_Sum`, `_Adjoint`, `_Relabel`) forms it on
+    recorded rule (`_Product`, `_Sum`, `_Adjoint`) forms it on
     first access, with the norm bound that rule proves, checked without an
     SVD, and Hermitian where the rule proves it (see the module docstring).
 
@@ -437,10 +423,11 @@ def identity_encoding(system_dim: int) -> BlockEncoding:
 
 def _relabeled(b: BlockEncoding, scale: float, hermitian: bool) -> BlockEncoding:
     """b's block, norm bound, circuit and other ledgers under a new scale
-    and Hermitian ledger, which the caller's rule justifies. The block is
-    b's own array, read when first asked for."""
+    and Hermitian ledger, which the caller's rule justifies: b's recorded
+    rule, whose block the relabel forms on first access with the same
+    arithmetic, or else b's own formed array."""
     return _by_rule(
-        _Relabel(b),
+        b.block if b._rule is None else b._rule,
         b.norm_bound,
         hermitian=hermitian,
         ancilla_dim=b.ancilla_dim,

@@ -2,19 +2,23 @@
 
 Provides Clenshaw evaluation, proven sup-norm bounds, a proven Chebyshev
 interpolant of an entire function, the error-function window built on it,
-the Bernoulli-tail amplifying polynomial and series composition, and
-kernel-polynomial reconstruction from Chebyshev moments.
+and kernel-polynomial reconstruction from Chebyshev moments. The
+Bernoulli-tail amplifier (`amplifier_value`, `amplifying_poly`) and series
+composition (`compose`) built the paper's Jackson-times-amplifier window, and
+no package code has called them since the window became one erf
+interpolant. They stay public only because `perfbench/spans.py` traces
+`compose` and `amplifying_poly` by name; the benchmark rework (ROADMAP item
+20) deletes all three.
 
 A series is evaluated three ways. `ChebyshevPoly.__call__` and
 `kpm_reconstruct` run Clenshaw's recurrence (`chebval`). The window's
 series at P points is the cosine sum sum_m c_m cos(m theta) taken in
 blocks of w = ceil(sqrt(n + 1)) orders (`_cosine_sum`): 2 P (w + (n+1)/w)
-cosines and sines instead of P (n + 1) cosines. At the extrema
-cos(j pi / M) of an even M with M/2 >= n + 1, the odd j are the
-first-kind nodes of the half grid (a DCT-III) and the even j its extrema;
-the grid halves r times, until it is odd or below 2(n + 1), and one DCT-I
-finishes it, so the FFT lengths add up to M + M/2^r rather than 2M
-(`cheb_values_at_extrema`).
+cosines and sines instead of P (n + 1) cosines. At the M + 1 extrema
+cos(j pi / M), M >= n, the values are one DCT-I (`cheb_values_at_extrema`),
+and one DCT-I takes values there back to the interpolant's coefficients
+(`_fit_at_extrema`): every fit and grid value of this module runs through
+that one transform.
 
 Two proofs are made here, neither a sampled check.
 
@@ -44,12 +48,9 @@ amplifier, degree n k = 119,040 at eta = 0.025; this construction meets
 the same (kappa, tau) guarantee at a proven degree of 5,120. The `cost`
 report keeps the paper's degree formula.
 
-The package needs numpy alone. The cosine transforms are numpy FFTs: a
-DCT-I is the real FFT of the even extension, and a DCT-II or DCT-III is
-one half-spectrum real FFT after Makhoul's reordering (J. Makhoul, "A fast
-cosine transform in one and two dimensions", IEEE Trans. ASSP 28, 1980).
-The error function is `math.erf`, and the amplifier is its binomial tail
-sum.
+The package needs numpy alone. The DCT-I is the real FFT of the even
+extension, the error function is `math.erf`, and the amplifier is its
+binomial tail sum.
 """
 
 from __future__ import annotations
@@ -151,96 +152,38 @@ def _dct1(x: np.ndarray) -> np.ndarray:
     return np.fft.rfft(np.concatenate([x, x[-2:0:-1]])).real.copy()
 
 
-def _dct2(x: np.ndarray) -> np.ndarray:
-    """DCT-II, y_k = 2 sum_j x_j cos(pi k (2j+1)/(2N)), by Makhoul's reordering.
-
-    With z_k = e^{-i pi k/(2N)} V_k, V the FFT of the reordering
-    v = (x_0, x_2, ..., x_3, x_1), y_k = 2 Re z_k and y_{N-k} = -2 Im z_k,
-    so half the spectrum is enough.
-    """
-    n = x.size
-    half = n // 2
-    z = np.fft.rfft(np.concatenate([x[::2], x[1::2][::-1]]))[: half + 1]
-    z *= np.exp(-0.5j * np.pi / n * np.arange(half + 1))
-    y = np.empty(n)
-    y[: half + 1] = 2.0 * z.real
-    y[half + 1 :] = -2.0 * z.imag[n - half - 1 : 0 : -1]
-    return y
-
-
-def _dct3(x: np.ndarray) -> np.ndarray:
-    """DCT-III, y_k = x_0 + 2 sum_{j>=1} x_j cos(pi j (2k+1)/(2N)), the inverse
-    of `_dct2` up to the factor 2N, by undoing Makhoul's reordering."""
-    n = x.size
-    k = np.arange(n // 2 + 1)
-    mirrored = np.concatenate([[0.0], x[:0:-1]])[k]  # x_{N-k}, with x_N = 0
-    return _undo_reordering((x[k] - 1j * mirrored) * np.exp(0.5j * np.pi / n * k), n)
-
-
-def _undo_reordering(u: np.ndarray, n: int) -> np.ndarray:
-    """The DCT-III of length n from its pre-twiddled half spectrum
-    u_k = (x_k - i x_{n-k}) e^{i pi k/(2n)}, k = 0..n/2."""
-    v = np.fft.irfft(u, n, norm="forward")
-    y = np.empty(n)
-    y[::2] = v[: (n + 1) // 2]
-    y[1::2] = v[(n + 1) // 2 :][::-1]
-    return y
-
-
-def cheb_values_at_nodes(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """Values of a Chebyshev series at the m first-kind nodes cos(pi(i+1/2)/m).
-
-    Exact (up to roundoff) whenever m >= len(coeffs); computed with a DCT-III
-    in O(m log m). When len(coeffs) <= m/2 the zero-padded input has
-    x_{m-k} = 0 for every k <= m/2, so only its nonzero entries are
-    pre-twiddled, by the operations `_dct3` applies to them.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.size > m:
-        raise ValueError("need at least as many nodes as coefficients")
-    if 2 * coeffs.size > m:
-        work = np.zeros(m)
-        work[0] = coeffs[0]
-        work[1 : coeffs.size] = coeffs[1:] / 2.0
-        return _dct3(work)
-    head = np.empty(coeffs.size)
-    head[0] = coeffs[0]
-    head[1:] = coeffs[1:] / 2.0
-    u = np.zeros(m // 2 + 1, dtype=complex)
-    u[: coeffs.size] = head * np.exp(0.5j * np.pi / m * np.arange(coeffs.size))
-    return _undo_reordering(u, m)
-
-
 def cheb_values_at_extrema(coeffs: np.ndarray, m: int) -> np.ndarray:
     """Values of a Chebyshev series at the m + 1 extrema cos(pi j/m), j = 0..m.
 
-    Exact (up to roundoff) whenever m >= degree; computed in O(m log m) by
-    `_values_at_extrema`.
+    Exact (up to roundoff) whenever m >= degree; one DCT-I of length m + 1,
+    in O(m log m).
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.size > m + 1:
         raise ValueError("need m at least the degree of the series")
-    return _values_at_extrema(coeffs, m)
+    work = np.zeros(m + 1)
+    work[: coeffs.size] = coeffs / 2.0
+    work[0] = coeffs[0]
+    if coeffs.size == m + 1:
+        work[m] = coeffs[m]
+    return _dct1(work)
 
 
-def _values_at_extrema(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """The values at cos(pi j/m). For even m with m/2 >= n + 1 the even j
-    are the extrema of the half grid, and the odd j = 2i + 1 its first-kind
-    nodes cos(pi (i + 1/2)/(m/2)), which a DCT-III of length m/2 gives; so
-    the grid halves until it is odd or too coarse for the nodes, and that
-    last grid takes one DCT-I."""
-    half = m // 2
-    if m % 2 or half < coeffs.size:
-        work = np.zeros(m + 1)
-        work[: coeffs.size] = coeffs / 2.0
-        work[0] = coeffs[0]
-        if coeffs.size == m + 1:
-            work[m] = coeffs[m]
-        return _dct1(work)
-    values = np.empty(m + 1)
-    values[::2] = _values_at_extrema(coeffs, half)
-    values[1::2] = cheb_values_at_nodes(coeffs, half)
-    return values
+def _extrema(n: int) -> np.ndarray:
+    """The n + 1 extrema cos(pi j / n), j = 0..n, formed as
+    sin(pi (n - 2j) / (2n)), so that x_{n-j} = -x_j exactly, within 6u of
+    the cosine (see `_proven_interpolant`); n >= 1."""
+    return np.sin(np.pi / (2 * n) * np.arange(n, -n - 1, -2))
+
+
+def _fit_at_extrema(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant of the values at the n + 1
+    extrema of `_extrema(n)`: one DCT-I divided by n, with the two end
+    coefficients halved. The inverse of `cheb_values_at_extrema(., n)`;
+    n >= 1."""
+    coeffs = _dct1(values) / (values.size - 1)
+    coeffs[[0, -1]] /= 2.0
+    return coeffs
 
 
 def _next_even_5_smooth(m: int) -> int:
@@ -351,31 +294,12 @@ def _proven_interpolant(f, n: int, target: float, sample_error: float) -> tuple[
       16 sqrt(n + 1) log2(2n) u max |f| in sum |c_k|.
     - The division by n adds u sum |c_k|.
     The caller checks the degree first: nothing here bounds it."""
-    values = f(np.sin(np.pi / (2 * n) * np.arange(n, -n - 1, -2)))
-    coeffs = _dct1(values) / n
-    coeffs[[0, -1]] /= 2.0
+    values = f(_extrema(n))
+    coeffs = _fit_at_extrema(values)
     lebesgue = 2.0 / math.pi * math.log(n + 1) + 1.0
     transform = 16.0 * math.sqrt(n + 1) * math.log2(2 * n) * float(np.max(np.abs(values)))
     roundoff = lebesgue * sample_error + (transform + float(np.sum(np.abs(coeffs)))) * _U
     return coeffs, target + roundoff
-
-
-def cheb_fit_at_nodes(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients interpolating values at the first-kind nodes.
-
-    Inverse of cheb_values_at_nodes; exact for polynomials of degree
-    < len(values).
-    """
-    values = np.asarray(values, dtype=float)
-    m = values.size
-    c = _dct2(values) / m
-    c[0] /= 2.0
-    return c
-
-
-def first_kind_nodes(m: int) -> np.ndarray:
-    """The first-kind nodes cos(pi (i + 1/2)/m), i = 0..m-1."""
-    return np.cos(np.pi * (np.arange(m) + 0.5) / m)
 
 
 def jackson_damping(n: int) -> np.ndarray:
@@ -391,7 +315,8 @@ def amplifier_value(k: int, y):
     """The order-k amplifying polynomial: the probability that a
     Binomial(k, p) variable, p = (1+y)/2, reaches k/2, as its tail sum
     sum_{j>=m} C(k, j) p^j (1-p)^(k-j) with m = ceil(k/2). The sum runs one
-    term at a time, so memory stays that of the points."""
+    term at a time, so memory stays that of the points. Unused by the
+    package (see the module docstring)."""
     m = (k + 1) // 2
     p = np.clip((1.0 + np.asarray(y, dtype=float)) / 2.0, 0.0, 1.0)
     q = 1.0 - p
@@ -403,11 +328,12 @@ def amplifier_value(k: int, y):
 
 def amplifying_poly(k: int) -> ChebyshevPoly:
     """Bernoulli-tail polynomial of degree k: maps [3/5, 1] to within
-    e^{-k/6} of 1 and [-1, -3/5] to within e^{-k/6} of 0, monotonically."""
+    e^{-k/6} of 1 and [-1, -3/5] to within e^{-k/6} of 0, monotonically,
+    interpolated at the k + 1 extrema. Unused by the package (see the
+    module docstring)."""
     if k < 1:
         raise OutOfRangeError("amplifier order must be at least 1")
-    nodes = first_kind_nodes(k + 1)
-    coeffs = cheb_fit_at_nodes(amplifier_value(k, nodes))
+    coeffs = _fit_at_extrema(amplifier_value(k, _extrema(k)))
     # Values are probabilities, so sup |A_k| = 1 on [-1, 1] by construction.
     ends = chebval(np.array([-1.0, 1.0]), coeffs)
     if abs(ends[0]) > 1e-9 or abs(ends[1] - 1.0) > 1e-9:
@@ -419,20 +345,22 @@ def compose(outer: ChebyshevPoly, inner: ChebyshevPoly, scale_inner: float) -> C
     """Coefficients of outer(scale_inner * inner(x)).
 
     The scaled inner values must stay within [-1, 1] (outer's certified
-    domain); recovered by interpolation at deg(outer)*deg(inner) + 1
-    Chebyshev nodes, which is exact for the composed polynomial.
+    domain); recovered by interpolation at the d + 1 extrema,
+    d = deg(outer) deg(inner), which is exact for the composed polynomial;
+    a constant outer or inner gives a constant. Unused by the package (see
+    the module docstring).
     """
     reach = abs(scale_inner) * inner.sup_norm_bound
     if reach > 1.0 + 1e-9:
         raise RangeViolationError(
             f"scaled inner polynomial reaches {reach:.6g} > 1 on [-1, 1]"
         )
-    if outer.degree == 0:
-        return _proven(outer.coeffs, abs(float(outer.coeffs[0])))
+    if outer.degree == 0 or inner.degree == 0:
+        value = float(chebval(scale_inner * inner.coeffs[0], outer.coeffs))
+        return _proven([value], abs(value))
     d = outer.degree * inner.degree
-    inner_vals = cheb_values_at_nodes(inner.coeffs, d + 1) * scale_inner
-    outer_vals = chebval(inner_vals, outer.coeffs)
-    coeffs = cheb_fit_at_nodes(outer_vals)
+    inner_vals = cheb_values_at_extrema(inner.coeffs, d) * scale_inner
+    coeffs = _fit_at_extrema(chebval(inner_vals, outer.coeffs))
     return _proven(coeffs, outer.sup_norm_bound)
 
 

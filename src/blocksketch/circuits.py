@@ -23,7 +23,8 @@ its purifier mirror) for the maximally mixed state, a QR completion of
 the vector otherwise.
 
 Also the model the amplitude-estimation tests check the sin^2((2k+1)
-theta) law against: `AmplitudeProblem` and its `grover_operator`.
+theta) law against: `AmplitudeProblem` and its `grover_operator`, which
+reflects about the good subspace first and then about psi.
 """
 
 from __future__ import annotations
@@ -309,9 +310,10 @@ class AmplitudeProblem:
 
 
 def grover_operator(p: AmplitudeProblem) -> np.ndarray:
-    """-(I - 2 Pi)(I - 2 |psi><psi|): a rotation by twice the Grover angle
-    on the plane spanned by Pi|psi> and its complement."""
+    """-(I - 2 |psi><psi|)(I - 2 Pi), the good subspace flipped first
+    (Brassard, Hoyer, Mosca and Tapp 2002), so that ||Pi Q^k psi||^2 =
+    sin^2((2k + 1) theta) with sin theta = ||Pi psi||."""
     eye = np.eye(p.psi.size)
     reflect_state = eye - 2.0 * np.outer(p.psi, p.psi.conj())
     reflect_proj = eye - 2.0 * p.projector
-    return -reflect_proj @ reflect_state
+    return -reflect_state @ reflect_proj

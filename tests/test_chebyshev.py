@@ -14,9 +14,7 @@ from blocksketch.chebyshev import (
     ChebyshevPoly,
     amplifier_value,
     amplifying_poly,
-    cheb_fit_at_nodes,
     cheb_values_at_extrema,
-    cheb_values_at_nodes,
     certificate_extrema,
     certified_sup,
     chebyshev_t,
@@ -100,6 +98,14 @@ def test_compose_nested_agreement(rng):
     xs = rng.uniform(-1, 1, size=1000)
     nested = (1.0 + 0.8 * j(xs)) / 2.0
     assert np.max(np.abs(w(xs) - nested)) < 1e-8
+
+
+def test_compose_with_a_constant_inner_series_is_a_constant():
+    inner = ChebyshevPoly(np.array([0.4]))
+    out = compose(chebyshev_t(3), inner, 0.5)
+    assert out.degree == 0
+    assert out.coeffs[0] == pytest.approx(chebval(0.2, chebyshev_t(3).coeffs), abs=1e-15)
+    assert out.sup_norm_bound == abs(out.coeffs[0])
 
 
 def test_compose_range_violation():
@@ -375,26 +381,22 @@ TRANSFORM_SIZES = (2, 3, 4, 5, 8, 31, 32, 33, 257)
 
 def _direct_dct(x, kind):
     """The O(N^2) cosine sums of the DCT of type `kind`, with each integer
-    phase reduced modulo its period before the cosine."""
+    phase reduced modulo its period before the cosine. Only type 1, the
+    module's one transform, is written out."""
+    assert kind == 1
     n = x.size
     j = np.arange(n)
     k = j[:, None]
-    if kind == 1:
-        weights = np.full(n, 2.0)
-        weights[[0, -1]] = 1.0
-        return (np.cos(np.pi * (k * j % (2 * (n - 1))) / (n - 1)) * weights) @ x
-    if kind == 2:
-        return 2.0 * np.cos(np.pi * (k * (2 * j + 1) % (4 * n)) / (2 * n)) @ x
     weights = np.full(n, 2.0)
-    weights[0] = 1.0
-    return (np.cos(np.pi * (j * (2 * k + 1) % (4 * n)) / (2 * n)) * weights) @ x
+    weights[[0, -1]] = 1.0
+    return (np.cos(np.pi * (k * j % (2 * (n - 1))) / (n - 1)) * weights) @ x
 
 
-@pytest.mark.parametrize("kind", [1, 2, 3])
+@pytest.mark.parametrize("kind", [1])
 @pytest.mark.parametrize("n", TRANSFORM_SIZES)
 def test_cosine_transforms_match_the_direct_sums(kind, n):
     x = np.random.default_rng(n).normal(size=n)
-    got = {1: chebyshev._dct1, 2: chebyshev._dct2, 3: chebyshev._dct3}[kind](x)
+    got = chebyshev._dct1(x)
     want = _direct_dct(x, kind)
     assert got.shape == (n,)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -402,11 +404,21 @@ def test_cosine_transforms_match_the_direct_sums(kind, n):
 
 @pytest.mark.parametrize("n", TRANSFORM_SIZES)
 def test_node_values_and_node_fit_invert_each_other(n):
+    """The nodes are the extrema (second-kind Chebyshev points): the fit
+    at m + 1 of them inverts the values there, for m >= the degree."""
     coeffs = np.random.default_rng(n).normal(size=n)
-    for m in (n, n + 3):
-        fitted = cheb_fit_at_nodes(cheb_values_at_nodes(coeffs, m))
+    for m in (n - 1, n + 3):
+        fitted = chebyshev._fit_at_extrema(cheb_values_at_extrema(coeffs, m))
+        assert fitted.shape == (m + 1,)
         assert np.max(np.abs(fitted[:n] - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
         assert np.max(np.abs(fitted[n:]), initial=0.0) <= 1e-13 * np.max(np.abs(coeffs))
+
+
+def test_extrema_are_the_cosines_and_odd_exactly():
+    for n in (1, 2, 7, 960, 5120):
+        x = chebyshev._extrema(n)
+        assert np.max(np.abs(x - np.cos(np.pi * np.arange(n + 1) / n))) <= 6 * 2.0**-53
+        assert np.array_equal(x, -x[::-1])
 
 
 def _is_5_smooth(m):
@@ -501,14 +513,14 @@ def test_blocked_cosine_sum_of_a_point_does_not_depend_on_the_others(monkeypatch
 @pytest.mark.parametrize(
     "n, m",
     [
-        (40, 82),  # even m with m/2 = n + 1: one halving
-        (40, 320),  # m = 8 n: halves to 80, where m/2 = n takes the DCT-I
-        (40, 80),  # m/2 = n: the DCT-I directly
+        (40, 82),
+        (40, 320),  # m = 8 n, as on a certificate grid
+        (40, 80),
         (40, 81),  # odd m
         (0, 8),
     ],
 )
-def test_values_at_extrema_on_both_paths_match_chebval(n, m):
+def test_values_at_extrema_by_one_dct1_match_chebval(n, m):
     coeffs = np.random.default_rng(m).normal(size=n + 1)
     got = cheb_values_at_extrema(coeffs, m)
     assert got.shape == (m + 1,)
@@ -527,17 +539,6 @@ def test_values_at_extrema_on_the_certificate_grid_match_the_direct_sums():
     phases = np.multiply.outer(j, np.arange(n + 1)) % (2 * m)
     want = np.cos(np.pi * phases / m) @ coeffs
     assert np.max(np.abs(got[j] - want)) <= 1e-13 * np.sum(np.abs(coeffs))
-
-
-@pytest.mark.parametrize("m", [*TRANSFORM_SIZES, 15_360])
-def test_padded_node_values_skip_the_zero_padding_bit_for_bit(m):
-    rng = np.random.default_rng(m)
-    for size in sorted({1, 2, m // 4 + 1, m // 2, 3841} & set(range(1, m // 2 + 1))):
-        coeffs = rng.normal(size=size)
-        padded = np.zeros(m)
-        padded[0] = coeffs[0]
-        padded[1:size] = coeffs[1:] / 2.0
-        assert np.array_equal(cheb_values_at_nodes(coeffs, m), chebyshev._dct3(padded))
 
 
 def _erf_window(x, a_bar, b_bar, kappa, s):

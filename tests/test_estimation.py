@@ -86,6 +86,23 @@ def test_grover_rotation_angle(rng):
         assert np.min(np.abs(phases + 2 * theta)) < 1e-9
 
 
+def test_grover_powers_follow_the_sin_squared_law(rng):
+    """||Pi Q^k psi||^2 = sin^2((2k + 1) theta), sin theta = ||Pi psi||,
+    for random psi and random (not diagonal) projectors Pi."""
+    for _ in range(10):
+        psi = random_state_vector(rng, 8)
+        rank = int(rng.integers(1, 8))
+        basis, _ = np.linalg.qr(rng.normal(size=(8, rank)) + 1j * rng.normal(size=(8, rank)))
+        p = AmplitudeProblem(psi, basis @ basis.conj().T)
+        theta = math.asin(p.true_amplitude())
+        q = grover_operator(p)
+        state = p.psi
+        for k in range(6):
+            good = np.linalg.norm(p.projector @ state) ** 2
+            assert good == pytest.approx(math.sin((2 * k + 1) * theta) ** 2, abs=1e-10)
+            state = q @ state
+
+
 def test_amplitude_problem_validation():
     psi = np.array([1.0, 0.0])
     with pytest.raises(NotNormalizedError):
@@ -369,12 +386,12 @@ def test_a_response_sketch_forms_no_part_adjoint_or_shifted_block(tmp_path, monk
     assert len(sandwiches) == 5
     assert len({id(s) for s in sandwiches}) == 1
 
-    # The count sees formations: a part's block forms its relabel, the pair
-    # sum, the adjoint below it and the product g.
+    # The count sees formations: a part's block forms its pair sum (the
+    # relabel reads the pair's rule), the adjoint below it and the product g.
     g = product([encode_pauli_sum(PauliSum.from_terms([(1.0, "Z")])), encode_unitary(X)])
     part = hermitian_part_encoding(g)
     assert np.array_equal(part.block, (g.block + g.block.conj().T) / 2)
-    assert len(formed) == 4
+    assert len(formed) == 3
 
 
 def test_result_json_shape():
