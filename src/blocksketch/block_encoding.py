@@ -82,6 +82,23 @@ encoding stay unproven.
 ``norm_bound`` and ``hermitian`` are not constructor arguments, so no
 caller can assert a bound or a symmetry for an arbitrary block.
 
+The dtype rule. A block, purification or density is float64 where its
+entries are real by construction, and complex128 otherwise; the dtype is
+read from how the value was built, never from scanning its entries.
+`encode_pauli_sum` is real when every word has an even number of Y
+letters (`pauli._scatter`), `identity_encoding` is real, and every rule
+keeps numpy's dtype: `product`, `adjoint`, the relabels,
+`linear_combine` (unless a phase is complex) and the rules of `spectral`
+stay real over real inputs (`spectral`). A preparation is real for the
+Bell pairs of I/D, basis states, real vectors and `pure` directives whose
+imaginary parts are all zero, and so is its density (`state_prep`). A
+real block equals the real part of the complex block the same rule would
+form, up to the roundoff of real against complex matrix products (bit for
+bit for `encode_pauli_sum`), and a trace against a real density is read
+in real arithmetic. Measured encodings, `encode_unitary`, evolution
+encodings, thermal states, `pauli.pauli_sum_matrix` and the `circuits`
+unitaries, which are read-only, stay complex.
+
 All values are immutable and all operations pure.
 """
 
@@ -106,7 +123,7 @@ from .errors import (
     NotUnitaryError,
     OutOfRangeError,
 )
-from .pauli import PauliSum, pauli_sum_matrix, pauli_word_matrix
+from .pauli import PauliSum, _scatter, pauli_word_matrix
 
 CONTRACTION_TOL = 1e-10
 
@@ -195,11 +212,14 @@ class _Sum:
 
     def form(self) -> np.ndarray:
         d = self.encodings[0].system_dim
+        blocks = [b.block for b in self.encodings]
+        real = all(p.imag == 0.0 for p in self.phases)
         # A running sum from +0, which also turns the first term's -0
-        # entries into +0 as sum() from 0 would.
-        block = np.zeros((d, d), dtype=complex)
-        for w, p, b in zip(self.weights, self.phases, self.encodings):
-            block += w * p * b.block
+        # entries into +0 as sum() from 0 would. It is real when every
+        # block is and every phase, of imaginary part 0, is read as real.
+        block = np.zeros((d, d), dtype=np.result_type(*blocks, float if real else complex))
+        for w, p, m in zip(self.weights, self.phases, blocks):
+            block += w * (p.real if block.dtype == float else p) * m
         return block
 
     def trace(self, density) -> complex:
@@ -354,13 +374,12 @@ def _by_rule(
     first access, with the norm bound that rule proves, checked without an
     SVD, and Hermitian where the rule proves it (see the module docstring).
 
-    Package-private: a computed block is taken as it is (no copy) and must
-    be a fresh array or an already read-only input block.
+    Package-private: a computed block, float64 or complex128 by the dtype
+    rule (module docstring), is taken as it is (no copy) and must be a
+    fresh array or an already read-only input block.
     """
     enc = object.__new__(BlockEncoding)
-    if isinstance(block, np.ndarray):
-        block = np.asarray(block, dtype=complex)
-    else:
+    if not isinstance(block, np.ndarray):
         enc.__dict__["_rule"] = block
         block = None
     _set_fields(
@@ -413,12 +432,13 @@ def hermitian_block(b: BlockEncoding) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def identity_encoding(system_dim: int) -> BlockEncoding:
-    """The identity as its own exact encoding: block I, norm bound 1.
+    """The identity as its own exact encoding: block I (float64), norm
+    bound 1.
 
     One value per dimension, built on first use and shared while the
-    dimension is among the last four asked for; its block, which is also
-    its unitary, is read-only."""
-    return _own_block(np.eye(system_dim, dtype=complex), 0.0, 0, hermitian=True)
+    dimension is among the last four asked for; its block and its
+    (complex) unitary are read-only."""
+    return _own_block(np.eye(system_dim), 0.0, 0, hermitian=True)
 
 
 def _relabeled(b: BlockEncoding, scale: float, hermitian: bool) -> BlockEncoding:
@@ -450,15 +470,19 @@ def encode_pauli_sum(s: PauliSum) -> BlockEncoding:
 
     The block is sum_i (beta_i / alpha) P_i with scale alpha = sum |beta_i|;
     it is exact, the cost is the number of terms, and the ancilla is the
-    power-of-two prepare register of `circuits.pauli_sum_circuit`.
+    power-of-two prepare register of `circuits.pauli_sum_circuit`. It is
+    float64 when every word has an even number of Y letters (`pauli._scatter`),
+    and then equals the real part of pauli_sum_matrix(s) / alpha bit for
+    bit: numpy divides a complex array by the real alpha as a product with
+    1 / alpha, so the real block is scaled by that product too.
 
-    Hermitian ledger: `pauli.pauli_sum_matrix` scatters every term in one
+    Hermitian ledger: `pauli._scatter` scatters every term in one
     unbuffered add, in term order, so each entry (j xor x, j) sums its real
     coefficients times +-1 or +-i in term order from +0.0. A Pauli
     word is Hermitian, so entries (r, c) and (c, r) receive the same
     real parts and negated imaginary parts, term by term and in the same
     order; as rounding is symmetric under negation, the sums are
-    conjugates, and so are their quotients by the real alpha. Diagonal
+    conjugates, and so are their products with the real 1 / alpha. Diagonal
     entries come from words without X or Y and are real.
     """
     if not isinstance(s, PauliSum) or not s.terms:
@@ -466,11 +490,11 @@ def encode_pauli_sum(s: PauliSum) -> BlockEncoding:
     m = len(s.terms)
     alpha = s.scale()
     if not math.isfinite(1.0 / alpha):
-        # numpy divides a complex array by alpha through 1 / alpha.
         raise OutOfRangeError(f"the scale alpha = {alpha!r} is too small to divide by")
     dim_anc = 1 << max(0, (m - 1).bit_length())
     return _by_rule(
-        pauli_sum_matrix(s) / alpha,
+        _scatter([t.masks for t in s.terms], [t.coefficient for t in s.terms], s.qubits)
+        * (1.0 / alpha),
         1.0,
         hermitian=True,
         ancilla_dim=dim_anc,

@@ -96,7 +96,9 @@ class ChebyshevPoly:
     `sup_norm_bound` on sup |p(x)| over [-1, 1]: the constructor's is
     min(sum_k |c_k|, the Bernstein bound of `certified_sup`), and the
     package's constructors record the bound their construction proves.
-    No caller can assert a bound."""
+    No caller can assert a bound. The constructor refuses a degree above
+    MAX_WINDOW_DEGREE with DegreeTooLargeError before its certificate,
+    whose grid holds about 320 bytes per degree, allocates."""
 
     coeffs: np.ndarray
     sup_norm_bound: float = field(init=False)
@@ -122,6 +124,11 @@ def _set_coeffs(p: ChebyshevPoly, coeffs, bound: float | None):
         raise ValueError("coefficients must be finite")
     c.flags.writeable = False
     if bound is None:
+        if c.size - 1 > MAX_WINDOW_DEGREE:
+            raise DegreeTooLargeError(
+                f"degree {c.size - 1} is above the ceiling {MAX_WINDOW_DEGREE} "
+                "of a series whose sup-norm bound is certified"
+            )
         bound = min(float(np.sum(np.abs(c))), certified_sup(c))
     object.__setattr__(p, "coeffs", c)
     object.__setattr__(p, "sup_norm_bound", bound)

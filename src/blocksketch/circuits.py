@@ -5,7 +5,9 @@ ledgers; its circuit is ``partial(<builder of this module>, ...)``, which
 `.unitary` calls once and validates with `check_circuit_unitary`. Tests
 read it; no estimation pipeline does. This is the only module that forms
 a full ancilla (x) system or system (x) purifier matrix, and it imports
-nothing from the package but `errors`.
+nothing from the package but `errors`. Its builders accept real (float64)
+blocks and purifications as well as complex ones, and every unitary they
+build is complex; `check_circuit_unitary` returns it read-only.
 
 The layout, stated once. An encoding acts on ancilla (x) system, the
 ancilla most significant, so its block is the top-left system_dim square.
@@ -94,7 +96,8 @@ def passes_isometry_probe(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
 
 
 def check_circuit_unitary(u: np.ndarray, full_dim: int) -> np.ndarray:
-    """Validate a circuit unitary and return it as a complex array.
+    """Validate a circuit unitary and return it as a read-only complex
+    array (a view where u is already complex, so u itself stays as it is).
 
     Up to EXACT_UNITARY_DIM, u u^dagger is checked against the identity;
     above it, u must pass the isometry probe. No size goes unchecked.
@@ -109,6 +112,8 @@ def check_circuit_unitary(u: np.ndarray, full_dim: int) -> np.ndarray:
     check = is_unitary if full_dim <= EXACT_UNITARY_DIM else passes_isometry_probe
     if not check(u, UNITARY_TOL):
         raise NotUnitaryError(f"matrix is not unitary within {UNITARY_TOL:.0e}")
+    u = u.view()
+    u.setflags(write=False)
     return u
 
 

@@ -107,12 +107,16 @@ class PauliSum:
 
 
 def _scatter(masks, coefficients, qubits: int) -> np.ndarray:
-    """The complex matrix of sum_t coefficients[t] times the word with
-    masks[t]: coefficient i^(#Y) (-1)^popcount(z & j) at row j xor x of
-    each column j. One unbuffered add scatters every term, in term order,
-    onto the real parts (even #Y) or the imaginary parts (odd #Y) seen as
-    one float array, so each entry sums its terms in order from +0.0. The
-    parity is an xor fold of z & j (numpy before 2.0 has no bitwise_count)."""
+    """The matrix of sum_t coefficients[t] times the word with masks[t]:
+    coefficient i^(#Y) (-1)^popcount(z & j) at row j xor x of each column
+    j. It is float64 when every word has an even number of Y letters, whose
+    entries are then real, and complex otherwise (the dtype rule of
+    `block_encoding`). One unbuffered add scatters every term, in term
+    order, onto the entries of a real matrix, or onto the real parts (even
+    #Y) or the imaginary parts (odd #Y) of a complex one seen as one float
+    array, so each entry sums its terms in order from +0.0 and a real
+    matrix equals the real part of the complex one bit for bit. The parity
+    is an xor fold of z & j (numpy before 2.0 has no bitwise_count)."""
     dim = 1 << qubits
     x, z, num_y = (np.array(v, dtype=np.int64)[:, None] for v in zip(*masks))
     cols = np.arange(dim)
@@ -123,18 +127,20 @@ def _scatter(masks, coefficients, qubits: int) -> np.ndarray:
         shift *= 2
     signed = np.where(num_y % 4 < 2, 1.0, -1.0) * np.array(coefficients)[:, None]
     values = signed * (1 - 2 * (parity & 1))
-    # Entry (r, c) holds its real part at 2 (r dim + c) and its imaginary part after it.
-    index = 2 * ((cols ^ x) * dim + cols) + num_y % 2
-    out = np.zeros((dim, dim), dtype=complex)
+    real = not np.any(num_y % 2)
+    # Entry (r, c) is float r dim + c of a real matrix; a complex one holds
+    # its real part at 2 (r dim + c) and its imaginary part after it.
+    index = ((cols ^ x) * dim + cols) * (1 if real else 2) + num_y % 2
+    out = np.zeros((dim, dim), dtype=float if real else complex)
     np.add.at(out.reshape(-1).view(np.float64), index.reshape(-1), values.reshape(-1))
     return out
 
 
 def pauli_word_matrix(word: str) -> np.ndarray:
-    """Dense matrix of the tensor product of the Pauli letters of word."""
+    """Dense complex matrix of the tensor product of the Pauli letters of word."""
     if not word or not set(word) <= _ALPHABET:
         raise ValueError(f"not a Pauli word: {word!r}")
-    return _scatter([word_masks(word)], [1.0], len(word))
+    return _scatter([word_masks(word)], [1.0], len(word)).astype(complex, copy=False)
 
 
 def pauli_term_matrix(term: PauliTerm) -> np.ndarray:
@@ -143,8 +149,10 @@ def pauli_term_matrix(term: PauliTerm) -> np.ndarray:
 
 
 def pauli_sum_matrix(s: PauliSum) -> np.ndarray:
-    """Dense Hermitian matrix of the full sum, the terms added in order."""
-    return _scatter([t.masks for t in s.terms], [t.coefficient for t in s.terms], s.qubits)
+    """Dense complex Hermitian matrix of the full sum, the terms added in order."""
+    return _scatter(
+        [t.masks for t in s.terms], [t.coefficient for t in s.terms], s.qubits
+    ).astype(complex, copy=False)
 
 
 def parse_pauli_text(text: str, source: str = "<string>") -> PauliSum:

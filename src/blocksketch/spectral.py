@@ -11,6 +11,11 @@ circuit is the qubitized alternating word. General bounded polynomials
 are applied spectrally under the standard interface (halved block,
 accuracy and cost ledgers from the degree); their circuit is a unitary
 dilation of the halved block.
+
+Both rules keep the dtype of their input block (the dtype rule of
+`block_encoding`): a real block gives real T_n, from a real recurrence
+seeded with a real identity, and a real p(A)/2, from the real-symmetric
+`eigh`. Evolution encodings are complex.
 """
 
 from __future__ import annotations
@@ -109,14 +114,14 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
         raise ValidationError("previous must hold the T_{n-1}, T_{n-2} encodings of b")
 
     if n == 0:
-        block = np.eye(b.system_dim, dtype=complex)
+        block = np.eye(b.system_dim, dtype=a.dtype)
     elif n == 1:
         block = a
     else:
         if len(previous) == 2:
             t_1, t_2 = previous[0].block, previous[1].block
         else:
-            t_1, t_2 = a, np.eye(b.system_dim, dtype=complex)
+            t_1, t_2 = a, np.eye(b.system_dim, dtype=a.dtype)
             for _ in range(2, n):
                 t_1, t_2 = 2.0 * (a @ t_1) - t_2, t_1
         block = 2.0 * (a @ t_1) - t_2

@@ -12,6 +12,12 @@ the standard cost formula preserved for the ledger.
 Also defines the on-disk state format consumed by the CLI:
 ``pure <amplitudes>`` | ``mixed`` | ``thermal <beta>`` | ``basis <index>``.
 
+A purification is float64 where it is real by construction: the Bell
+pairs of I/D, basis states, real vectors and `pure` directives whose
+imaginary parts are all zero; its density is then real too. Thermal and
+other complex purifications stay complex (the dtype rule of
+`block_encoding`).
+
 The thermal state needs numpy alone: its log partition function is the
 max-shifted log-sum-exp of the Gibbs logits, from the same shifted
 exponentials that give its weights.
@@ -45,7 +51,8 @@ class PreparationUnitary:
     """A purification on system (x) purifier of a density operator, with
     the circuit that prepares it from basis state zero.
 
-    `purification` is the unit vector, stored read-only; `circuit` is a
+    `purification` is the unit vector, stored read-only as float64 if it
+    is given real and as complex128 otherwise; `circuit` is a
     zero-argument callable building the full unitary, whose first column
     is the purification. `.unitary` calls it, validates the result and
     caches it on first access; `.density` (what `reduced_density` returns)
@@ -59,7 +66,9 @@ class PreparationUnitary:
     cost: int = 0
 
     def __post_init__(self):
-        purification = np.array(self.purification, dtype=complex).reshape(-1)
+        purification = np.array(self.purification).reshape(-1)
+        real = purification.dtype.kind in "biuf"
+        purification = purification.astype(float if real else complex, copy=False)
         if purification.size != self.system_dim * self.purifier_dim:
             raise DimensionMismatchError(
                 f"purification of size {purification.size} for "
@@ -93,8 +102,9 @@ def reduced_density(p: PreparationUnitary) -> np.ndarray:
 
 
 def prepare_pure(v) -> PreparationUnitary:
-    """Trivial (purifier dimension 1) preparation of a normalized vector."""
-    v = np.array(v, dtype=complex).reshape(-1)
+    """Trivial (purifier dimension 1) preparation of a normalized vector,
+    real if v is."""
+    v = np.array(v).reshape(-1)
     return PreparationUnitary(
         system_dim=v.size,
         purifier_dim=1,
@@ -143,7 +153,7 @@ def prepare_maximally_mixed(system_dim: int) -> PreparationUnitary:
             f"system dimension must be a power of two (2^n for n qubits), got {system_dim}"
         )
     n = d.bit_length() - 1
-    purification = np.zeros(d * d, dtype=complex)
+    purification = np.zeros(d * d)
     purification[:: d + 1] = 1.0 / math.sqrt(d)
     return PreparationUnitary(
         system_dim=d,
@@ -246,7 +256,10 @@ def parse_state_text(
                 nrm = float(np.linalg.norm(amps))
             if not abs(nrm - 1.0) <= 1e-6:
                 raise ParseError(f"{source}:{lineno}: amplitudes have norm {nrm:.6g}, not 1")
-            return prepare_pure(amps / nrm)
+            # Divided in complex arithmetic, so that a real directive keeps
+            # the amplitudes it had as a complex one bit for bit.
+            amps = amps / nrm
+            return prepare_pure(amps if np.any(amps.imag) else amps.real)
         if kind == "mixed":
             if len(fields) != 1:
                 raise ParseError(f"{source}:{lineno}: mixed takes no arguments")

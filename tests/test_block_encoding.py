@@ -58,6 +58,7 @@ def test_identity_encoding_is_one_read_only_value_per_dimension():
         eye = identity_encoding(d)
         assert identity_encoding(d) is eye
         assert np.array_equal(eye.block, np.eye(d))
+        assert eye.block.dtype == np.float64 and eye.unitary.dtype == np.complex128
         assert (eye.ancilla_dim, eye.system_dim, eye.scale, eye.accuracy, eye.cost) == (1, d, 1.0, 0.0, 0)
         assert eye.norm_bound == 1.0
         for part in (eye.block, eye.unitary):

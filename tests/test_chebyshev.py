@@ -677,3 +677,21 @@ def test_window_without_a_roundoff_margin_fails_its_proof(monkeypatch):
     monkeypatch.setattr(chebyshev, "_U", 1e-7)
     with pytest.raises(CertificationError, match="margin"):
         window_poly(-0.3, 0.4, 0.1)
+
+
+def test_constructor_refuses_a_degree_above_the_ceiling_before_certifying():
+    degree = MAX_WINDOW_DEGREE + 1
+    coeffs = np.zeros(degree + 1)
+    coeffs[0] = 0.5
+    tracemalloc.start()
+    try:
+        with pytest.raises(DegreeTooLargeError, match=f"degree {degree} "):
+            ChebyshevPoly(coeffs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The checked copy of the 4 MB coefficients; the certificate's grid
+    # would take about 320 bytes per degree, 168 MB here.
+    assert peak <= 2 * coeffs.nbytes
+    # The package's constructors, whose bound is proven, take any degree.
+    assert chebyshev_t(degree).sup_norm_bound == 1.0
