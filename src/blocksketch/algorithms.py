@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 from .block_encoding import BlockEncoding, encode_pauli_sum, product
-from .chebyshev import MIN_ETA_REL, WindowPoly, window_parameters, window_poly
+from .chebyshev import WindowPoly, min_window_eta, window_parameters, window_poly
 from .errors import (
     BadIntervalError,
     CostOverflowError,
@@ -116,7 +116,6 @@ class SketchRequest:
     b_observable: PauliSum | None = None
     c_observable: PauliSum | None = None
     state: PreparationUnitary | None = None
-    allow_large_degree: bool = False
 
     def __post_init__(self):
         if self.kind not in (DOS, LDOS, RESPONSE):
@@ -218,15 +217,17 @@ def _budget(obj: SketchRequest | CorrelationSpec, eps: float | None = None) -> _
 
 
 def min_window_eps(req: SketchRequest) -> float:
-    """The smallest eps whose integral window passes the degree guard of
-    window_poly (eta_rel >= MIN_ETA_REL) without allow_large_degree."""
+    """The smallest eps whose integral window fits under MAX_WINDOW_DEGREE,
+    that is whose window share is at least `min_window_eta()`; the float
+    below it does not fit."""
     if req.interval is None:
         raise ValidationError("min_window_eps requires an integral-mode request")
+    floor = min_window_eta()
 
     def passes(eps: float) -> bool:
-        return _budget(req, eps).window_eta >= MIN_ETA_REL
+        return _budget(req, eps).window_eta >= floor
 
-    eps = MIN_ETA_REL / _budget(req, 1.0).window_eta
+    eps = floor / _budget(req, 1.0).window_eta
     while not passes(eps):
         eps = math.nextafter(eps, math.inf)
     while passes(math.nextafter(eps, 0.0)):
@@ -244,7 +245,9 @@ def correlate(spec: CorrelationSpec, mode: str = "exact", seed: int | None = Non
     Rewrites the Heisenberg product through consecutive time differences,
     interleaves evolution encodings with the observable encodings, and
     estimates the resulting non-Hermitian operator part by part; the
-    evolution and estimation shares of eps are read from `_budget`.
+    evolution and estimation shares of eps are read from `_budget`. delta
+    holds per part: both parts are within eps together with probability at
+    least 1 - 2 delta (`estimate_complex`).
     """
     h, budget = spec.hamiltonian, _budget(spec)
     taus = spec.time_differences()
@@ -295,12 +298,7 @@ def spectral_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = 
     budget = _budget(req)
     if req.interval is not None:
         a, b = req.interval
-        window = window_poly(
-            a / alpha,
-            b / alpha,
-            budget.window_eta,
-            allow_large_degree=req.allow_large_degree,
-        )
+        window = window_poly(a / alpha, b / alpha, budget.window_eta)
         w_enc = apply_polynomial(h_enc, window, delta=budget.polynomial)
         return SketchResult((estimate(w_enc, budget.estimation, seed),), (window.degree,), window)
 

@@ -73,10 +73,8 @@ from .errors import (
 # Extrema per degree of the second-order Bernstein certificate: M >= 8 n
 # gives n h <= pi / 16, so the slack factor (n h)^2 / 2 is at most 0.0193.
 CERT_EXTREMA_PER_DEGREE = 8
-# Refusing eta below 0.005 unless asked keeps the window degree at or below
-# 32,768, its value at eta = 0.005.
-MIN_ETA_REL = 0.005
-# No window is built above this degree, even when asked. Its fit holds a few
+# No window is built above this degree, the one limit on a window
+# (`min_window_eta` is the smallest eta that fits). Its fit holds a few
 # float64 arrays of n + 1 or 2 n entries, about 40 bytes per degree: 21 MB
 # traced at n = 2^19 (eta = 4.2e-4), where `window-poly` peaks at 69 MB RSS.
 # There the roundoff bound of `window_poly` is a tenth of its tau^2 / 2
@@ -449,10 +447,10 @@ def _erf_edge(x: np.ndarray, s: float, centre: float) -> np.ndarray:
 def window_parameters(eta_rel: float) -> tuple[float, float, float, float]:
     """The (kappa, tau, s, degree) of the window for a relative budget
     eta_rel in (0, 1): kappa = tau = eta_rel / 4, the steepness s, and the
-    degree `_proven_degree` proves for the error tau / 4. Nothing of the
-    size of the degree is allocated. OutOfRangeError outside (0, 1) or if
-    no finite degree is proven (the degree may still pass
-    MAX_WINDOW_DEGREE, which `window_poly` refuses)."""
+    degree `_proven_degree` proves for the error tau / 4, which never rises
+    as eta_rel grows. Nothing of the size of the degree is allocated.
+    OutOfRangeError outside (0, 1) or if no finite degree is proven (the
+    degree may still pass MAX_WINDOW_DEGREE, which `window_poly` refuses)."""
     if not 0.0 < eta_rel < 1.0:
         raise OutOfRangeError(f"eta must be in (0, 1), got {eta_rel}")
     kappa = tau = eta_rel / 4.0
@@ -464,12 +462,18 @@ def window_parameters(eta_rel: float) -> tuple[float, float, float, float]:
     return kappa, tau, s, degree
 
 
-def window_poly(
-    a_bar: float,
-    b_bar: float,
-    eta_rel: float,
-    allow_large_degree: bool = False,
-) -> WindowPoly:
+def min_window_eta() -> float:
+    """The smallest float eta_rel whose window degree is at most
+    MAX_WINDOW_DEGREE, by bisection over the floats of (0, 1/2], as the
+    degree never rises as eta_rel grows: about 60 calls of
+    `window_parameters`, a few milliseconds."""
+    lo, hi = 0.0, 0.5
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if window_parameters(mid)[3] <= MAX_WINDOW_DEGREE else (mid, hi)
+    return hi
+
+
+def window_poly(a_bar: float, b_bar: float, eta_rel: float) -> WindowPoly:
     """Construct and prove the window polynomial for [a_bar, b_bar].
 
     eta_rel is the error budget relative to the bound on the integrand:
@@ -500,9 +504,9 @@ def window_poly(
     added to e covers.
 
     Raises:
-        DegreeTooLargeError: for a degree above MAX_WINDOW_DEGREE, and for
-            eta_rel below MIN_ETA_REL unless allow_large_degree is set (the
-            degree grows like (1/eta) sqrt(ln(1/eta))).
+        DegreeTooLargeError: for a degree above MAX_WINDOW_DEGREE, that is
+            for eta_rel below `min_window_eta()` (the degree grows like
+            (1/eta) sqrt(ln(1/eta))).
         BadIntervalError: if the window plus margin does not fit in (-1, 1).
         CertificationError: if the roundoff leaves the window no margin:
             the float centres shift f by up to 2 (s + 1) u, and the contract
@@ -512,10 +516,6 @@ def window_poly(
     if degree > MAX_WINDOW_DEGREE:
         raise DegreeTooLargeError(
             f"eta={eta_rel:.4g} gives degree {degree}, above the ceiling {MAX_WINDOW_DEGREE}"
-        )
-    if eta_rel < MIN_ETA_REL and not allow_large_degree:
-        raise DegreeTooLargeError(
-            f"eta={eta_rel:.4g} gives degree {degree}; pass allow_large_degree=True to proceed"
         )
     if not a_bar < b_bar:
         raise BadIntervalError(f"need a_bar < b_bar, got [{a_bar}, {b_bar}]")

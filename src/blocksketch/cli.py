@@ -42,8 +42,8 @@ from .algorithms import (
 )
 from .chebyshev import (
     MAX_WINDOW_DEGREE,
-    MIN_ETA_REL,
     kpm_reconstruct,
+    min_window_eta,
     window_parameters,
     window_poly,
 )
@@ -164,7 +164,6 @@ def _build_sketch_request(args: argparse.Namespace, h: PauliSum) -> SketchReques
         delta=args.delta,
         interval=args.integral,
         num_moments=args.moments,
-        allow_large_degree=args.allow_large_degree,
         **kwargs,
     )
 
@@ -197,33 +196,22 @@ def _sketch_rows(req: SketchRequest, sketch, emit_oracle: bool):
     return header + ",oracle", [r + (o.real,) for r, o in zip(rows, oracle)]
 
 
-def _degree_refusal(option: str, value: float, eta: float, floor: str | None) -> str:
-    """Error text for a window of share eta that trips the degree guard or
-    the ceiling. option and value name the input to change (--eps or --eta)
-    and floor, as text, the smallest value that passes the guard, or None
-    if none below 1 does. Above MAX_WINDOW_DEGREE --allow-large-degree does
-    not help, so it is not offered."""
-    degree = window_parameters(eta)[3]
-    if degree > MAX_WINDOW_DEGREE:
-        head = (
-            f"{option} {_fmt(value)} needs a window polynomial of degree {degree:.3g}, above "
-            f"the ceiling {MAX_WINDOW_DEGREE} that no flag lifts; "
-        )
-        return head + (f"pass {option} {floor} or larger" if floor else f"raise {option}")
-    head = f"{option} {_fmt(value)} needs a window polynomial above the degree limit; "
-    if floor is None:
-        return head + f"no {option} below 1 passes it, so pass --allow-large-degree"
-    return head + f"pass {option} {floor} or larger, or --allow-large-degree"
-
-
-def _degree_advice(req: SketchRequest) -> str:
-    """Error text for an integral sketch whose eps trips the window degree
-    guard or the ceiling, naming the smallest --eps that passes the guard."""
-    eps = min_window_eps(req)
-    shown = f"{eps:.6g}"
-    if float(shown) < eps:
-        shown = repr(eps)
-    return _degree_refusal("--eps", req.eps, _budget(req).window_eta, shown if eps < 1.0 else None)
+def _degree_refusal(option: str, value: float, eta: float, floor: float) -> str:
+    """Error text for a window of share eta whose degree passes
+    MAX_WINDOW_DEGREE. option and value name the input to change (--eps or
+    --eta) and floor the smallest value of it whose window fits, which is
+    shown rounded up to 6 significant digits, so that the text passes."""
+    digits, exp = f"{floor:.5e}".split("e")
+    if float(f"{digits}e{exp}") < floor:
+        digits = f"{float(digits) + 1e-5:.5f}"
+    shown = float(f"{digits}e{exp}")
+    head = (
+        f"{option} {_fmt(value)} needs a window polynomial of degree "
+        f"{window_parameters(eta)[3]}, above the ceiling {MAX_WINDOW_DEGREE}; "
+    )
+    if shown < 1.0:
+        return head + f"pass {option} {shown:.6g} or larger"
+    return head + f"no {option} below 1 fits, so lower --rho-max"
 
 
 def _cmd_sketch(args: argparse.Namespace) -> int:
@@ -231,7 +219,8 @@ def _cmd_sketch(args: argparse.Namespace) -> int:
     try:
         sketch = spectral_sketch(req, args.mode, args.seed)
     except DegreeTooLargeError:
-        raise ValidationError(_degree_advice(req)) from None
+        eta = _budget(req).window_eta
+        raise ValidationError(_degree_refusal("--eps", req.eps, eta, min_window_eps(req))) from None
     _write_output(_csv_chunks(*_sketch_rows(req, sketch, args.oracle)), args.output)
     return 0
 
@@ -267,9 +256,9 @@ def _cmd_kpm(args: argparse.Namespace) -> int:
 def _cmd_window(args: argparse.Namespace) -> int:
     a_bar, b_bar, eta = args.a_bar, args.b_bar, args.eta
     try:
-        w = window_poly(a_bar, b_bar, eta, allow_large_degree=args.allow_large_degree)
+        w = window_poly(a_bar, b_bar, eta)
     except DegreeTooLargeError:
-        raise ValidationError(_degree_refusal("--eta", eta, eta, f"{MIN_ETA_REL}")) from None
+        raise ValidationError(_degree_refusal("--eta", eta, eta, min_window_eta())) from None
     inputs = f"a_bar={_fmt(a_bar)} b_bar={_fmt(b_bar)} eta={_fmt(eta)}"
     window = f"kappa={_fmt(w.kappa)} tau={_fmt(w.tau)} s={_fmt(w.steepness)} d={w.degree}"
     proof = f"fit_error={_fmt(w.fit_error)}"
@@ -293,10 +282,18 @@ def _cmd_cost(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_mode: bool = True):
+_DELTA_HELP = "failure probability in (0, 1)"
+# correlate and response estimate a complex value part by part.
+_PER_PART_DELTA_HELP = _DELTA_HELP + (
+    ", per part: the real and the imaginary part are each within eps with probability "
+    ">= 1 - delta, both together with >= 1 - 2 delta"
+)
+
+
+def _add_common(parser: argparse.ArgumentParser, needs_mode: bool = True, delta_help=_DELTA_HELP):
     parser.add_argument("--hamiltonian", required=True, help="Pauli text file for H")
     parser.add_argument("--eps", type=float, default=0.05, help="target precision in (0, 1)")
-    parser.add_argument("--delta", type=float, default=0.05, help="failure probability in (0, 1)")
+    parser.add_argument("--delta", type=float, default=0.05, help=delta_help)
     if needs_mode:
         parser.add_argument("--mode", choices=["exact", "sampled"], default="exact")
         parser.add_argument(
@@ -313,7 +310,6 @@ def _add_sketch_mode(parser: argparse.ArgumentParser):
     group.add_argument("--moments", type=int, default=None, metavar="N")
     group.add_argument("--integral", type=float, nargs=2, default=None, metavar=("A", "B"))
     parser.add_argument("--rho-max", type=float, default=None, help="integral mode only (default 1)")
-    parser.add_argument("--allow-large-degree", action="store_true")
     parser.add_argument("--oracle", action="store_true", help="emit exact oracle columns")
 
 
@@ -340,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("correlate", help="n-time correlation function")
     p.set_defaults(run=_cmd_correlate)
-    _add_common(p)
+    _add_common(p, delta_help=_PER_PART_DELTA_HELP)
     p.add_argument(
         "--observable",
         action="append",
@@ -362,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("response", help="dynamical response sketch")
     p.set_defaults(run=_cmd_sketch)
-    _add_common(p)
+    _add_common(p, delta_help=_PER_PART_DELTA_HELP)
     _add_sketch_mode(p)
     p.add_argument("--observable-b", required=True)
     p.add_argument("--observable-c", required=True)
@@ -383,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, required=True, dest="a_bar")
     p.add_argument("--b", type=float, required=True, dest="b_bar")
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--allow-large-degree", action="store_true")
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("cost", help="complexity report (unit constants)")
@@ -421,7 +416,7 @@ def _parser() -> argparse.ArgumentParser:
 
 # Values of the arguments read by shared set-up code that some subcommands
 # do not define.
-_ABSENT = dict(seed=None, moments=None, integral=None, rho_max=None, allow_large_degree=False)
+_ABSENT = dict(seed=None, moments=None, integral=None, rho_max=None)
 
 
 def _normalize(args: argparse.Namespace) -> None:

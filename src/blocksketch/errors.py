@@ -41,7 +41,7 @@ class OutOfRangeError(BlockSketchError, ValueError):
 
 
 class DegreeTooLargeError(OutOfRangeError):
-    """A window polynomial would exceed the degree guard."""
+    """A polynomial's degree would exceed the ceiling MAX_WINDOW_DEGREE."""
 
 
 class InvalidProjectorError(BlockSketchError):

@@ -74,6 +74,9 @@ class EstimationResult:
     seed: int | None = None
 
     def to_json_dict(self) -> dict:
+        """The JSON fields. For a complex estimate "delta" holds per part:
+        value_re and value_im are each within eps with probability at least
+        1 - delta, both together with at least 1 - 2 delta."""
         return {
             "value_re": float(self.value.real),
             "value_im": float(self.value.imag),
@@ -383,9 +386,11 @@ def estimate_complex(
 
     Real and imaginary parts come from separate observable estimations of
     the Hermitian and anti-Hermitian parts, each to precision eps with
-    confidence 1 - delta. The imaginary run uses seed + 1. The two parts
-    share one adjoint of g, and both runs read their traces through the
-    rules down to Tr(rho G), so no part or adjoint block is formed.
+    confidence 1 - delta, so delta and the result's confidence hold per
+    part: both parts are within eps together only with probability at least
+    1 - 2 delta (the union bound). The imaginary run uses seed + 1. The two
+    parts share one adjoint of g, and both runs read their traces through
+    the rules down to Tr(rho G), so no part or adjoint block is formed.
     """
     _validate_eps_delta(eps, delta)
     seed_im = None if rng_seed is None else rng_seed + 1

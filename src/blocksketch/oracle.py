@@ -23,7 +23,7 @@ def eigen_expectations(h: PauliSum, op) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues E_i of H (ascending) and the expectations <psi_i| op |psi_i>
     in the matching eigenvectors."""
     energies, vecs = np.linalg.eigh(pauli_sum_matrix(h))
-    return energies, np.einsum("si,st,ti->i", vecs.conj(), np.asarray(op, dtype=complex), vecs)
+    return energies, np.einsum("si,si->i", vecs.conj(), np.asarray(op, dtype=complex) @ vecs)
 
 
 def _expm_hermitian(w: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:

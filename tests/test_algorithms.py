@@ -15,7 +15,14 @@ from blocksketch.algorithms import (
     spectral_sketch,
 )
 from blocksketch.block_encoding import encode_pauli_sum
-from blocksketch.chebyshev import MIN_ETA_REL, chebyshev_t, kpm_reconstruct, window_poly
+from blocksketch.chebyshev import (
+    MAX_WINDOW_DEGREE,
+    chebyshev_t,
+    kpm_reconstruct,
+    min_window_eta,
+    window_parameters,
+    window_poly,
+)
 from blocksketch.errors import (
     BadIntervalError,
     DegreeTooLargeError,
@@ -109,7 +116,6 @@ def test_dos_integral_two_eigenvalues():
         eps=0.05,
         delta=0.05,
         interval=(0.2, 0.45),
-        allow_large_degree=True,
     )
     sketch = spectral_sketch(req)
     w = sketch.window_meta
@@ -123,9 +129,7 @@ def test_dos_integral_window_envelope(rng):
         alpha = h.scale()
         a = float(rng.uniform(-0.6, 0.0)) * alpha
         b = a + float(rng.uniform(0.2, 0.5)) * alpha
-        req = SketchRequest(
-            h, "dos", eps=0.15, delta=0.05, interval=(a, b), allow_large_degree=True
-        )
+        req = SketchRequest(h, "dos", eps=0.15, delta=0.05, interval=(a, b))
         sketch = spectral_sketch(req)
         w = sketch.window_meta
         energies = np.linalg.eigvalsh(pauli_sum_matrix(h)) / alpha
@@ -509,9 +513,10 @@ def test_cost_report_and_sketch_see_one_window():
 def test_min_window_eps_is_the_smallest_eps_past_the_degree_guard(kind):
     req = _integral_request(kind)
     eps = min_window_eps(req)
-    assert _budget(req, eps).window_eta >= MIN_ETA_REL
+    assert _budget(req, eps).window_eta >= min_window_eta()
+    assert window_parameters(_budget(req, eps).window_eta)[3] <= MAX_WINDOW_DEGREE
     below = math.nextafter(eps, 0.0)
-    assert _budget(req, below).window_eta < MIN_ETA_REL
+    assert window_parameters(_budget(req, below).window_eta)[3] > MAX_WINDOW_DEGREE
     with pytest.raises(DegreeTooLargeError):
         spectral_sketch(_integral_request(kind, eps=below))
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import cheb2poly, chebval
 
 from blocksketch import chebyshev
@@ -21,6 +23,7 @@ from blocksketch.chebyshev import (
     compose,
     jackson_damping,
     kpm_reconstruct,
+    min_window_eta,
     window_parameters,
     window_poly,
 )
@@ -134,8 +137,8 @@ def test_window_poly_metadata_and_guardrail():
     w = window_poly(-0.3, 0.4, 0.1)
     assert (w.kappa, w.tau, w.steepness, w.degree) == window_parameters(0.1)
     assert w.degree == w.poly.degree == 960
-    with pytest.raises(OutOfRangeError):
-        window_poly(-0.3, 0.4, 0.004)
+    with pytest.raises(DegreeTooLargeError):
+        window_poly(-0.3, 0.4, math.nextafter(min_window_eta(), 0.0))
     with pytest.raises(BadIntervalError):
         window_poly(-0.999, 0.4, 0.1)
     with pytest.raises(OutOfRangeError):
@@ -259,7 +262,7 @@ def test_proven_sup_bound_covers_a_dense_uniform_sample(rng):
 def test_window_at_the_degree_guard_has_a_pinned_memory_ceiling():
     tracemalloc.start()
     try:
-        w = window_poly(-0.3, 0.2, 0.005, allow_large_degree=True)
+        w = window_poly(-0.3, 0.2, 0.005)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -565,7 +568,7 @@ PROOF_POINTS = 2**16
 
 @pytest.mark.parametrize("a_bar, b_bar, eta", _seeded_windows())
 def test_window_fit_error_and_contract_hold_on_dense_extrema(a_bar, b_bar, eta):
-    w = window_poly(a_bar, b_bar, eta, allow_large_degree=True)
+    w = window_poly(a_bar, b_bar, eta)
     x = np.concatenate([_extrema(PROOF_POINTS), [a_bar, b_bar, a_bar - w.kappa, b_bar + w.kappa]])
     values = np.concatenate([cheb_values_at_extrema(w.poly.coeffs, PROOF_POINTS), w(x[-4:])])
     # The interpolant before the affine map is (1 + 2e) w - e.
@@ -653,19 +656,29 @@ def test_window_above_the_ceiling_is_refused_before_any_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(DegreeTooLargeError, match=f"degree {degree}, above the ceiling"):
-            window_poly(-0.3, 0.2, eta, allow_large_degree=True)
+            window_poly(-0.3, 0.2, eta)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak / 2**20 <= 0.5
 
 
+def test_min_window_eta_is_the_smallest_eta_that_fits_the_ceiling():
+    eta = min_window_eta()
+    assert window_parameters(eta)[3] <= MAX_WINDOW_DEGREE
+    assert window_parameters(math.nextafter(eta, 0.0))[3] > MAX_WINDOW_DEGREE
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_window_eta(), 0.99), st.floats(min_window_eta(), 0.99))
+def test_window_degree_never_rises_as_eta_grows(eta, other):
+    """The bisection of `min_window_eta` rests on this."""
+    lo, hi = sorted((eta, other))
+    assert window_parameters(lo)[3] >= window_parameters(hi)[3]
+
+
 def test_window_at_the_ceiling_keeps_its_roundoff_far_inside_the_margin():
-    lo, hi = 1e-4, 0.005
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if window_parameters(mid)[3] <= MAX_WINDOW_DEGREE else (mid, hi)
-    w = window_poly(-0.3, 0.2, hi, allow_large_degree=True)
+    w = window_poly(-0.3, 0.2, min_window_eta())
     assert w.degree == MAX_WINDOW_DEGREE
     u = np.finfo(float).eps / 2.0
     slack = 2.0 * (w.steepness + 1.0) * u + 2.0 * (w.fit_error - w.tau / 4.0)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blocksketch import cli
+from blocksketch import algorithms, chebyshev, cli
 from blocksketch.algorithms import SketchRequest
 from blocksketch.chebyshev import kpm_reconstruct
 from blocksketch.cli import main
@@ -249,15 +250,23 @@ def test_help_lists_flags(capsys):
         assert flag in text
 
 
+@pytest.mark.parametrize("command", ["correlate", "response"])
+def test_help_says_delta_holds_per_part(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "per part" in text and ">= 1 - 2 delta" in text
+
+
 def test_default_eps_integral_names_the_passing_eps(workdir, capsys):
     base = ["dos", "--hamiltonian", workdir / "hz.txt", "--integral", "-0.5", "0.5"]
     assert _run(base + ["--output", workdir / "default.csv"]) == 0
-    assert _run(base + ["--eps", "0.01"]) == 2
+    assert _run(base + ["--eps", "0.001"]) == 2
     err = capsys.readouterr().err
-    assert "--allow-large-degree" in err and "allow_large_degree=True" not in err
-    # 3 * MIN_ETA_REL = 3 * 0.005
-    assert "--eps 0.015 or larger" in err
-    assert _run(base + ["--eps", "0.015", "--output", workdir / "int.csv"]) == 0
+    assert "--allow-large-degree" not in err and "allow_large_degree" not in err
+    # 3 * min_window_eta() = 0.00125504..., rounded up to 6 significant digits
+    assert "degree 675000, above the ceiling 524288; pass --eps 0.00125505 or larger" in err
+    assert _run(base + ["--eps", "0.00125505", "--output", workdir / "int.csv"]) == 0
 
 
 def test_response_integral_eps_advice_scales_with_observables(workdir, capsys):
@@ -265,12 +274,57 @@ def test_response_integral_eps_advice_scales_with_observables(workdir, capsys):
     (workdir / "c.txt").write_text("1.5 X\n")
     rc = _run(
         ["response", "--hamiltonian", workdir / "hz.txt", "--integral", "-0.5", "0.5",
-         "--eps", "0.01", "--rho-max", "0.5", "--observable-b", workdir / "b.txt", "--observable-c",
+         "--eps", "0.0009", "--rho-max", "0.5", "--observable-b", workdir / "b.txt", "--observable-c",
          workdir / "c.txt", "--state", workdir / "ket0.txt"]
     )
     assert rc == 2
-    # 3 * 0.005 * rho_max * |B| |C| = 3 * 0.005 * 0.5 * 1.0 * 1.5
-    assert "--eps 0.01125 or larger, or --allow-large-degree" in capsys.readouterr().err
+    # 3 * min_window_eta() * rho_max * |B| |C| = 3 * 0.000418347 * 0.5 * 1.0 * 1.5, rounded up
+    assert capsys.readouterr().err.endswith("; pass --eps 0.000941281 or larger\n")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "window-poly --a -0.3 --b 0.2 --eta 0.0004",
+        "dos --hamiltonian {hz} --integral -0.5 0.5 --eps 0.0012",
+        "ldos --hamiltonian {hz} --integral -0.5 0.5 --eps 0.0012 --state {ket0}",
+        "response --hamiltonian {hz} --integral -0.5 0.5 --eps 0.0012 --observable-b {hx} "
+        "--observable-c {hx} --state {ket0}",
+    ],
+)
+def test_the_value_a_degree_refusal_names_passes(workdir, capsys, command):
+    """The refused value sits just below the floor; the floor printed,
+    rounded up to 6 significant digits, passes when fed back."""
+    argv = command.format(**{n: workdir / f"{n}.txt" for n in ("hz", "hx", "ket0")}).split()
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    match = re.search(r"; pass (--eps|--eta) (\S+) or larger\n$", err)
+    assert match, err
+    option, floor = match.groups()
+    argv[argv.index(option) + 1] = floor
+    assert _run(argv + ["--output", workdir / "out.csv"]) == 0
+
+
+def test_a_window_that_no_eps_below_1_fits_names_rho_max(workdir, capsys):
+    argv = ["dos", "--hamiltonian", workdir / "hz.txt", "--integral", "-0.5", "0.5",
+            "--rho-max", "1000"]
+    assert _run(argv) == 2
+    assert capsys.readouterr().err.endswith("; no --eps below 1 fits, so lower --rho-max\n")
+
+
+def test_a_passing_integral_job_never_searches_for_the_floor(workdir, monkeypatch):
+    def refuse():
+        raise AssertionError("min_window_eta called by a job that passes")
+
+    for module in (chebyshev, algorithms, cli):
+        monkeypatch.setattr(module, "min_window_eta", refuse)
+    hz, hx, ket0 = (workdir / f for f in ("hz.txt", "hx.txt", "ket0.txt"))
+    integral = ["--integral", "-0.5", "0.5", "--eps", "0.05", "--output", workdir / "out.csv"]
+    assert _run(["dos", "--hamiltonian", hz, *integral]) == 0
+    assert _run(["ldos", "--hamiltonian", hz, "--state", ket0, *integral]) == 0
+    assert _run(["response", "--hamiltonian", hz, "--observable-b", hx, "--observable-c", hx,
+                 "--state", ket0, *integral]) == 0
+    assert _run(["window-poly", "--a", "-0.3", "--b", "0.2", "--eta", "0.05"]) == 0
 
 
 @pytest.mark.parametrize("flag", [[], ["--allow-large-degree"]])
@@ -286,21 +340,29 @@ def test_window_degree_past_the_ceiling_exits_2_without_allocating(
     workdir, capsys, command, named, flag
 ):
     """A window degree that overflows, or passes MAX_WINDOW_DEGREE, is
-    refused before the window is built, with or without the flag, naming
-    eta or eps and never advising the flag."""
+    refused before the window is built, naming eta or eps. argparse
+    refuses --allow-large-degree by name: no flag lifts the ceiling."""
     (workdir / "h.txt").write_text("1.0 ZZ\n0.7 XI\n0.7 IX\n")
     argv = command.format(h=workdir / "h.txt").split() + flag
     tracemalloc.start()
     try:
-        assert _run(argv) == 2
+        if flag:
+            with pytest.raises(SystemExit) as exc:
+                _run(argv)
+            assert exc.value.code == 2
+        else:
+            assert _run(argv) == 2
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak / 2**20 <= 4.0
     err = capsys.readouterr().err
-    assert err.startswith(named) and "--allow-large-degree" not in err
+    if flag:
+        assert "unrecognized arguments: --allow-large-degree" in err
+        return
+    assert err.startswith(named)
     if "overflows" not in err:
-        assert f"above the ceiling {cli.MAX_WINDOW_DEGREE} that no flag lifts" in err
+        assert f"above the ceiling {cli.MAX_WINDOW_DEGREE}; pass " in err
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -817,7 +879,7 @@ def test_one_parser_serves_every_call_like_a_fresh_one(
         (None, ["response", "--hamiltonian", hz, "--observable-b", hx, "--observable-c", hx,
                 "--state", ket0, "--moments", "1"]),
         (None, ["dos", "--hamiltonian", workdir / "tilted.txt", "--integral", "0.2", "0.45",
-                "--eps", "0.3", "--allow-large-degree"]),
+                "--eps", "0.3"]),
         (None, ["kpm", "--hamiltonian", hz, "--moments", "4", "--grid-points", "5"]),
         (None, ["window-poly", "--a", "-0.2", "--b", "0.2", "--eta", "0.4"]),
         (None, ["cost", "--kind", "correlation", "--hamiltonian", hz, "--observable", hx, "0.5",
@@ -942,7 +1004,6 @@ def test_overflowing_query_budget_in_sampled_mode_exits_2(workdir):
     [
         ("dos --integral -0.5 0.5 --rho-max 1e308", "rho_max 1e+308"),
         ("dos --integral -0.5 0.5 --rho-max 1e305", "rho_max 1e+305"),
-        ("dos --integral -0.5 0.5 --rho-max 1e305 --allow-large-degree", "rho_max 1e+305"),
         ("ldos --integral -0.5 0.5 --rho-max 1e305 --state {ket0}", "rho_max 1e+305"),
         ("cost --kind dos-integral --integral -0.5 0.5 --rho-max 1e305", "rho_max 1e+305"),
         ("response --integral -0.5 0.5 --observable-b {huge_x} --observable-c {hz} "

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blocksketch.chebyshev import window_poly
+from blocksketch.chebyshev import MAX_WINDOW_DEGREE, min_window_eta, window_poly
 from blocksketch.cli import MAX_QUBITS, main
 from blocksketch.state_prep import prepare_maximally_mixed
 
@@ -24,8 +24,8 @@ PEAK_LIMIT_MB = 100.0
 WINDOW_WRITE_SLACK_MB = 4.0
 # What forming I/D may hold beyond its D x D complex arrays.
 MIXED_STATE_SLACK_MB = 4.0
-# Peak RSS of a fresh interpreter running `window-poly --output` at the
-# degree guard eta = 0.005 (degree 32,768), which includes what tracemalloc
+# Peak RSS of a fresh interpreter running `window-poly --output` at
+# eta = 0.005 (degree 32,768), which includes what tracemalloc
 # does not see. On an x86-64 Linux VM with one BLAS thread the command
 # peaked at 34.8 MB, as it does without --output: the interpreter and numpy
 # take nearly all of it.
@@ -81,6 +81,9 @@ COMMANDS = {
     "dos-integral-default-eps": "dos --hamiltonian h.txt --integral -2 2",
     # eta = 0.025 (window degree 5,120), the benchmark's dos-integral eta.
     "dos-integral-eps-0.075": "dos --hamiltonian h.txt --integral -2 2 --eps 0.075",
+    # The smallest eps accepted, 3 min_window_eta(): window degree 2^19.
+    "dos-integral-smallest-eps": "dos --hamiltonian h.txt --integral -2 2 "
+    "--eps 0.0012550408392058986",
     "ldos-moments": "ldos --hamiltonian h.txt --moments 4 --state basis.txt",
     "ldos-integral": "ldos --hamiltonian h.txt --integral -2 2 --eps 0.1 --state basis.txt",
     "kpm": "kpm --hamiltonian h.txt --moments 4",
@@ -135,6 +138,26 @@ def test_window_poly_output_max_rss_at_the_degree_guard(tmp_path):
     assert code == "0"
     assert int(peak_kb) / 2**10 <= WINDOW_OUTPUT_MAX_RSS_MB
     assert (tmp_path / "w.csv").read_text().count("\n") == 32_768 + 3
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_window_poly_output_max_rss_at_the_degree_ceiling(tmp_path):
+    """At min_window_eta() the window has degree MAX_WINDOW_DEGREE. On an
+    x86-64 Linux VM with one BLAS thread the command peaked at 67.8 MB."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = tmp_path / "w.csv"
+    argv = ["window-poly", "--a=-0.3", "--b=0.2", f"--eta={min_window_eta()!r}", "--output", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAX_RSS_CHILD, *argv],
+        env=env, capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = proc.stdout.split()[-2:]
+    assert code == "0"
+    assert int(peak_kb) / 2**10 <= PEAK_LIMIT_MB
+    with open(out) as fh:
+        assert sum(1 for _ in fh) == MAX_WINDOW_DEGREE + 3
 
 
 def test_maximally_mixed_density_holds_three_d_squared_arrays():
