@@ -302,7 +302,7 @@ def test_the_value_a_degree_refusal_names_passes(workdir, capsys, command):
     assert match, err
     option, floor = match.groups()
     argv[argv.index(option) + 1] = floor
-    assert _run(argv + ["--output", workdir / "out.csv"]) == 0
+    assert _run(argv) == 0
 
 
 def test_a_window_that_no_eps_below_1_fits_names_rho_max(workdir, capsys):
