@@ -1,6 +1,11 @@
 """Command-line front end.
 
-Subcommands: correlate, dos, ldos, response, kpm, window-poly, cost.
+Subcommands: correlate, dos, ldos, response, kpm {dos,ldos,response},
+window-poly and cost {correlate,dos,ldos,response}. The kind of a kpm or
+cost command is its sub-command, and it takes the input flags of the
+top-level command of the same name: each is required, and a flag for an
+input the kind never reads is refused by argparse (exit 2).
+
 Inputs are the Pauli text format and the state directive format; outputs
 are JSON (correlate, cost) or CSV (sketches, kpm, window coefficients)
 with numbers serialized to 12 significant digits so identical configs and
@@ -22,7 +27,6 @@ import argparse
 import functools
 import itertools
 import json
-import os
 import re
 import sys
 
@@ -58,7 +62,6 @@ MAX_MOMENTS = 4096
 # recurrence's temporaries, about ten float64 arrays of the grid's length:
 # 2^20 points keep each at 8 MiB, under 100 MiB in all.
 MAX_GRID_POINTS = 2**20
-SEED_ENV_VAR = "BLOCKSKETCH_SEED"
 _CSV_CHUNK_ROWS = 4096
 
 
@@ -118,39 +121,14 @@ def _load_hamiltonian(args: argparse.Namespace) -> PauliSum:
     return h
 
 
-def _validate_common(args: argparse.Namespace):
-    if args.moments is not None and args.moments > MAX_MOMENTS:
-        raise ValidationError(f"moment count {args.moments} exceeds {MAX_MOMENTS}")
-
-
-# The inputs a kind never reads. `kpm` and `cost` define every input for
-# every kind, so a flag given for such an input is refused. `--rho-max`
-# defaults to None, so that moments mode, which never reads it, can refuse
-# it too; an integral sketch without it takes SketchRequest's 1.0.
-_UNREAD_INPUTS = {
-    DOS: ("state", "observable", "observable_b", "observable_c"),
-    LDOS: ("observable", "observable_b", "observable_c"),
-    RESPONSE: ("observable",),
-    "correlation": ("moments", "integral", "observable_b", "observable_c", "rho_max"),
-}
-
-
-def _refuse_unread_inputs(args: argparse.Namespace):
-    for dest in _UNREAD_INPUTS[args.kind]:
-        if getattr(args, dest, None) is not None:
-            raise ValidationError(f"{args.kind} does not read --{dest.replace('_', '-')}")
+def _build_sketch_request(args: argparse.Namespace, h: PauliSum) -> SketchRequest:
+    # The parser declares the inputs each kind reads. `--rho-max` defaults
+    # to None, so that moments mode, which never reads it, can refuse it
+    # here; an integral sketch without it takes SketchRequest's 1.0.
     if args.moments is not None and args.rho_max is not None:
         raise ValidationError(f"{args.kind} --moments does not read --rho-max")
-
-
-def _build_sketch_request(args: argparse.Namespace, h: PauliSum) -> SketchRequest:
     kwargs: dict = {}
-    _refuse_unread_inputs(args)
-    if args.kind == LDOS and args.state is None:
-        raise ValidationError("ldos requires a --state file")
     if args.kind == RESPONSE:
-        if args.observable_b is None or args.observable_c is None or args.state is None:
-            raise ValidationError("response requires --observable-b, --observable-c, --state")
         kwargs["b_observable"] = parse_pauli_file(args.observable_b)
         kwargs["c_observable"] = parse_pauli_file(args.observable_c)
     if args.kind != DOS:
@@ -162,7 +140,7 @@ def _build_sketch_request(args: argparse.Namespace, h: PauliSum) -> SketchReques
         kind=args.kind,
         eps=args.eps,
         delta=args.delta,
-        interval=args.integral,
+        interval=None if args.integral is None else tuple(args.integral),
         num_moments=args.moments,
         **kwargs,
     )
@@ -271,13 +249,8 @@ def _cmd_window(args: argparse.Namespace) -> int:
 
 def _cmd_cost(args: argparse.Namespace) -> int:
     h = _load_hamiltonian(args)
-    if args.kind == "correlation":
-        _refuse_unread_inputs(args)
-        if not args.observable or args.state is None:
-            raise ValidationError("correlation cost requires --observable and --state")
-        report = complexity_report(_correlation_spec(args, h))
-    else:
-        report = complexity_report(_build_sketch_request(args, h))
+    build = _correlation_spec if args.kind == "correlate" else _build_sketch_request
+    report = complexity_report(build(args, h))
     _write_output([_json_chunk(report)], args.output)
     return 0
 
@@ -288,21 +261,47 @@ _PER_PART_DELTA_HELP = _DELTA_HELP + (
     ", per part: the real and the imaginary part are each within eps with probability "
     ">= 1 - delta, both together with >= 1 - 2 delta"
 )
+_KIND_HELP = {
+    "correlate": "n-time correlation function",
+    DOS: "density of states",
+    LDOS: "local density of states",
+    RESPONSE: "dynamical response",
+}
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_mode: bool = True, delta_help=_DELTA_HELP):
-    parser.add_argument("--hamiltonian", required=True, help="Pauli text file for H")
-    parser.add_argument("--eps", type=float, default=0.05, help="target precision in (0, 1)")
-    parser.add_argument("--delta", type=float, default=0.05, help=delta_help)
-    if needs_mode:
-        parser.add_argument("--mode", choices=["exact", "sampled"], default="exact")
-        parser.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help=f"RNG seed for sampled mode (default: ${SEED_ENV_VAR})",
+def _add_kind(sub, kind: str, run, help_prefix: str = "", estimates: bool = True):
+    """The parser of one kind (correlate, dos, ldos or response) under sub.
+
+    It reads H, eps, delta and the output path, the mode and seed if the
+    command estimates, and, as required flags, the inputs that the kind
+    reads: so argparse requires each of them and refuses, by name, a flag
+    for an input that the kind never reads."""
+    p = sub.add_parser(kind, help=help_prefix + _KIND_HELP[kind])
+    p.set_defaults(run=run, kind=kind)
+    delta_help = _PER_PART_DELTA_HELP if kind in ("correlate", RESPONSE) else _DELTA_HELP
+    p.add_argument("--hamiltonian", required=True, help="Pauli text file for H")
+    p.add_argument("--eps", type=float, default=0.05, help="target precision in (0, 1)")
+    p.add_argument("--delta", type=float, default=0.05, help=delta_help)
+    if estimates:
+        p.add_argument("--mode", choices=["exact", "sampled"], default="exact")
+        seed_help = "RNG seed for sampled mode (default: none, a fresh draw per run)"
+        p.add_argument("--seed", type=int, default=None, help=seed_help)
+    p.add_argument("--output", default=None, help="output path (default: stdout)")
+    if kind == "correlate":
+        p.add_argument(
+            "--observable",
+            action="append",
+            nargs=2,
+            metavar=("PATH", "TIME"),
+            required=True,
+            help="observable file and its Heisenberg time; repeatable, in order",
         )
-    parser.add_argument("--output", default=None, help="output path (default: stdout)")
+    if kind == RESPONSE:
+        p.add_argument("--observable-b", required=True, help="Pauli text file for B")
+        p.add_argument("--observable-c", required=True, help="Pauli text file for C")
+    if kind != DOS:
+        p.add_argument("--state", required=True, help="state directive file")
+    return p
 
 
 def _add_sketch_mode(parser: argparse.ArgumentParser):
@@ -310,6 +309,9 @@ def _add_sketch_mode(parser: argparse.ArgumentParser):
     group.add_argument("--moments", type=int, default=None, metavar="N")
     group.add_argument("--integral", type=float, nargs=2, default=None, metavar=("A", "B"))
     parser.add_argument("--rho-max", type=float, default=None, help="integral mode only (default 1)")
+
+
+def _add_oracle(parser: argparse.ArgumentParser):
     parser.add_argument("--oracle", action="store_true", help="emit exact oracle columns")
 
 
@@ -334,45 +336,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("correlate", help="n-time correlation function")
-    p.set_defaults(run=_cmd_correlate)
-    _add_common(p, delta_help=_PER_PART_DELTA_HELP)
-    p.add_argument(
-        "--observable",
-        action="append",
-        nargs=2,
-        metavar=("PATH", "TIME"),
-        required=True,
-        help="observable file and its Heisenberg time; repeatable, in order",
-    )
-    p.add_argument("--state", required=True, help="state directive file")
-    p.add_argument("--oracle", action="store_true")
-
-    for name, help_text in ((DOS, "density of states"), (LDOS, "local density of states")):
-        p = sub.add_parser(name, help=f"sketch the {help_text}")
-        p.set_defaults(run=_cmd_sketch)
-        _add_common(p)
+    _add_oracle(_add_kind(sub, "correlate", _cmd_correlate))
+    for kind in (DOS, LDOS, RESPONSE):
+        p = _add_kind(sub, kind, _cmd_sketch, "sketch the ")
         _add_sketch_mode(p)
-        if name == LDOS:
-            p.add_argument("--state", required=True, help="pure/basis site-state file")
+        _add_oracle(p)
 
-    p = sub.add_parser("response", help="dynamical response sketch")
-    p.set_defaults(run=_cmd_sketch)
-    _add_common(p, delta_help=_PER_PART_DELTA_HELP)
-    _add_sketch_mode(p)
-    p.add_argument("--observable-b", required=True)
-    p.add_argument("--observable-c", required=True)
-    p.add_argument("--state", required=True)
-
-    p = sub.add_parser("kpm", help="moments plus kernel-polynomial reconstruction")
-    p.set_defaults(run=_cmd_kpm)
-    _add_common(p)
-    p.add_argument("--kind", choices=[DOS, LDOS, RESPONSE], default=DOS)
-    p.add_argument("--moments", type=int, required=True, metavar="N")
-    p.add_argument("--grid-points", type=int, default=201)
-    p.add_argument("--state", default=None)
-    p.add_argument("--observable-b", default=None)
-    p.add_argument("--observable-c", default=None)
+    kinds = sub.add_parser(
+        "kpm",
+        help="moments plus kernel-polynomial reconstruction",
+        description="Chebyshev moments of KIND, reconstructed by the kernel polynomial "
+        "method on a grid in [-0.99, 0.99]. KIND takes the input flags of the top-level "
+        "command of the same name, in moments mode.",
+    ).add_subparsers(metavar="KIND", required=True)
+    for kind in (DOS, LDOS, RESPONSE):
+        p = _add_kind(kinds, kind, _cmd_kpm, "reconstruct the ")
+        p.add_argument("--moments", type=int, required=True, metavar="N")
+        p.add_argument("--grid-points", type=int, default=201)
 
     p = sub.add_parser("window-poly", help="build and prove a window polynomial")
     p.set_defaults(run=_cmd_window)
@@ -381,29 +361,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--output", default=None)
 
-    p = sub.add_parser("cost", help="complexity report (unit constants)")
-    p.set_defaults(run=_cmd_cost)
-    _add_common(p, needs_mode=False)
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=[
-            "correlation",
-            "dos-integral",
-            "dos-moments",
-            "ldos-integral",
-            "ldos-moments",
-            "response-integral",
-            "response-moments",
-        ],
-    )
-    p.add_argument("--observable", action="append", nargs=2, metavar=("PATH", "TIME"))
-    p.add_argument("--observable-b", default=None)
-    p.add_argument("--observable-c", default=None)
-    p.add_argument("--state", default=None)
-    p.add_argument("--moments", type=int, default=None)
-    p.add_argument("--integral", type=float, nargs=2, default=None)
-    p.add_argument("--rho-max", type=float, default=None, help="integral kinds only (default 1)")
+    kinds = sub.add_parser(
+        "cost",
+        help="complexity report (unit constants)",
+        description="The query and gate counts of a KIND run, with unit constants, as "
+        "JSON. KIND takes the input flags of the top-level command of the same name, "
+        "without --mode, --seed and --oracle.",
+    ).add_subparsers(metavar="KIND", required=True)
+    _add_kind(kinds, "correlate", _cmd_cost, "cost of the ", estimates=False)
+    for kind in (DOS, LDOS, RESPONSE):
+        p = _add_kind(kinds, kind, _cmd_cost, "cost of sketching the ", estimates=False)
+        _add_sketch_mode(p)
 
     return parser
 
@@ -414,34 +382,9 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-# Values of the arguments read by shared set-up code that some subcommands
-# do not define.
-_ABSENT = dict(seed=None, moments=None, integral=None, rho_max=None)
-
-
-def _normalize(args: argparse.Namespace) -> None:
-    """Derive the sketch kind, the $BLOCKSKETCH_SEED default and the
-    tuple-valued arguments of a parsed command line."""
-    if args.command in (DOS, LDOS, RESPONSE):
-        args.kind = args.command
-    elif args.command == "cost" and args.kind != "correlation":
-        kind, mode_name = args.kind.rsplit("-", 1)
-        if mode_name == "integral" and args.integral is None:
-            raise ValidationError("cost --kind *-integral requires --integral A B")
-        if mode_name == "moments" and args.moments is None:
-            raise ValidationError("cost --kind *-moments requires --moments N")
-        unread = "moments" if mode_name == "integral" else "integral"
-        if getattr(args, unread) is not None:
-            raise ValidationError(f"{args.kind} does not read --{unread}")
-        args.kind = kind
-    if args.seed is None:
-        raw = os.environ.get(SEED_ENV_VAR)
-        try:
-            args.seed = int(raw) if raw else None
-        except ValueError:
-            raise ValidationError(f"${SEED_ENV_VAR}={raw!r} is not an integer") from None
-    if args.integral is not None:
-        args.integral = tuple(args.integral)
+# Values of the arguments read by shared set-up code that some commands do
+# not define.
+_ABSENT = dict(moments=None, integral=None, rho_max=None)
 
 
 def main(argv=None) -> int:
@@ -451,9 +394,8 @@ def main(argv=None) -> int:
     in the process; each call parses into a fresh namespace."""
     args = _parser().parse_args(argv, argparse.Namespace(**_ABSENT))
     try:
-        _normalize(args)
-        if args.command != "window-poly":
-            _validate_common(args)
+        if args.moments is not None and args.moments > MAX_MOMENTS:
+            raise ValidationError(f"moment count {args.moments} exceeds {MAX_MOMENTS}")
         return args.run(args)
     except BlockSketchError as exc:
         print(f"error: {exc}", file=sys.stderr)

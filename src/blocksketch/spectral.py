@@ -76,13 +76,25 @@ def evolution_encoding(h: PauliSum, t: float, eps: float) -> BlockEncoding:
     return _own_block(u, eps, math.ceil(cost))
 
 
+def _is_chebyshev_of(t: BlockEncoding, b: BlockEncoding, k: int) -> bool:
+    """Whether t is an encoding of T_k(A) that `chebyshev_encoding`
+    returned for this same b, read from its circuit recipe: equal ledgers
+    alone would pass the T_k of another encoding."""
+    c = t.circuit
+    return (
+        isinstance(c, partial) and c.func is circuits.alternating_word
+        and c.args[0] is b and c.args[1] == k
+    )
+
+
 def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
     """Exact encoding of T_n(A) for the Hermitian block A of b.
 
     The block follows the recurrence T_n = 2 A T_{n-1} - T_{n-2} from
     T_0 = I and T_1 = A. `previous` may hold the encodings of T_{n-1} and
     T_{n-2} (most recent first; just T_0 for n = 1) that earlier calls
-    returned for the same b; then T_n takes one recurrence step instead of
+    returned for this same b (the same object; any other is refused, also
+    one with equal ledgers); then T_n takes one recurrence step instead of
     n - 1, so a loop over n = 0..N costs N block products in total.
 
     The circuit `circuits.alternating_word` has top-left block exactly
@@ -109,8 +121,11 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
     a = hermitian_block(b)
     _checked_cost(n * b.cost, f"cost ledger {n} * {b.cost}")
     previous = tuple(previous)
-    expected = [(b.ancilla_dim, b.system_dim, k * b.cost) for k in range(n - 1, max(n - 3, -1), -1)]
-    if previous and [(t.ancilla_dim, t.system_dim, t.cost) for t in previous] != expected:
+    orders = range(n - 1, max(n - 3, -1), -1)
+    if previous and not (
+        len(previous) == len(orders)
+        and all(_is_chebyshev_of(t, b, k) for t, k in zip(previous, orders))
+    ):
         raise ValidationError("previous must hold the T_{n-1}, T_{n-2} encodings of b")
 
     if n == 0:

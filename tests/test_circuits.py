@@ -466,7 +466,7 @@ PIPELINES = {
     "--observable-c c.txt --state thermal.txt --oracle",
     "response-integral": "response --hamiltonian h.txt --integral -1 1 --eps 0.3 "
     "--observable-b b.txt --observable-c c.txt --state mixed.txt --oracle",
-    "kpm": "kpm --hamiltonian h.txt --moments 6 --grid-points 11",
+    "kpm": "kpm dos --hamiltonian h.txt --moments 6 --grid-points 11",
     "correlate": "correlate --hamiltonian h.txt --observable o1.txt 0.4 --observable o2.txt -0.3 "
     "--state mixed.txt --oracle",
 }

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -124,16 +125,6 @@ def test_sampled_determinism(workdir):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_seed_env_var(workdir, monkeypatch):
-    out1, out2 = workdir / "a.csv", workdir / "b.csv"
-    monkeypatch.setenv("BLOCKSKETCH_SEED", "21")
-    base = ["dos", "--hamiltonian", workdir / "tilted.txt", "--moments", "2", "--mode",
-            "sampled", "--eps", "0.1", "--delta", "0.1"]
-    assert _run(base + ["--output", out1]) == 0
-    assert _run(base + ["--output", out2]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_ldos_command(workdir):
     out = workdir / "ldos.csv"
     rc = _run(
@@ -179,7 +170,7 @@ def test_integral_row_reports_degree(workdir):
 def test_kpm_command(workdir):
     out = workdir / "kpm.csv"
     rc = _run(
-        ["kpm", "--hamiltonian", workdir / "hz.txt", "--moments", "16", "--grid-points",
+        ["kpm", "dos", "--hamiltonian", workdir / "hz.txt", "--moments", "16", "--grid-points",
          "101", "--output", out]
     )
     assert rc == 0
@@ -194,7 +185,7 @@ def test_kpm_response_reconstructs_both_parts_of_the_complex_moments(workdir):
     (workdir / "hy.txt").write_text("1.0 Y\n")
     out = workdir / "kpm.csv"
     rc = _run(
-        ["kpm", "--kind", "response", "--hamiltonian", workdir / "tilted.txt", "--moments",
+        ["kpm", "response", "--hamiltonian", workdir / "tilted.txt", "--moments",
          "8", "--grid-points", "21", "--observable-b", workdir / "hy.txt", "--observable-c",
          workdir / "hz.txt", "--state", workdir / "ket0.txt", "--output", out]
     )
@@ -216,7 +207,7 @@ def test_kpm_response_reconstructs_both_parts_of_the_complex_moments(workdir):
 
 def test_cost_command(workdir, capsys):
     rc = _run(
-        ["cost", "--kind", "dos-integral", "--hamiltonian", workdir / "tilted.txt",
+        ["cost", "dos", "--hamiltonian", workdir / "tilted.txt",
          "--integral", "-0.2", "0.3", "--eps", "0.1", "--delta", "0.05"]
     )
     assert rc == 0
@@ -231,7 +222,7 @@ def test_cost_command(workdir, capsys):
 
 def test_cost_correlation_command(workdir, capsys):
     rc = _run(
-        ["cost", "--kind", "correlation", "--hamiltonian", workdir / "hz.txt",
+        ["cost", "correlate", "--hamiltonian", workdir / "hz.txt",
          "--observable", workdir / "hx.txt", "0.0", "--state", workdir / "ket0.txt",
          "--eps", "0.1", "--delta", "0.05"]
     )
@@ -372,20 +363,19 @@ GOLDEN = Path(__file__).parent / "golden"
     "golden, hamiltonian, args",
     [
         ("cost_correlation.json", "1.0 Z\n",
-         ["--kind", "correlation", "--observable", "{hx}", "0.0", "--state", "{ket0}",
-          "--eps", "0.1"]),
+         ["correlate", "--observable", "{hx}", "0.0", "--state", "{ket0}", "--eps", "0.1"]),
         ("cost_dos_integral.json", "0.5 ZI\n0.3 IX\n",
-         ["--kind", "dos-integral", "--integral", "-0.2", "0.3", "--eps", "0.1"]),
+         ["dos", "--integral", "-0.2", "0.3", "--eps", "0.1"]),
         ("cost_response_moments.json", "1.0 Z\n",
-         ["--kind", "response-moments", "--observable-b", "{hx}", "--observable-c", "{hx}",
+         ["response", "--observable-b", "{hx}", "--observable-c", "{hx}",
           "--state", "{ket0}", "--moments", "2", "--eps", "0.05"]),
     ],
 )
 def test_cost_matches_golden(workdir, capsys, golden, hamiltonian, args):
     (workdir / "h.txt").write_text(hamiltonian)
     files = {"hx": workdir / "hx.txt", "ket0": workdir / "ket0.txt"}
-    argv = ["cost", "--hamiltonian", workdir / "h.txt", "--delta", "0.05"]
-    argv += [a.format(**files) for a in args]
+    argv = ["cost", args[0], "--hamiltonian", workdir / "h.txt", "--delta", "0.05"]
+    argv += [a.format(**files) for a in args[1:]]
     assert _run(argv) == 0
     assert json.loads(capsys.readouterr().out) == json.loads((GOLDEN / golden).read_text())
 
@@ -408,9 +398,9 @@ def golden_inputs(tmp_path):
         ("ldos_moments_sampled.csv",
          ["ldos", "--moments", "4", "--mode", "sampled", "--seed", "7", "--oracle"]),
         ("ldos_integral.csv", ["ldos", "--integral", "-0.4", "0.3", "--eps", "0.15", "--oracle"]),
-        ("kpm_ldos.csv", ["kpm", "--kind", "ldos", "--moments", "8", "--grid-points", "21"]),
+        ("kpm_ldos.csv", ["kpm", "ldos", "--moments", "8", "--grid-points", "21"]),
         ("kpm_response.csv",
-         ["kpm", "--kind", "response", "--observable-b", "{b}", "--observable-c", "{c}",
+         ["kpm", "response", "--observable-b", "{b}", "--observable-c", "{c}",
           "--moments", "8", "--grid-points", "21"]),
         ("response_moments_sampled.csv",
          ["response", "--moments", "4", "--mode", "sampled", "--seed", "7", "--oracle",
@@ -433,89 +423,104 @@ def test_dos_integral_matches_golden(golden_inputs, capsys):
     assert capsys.readouterr().out == (GOLDEN / "dos_integral.csv").read_text()
 
 
+def _refused(argv, capsys) -> str:
+    """The stderr of a command line that argparse refuses, which exits 2
+    and prints nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        _run(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def _names_the_unread_flag(err: str, flag: str) -> bool:
+    """Whether argparse's refusal names flag: as an unrecognized argument,
+    or as an ambiguous prefix of flags that the kind does read."""
+    pattern = rf"error: (unrecognized arguments|ambiguous option): {re.escape(flag)} "
+    return re.search(pattern, err) is not None
+
+
 @pytest.mark.parametrize(
     "args",
     [
-        ["kpm", "--kind", "ldos", "--moments", "3"],
-        ["cost", "--kind", "ldos-moments", "--moments", "3"],
-        ["cost", "--kind", "ldos-integral", "--integral", "-0.5", "0.5"],
+        ["kpm", "ldos", "--moments", "3"],
+        ["cost", "ldos", "--moments", "3"],
+        ["cost", "ldos", "--integral", "-0.5", "0.5"],
     ],
 )
 def test_ldos_without_state_names_the_flag(workdir, capsys, args):
-    assert _run(args + ["--hamiltonian", workdir / "hz.txt"]) == 2
-    assert "error: ldos requires a --state file" in capsys.readouterr().err
+    err = _refused(args + ["--hamiltonian", workdir / "hz.txt"], capsys)
+    assert err.endswith("error: the following arguments are required: --state\n")
 
 
+# Each case is named by the input that its kind never reads.
 @pytest.mark.parametrize(
-    "args, message",
+    "args, unread",
     [
-        (["kpm", "--kind", "dos", "--moments", "3", "--state", "{ket0}"],
+        (["kpm", "dos", "--moments", "3", "--state", "{ket0}"],
          "dos does not read --state"),
-        (["kpm", "--kind", "dos", "--moments", "3", "--observable-b", "{hx}"],
+        (["kpm", "dos", "--moments", "3", "--observable-b", "{hx}"],
          "dos does not read --observable-b"),
-        (["kpm", "--kind", "ldos", "--moments", "3", "--state", "{ket0}", "--observable-c", "{hx}"],
+        (["kpm", "ldos", "--moments", "3", "--state", "{ket0}", "--observable-c", "{hx}"],
          "ldos does not read --observable-c"),
-        (["cost", "--kind", "dos-moments", "--moments", "3", "--state", "{ket0}"],
+        (["cost", "dos", "--moments", "3", "--state", "{ket0}"],
          "dos does not read --state"),
-        (["cost", "--kind", "dos-integral", "--integral", "-0.5", "0.5", "--observable-c", "{hx}"],
+        (["cost", "dos", "--integral", "-0.5", "0.5", "--observable-c", "{hx}"],
          "dos does not read --observable-c"),
-        (["cost", "--kind", "ldos-moments", "--moments", "3", "--state", "{ket0}",
-          "--observable-b", "{hx}"],
+        (["cost", "ldos", "--moments", "3", "--state", "{ket0}", "--observable-b", "{hx}"],
          "ldos does not read --observable-b"),
     ],
 )
-def test_kpm_and_cost_refuse_a_flag_the_kind_never_reads(workdir, capsys, args, message):
+def test_kpm_and_cost_refuse_a_flag_the_kind_never_reads(workdir, capsys, args, unread):
     files = {"hx": workdir / "hx.txt", "ket0": workdir / "ket0.txt"}
     argv = [a.format(**files) for a in args] + ["--hamiltonian", workdir / "hz.txt"]
-    assert _run(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert _names_the_unread_flag(_refused(argv, capsys), unread.split()[-1])
 
 
 @pytest.mark.parametrize(
-    "args, message",
+    "args, unread",
     [
-        (["cost", "--kind", "dos-moments", "--moments", "2", "--observable", "{hx}", "0"],
+        (["cost", "dos", "--moments", "2", "--observable", "{hx}", "0"],
          "dos does not read --observable"),
-        (["cost", "--kind", "ldos-integral", "--integral", "-0.5", "0.5", "--state", "{ket0}",
+        (["cost", "ldos", "--integral", "-0.5", "0.5", "--state", "{ket0}",
           "--observable", "{hx}", "0"],
          "ldos does not read --observable"),
-        (["cost", "--kind", "response-moments", "--moments", "2", "--state", "{ket0}",
+        (["cost", "response", "--moments", "2", "--state", "{ket0}",
           "--observable-b", "{hx}", "--observable-c", "{hx}", "--observable", "{hx}", "0"],
          "response does not read --observable"),
-        (["cost", "--kind", "correlation", "--observable", "{hx}", "0", "--state", "{ket0}",
+        (["cost", "correlate", "--observable", "{hx}", "0", "--state", "{ket0}",
           "--moments", "3"],
          "correlation does not read --moments"),
-        (["cost", "--kind", "correlation", "--observable", "{hx}", "0", "--state", "{ket0}",
+        (["cost", "correlate", "--observable", "{hx}", "0", "--state", "{ket0}",
           "--integral", "-0.5", "0.5"],
          "correlation does not read --integral"),
-        (["cost", "--kind", "correlation", "--observable", "{hx}", "0", "--state", "{ket0}",
+        (["cost", "correlate", "--observable", "{hx}", "0", "--state", "{ket0}",
           "--observable-b", "{hx}"],
          "correlation does not read --observable-b"),
-        (["cost", "--kind", "correlation", "--observable", "{hx}", "0", "--state", "{ket0}",
+        (["cost", "correlate", "--observable", "{hx}", "0", "--state", "{ket0}",
           "--observable-c", "{hx}"],
          "correlation does not read --observable-c"),
     ],
 )
 def test_cost_refuses_an_observable_or_mode_flag_the_kind_never_reads(
-    workdir, capsys, args, message
+    workdir, capsys, args, unread
 ):
     files = {"hx": workdir / "hx.txt", "ket0": workdir / "ket0.txt"}
     argv = [a.format(**files) for a in args] + ["--hamiltonian", workdir / "hz.txt"]
-    assert _run(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert _names_the_unread_flag(_refused(argv, capsys), unread.split()[-1])
 
 
 def test_kpm_has_no_observable_flag(workdir, capsys):
-    # argparse refuses it as an ambiguous prefix of --observable-b/-c.
-    with pytest.raises(SystemExit) as exc:
-        _run(["kpm", "--moments", "2", "--observable", workdir / "hx.txt", "0",
-              "--hamiltonian", workdir / "hz.txt"])
-    assert exc.value.code == 2
-    assert "kpm: error: ambiguous option: --observable " in capsys.readouterr().err
+    """Only correlate reads --observable: kpm dos does not know it, and
+    kpm response refuses it as an ambiguous prefix of --observable-b/-c."""
+    hz, hx, ket0 = (workdir / f for f in ("hz.txt", "hx.txt", "ket0.txt"))
+    argv = ["kpm", "dos", "--moments", "2", "--observable", hx, "0", "--hamiltonian", hz]
+    assert f"error: unrecognized arguments: --observable {hx} 0\n" in _refused(argv, capsys)
+    argv[1] = "response"
+    argv += ["--observable-b", hx, "--observable-c", hx, "--state", ket0]
+    err = _refused(argv, capsys)
+    assert "kpm response: error: ambiguous option: --observable could match" in err
 
 
 @pytest.mark.parametrize(
@@ -526,20 +531,27 @@ def test_kpm_has_no_observable_flag(workdir, capsys):
         (["response", "--moments", "2", "--state", "{ket0}", "--observable-b", "{hx}",
           "--observable-c", "{hx}"],
          "response --moments does not read --rho-max"),
-        (["cost", "--kind", "dos-moments", "--moments", "2"],
+        (["cost", "dos", "--moments", "2"],
          "dos --moments does not read --rho-max"),
-        (["cost", "--kind", "response-moments", "--moments", "2", "--state", "{ket0}",
+        (["cost", "response", "--moments", "2", "--state", "{ket0}",
           "--observable-b", "{hx}", "--observable-c", "{hx}"],
          "response --moments does not read --rho-max"),
-        (["cost", "--kind", "correlation", "--observable", "{hx}", "0", "--state", "{ket0}"],
+        (["cost", "correlate", "--observable", "{hx}", "0", "--state", "{ket0}"],
          "correlation does not read --rho-max"),
     ],
 )
 @pytest.mark.parametrize("rho_max", ["0.5", "1"])
 def test_rho_max_is_refused_where_it_is_never_read(workdir, capsys, args, message, rho_max):
+    """A sketch kind reads --rho-max only in integral mode, which argparse
+    cannot declare, so moments mode refuses it with a message; a correlation
+    cost has no --rho-max flag, so argparse refuses it."""
     files = {"hx": workdir / "hx.txt", "ket0": workdir / "ket0.txt"}
     argv = [a.format(**files) for a in args] + ["--hamiltonian", workdir / "hz.txt"]
-    assert _run(argv + ["--rho-max", rho_max]) == 2
+    argv += ["--rho-max", rho_max]
+    if "correlate" in args:
+        assert f"error: unrecognized arguments: --rho-max {rho_max}\n" in _refused(argv, capsys)
+        return
+    assert _run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
@@ -547,13 +559,14 @@ def test_rho_max_is_refused_where_it_is_never_read(workdir, capsys, args, messag
 
 def test_kpm_has_no_rho_max_flag(workdir, capsys):
     with pytest.raises(SystemExit) as exc:
-        _run(["kpm", "--moments", "2", "--rho-max", "0.5", "--hamiltonian", workdir / "hz.txt"])
+        _run(["kpm", "dos", "--moments", "2", "--rho-max", "0.5",
+              "--hamiltonian", workdir / "hz.txt"])
     assert exc.value.code == 2
     assert "error: unrecognized arguments: --rho-max 0.5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
-    "command", [["dos"], ["cost", "--kind", "dos-integral"], ["ldos", "--state", "{ket0}"]]
+    "command", [["dos"], ["cost", "dos"], ["ldos", "--state", "{ket0}"]]
 )
 def test_integral_mode_without_rho_max_reads_one(workdir, capsys, command):
     argv = [a.format(ket0=workdir / "ket0.txt") for a in command]
@@ -582,7 +595,7 @@ def test_correlation_cost_of_an_overflowing_thermal_state_exits_2(workdir, capsy
     (workdir / "h.txt").write_text("1.0 I\n0.5 Z\n")
     (workdir / "thermal.txt").write_text(f"thermal {beta}\n")
     rc = _run(
-        ["cost", "--kind", "correlation", "--hamiltonian", workdir / "h.txt", "--observable",
+        ["cost", "correlate", "--hamiltonian", workdir / "h.txt", "--observable",
          workdir / "hx.txt", "0", "--state", workdir / "thermal.txt"]
     )
     assert rc == 2
@@ -594,7 +607,8 @@ def test_correlation_cost_of_an_overflowing_thermal_state_exits_2(workdir, capsy
 
 @pytest.mark.parametrize("points", ["-1", "0"])
 def test_kpm_grid_points_guard(workdir, capsys, points):
-    rc = _run(["kpm", "--hamiltonian", workdir / "hz.txt", "--moments", "3", "--grid-points", points])
+    rc = _run(["kpm", "dos", "--hamiltonian", workdir / "hz.txt", "--moments", "3",
+               "--grid-points", points])
     assert rc == 2
     assert f"--grid-points must be at least 1, got {points}" in capsys.readouterr().err
 
@@ -606,7 +620,8 @@ def test_kpm_grid_points_limit_is_checked_before_any_allocation(workdir, capsys,
     monkeypatch.setattr(cli, "spectral_sketch", refuse)
     monkeypatch.setattr(cli.np, "linspace", refuse)
     points = cli.MAX_GRID_POINTS + 1
-    rc = _run(["kpm", "--hamiltonian", workdir / "hz.txt", "--moments", "2", "--grid-points", points])
+    rc = _run(["kpm", "dos", "--hamiltonian", workdir / "hz.txt", "--moments", "2",
+               "--grid-points", points])
     assert rc == 2
     assert capsys.readouterr().err == f"error: --grid-points {points} exceeds {cli.MAX_GRID_POINTS}\n"
 
@@ -615,8 +630,8 @@ def test_kpm_grid_points_limit_is_checked_before_any_allocation(workdir, capsys,
     "args",
     [
         ["response", "--moments", "1"],
-        ["kpm", "--kind", "response", "--moments", "1"],
-        ["cost", "--kind", "response-moments", "--moments", "1"],
+        ["kpm", "response", "--moments", "1"],
+        ["cost", "response", "--moments", "1"],
     ],
 )
 def test_observables_on_other_qubits_exit_2_before_any_matrix(workdir, capsys, args):
@@ -633,14 +648,14 @@ def test_observables_on_other_qubits_exit_2_before_any_matrix(workdir, capsys, a
 @pytest.mark.parametrize(
     "mode, other",
     [
-        (["--kind", "dos-integral", "--integral", "-1", "1"], ["--moments", "3"]),
-        (["--kind", "dos-moments", "--moments", "3"], ["--integral", "-1", "1"]),
+        (["dos", "--integral", "-1", "1"], ["--moments", "3"]),
+        (["dos", "--moments", "3"], ["--integral", "-1", "1"]),
     ],
 )
 def test_cost_refuses_the_other_mode_flag_by_name(workdir, capsys, mode, other):
-    assert _run(["cost", "--hamiltonian", workdir / "hz.txt", *mode, *other]) == 2
-    kind, flag = mode[1], other[0]
-    assert capsys.readouterr().err == f"error: {kind} does not read {flag}\n"
+    argv = ["cost", mode[0], "--hamiltonian", workdir / "hz.txt", *mode[1:], *other]
+    err = _refused(argv, capsys)
+    assert err.endswith(f"error: argument {other[0]}: not allowed with argument {mode[1]}\n")
 
 
 @pytest.mark.parametrize(
@@ -708,7 +723,7 @@ def test_correlate_time_must_be_finite_with_a_finite_cost(workdir, capsys, time,
 def test_correlation_cost_at_an_overflowing_time_exits_2(workdir, capsys):
     """The cost report refuses the time that correlate refuses, with the
     same message, rather than print Infinity."""
-    assert _run_chain_correlation(workdir, ["cost", "--kind", "correlation"], "1e308") == 2
+    assert _run_chain_correlation(workdir, ["cost", "correlate"], "1e308") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: evolution cost at time 1e+308 is inf, not at most 2^63 - 1\n" in captured.err
@@ -720,7 +735,7 @@ def test_observable_time_may_be_negative(workdir, capsys, command, time):
     argv = [command, "--hamiltonian", workdir / "hz.txt", "--observable", workdir / "hx.txt", time,
             "--state", workdir / "ket0.txt"]
     if command == "cost":
-        argv[1:1] = ["--kind", "correlation"]
+        argv[1:1] = ["correlate"]
     assert _run(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     if command == "cost":
@@ -752,22 +767,6 @@ def test_correlate_at_an_underflowing_time_costs_nothing(workdir, capsys):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize(
-    "command", [["dos", "--moments", "2"], ["cost", "--kind", "dos-moments", "--moments", "2"]]
-)
-def test_non_integer_seed_env_var_names_the_variable(workdir, capsys, monkeypatch, command):
-    monkeypatch.setenv("BLOCKSKETCH_SEED", "abc")
-    rc = _run([command[0], "--hamiltonian", workdir / "hz.txt", *command[1:]])
-    assert rc == 2
-    assert "error: $BLOCKSKETCH_SEED='abc' is not an integer" in capsys.readouterr().err
-
-
-def test_window_poly_rejects_non_integer_seed_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("BLOCKSKETCH_SEED", "1.5")
-    assert _run(["window-poly", "--a", "-0.2", "--b", "0.2", "--eta", "0.4"]) == 2
-    assert "BLOCKSKETCH_SEED" in capsys.readouterr().err
-
-
 def test_overflowing_scale_names_the_file(workdir, capsys):
     big = workdir / "big.txt"
     big.write_text("1e308 ZI\n1e308 IZ\n")
@@ -787,16 +786,14 @@ QUERIES_OVERFLOW = "the query count overflows to inf"
     "command, message",
     [
         ("correlate --observable {big_x} 0 --observable {big_z} 0.5", GAMMA_OVERFLOWS),
-        ("cost --kind correlation --observable {big_x} 0 --observable {big_z} 0.5",
-         GAMMA_OVERFLOWS),
-        ("cost --kind correlation --observable {huge_x} 0", QUERIES_OVERFLOW),
+        ("cost correlate --observable {big_x} 0 --observable {big_z} 0.5", GAMMA_OVERFLOWS),
+        ("cost correlate --observable {huge_x} 0", QUERIES_OVERFLOW),
         ("response --moments 1 --observable-b {big_x} --observable-c {big_x}", BC_OVERFLOWS),
-        ("cost --kind response-moments --moments 1 --observable-b {big_x} --observable-c {big_x}",
+        ("cost response --moments 1 --observable-b {big_x} --observable-c {big_x}",
          BC_OVERFLOWS),
-        ("cost --kind response-moments --moments 1 --observable-b {huge_x} --observable-c {hz}",
+        ("cost response --moments 1 --observable-b {huge_x} --observable-c {hz}",
          QUERIES_OVERFLOW),
-        ("cost --kind dos-integral --integral -0.5 0.5 --eps 1e-306 --rho-max 1e-304",
-         QUERIES_OVERFLOW),
+        ("cost dos --integral -0.5 0.5 --eps 1e-306 --rho-max 1e-304", QUERIES_OVERFLOW),
     ],
 )
 def test_overflowing_scale_products_exit_2(workdir, capsys, command, message):
@@ -807,7 +804,7 @@ def test_overflowing_scale_products_exit_2(workdir, capsys, command, message):
     (workdir / "huge_x.txt").write_text("1e307 X\n")
     paths = {name: workdir / f"{name}.txt" for name in ("big_x", "big_z", "huge_x", "hz")}
     argv = command.format(**paths).split() + ["--hamiltonian", workdir / "hz.txt"]
-    if "--kind dos-" not in command:  # a dos cost refuses --state
+    if not command.startswith("cost dos "):  # a dos cost refuses --state
         argv += ["--state", workdir / "ket0.txt"]
     assert _run(argv) == 2
     captured = capsys.readouterr()
@@ -821,7 +818,7 @@ def test_json_writer_refuses_non_finite_numbers():
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("command", [["dos"], ["cost", "--kind", "dos-integral"]])
+@pytest.mark.parametrize("command", [["dos"], ["cost", "dos"]])
 def test_non_finite_rho_max_is_named(workdir, capsys, command, value):
     argv = [*command, "--hamiltonian", workdir / "hz.txt", "--integral", "-0.5", "0.5",
             f"--rho-max={value}"]
@@ -829,9 +826,7 @@ def test_non_finite_rho_max_is_named(workdir, capsys, command, value):
     assert f"error: rho_max must be positive and finite, got {value}\n" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "command", [["dos", "--moments", "2"], ["cost", "--kind", "dos-moments", "--moments", "2"]]
-)
+@pytest.mark.parametrize("command", [["dos", "--moments", "2"], ["cost", "dos", "--moments", "2"]])
 def test_unwritable_output_exits_2(workdir, capsys, command):
     target = workdir / "missing" / "out.txt"
     assert _run([*command, "--hamiltonian", workdir / "hz.txt", "--output", target]) == 2
@@ -880,9 +875,9 @@ def test_one_parser_serves_every_call_like_a_fresh_one(
                 "--state", ket0, "--moments", "1"]),
         (None, ["dos", "--hamiltonian", workdir / "tilted.txt", "--integral", "0.2", "0.45",
                 "--eps", "0.3"]),
-        (None, ["kpm", "--hamiltonian", hz, "--moments", "4", "--grid-points", "5"]),
+        (None, ["kpm", "dos", "--hamiltonian", hz, "--moments", "4", "--grid-points", "5"]),
         (None, ["window-poly", "--a", "-0.2", "--b", "0.2", "--eta", "0.4"]),
-        (None, ["cost", "--kind", "correlation", "--hamiltonian", hz, "--observable", hx, "0.5",
+        (None, ["cost", "correlate", "--hamiltonian", hz, "--observable", hx, "0.5",
                 "--state", ket0]),
         ("6", sampled),
     ]
@@ -891,10 +886,8 @@ def test_one_parser_serves_every_call_like_a_fresh_one(
         (workdir / tag).mkdir()
         outcomes = []
         for i, (seed, argv) in enumerate(steps):
-            if seed is None:
-                monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
-            else:
-                monkeypatch.setenv(cli.SEED_ENV_VAR, seed)
+            if seed is not None:
+                argv = [*argv, "--seed", seed]
             output = workdir / tag / f"{i}.out"
             outcomes.append((*_outcome([*argv, "--output", output], output), *capsys.readouterr()))
         return outcomes
@@ -917,8 +910,8 @@ def test_one_parser_serves_every_call_like_a_fresh_one(
 def test_help_of_the_reused_parser_is_a_fresh_parsers(capsys, monkeypatch, counted_builds):
     """Help is formatted when printed, at the terminal width of that moment,
     not at the width the reused parser was built at."""
-    commands = ([], ["correlate"], ["dos"], ["ldos"], ["response"], ["kpm"], ["window-poly"],
-                ["cost"])
+    commands = ([], ["correlate"], ["dos"], ["ldos"], ["response"], ["kpm"], ["kpm", "response"],
+                ["window-poly"], ["cost"], ["cost", "correlate"])
     top_level = []
     for columns in ("200", "60"):
         monkeypatch.setenv("COLUMNS", columns)
@@ -1005,10 +998,10 @@ def test_overflowing_query_budget_in_sampled_mode_exits_2(workdir):
         ("dos --integral -0.5 0.5 --rho-max 1e308", "rho_max 1e+308"),
         ("dos --integral -0.5 0.5 --rho-max 1e305", "rho_max 1e+305"),
         ("ldos --integral -0.5 0.5 --rho-max 1e305 --state {ket0}", "rho_max 1e+305"),
-        ("cost --kind dos-integral --integral -0.5 0.5 --rho-max 1e305", "rho_max 1e+305"),
+        ("cost dos --integral -0.5 0.5 --rho-max 1e305", "rho_max 1e+305"),
         ("response --integral -0.5 0.5 --observable-b {huge_x} --observable-c {hz} "
          "--state {ket0}", "rho_max 1.0 with |B| |C| = 1e+307"),
-        ("cost --kind response-integral --integral -0.5 0.5 --observable-b {huge_x} "
+        ("cost response --integral -0.5 0.5 --observable-b {huge_x} "
          "--observable-c {hz} --state {ket0}", "rho_max 1.0 with |B| |C| = 1e+307"),
     ],
 )
@@ -1029,9 +1022,9 @@ def test_underflowing_window_share_names_its_factor(workdir, capsys, command, na
     "command, named",
     [
         ("dos --integral -0.5 0.5 --rho-max 0.01", "rho_max 0.01"),
-        ("cost --kind dos-integral --integral -0.5 0.5 --rho-max 0.01", "rho_max 0.01"),
+        ("cost dos --integral -0.5 0.5 --rho-max 0.01", "rho_max 0.01"),
         ("ldos --integral -0.5 0.5 --rho-max 0.01 --state {ket0}", "rho_max 0.01"),
-        ("cost --kind response-integral --integral -0.5 0.5 --rho-max 0.01 --observable-b {hz} "
+        ("cost response --integral -0.5 0.5 --rho-max 0.01 --observable-b {hz} "
          "--observable-c {hx} --state {ket0}", "rho_max 0.01 with |B| |C| = 1.0"),
     ],
 )
@@ -1057,14 +1050,10 @@ def test_window_share_of_one_or_more_names_its_factor(workdir, capsys, command, 
         "response --moments 1 --observable-b {hz} --observable-c {hx} --state {ket0}",
     ],
 )
-@pytest.mark.parametrize("seed", [["--seed", "-1"], ["BLOCKSKETCH_SEED", "-2"]])
-def test_negative_seed_is_refused_in_sampled_mode(workdir, capsys, monkeypatch, command, seed):
+@pytest.mark.parametrize("seed", [["--seed", "-1"], ["--seed", "-2"]])
+def test_negative_seed_is_refused_in_sampled_mode(workdir, capsys, command, seed):
     paths = {name: workdir / f"{name}.txt" for name in ("hz", "hx", "ket0")}
-    argv = command.format(**paths).split() + ["--hamiltonian", workdir / "hz.txt"]
-    if seed[0] == "--seed":
-        argv += seed
-    else:
-        monkeypatch.setenv(*seed)
+    argv = command.format(**paths).split() + ["--hamiltonian", workdir / "hz.txt", *seed]
     assert _run(argv + ["--mode", "sampled"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -1132,3 +1121,15 @@ def test_repeated_calls_in_one_process_write_the_same_bytes(tmp_path, command, h
     assert len(outputs[0].splitlines()[0].split(",")) > 4
     assert outputs[1] == first
     assert outputs[2] == first
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_every_readme_command_parses():
+    """Each `blocksketch ...` line of the README is a command line that the
+    parser accepts, and together they show all seven commands."""
+    lines = [line for line in README.read_text().splitlines() if line.startswith("blocksketch ")]
+    parser = cli.build_parser()
+    commands = {parser.parse_args(shlex.split(line)[1:]).command for line in lines}
+    assert commands == {"correlate", "dos", "ldos", "response", "kpm", "window-poly", "cost"}

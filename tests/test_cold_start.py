@@ -40,14 +40,12 @@ SCIPY_FREE = {
         "--seed", "3", "--observable-b", "b.txt", "--observable-c", "c.txt",
         "--state", "mixed.txt",
     ],
-    "kpm": ["kpm", "--hamiltonian", "h.txt", "--moments", "4", "--grid-points", "5"],
+    "kpm": ["kpm", "dos", "--hamiltonian", "h.txt", "--moments", "4", "--grid-points", "5"],
     "correlate": [
         "correlate", "--hamiltonian", "h.txt", "--observable", "b.txt", "0.3",
         "--state", "pure.txt", "--oracle",
     ],
-    "cost-dos-integral": [
-        "cost", "--hamiltonian", "h.txt", "--kind", "dos-integral", "--integral", "-1", "1",
-    ],
+    "cost-dos-integral": ["cost", "dos", "--hamiltonian", "h.txt", "--integral", "-1", "1"],
 }
 
 # Commands that build a window polynomial or a thermal state.

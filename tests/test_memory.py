@@ -86,7 +86,7 @@ COMMANDS = {
     "--eps 0.0012550408392058986",
     "ldos-moments": "ldos --hamiltonian h.txt --moments 4 --state basis.txt",
     "ldos-integral": "ldos --hamiltonian h.txt --integral -2 2 --eps 0.1 --state basis.txt",
-    "kpm": "kpm --hamiltonian h.txt --moments 4",
+    "kpm": "kpm dos --hamiltonian h.txt --moments 4",
     "response-moments": "response --hamiltonian h.txt --moments 16 --observable-b b.txt "
     "--observable-c c.txt --state basis.txt",
     "correlate-4q": "correlate --hamiltonian h4.txt --observable o0.txt 0.5 "

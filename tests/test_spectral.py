@@ -13,6 +13,7 @@ from blocksketch.errors import (
     NotHermitianError,
     OutOfRangeError,
     PolyNotBoundedError,
+    ValidationError,
 )
 from blocksketch import block_encoding
 from blocksketch.circuits import is_unitary
@@ -229,11 +230,26 @@ def test_chebyshev_encoding_continues_from_previous_orders(rng):
 
     t3, t2 = chebyshev_encoding(enc, 3), chebyshev_encoding(enc, 2)
     other = contraction_encoding(a, cost=1)
-    from blocksketch.errors import ValidationError
-
     with pytest.raises(ValidationError):
         chebyshev_encoding(enc, 4, (t2, t3))
     with pytest.raises(ValidationError):
         chebyshev_encoding(other, 4, (t3, t2))
     with pytest.raises(ValidationError):
         chebyshev_encoding(enc, 4, (t3,))
+
+
+def test_chebyshev_encoding_refuses_the_orders_of_another_encoding():
+    """T_1 and T_0 of another encoding with the same ledgers would give a
+    T_2 block off by 2.25 whose norm, 2.47, passes the recorded bound 1
+    unchecked: previous must come from this same b."""
+    b = encode_pauli_sum(PauliSum.from_terms([(0.3, "XX"), (0.9, "ZZ")]))
+    other = encode_pauli_sum(PauliSum.from_terms([(1.0, "ZI"), (0.5, "IX")]))
+    t1, t0 = chebyshev_encoding(other, 1), chebyshev_encoding(other, 0)
+    ledgers = [(t.ancilla_dim, t.system_dim, t.cost) for t in (t1, t0)]
+    assert ledgers == [(b.ancilla_dim, b.system_dim, k * b.cost) for k in (1, 0)]
+    with pytest.raises(ValidationError, match="encodings of b"):
+        chebyshev_encoding(b, 2, (t1, t0))
+    with pytest.raises(ValidationError, match="encodings of b"):
+        chebyshev_encoding(b, 1, (t0,))
+    own = (chebyshev_encoding(b, 1), chebyshev_encoding(b, 0))
+    assert np.array_equal(chebyshev_encoding(b, 2, own).block, chebyshev_encoding(b, 2).block)
