@@ -275,7 +275,9 @@ def spectral_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = 
 
     Integral mode takes f to be the proven window over the rescaled
     interval; the window, polynomial and estimation shares of eps are
-    read from `_budget`. Moments mode takes f = T_n for n = 0..N.
+    read from `_budget`. Moments mode takes f = T_n for n = 0..N in
+    ascending order, so each T_n is one recurrence step from the two
+    orders the encoding of H remembers (`spectral.chebyshev_encoding`).
     """
     h_enc = encode_pauli_sum(req.hamiltonian)
     alpha = h_enc.scale
@@ -304,10 +306,8 @@ def spectral_sketch(req: SketchRequest, mode: str = "exact", seed: int | None = 
 
     values = []
     orders = list(range(req.num_moments + 1))
-    previous: tuple[BlockEncoding, ...] = ()
     for n in orders:
-        t_n = chebyshev_encoding(h_enc, n, previous)
-        previous = (t_n, *previous[:1])
+        t_n = chebyshev_encoding(h_enc, n)
         values.append(estimate(t_n, budget.estimation, _moment_seed(seed, stride, n)))
     return SketchResult(tuple(values), tuple(orders))
 

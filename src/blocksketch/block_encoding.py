@@ -39,13 +39,15 @@ An encoding is built in one of three ways:
 - by measurement: ``BlockEncoding(block, ancilla_dim, system_dim, scale,
   accuracy, cost, circuit=...)`` for a block with no rule behind it, whose
   spectral norm is measured by an SVD. `dataclasses.replace`, which passes
-  the block back through that constructor, measures too.
+  the block back through that constructor, measures too. No rule of the
+  package builds its values this way.
 
 The norm ledger. A block of a unitary is a contraction, and every value
 carries ``norm_bound``, an upper bound on the spectral norm of its block,
 which construction checks against 1 + CONTRACTION_TOL in O(1). Each rule
 proves its bound from its inputs' (Gilyen-Su-Low-Wiebe normalization
-bookkeeping), so no rule runs an SVD:
+bookkeeping), so no rule runs an SVD except `spectral.chebyshev_encoding`
+where it proves no bound:
 
 - `encode_pauli_sum`: sum_i |beta_i| / alpha = 1;
 - `identity_encoding`, `encode_unitary`, `spectral.evolution_encoding`:
@@ -54,7 +56,9 @@ bookkeeping), so no rule runs an SVD:
 - `product`: the product of the input bounds;
 - `linear_combine`: sum_i w_i bound_i over the convex weights w_i;
 - `spectral.chebyshev_encoding`: 1 at n = 0, and for an exactly
-  Hermitian input block with bound at most 1 (else an SVD, see there);
+  Hermitian input block with bound at most 1; for a block Hermitian only
+  within tolerance the rule measures its norm by an SVD and keeps the
+  block's dtype (see there);
 - `spectral.apply_polynomial`: p.sup_norm_bound / 2, proven with p.
 
 The Hermitian ledger. ``hermitian`` is True only where a rule proves
@@ -165,12 +169,14 @@ class BlockEncoding:
     circuit: Callable[[], np.ndarray] = field(repr=False, compare=False)
     # The recorded rule (None for a formed block), the (weak reference
     # to the density, trace) that `_density_trace` last read from a formed
-    # block, and the (weak references to the density and last factor,
+    # block, the (weak references to the density and last factor,
     # sandwich) of the last product read with this value first
-    # (`_sandwich`).
+    # (`_sandwich`), and the (k, T_k, T_{k-1}) blocks of the last
+    # Chebyshev order k >= 2 computed on it (`spectral.chebyshev_encoding`).
     _rule = None
     _trace_memo = None
     _sandwich_memo = None
+    _chebyshev_memo = None
 
     def __init__(
         self,
@@ -322,13 +328,14 @@ def _set_fields(
     enc, block, norm_bound, hermitian, ancilla_dim, system_dim, scale, accuracy, cost, circuit
 ):
     """Check the ledgers, the block's shape and its norm bound (measured by
-    an SVD when None), and set the fields of a frozen encoding. A None
-    block is a recorded rule's, formed on first access."""
+    an SVD when None, of a block that must then be finite), and set the
+    fields of a frozen encoding. A None block is a recorded rule's, formed
+    on first access. Every check is written so that NaN fails it."""
     if not 0.0 < scale < math.inf:
         raise OutOfRangeError(f"scale must be positive and finite, got {scale}")
-    if accuracy < 0:
+    if not accuracy >= 0:
         raise OutOfRangeError(f"accuracy must be nonnegative, got {accuracy}")
-    if cost < 0:
+    if not cost >= 0:
         raise OutOfRangeError(f"cost must be nonnegative, got {cost}")
     if ancilla_dim < 1:
         raise DimensionMismatchError(f"ancilla dimension must be positive, got {ancilla_dim}")
@@ -338,8 +345,10 @@ def _set_fields(
                 f"block shape {block.shape} != ({system_dim}, {system_dim})"
             )
         if norm_bound is None:
+            if not np.isfinite(block).all():
+                raise OutOfRangeError("a measured block must have finite entries")
             norm_bound = spectral_norm(block)
-    if norm_bound > 1.0 + CONTRACTION_TOL:
+    if not norm_bound <= 1.0 + CONTRACTION_TOL:
         raise NormTooLargeError(f"encoded block has spectral norm bound {norm_bound:.12g} > 1")
     # Frozen dataclass: fields are set through the instance dict, one item
     # at a time (update(**fields) would build a dict first).
@@ -359,7 +368,7 @@ def _set_fields(
 
 def _by_rule(
     block,
-    norm_bound: float,
+    norm_bound: float | None,
     *,
     hermitian: bool = False,
     ancilla_dim,
@@ -372,7 +381,9 @@ def _by_rule(
     """An encoding whose block an arithmetic rule computed, or whose
     recorded rule (`_Product`, `_Sum`, `_Adjoint`) forms it on
     first access, with the norm bound that rule proves, checked without an
-    SVD, and Hermitian where the rule proves it (see the module docstring).
+    SVD (None where the rule proves none: an SVD of the computed block then
+    measures it), and Hermitian where the rule proves it (see the module
+    docstring).
 
     Package-private: a computed block, float64 or complex128 by the dtype
     rule (module docstring), is taken as it is (no copy) and must be a

@@ -6,7 +6,8 @@ layer `circuits` builds the full unitary only when `.unitary` is read.
 
 Time evolution is realized by exact matrix exponentiation behind the
 standard cost formula. Chebyshev polynomials T_n(A) of an encoded
-Hermitian block follow the three-term recurrence on the block; their
+Hermitian block follow the three-term recurrence on the block, which
+each encoding continues from the last two orders computed on it; their
 circuit is the qubitized alternating word. General bounded polynomials
 are applied spectrally under the standard interface (halved block,
 accuracy and cost ledgers from the degree); their circuit is a unitary
@@ -14,8 +15,8 @@ dilation of the halved block.
 
 Both rules keep the dtype of their input block (the dtype rule of
 `block_encoding`): a real block gives real T_n, from a real recurrence
-seeded with a real identity, and a real p(A)/2, from the real-symmetric
-`eigh`. Evolution encodings are complex.
+seeded with a real identity, also where its norm is measured, and a real
+p(A)/2, from the real-symmetric `eigh`. Evolution encodings are complex.
 """
 
 from __future__ import annotations
@@ -28,13 +29,7 @@ import numpy as np
 from . import circuits
 from .block_encoding import BlockEncoding, _by_rule, _own_block, hermitian_block
 from .chebyshev import ChebyshevPoly, WindowPoly
-from .errors import (
-    InexactInputError,
-    _checked_cost,
-    OutOfRangeError,
-    PolyNotBoundedError,
-    ValidationError,
-)
+from .errors import InexactInputError, _checked_cost, OutOfRangeError, PolyNotBoundedError
 from .pauli import PauliSum, pauli_sum_matrix
 
 def evolution_cost(num_terms: int, alpha: float, t: float, eps: float) -> float:
@@ -76,26 +71,16 @@ def evolution_encoding(h: PauliSum, t: float, eps: float) -> BlockEncoding:
     return _own_block(u, eps, math.ceil(cost))
 
 
-def _is_chebyshev_of(t: BlockEncoding, b: BlockEncoding, k: int) -> bool:
-    """Whether t is an encoding of T_k(A) that `chebyshev_encoding`
-    returned for this same b, read from its circuit recipe: equal ledgers
-    alone would pass the T_k of another encoding."""
-    c = t.circuit
-    return (
-        isinstance(c, partial) and c.func is circuits.alternating_word
-        and c.args[0] is b and c.args[1] == k
-    )
-
-
-def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
+def chebyshev_encoding(b: BlockEncoding, n: int) -> BlockEncoding:
     """Exact encoding of T_n(A) for the Hermitian block A of b.
 
     The block follows the recurrence T_n = 2 A T_{n-1} - T_{n-2} from
-    T_0 = I and T_1 = A. `previous` may hold the encodings of T_{n-1} and
-    T_{n-2} (most recent first; just T_0 for n = 1) that earlier calls
-    returned for this same b (the same object; any other is refused, also
-    one with equal ledgers); then T_n takes one recurrence step instead of
-    n - 1, so a loop over n = 0..N costs N block products in total.
+    T_0 = I and T_1 = A. b remembers (k, T_k, T_{k-1}) for the last order
+    k >= 2 computed on it, and T_n continues from there where k <= n, so a
+    loop over n = 0..N costs N - 1 block products in total; any other n
+    starts from T_1 and T_0. Each order takes the same steps either way,
+    so its block is the same bit for bit. The memo holds two D x D blocks
+    for as long as b lives; a concurrent call can only recompute an order.
 
     The circuit `circuits.alternating_word` has top-left block exactly
     T_n(A) (Low-Chuang qubitization; Gilyen-Su-Low-Wiebe, Lemma 9).
@@ -106,7 +91,7 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
     (equal to its conjugate transpose bit for bit) with norm bound at most
     1 the bound of T_n is 1, and T_0 = I has bound 1 for any input. A
     block Hermitian only within tolerance can give a T_n of norm above 1,
-    so there the norm is measured by an SVD.
+    so there the norm is measured by an SVD; the block keeps its dtype.
     Both checks read the Hermitian ledger of b first and measure
     `b.hermitian_gap`, once per encoding, only where it is unproven.
 
@@ -120,27 +105,24 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
         raise InexactInputError("alternating reflections require an exact encoding")
     a = hermitian_block(b)
     _checked_cost(n * b.cost, f"cost ledger {n} * {b.cost}")
-    previous = tuple(previous)
-    orders = range(n - 1, max(n - 3, -1), -1)
-    if previous and not (
-        len(previous) == len(orders)
-        and all(_is_chebyshev_of(t, b, k) for t, k in zip(previous, orders))
-    ):
-        raise ValidationError("previous must hold the T_{n-1}, T_{n-2} encodings of b")
 
     if n == 0:
         block = np.eye(b.system_dim, dtype=a.dtype)
     elif n == 1:
         block = a
     else:
-        if len(previous) == 2:
-            t_1, t_2 = previous[0].block, previous[1].block
-        else:
-            t_1, t_2 = a, np.eye(b.system_dim, dtype=a.dtype)
-            for _ in range(2, n):
-                t_1, t_2 = 2.0 * (a @ t_1) - t_2, t_1
-        block = 2.0 * (a @ t_1) - t_2
-    ledger = dict(
+        memo = b._chebyshev_memo
+        if memo is None or memo[0] > n:
+            memo = (1, a, np.eye(b.system_dim, dtype=a.dtype))
+        k, block, t_2 = memo
+        for _ in range(k, n):
+            block, t_2 = 2.0 * (a @ block) - t_2, block
+        b.__dict__["_chebyshev_memo"] = (n, block, t_2)
+    proven = n == 0 or (b.norm_bound <= 1.0 and (b.hermitian or b.hermitian_gap == 0.0))
+    return _by_rule(
+        block,
+        1.0 if proven else None,
+        hermitian=n == 0 or (n == 1 and b.hermitian),
         ancilla_dim=b.ancilla_dim,
         system_dim=b.system_dim,
         scale=1.0,
@@ -148,9 +130,6 @@ def chebyshev_encoding(b: BlockEncoding, n: int, previous=()) -> BlockEncoding:
         cost=n * b.cost,
         circuit=partial(circuits.alternating_word, b, n),
     )
-    if n == 0 or (b.norm_bound <= 1.0 and (b.hermitian or b.hermitian_gap == 0.0)):
-        return _by_rule(block, 1.0, hermitian=n == 0 or (n == 1 and b.hermitian), **ledger)
-    return BlockEncoding(block, **ledger)
 
 
 def apply_polynomial(b: BlockEncoding, p: ChebyshevPoly | WindowPoly, delta: float) -> BlockEncoding:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from blocksketch.block_encoding import (
     BlockEncoding,
+    _by_rule,
     _density_trace,
     _relabeled,
     adjoint,
@@ -26,6 +27,7 @@ from blocksketch.errors import (
     DimensionMismatchError,
     EmptySumError,
     LengthMismatchError,
+    NormTooLargeError,
     NotUnitaryError,
     OutOfRangeError,
 )
@@ -342,16 +344,38 @@ def test_a_pauli_sum_with_a_subnormal_scale_is_refused():
     assert encode_pauli_sum(PauliSum.from_terms([(1e-300, "Z")])).block[1, 1] == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("entry", [math.inf, math.nan])
+def test_a_measured_block_must_have_finite_entries(entry):
+    """An inf entry would be measured as norm nan, a nan entry would fail
+    inside the SVD; both are refused before it."""
+    block = 0.5 * np.eye(2)
+    block[1, 0] = entry
+    with pytest.raises(OutOfRangeError, match="finite entries"):
+        BlockEncoding(block, 2, 2, scale=1.0, circuit=lambda: np.eye(4))
+
+
+@pytest.mark.parametrize("ledger", [{"accuracy": math.nan}, {"cost": math.nan}])
+def test_a_nan_accuracy_or_cost_is_refused(ledger):
+    with pytest.raises(OutOfRangeError, match="must be nonnegative"):
+        BlockEncoding(0.5 * np.eye(2), 2, 2, scale=1.0, circuit=lambda: np.eye(4), **ledger)
+
+
+def test_a_nan_norm_bound_is_refused():
+    with pytest.raises(NormTooLargeError, match="bound nan"):
+        _by_rule(
+            0.5 * np.eye(2), math.nan, ancilla_dim=2, system_dim=2, scale=1.0, accuracy=0.0,
+            cost=0, circuit=lambda: np.eye(4),
+        )
+
+
 def test_products_polynomials_unitaries_and_measurements_stay_unproven():
     h = encode_pauli_sum(PauliSum.from_terms([(0.5, "ZZ"), (0.3, "XI"), (0.2, "IY")]))
     assert not product([h, h]).hermitian
-    previous = ()
     for n in range(5):
-        t_n = chebyshev_encoding(h, n, previous)
+        t_n = chebyshev_encoding(h, n)
         # T_0 = I and T_1 = the input's block are proven; from T_2 on the
         # block products round asymmetrically.
         assert t_n.hermitian is (n < 2)
-        previous = (t_n, *previous[:1])
     assert not apply_polynomial(h, chebyshev_t(2), 1e-3).hermitian
     assert not encode_unitary(np.eye(2)).hermitian
     assert not BlockEncoding(h.block, 4, 4, scale=1.0, circuit=h.circuit).hermitian

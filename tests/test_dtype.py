@@ -148,11 +148,9 @@ def test_rules_keep_float64_and_agree_with_their_complex_copies(s, s2, seed):
     for rho in densities:
         assert rho.dtype == np.float64
 
-    previous, previous_c = (), ()
     for n in range(6):
-        t_n = chebyshev_encoding(h, n, previous)
-        t_nc = chebyshev_encoding(hc, n, previous_c)
-        previous, previous_c = (t_n, *previous[:1]), (t_nc, *previous_c[:1])
+        t_n = chebyshev_encoding(h, n)
+        t_nc = chebyshev_encoding(hc, n)
         assert t_n.block.dtype == np.float64 and t_nc.block.dtype == np.complex128
         assert _max_gap(t_n.block, t_nc.block) <= 2.0 * max(n, 1) ** 2 * d * U
 
@@ -175,6 +173,17 @@ def test_rules_keep_float64_and_agree_with_their_complex_copies(s, s2, seed):
         for rho in densities:
             gap = abs(_density_trace(b, rho) - _density_trace(bc, rho))
             assert gap <= d * bound + 2.0 * d * d * U
+
+
+def test_a_real_block_hermitian_only_within_tolerance_keeps_real_chebyshev_orders():
+    """Its T_n norms are measured by an SVD, and the blocks stay real."""
+    h = encode_pauli_sum(PauliSum.from_terms([(0.5, "ZZI"), (0.3, "XIX"), (0.2, "IXZ")]))
+    cube = product([h, h, h])
+    assert not cube.hermitian and 0.0 < cube.hermitian_gap <= 1e-15
+    for n in range(4):
+        t_n = chebyshev_encoding(cube, n)
+        assert t_n.block.dtype == np.float64
+        assert (t_n.norm_bound == 1.0) is (n == 0)
 
 
 def test_a_complex_phase_or_input_makes_a_combination_complex():

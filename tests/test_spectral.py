@@ -1,4 +1,8 @@
+import gc
 import math
+import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +17,6 @@ from blocksketch.errors import (
     NotHermitianError,
     OutOfRangeError,
     PolyNotBoundedError,
-    ValidationError,
 )
 from blocksketch import block_encoding
 from blocksketch.circuits import is_unitary
@@ -134,11 +137,9 @@ def test_chebyshev_encoding_measures_the_hermitian_gap_once_per_encoding(monkeyp
     gap = block_encoding.hermitian_gap
     monkeypatch.setattr(block_encoding, "hermitian_gap", lambda m: measured.append(m) or gap(m))
     h = encode_pauli_sum(PauliSum.from_terms([(0.5, "ZZ"), (0.3, "XI"), (0.2, "IY")]))
-    previous = ()
     for n in range(8):
-        t_n = chebyshev_encoding(h, n, previous)
+        t_n = chebyshev_encoding(h, n)
         assert t_n.norm_bound == 1.0
-        previous = (t_n, *previous[:1])
     # The Pauli sum is Hermitian by its ledger, so nothing is measured.
     assert h.hermitian and measured == []
 
@@ -217,39 +218,95 @@ def test_apply_polynomial_validation():
     assert is_unitary(apply_polynomial(b, chebyshev_t(2), 0.0).unitary, 1e-10)
 
 
-def test_chebyshev_encoding_continues_from_previous_orders(rng):
-    a = random_hermitian_contraction(rng, 8)
-    enc = contraction_encoding(a, cost=3)
-    previous = ()
-    for n in range(12):
-        step = chebyshev_encoding(enc, n, previous)
-        scratch = chebyshev_encoding(enc, n)
-        assert np.array_equal(step.block, scratch.block)
-        assert (step.cost, step.ancilla_dim) == (scratch.cost, scratch.ancilla_dim)
-        previous = (step, *previous[:1])
+def _ledger(t):
+    return (t.norm_bound, t.hermitian, t.ancilla_dim, t.system_dim, t.scale, t.accuracy, t.cost)
 
-    t3, t2 = chebyshev_encoding(enc, 3), chebyshev_encoding(enc, 2)
-    other = contraction_encoding(a, cost=1)
-    with pytest.raises(ValidationError):
-        chebyshev_encoding(enc, 4, (t2, t3))
-    with pytest.raises(ValidationError):
-        chebyshev_encoding(other, 4, (t3, t2))
-    with pytest.raises(ValidationError):
-        chebyshev_encoding(enc, 4, (t3,))
+
+def test_chebyshev_encoding_continues_from_previous_orders(rng):
+    """On one encoding, T_n after any earlier orders equals the T_n of a
+    fresh encoding of the same block, bit for bit and with equal ledgers:
+    ascending, a jump, a descent and a repeat, with the norm proven and
+    (for a block Hermitian only within tolerance) measured."""
+    a = random_hermitian_contraction(rng, 8)
+    near = a + 1e-12 * np.triu(np.ones((8, 8)), 1)
+    for m in (a, near):
+        enc = contraction_encoding(m, cost=3)
+        for n in [*range(12), 3, 7, 2, 2, 5]:
+            t_n = chebyshev_encoding(enc, n)
+            fresh = chebyshev_encoding(contraction_encoding(m, cost=3), n)
+            assert np.array_equal(t_n.block, fresh.block) and t_n.block.dtype == fresh.block.dtype
+            assert _ledger(t_n) == _ledger(fresh)
+    with pytest.raises(TypeError):
+        chebyshev_encoding(enc, 2, (t_n, t_n))
 
 
 def test_chebyshev_encoding_refuses_the_orders_of_another_encoding():
     """T_1 and T_0 of another encoding with the same ledgers would give a
     T_2 block off by 2.25 whose norm, 2.47, passes the recorded bound 1
-    unchecked: previous must come from this same b."""
-    b = encode_pauli_sum(PauliSum.from_terms([(0.3, "XX"), (0.9, "ZZ")]))
+    unchecked: each encoding continues only from its own orders."""
+    terms = [(0.3, "XX"), (0.9, "ZZ")]
+    b = encode_pauli_sum(PauliSum.from_terms(terms))
     other = encode_pauli_sum(PauliSum.from_terms([(1.0, "ZI"), (0.5, "IX")]))
-    t1, t0 = chebyshev_encoding(other, 1), chebyshev_encoding(other, 0)
-    ledgers = [(t.ancilla_dim, t.system_dim, t.cost) for t in (t1, t0)]
-    assert ledgers == [(b.ancilla_dim, b.system_dim, k * b.cost) for k in (1, 0)]
-    with pytest.raises(ValidationError, match="encodings of b"):
-        chebyshev_encoding(b, 2, (t1, t0))
-    with pytest.raises(ValidationError, match="encodings of b"):
-        chebyshev_encoding(b, 1, (t0,))
-    own = (chebyshev_encoding(b, 1), chebyshev_encoding(b, 0))
-    assert np.array_equal(chebyshev_encoding(b, 2, own).block, chebyshev_encoding(b, 2).block)
+    assert (other.ancilla_dim, other.system_dim, other.cost) == (b.ancilla_dim, b.system_dim, b.cost)
+    for n in range(4):
+        chebyshev_encoding(other, n)
+    t_2 = chebyshev_encoding(b, 2)
+    fresh = chebyshev_encoding(encode_pauli_sum(PauliSum.from_terms(terms)), 2)
+    assert np.array_equal(t_2.block, fresh.block)
+    assert t_2.norm_bound == 1.0 and np.linalg.norm(t_2.block, 2) <= 1.0 + 1e-12
+
+
+# What the recurrence memo may add beyond its two D x D blocks: the memo
+# tuple and its slot in the encoding's dict.
+CHEBYSHEV_MEMO_SLACK_BYTES = 2048
+
+
+def test_chebyshev_encoding_holds_two_blocks_for_as_long_as_its_encoding_lives():
+    qubits = 5
+    terms = [(1.0, "I" * i + "ZZ" + "I" * (qubits - i - 2)) for i in range(qubits - 1)]
+    terms += [(0.7, "I" * i + "X" + "I" * (qubits - i - 1)) for i in range(qubits)]
+    b = encode_pauli_sum(PauliSum.from_terms(terms))
+    block_bytes = b.block.nbytes
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for n in range(65):
+            chebyshev_encoding(b, n)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - start
+        del b
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert 2 * block_bytes <= held <= 2 * block_bytes + CHEBYSHEV_MEMO_SLACK_BYTES
+    assert left <= CHEBYSHEV_MEMO_SLACK_BYTES and held - left >= 2 * block_bytes
+
+
+def test_concurrent_callers_of_one_encoding_never_mix_its_orders(rng):
+    """Threads asking one encoding for orders in shuffled sequences each
+    get the block of a fresh encoding bit for bit: a call reads the memo
+    once, so a concurrent update can only make it recompute."""
+    m = random_hermitian_contraction(rng, 16)
+    expected = [chebyshev_encoding(contraction_encoding(m), n).block for n in range(24)]
+    enc = contraction_encoding(m)
+    sequences = [rng.permutation(np.repeat(np.arange(24), 3)) for _ in range(4)]
+    wrong = []
+
+    def work(orders):
+        for n in orders:
+            if not np.array_equal(chebyshev_encoding(enc, int(n)).block, expected[n]):
+                wrong.append(int(n))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in sequences]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and wrong == []
