@@ -33,9 +33,9 @@ An encoding is built in one of three ways:
   (weakly held), so the products B T_n C of a response sketch, which
   share B, C and rho, form it once. Two factors are read as
   vdot(P_1^dagger rho, P_2), and every product remembers its own trace
-  for the last density. The relabels (`normalized`, `_relabeled`) add no
-  rule of their own: they record new ledgers over their input's rule, or
-  over its formed block when it has none;
+  for the last density. A formed block is read by one np.vdot. The
+  relabel `normalized` adds no rule of its own: it records scale 1 over
+  its input's rule, or over its formed block when it has none;
 - by measurement: ``BlockEncoding(block, ancilla_dim, system_dim, scale,
   accuracy, cost, circuit=...)`` for a block with no rule behind it, whose
   spectral norm is measured by an SVD. `dataclasses.replace`, which passes
@@ -71,10 +71,9 @@ that the block equals its conjugate transpose entry for entry, so that
 - `identity_encoding`: the identity;
 - `adjoint` and `normalized`: the input's ledger;
 - `linear_combine` with real coefficients over Hermitian inputs (as in
-  the shifted encoding (I + A)/2 of estimation): see there;
-- `estimation.hermitian_part_encoding` and
-  `estimation.antihermitian_part_encoding`: c G + conj(c) G^dagger, see
-  `_conjugate_pair_sum`;
+  the shifted encoding (I + A)/2 of estimation), and the conjugate pair
+  c G + conj(c) G^dagger for c real or imaginary over exactly
+  [G, adjoint(G)] (as in the part encodings of estimation): see there;
 - `spectral.chebyshev_encoding` at n = 0, whose block is the identity,
   and at n = 1 the input's ledger, since its block is the input's own
   array.
@@ -90,18 +89,19 @@ The dtype rule. A block, purification or density is float64 where its
 entries are real by construction, and complex128 otherwise; the dtype is
 read from how the value was built, never from scanning its entries.
 `encode_pauli_sum` is real when every word has an even number of Y
-letters (`pauli._scatter`), `identity_encoding` is real, and every rule
-keeps numpy's dtype: `product`, `adjoint`, the relabels,
-`linear_combine` (unless a phase is complex) and the rules of `spectral`
-stay real over real inputs (`spectral`). A preparation is real for the
+letters (`pauli._scatter`), `identity_encoding` is real, a measured
+encoding is real when its block is given real, and every rule keeps
+numpy's dtype: `product`, `adjoint`, `normalized`, `linear_combine`
+(unless a phase is complex) and the rules of `spectral` stay real over
+real inputs (`spectral`). A preparation is real for the
 Bell pairs of I/D, basis states, real vectors and `pure` directives whose
 imaginary parts are all zero, and so is its density (`state_prep`). A
 real block equals the real part of the complex block the same rule would
 form, up to the roundoff of real against complex matrix products (bit for
 bit for `encode_pauli_sum`), and a trace against a real density is read
-in real arithmetic. Measured encodings, `encode_unitary`, evolution
-encodings, thermal states, `pauli.pauli_sum_matrix` and the `circuits`
-unitaries, which are read-only, stay complex.
+in real arithmetic. `encode_unitary`, evolution encodings, thermal
+states, `pauli.pauli_sum_matrix` and the `circuits` unitaries, which are
+read-only, stay complex.
 
 All values are immutable and all operations pure.
 """
@@ -145,7 +145,9 @@ class BlockEncoding:
 
     The constructor is the measurement path: ``block`` has no rule behind
     it, so its spectral norm is measured by an SVD, checked to be at most
-    1 + CONTRACTION_TOL and recorded as ``norm_bound``; ``circuit`` is the
+    1 + CONTRACTION_TOL and recorded as ``norm_bound``. It is stored as a
+    read-only copy, float64 if it is given real and complex128 otherwise
+    (the dtype rule of the module docstring); ``circuit`` is the
     zero-argument callable building the unitary. The arithmetic of this
     module and of `spectral` builds its values by rule instead, recording
     the bound the rule proves (see the module docstring) without an SVD,
@@ -167,14 +169,12 @@ class BlockEncoding:
     accuracy: float = 0.0
     cost: int = 0
     circuit: Callable[[], np.ndarray] = field(repr=False, compare=False)
-    # The recorded rule (None for a formed block), the (weak reference
-    # to the density, trace) that `_density_trace` last read from a formed
-    # block, the (weak references to the density and last factor,
-    # sandwich) of the last product read with this value first
-    # (`_sandwich`), and the (k, T_k, T_{k-1}) blocks of the last
-    # Chebyshev order k >= 2 computed on it (`spectral.chebyshev_encoding`).
+    # The recorded rule (None for a formed block), the (weak references
+    # to the density and last factor, sandwich) of the last product read
+    # with this value first (`_sandwich`), and the (k, T_k, T_{k-1})
+    # blocks of the last Chebyshev order k >= 2 computed on it
+    # (`spectral.chebyshev_encoding`).
     _rule = None
-    _trace_memo = None
     _sandwich_memo = None
     _chebyshev_memo = None
 
@@ -189,7 +189,8 @@ class BlockEncoding:
         *,
         circuit: Callable[[], np.ndarray],
     ):
-        block = np.array(block, dtype=complex)
+        block = np.array(block)
+        block = block.astype(float if block.dtype.kind in "biuf" else complex, copy=False)
         _set_fields(
             self, block, None, False, ancilla_dim, system_dim, scale, accuracy, cost, circuit
         )
@@ -309,19 +310,13 @@ def _form_block(enc: BlockEncoding) -> np.ndarray:
 def _density_trace(b: BlockEncoding, density: np.ndarray) -> complex:
     """Tr(rho B) = sum_ij conj(rho_ij) B_ij for the Hermitian density rho:
     read through b's recorded rule, and from a formed block by one
-    np.vdot, which is remembered for the last (read-only) density it was
-    read for. The memo holds that density by a weak reference, so a
-    long-lived encoding such as a cached identity does not keep it alive.
+    np.vdot.
 
     It agrees with np.vdot(density, b.block) up to roundoff, not bit for
     bit: a rule adds its inputs' traces where the block adds entries."""
     if b._rule is not None:
         return b._rule.trace(density)
-    memo = b._trace_memo
-    if memo is None or memo[0]() is not density:
-        memo = (weakref.ref(density), complex(np.vdot(density, b.block)))
-        b.__dict__["_trace_memo"] = memo
-    return memo[1]
+    return complex(np.vdot(density, b.block))
 
 
 def _set_fields(
@@ -452,28 +447,22 @@ def identity_encoding(system_dim: int) -> BlockEncoding:
     return _own_block(np.eye(system_dim), 0.0, 0, hermitian=True)
 
 
-def _relabeled(b: BlockEncoding, scale: float, hermitian: bool) -> BlockEncoding:
-    """b's block, norm bound, circuit and other ledgers under a new scale
-    and Hermitian ledger, which the caller's rule justifies: b's recorded
-    rule, whose block the relabel forms on first access with the same
-    arithmetic, or else b's own formed array."""
+def normalized(b: BlockEncoding) -> BlockEncoding:
+    """b read as a 1-scaled encoding of A/alpha: the same block, norm
+    bound, Hermitian ledger, circuit and other ledgers at scale 1. It
+    records b's rule, whose block it forms on first access with the same
+    arithmetic, or else takes b's own formed array."""
     return _by_rule(
         b.block if b._rule is None else b._rule,
         b.norm_bound,
-        hermitian=hermitian,
+        hermitian=b.hermitian,
         ancilla_dim=b.ancilla_dim,
         system_dim=b.system_dim,
-        scale=scale,
+        scale=1.0,
         accuracy=b.accuracy,
         cost=b.cost,
         circuit=b.circuit,
     )
-
-
-def normalized(b: BlockEncoding) -> BlockEncoding:
-    """b read as a 1-scaled encoding of A/alpha: the same block, norm
-    bound, circuit and other ledgers at scale 1."""
-    return _relabeled(b, 1.0, b.hermitian)
 
 
 def encode_pauli_sum(s: PauliSum) -> BlockEncoding:
@@ -597,11 +586,25 @@ def linear_combine(coeffs, encodings) -> BlockEncoding:
     and the block formed when first asked for. The ancilla dimension
     is prepare_dim * max_i ancilla_dim_i (see `circuits`).
 
-    Hermitian ledger: for real beta_i each weight times phase has a zero
-    imaginary part, so each part of its product with an entry is one
-    rounded real product, and the scaling commutes with conjugation entry
-    by entry. Over Hermitian inputs every term is then Hermitian, and the
-    terms are added in the same order at (r, c) and (c, r).
+    Hermitian ledger, proven in two cases. First, for real beta_i each
+    weight times phase has a zero imaginary part, so each part of its
+    product with an entry is one rounded real product, and the scaling
+    commutes with conjugation entry by entry. Over Hermitian inputs every
+    term is then Hermitian, and the terms are added in the same order at
+    (r, c) and (c, r).
+
+    Second, the conjugate pair c G + conj(c) G^dagger, whatever G is:
+    coefficients [c, conj(c)] with c real or imaginary over exactly
+    [G, adjoint(G)], where the second input's rule is the adjoint of the
+    first input itself. Both strengths are |c| alpha, so both weights are
+    one value w, and the two terms scale G and G^dagger entrywise by
+    s = w c / |c| and by conj(s): f(z) = s z and h(z) = conj(s) z. As s is
+    real or imaginary, each part of s z is one rounded real product (the
+    other product is an exact zero), so conj(f(z)) = h(conj(z)) in value.
+    Entry (j, i) of the block is f(G_ji) + h(conj(G_ij)), and the
+    conjugate of entry (i, j) is conj(f(G_ij)) + conj(h(conj(G_ji))) =
+    h(conj(G_ij)) + f(G_ji): the same two numbers, and floating-point
+    addition commutes. So the block equals its conjugate transpose.
     """
     coeffs = [complex(c) for c in coeffs]
     encodings = list(encodings)
@@ -634,6 +637,15 @@ def linear_combine(coeffs, encodings) -> BlockEncoding:
         cost += b.cost
         ancilla_dim = max(ancilla_dim, b.ancilla_dim)
         hermitian = hermitian and b.hermitian and c.imag == 0.0
+    if len(encodings) == 2 and not hermitian:
+        (c, c_bar), (g, g_adjoint) = coeffs, encodings
+        rule = g_adjoint._rule
+        hermitian = (
+            isinstance(rule, _Adjoint)
+            and rule.b is g
+            and c_bar == c.conjugate()
+            and (c.real == 0.0 or c.imag == 0.0)
+        )
     dim_prep = 1 << max(0, (len(encodings) - 1).bit_length())
     return _by_rule(
         _Sum(weights, phases, encodings),

@@ -22,9 +22,11 @@ complex-valued variant doubles it (one run per Hermitian part).
 Observable estimation needs one number per run, the amplitude
 Tr(rho (I + A/alpha)/2). It is read through the rules that built the
 shifted encoding (`block_encoding._density_trace`): linear over a
-combination, conjugated over an adjoint, and one np.vdot per density at a
-formed block. The shifted, part and adjoint encodings keep every ledger,
-but their blocks are never formed here.
+combination, conjugated over an adjoint, and one np.vdot at a formed
+block. The Hermitian and anti-Hermitian parts of a general G are
+`linear_combine` conjugate pairs over [G, adjoint(G)], which that rule
+proves Hermitian. The shifted, part and adjoint encodings keep every
+ledger, but their blocks are never formed here.
 
 Everything is pure given an explicit seed; concurrent jobs should use
 distinct seeds.
@@ -41,7 +43,6 @@ import numpy as np
 from .block_encoding import (
     BlockEncoding,
     _density_trace,
-    _relabeled,
     _require_hermitian,
     adjoint,
     identity_encoding,
@@ -343,35 +344,16 @@ _HERMITIAN_PART = [0.5, 0.5]
 _ANTIHERMITIAN_PART = [-0.5j, 0.5j]
 
 
-def _conjugate_pair_sum(
-    coeffs: list[complex], g: BlockEncoding, g_adjoint: BlockEncoding
-) -> BlockEncoding:
-    """The encoding of c G + conj(c) G^dagger, for coeffs = [c, conj(c)]
-    with c real or imaginary and g_adjoint = adjoint(g), that
-    `linear_combine` builds, with the Hermitian ledger set.
-
-    Proof. Both strengths are |c| alpha, so both weights are one value w,
-    and the two terms scale G and G^dagger entrywise by s = w c / |c| and
-    by conj(s): f(z) = s z and h(z) = conj(s) z. As s is real or
-    imaginary, each part of s z is one rounded real product (the other
-    product is an exact zero), so conj(f(z)) = h(conj(z)) in value.
-    Entry (j, i) of the block is f(G_ji) + h(conj(G_ij)), and the conjugate
-    of entry (i, j) is conj(f(G_ij)) + conj(h(conj(G_ji))) =
-    h(conj(G_ij)) + f(G_ji): the same two numbers, and floating-point
-    addition commutes. So the block equals its conjugate transpose.
-    """
-    pair = linear_combine(coeffs, [g, g_adjoint])
-    return _relabeled(pair, pair.scale, hermitian=True)
-
-
 def hermitian_part_encoding(g: BlockEncoding) -> BlockEncoding:
-    """Encoding of (G + G*)/2 at the scale of g, proven Hermitian."""
-    return _conjugate_pair_sum(_HERMITIAN_PART, g, adjoint(g))
+    """Encoding of (G + G*)/2 at the scale of g, proven Hermitian by
+    `linear_combine`'s conjugate-pair case."""
+    return linear_combine(_HERMITIAN_PART, [g, adjoint(g)])
 
 
 def antihermitian_part_encoding(g: BlockEncoding) -> BlockEncoding:
-    """Encoding of (G - G*)/(2i) at the scale of g, proven Hermitian."""
-    return _conjugate_pair_sum(_ANTIHERMITIAN_PART, g, adjoint(g))
+    """Encoding of (G - G*)/(2i) at the scale of g, proven Hermitian by
+    `linear_combine`'s conjugate-pair case."""
+    return linear_combine(_ANTIHERMITIAN_PART, [g, adjoint(g)])
 
 
 def estimate_complex(
@@ -388,16 +370,18 @@ def estimate_complex(
     the Hermitian and anti-Hermitian parts, each to precision eps with
     confidence 1 - delta, so delta and the result's confidence hold per
     part: both parts are within eps together only with probability at least
-    1 - 2 delta (the union bound). The imaginary run uses seed + 1. The two
-    parts share one adjoint of g, and both runs read their traces through
-    the rules down to Tr(rho G), so no part or adjoint block is formed.
+    1 - 2 delta (the union bound). The imaginary run uses seed + 1. Each
+    part is `linear_combine` of [g, adjoint(g)], which proves it Hermitian;
+    the two share one adjoint of g, and both runs read their traces
+    through the rules down to Tr(rho G), so no part or adjoint block is
+    formed.
     """
     _validate_eps_delta(eps, delta)
     seed_im = None if rng_seed is None else rng_seed + 1
     g_adjoint = adjoint(g)
-    re_part = _conjugate_pair_sum(_HERMITIAN_PART, g, g_adjoint)
+    re_part = linear_combine(_HERMITIAN_PART, [g, g_adjoint])
     re = estimate_observable(re_part, rho, eps, delta, mode, rng_seed)
-    im_part = _conjugate_pair_sum(_ANTIHERMITIAN_PART, g, g_adjoint)
+    im_part = linear_combine(_ANTIHERMITIAN_PART, [g, g_adjoint])
     im = estimate_observable(im_part, rho, eps, delta, mode, seed_im)
     return EstimationResult(
         complex(re.value.real, im.value.real),

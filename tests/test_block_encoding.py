@@ -12,7 +12,6 @@ from blocksketch.block_encoding import (
     BlockEncoding,
     _by_rule,
     _density_trace,
-    _relabeled,
     adjoint,
     encode_pauli_sum,
     encode_unitary,
@@ -316,6 +315,50 @@ def test_hermitian_and_antihermitian_parts_are_hermitian_by_proof(g):
         _assert_proven_hermitian(_shifted_encoding(part))
 
 
+def _random_contraction(rng, d: int, real: bool = False) -> BlockEncoding:
+    g = rng.normal(size=(d, d)) + (0.0 if real else 1j * rng.normal(size=(d, d)))
+    return contraction_encoding(g / (1.1 * np.linalg.norm(g, 2)))
+
+
+def _pair_operand(kind: str, rng) -> BlockEncoding:
+    """A non-Hermitian g: a complex measured contraction, a 3-factor
+    product or a real (float64) measured contraction."""
+    if kind == "product":
+        h = encode_pauli_sum(random_pauli_sum(rng, 2, 4))
+        return product([h, _random_contraction(rng, 4), _random_contraction(rng, 4)])
+    return _random_contraction(rng, 4, real=kind == "real")
+
+
+@pytest.mark.parametrize(
+    "kind, c",
+    [("contraction", c) for c in (0.5, -0.5j, -2.0, 3.0j)]
+    + [("product", 0.5), ("product", -0.5j), ("real", -0.5j), ("real", 0.5)],
+)
+def test_linear_combine_proves_a_conjugate_pair_over_an_encoding_and_its_adjoint_hermitian(kind, c):
+    g = _pair_operand(kind, np.random.default_rng(7))
+    assert not g.hermitian
+    pair = linear_combine([c, complex(c).conjugate()], [g, adjoint(g)])
+    _assert_proven_hermitian(pair)
+
+
+def test_linear_combine_leaves_other_pairs_of_an_encoding_and_its_adjoint_unproven():
+    rng = np.random.default_rng(8)
+    g = _random_contraction(rng, 4)
+    g_adjoint = adjoint(g)
+    twin = contraction_encoding(g.block)
+    c = 0.3 + 0.4j
+    unproven = [
+        linear_combine([c, c.conjugate()], [g, g_adjoint]),
+        linear_combine([0.5, 0.4], [g, g_adjoint]),
+        linear_combine([0.5, 0.5], [g, adjoint(twin)]),
+        linear_combine([0.5, 0.5], [g_adjoint, g]),
+        linear_combine([-0.5j, 0.5j], [g_adjoint, g]),
+        linear_combine([0.5, 0.5, 0.5], [g, g_adjoint, identity_encoding(4)]),
+    ]
+    for b in unproven:
+        assert not b.hermitian
+
+
 @LEDGER
 @given(
     st.integers(1, 3).flatmap(lambda q: st.lists(real_pauli_sums(q), min_size=1, max_size=3)),
@@ -385,8 +428,8 @@ def test_products_polynomials_unitaries_and_measurements_stay_unproven():
 #
 # A drawn tree records, for every node, the encoding and the reference
 # block that the eager formulas (copied below) give from the reference
-# blocks of its inputs. `linear_combine`, `adjoint` and the relabels
-# record their rule and form the block on first access; products and
+# blocks of its inputs. `linear_combine`, `adjoint` and the relabel
+# `normalized` record their rule and form the block on first access; products and
 # Chebyshev encodings form theirs at once and are leaves of the evaluator.
 
 U = np.finfo(float).eps / 2.0
@@ -436,7 +479,7 @@ def rule_trees(draw):
     leaves = [h, general, identity_encoding(d), chebyshev_encoding(h, draw(st.integers(2, 3)))]
     nodes = [(b, np.array(b.block), 1) for b in leaves]
     for _ in range(draw(st.integers(1, 7))):
-        op = draw(st.sampled_from(["combine", "adjoint", "normalized", "relabel", "product", "chebyshev"]))
+        op = draw(st.sampled_from(["combine", "adjoint", "normalized", "product", "chebyshev"]))
         picks = draw(st.lists(st.integers(0, len(nodes) - 1), min_size=1, max_size=3))
         inputs = [nodes[i] for i in picks]
         first, ref, size = inputs[0]
@@ -454,8 +497,6 @@ def rule_trees(draw):
             node = (adjoint(first), ref.conj().T, size + 1)
         elif op == "normalized":
             node = (normalized(first), ref, size + 1)
-        elif op == "relabel":
-            node = (_relabeled(first, draw(st.floats(0.5, 4.0)), first.hermitian), ref, size + 1)
         elif op == "product":
             other, other_ref, _ = inputs[-1]
             node = (product([first, other]), ref @ other_ref, 1)

@@ -13,18 +13,18 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 
 from blocksketch.algorithms import DOS, LDOS, RESPONSE, SketchRequest, spectral_sketch
 from blocksketch.oracle import oracle_sketch
 from blocksketch.pauli import PauliSum
 from blocksketch.state_prep import prepare_pure
 
-QUBITS = 2
 DELTA = 0.05
 MISS_TAIL = 1e-9
-WORDS = ["".join(w) for w in itertools.product("IXYZ", repeat=QUBITS)]
 # Seeds per sketch: more than the 2 (N + 1) that a response of N = 4 reads.
 SEED_STRIDE = 16
+QUBITS = pytest.mark.parametrize("qubits", [2, 3])
 
 
 def _allowed_misses(n: int, p: float, tail: float = MISS_TAIL) -> int:
@@ -49,48 +49,50 @@ def test_allowed_misses_is_the_binomial_tail_quantile():
     assert _allowed_misses(4000, 0.05) < 400
 
 
-def _pauli_sum(rng, terms: int = 3, scale: float | None = None) -> PauliSum:
-    """terms distinct Pauli words with coefficients drawn from [-1, 1],
-    rescaled to the given sum of |coefficients| if one is given."""
-    words = rng.choice(WORDS, size=terms, replace=False)
+def _pauli_sum(rng, qubits: int, terms: int = 3, scale: float | None = None) -> PauliSum:
+    """terms distinct Pauli words on qubits qubits with coefficients drawn
+    from [-1, 1], rescaled to the given sum of |coefficients| if one is
+    given."""
+    words = ["".join(w) for w in itertools.product("IXYZ", repeat=qubits)]
+    words = rng.choice(words, size=terms, replace=False)
     coeffs = rng.uniform(-1.0, 1.0, terms)
     if scale is not None:
         coeffs *= scale / np.abs(coeffs).sum()
     return PauliSum.from_terms(zip(coeffs.tolist(), words.tolist()))
 
 
-def _pure_state(rng):
-    v = rng.normal(size=2**QUBITS) + 1j * rng.normal(size=2**QUBITS)
+def _pure_state(rng, qubits: int):
+    v = rng.normal(size=2**qubits) + 1j * rng.normal(size=2**qubits)
     return prepare_pure(v / np.linalg.norm(v))
 
 
-def _requests(rng, eps: float, integral: bool):
+def _requests(rng, qubits: int, eps: float, integral: bool):
     """A dos, an ldos and a response request on one random Hamiltonian: N = 4
     moments, or one random interval. |B| = |C| = 1, so the response window
     share is the dos one."""
-    h = _pauli_sum(rng)
+    h = _pauli_sum(rng, qubits)
     if integral:
         a, b = np.sort(rng.uniform(-0.8, 0.8, 2)) * h.scale()
         mode = dict(interval=(float(a), float(b)))
     else:
         mode = dict(num_moments=4)
     yield SketchRequest(h, DOS, eps, DELTA, **mode)
-    yield SketchRequest(h, LDOS, eps, DELTA, state=_pure_state(rng), **mode)
+    yield SketchRequest(h, LDOS, eps, DELTA, state=_pure_state(rng, qubits), **mode)
     yield SketchRequest(
-        h, RESPONSE, eps, DELTA, b_observable=_pauli_sum(rng, scale=1.0),
-        c_observable=_pauli_sum(rng, scale=1.0), state=_pure_state(rng), **mode,
+        h, RESPONSE, eps, DELTA, b_observable=_pauli_sum(rng, qubits, scale=1.0),
+        c_observable=_pauli_sum(rng, qubits, scale=1.0), state=_pure_state(rng, qubits), **mode,
     )
 
 
-def _calibrate(draws: int, eps: float, integral: bool) -> tuple[int, int, int]:
+def _calibrate(qubits: int, draws: int, eps: float, integral: bool) -> tuple[int, int, int]:
     """(estimates, parts, misses) of sampled sketches on `draws` random
-    Hamiltonians, each sketch from its own seeds; checks each sketch's
-    queries against its budget on the way."""
+    Hamiltonians on qubits qubits, each sketch from its own seeds; checks
+    each sketch's queries against its budget on the way."""
     rng = np.random.default_rng(20_04_06832)
     estimates = parts = misses = 0
     seed = 0
     for _ in range(draws):
-        for req in _requests(rng, eps, integral):
+        for req in _requests(rng, qubits, eps, integral):
             sketch = spectral_sketch(req, "sampled", seed)
             seed += SEED_STRIDE
             budget = sum(r.grover_queries for r in spectral_sketch(req, "exact").values)
@@ -106,15 +108,17 @@ def _calibrate(draws: int, eps: float, integral: bool) -> tuple[int, int, int]:
     return estimates, parts, misses
 
 
-def test_sampled_moment_sketches_are_within_eps_at_the_confidence_they_claim():
-    estimates, parts, misses = _calibrate(draws=200, eps=0.1, integral=False)
+@QUBITS
+def test_sampled_moment_sketches_are_within_eps_at_the_confidence_they_claim(qubits):
+    estimates, parts, misses = _calibrate(qubits, draws=200, eps=0.1, integral=False)
     assert (estimates, parts) == (3000, 4000)
     assert misses <= _allowed_misses(parts, DELTA)
 
 
-def test_sampled_integral_sketches_are_within_eps_of_their_windowed_estimand():
+@QUBITS
+def test_sampled_integral_sketches_are_within_eps_of_their_windowed_estimand(qubits):
     """The oracle of an integral sketch is its windowed estimand, so the
     test judges the estimation and polynomial shares of eps."""
-    estimates, parts, misses = _calibrate(draws=134, eps=0.15, integral=True)
+    estimates, parts, misses = _calibrate(qubits, draws=134, eps=0.15, integral=True)
     assert (estimates, parts) == (402, 536)
     assert misses <= _allowed_misses(parts, DELTA)

@@ -3,6 +3,7 @@ densities where they are real by construction, complex128 elsewhere, and
 every rule on a real encoding within roundoff of the same rule on a
 complex copy of its block."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -194,6 +195,29 @@ def test_a_complex_phase_or_input_makes_a_combination_complex():
     assert linear_combine([1.0, 1.0], [h, y]).block.dtype == np.complex128
     assert product([h, y]).block.dtype == np.complex128
     assert evolution_encoding(xxz_chain(2), 0.3, 0.01).block.dtype == np.complex128
+
+
+@pytest.mark.parametrize(
+    "block, dtype",
+    [
+        (0.5 * np.eye(2), np.float64),
+        (0.5 * np.eye(2, dtype=np.float32), np.float64),
+        (np.eye(2, dtype=int), np.float64),
+        (0.5 * np.eye(2, dtype=complex), np.complex128),
+        (0.5j * np.eye(2, dtype=np.complex64), np.complex128),
+    ],
+)
+def test_a_measured_block_is_a_read_only_copy_real_where_it_is_given_real(block, dtype):
+    b = BlockEncoding(block, 2, 2, scale=1.0, circuit=lambda: np.eye(4))
+    assert b.block.dtype == dtype and not b.block.flags.writeable
+    assert not np.shares_memory(b.block, block) and block.flags.writeable
+    assert np.array_equal(b.block, block)
+
+
+def test_replacing_a_field_of_a_real_encoding_keeps_it_real():
+    h = encode_pauli_sum(xxz_chain(2))
+    for b in (h, normalized(h), product([h, h])):
+        assert dataclasses.replace(b, scale=2.0).block.dtype == np.float64
 
 
 def test_checking_a_unitary_leaves_the_callers_array_writable():
