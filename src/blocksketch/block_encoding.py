@@ -72,8 +72,8 @@ that the block equals its conjugate transpose entry for entry, so that
 - `adjoint` and `normalized`: the input's ledger;
 - `linear_combine` with real coefficients over Hermitian inputs (as in
   the shifted encoding (I + A)/2 of estimation), and the conjugate pair
-  c G + conj(c) G^dagger for c real or imaginary over exactly
-  [G, adjoint(G)] (as in the part encodings of estimation): see there;
+  c G + conj(c) G^dagger at equal weights for c real or imaginary over
+  exactly [G, adjoint(G)] (as in estimation's part encodings): see there;
 - `spectral.chebyshev_encoding` at n = 0, whose block is the identity,
   and at n = 1 the input's ledger, since its block is the input's own
   array.
@@ -596,11 +596,12 @@ def linear_combine(coeffs, encodings) -> BlockEncoding:
     Second, the conjugate pair c G + conj(c) G^dagger, whatever G is:
     coefficients [c, conj(c)] with c real or imaginary over exactly
     [G, adjoint(G)], where the second input's rule is the adjoint of the
-    first input itself. Both strengths are |c| alpha, so both weights are
-    one value w, and the two terms scale G and G^dagger entrywise by
-    s = w c / |c| and by conj(s): f(z) = s z and h(z) = conj(s) z. As s is
-    real or imaginary, each part of s z is one rounded real product (the
-    other product is an exact zero), so conj(f(z)) = h(conj(z)) in value.
+    first input itself, at one weight w for both (compared, as the rule
+    of normalized(adjoint(G)) is the same adjoint at scale 1). The terms
+    scale G and G^dagger entrywise by s = w c / |c| and by conj(s):
+    f(z) = s z and h(z) = conj(s) z. As s is real or imaginary, each part
+    of s z is one rounded real product (the other product is an exact
+    zero), so conj(f(z)) = h(conj(z)) in value.
     Entry (j, i) of the block is f(G_ji) + h(conj(G_ij)), and the
     conjugate of entry (i, j) is conj(f(G_ij)) + conj(h(conj(G_ji))) =
     h(conj(G_ij)) + f(G_ji): the same two numbers, and floating-point
@@ -645,6 +646,7 @@ def linear_combine(coeffs, encodings) -> BlockEncoding:
             and rule.b is g
             and c_bar == c.conjugate()
             and (c.real == 0.0 or c.imag == 0.0)
+            and weights[0] == weights[1]
         )
     dim_prep = 1 << max(0, (len(encodings) - 1).bit_length())
     return _by_rule(

@@ -346,14 +346,21 @@ def test_linear_combine_leaves_other_pairs_of_an_encoding_and_its_adjoint_unprov
     g = _random_contraction(rng, 4)
     g_adjoint = adjoint(g)
     twin = contraction_encoding(g.block)
+    h = _pair_operand("product", rng)
+    rescaled = linear_combine([0.5, 0.5], [h, normalized(adjoint(h))])
+    assert h.scale != 1.0
+    assert hermitian_gap(rescaled.block) > 0.0
     c = 0.3 + 0.4j
     unproven = [
         linear_combine([c, c.conjugate()], [g, g_adjoint]),
         linear_combine([0.5, 0.4], [g, g_adjoint]),
         linear_combine([0.5, 0.5], [g, adjoint(twin)]),
+        rescaled,
+        linear_combine([0.5, 0.5, 0.5], [g, g_adjoint, identity_encoding(4)]),
+        # The swapped order [G^dagger, G] is Hermitian by the same proof;
+        # these two show a gap in the check, not a requirement.
         linear_combine([0.5, 0.5], [g_adjoint, g]),
         linear_combine([-0.5j, 0.5j], [g_adjoint, g]),
-        linear_combine([0.5, 0.5, 0.5], [g, g_adjoint, identity_encoding(4)]),
     ]
     for b in unproven:
         assert not b.hermitian
